@@ -10,7 +10,7 @@ against zeta-zero ordinates, and quantized-calculus identities, all at
 user-selected binary precision.
 """
 
-from zetalab.cyclotomy import Divisor, Root, divisor_mul, rho_tilde, root_add, sigma
+from zetalab.cyclotomy import Divisor, Root, divisor_mul, rho_tilde, sigma
 from zetalab.witt import (
     DivisorMatrix,
     MonoidMatrix,
@@ -26,7 +26,6 @@ from zetalab.witt import (
 __all__ = [
     "Root",
     "Divisor",
-    "root_add",
     "sigma",
     "rho_tilde",
     "divisor_mul",

@@ -50,10 +50,6 @@ class LogBandFunction:
         raise AttributeError("LogBandFunction is immutable")
 
     @classmethod
-    def from_lambda(cls, lam, coeffs) -> "LogBandFunction":
-        return cls(lam * lam, coeffs)
-
-    @classmethod
     def cosine_power(cls, lam2, q: int, modulation: int = 0) -> "LogBandFunction":
         """(1 + cos(pi t / L))^q [* cos(modulation * pi t / L)] in t = log u.
 

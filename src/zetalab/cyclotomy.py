@@ -77,11 +77,6 @@ class Root:
 ZERO_ROOT = Root(0, 1)
 
 
-def root_add(a: Root, b: Root) -> Root:
-    """Addition in Q/Z: the exponent law e(x)e(y) = e(x+y)."""
-    return a + b
-
-
 class Divisor:
     """Element of Z[Q/Z]: a finite map Root -> nonzero integer coefficient."""
 

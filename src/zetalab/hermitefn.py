@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
+from zetalab.precision import orthonormalize, remove_components
+
 
 def hermite_phi(nmax: int, x):
     """[phi_0(x), ..., phi_nmax(x)] by the stable orthonormal recurrence.
@@ -103,21 +105,9 @@ class EvenGaussHermite:
         n = self.order + 1
         u = [hermite_phi_zero(2 * m) for m in range(n)]  # f(0) functional / sqrt(a)
         v = [(-1) ** m * u[m] for m in range(n)]  # f^(0) functional * sqrt-scale
-        c = [mp.mpmathify(x) for x in self.coeffs]
-        basis = []
-        for w in (u, v):
-            w = list(w)
-            for b in basis:
-                d = mp.fsum(b[i] * w[i] for i in range(n))
-                w = [w[i] - d * b[i] for i in range(n)]
-            nrm = mp.sqrt(mp.fsum(x * x for x in w))
-            if nrm > mpf(2) ** (-mp.prec // 2):
-                basis.append([x / nrm for x in w])
-        for b in basis:
-            d = mp.fsum(b[i] * c[i] for i in range(n))
-            c = [c[i] - d * b[i] for i in range(n)]
-        out = EvenGaussHermite(self.scale, c)
-        return out
+        basis = orthonormalize((u, v), mpf(2) ** (-mp.prec // 2))
+        c = remove_components([mp.mpmathify(x) for x in self.coeffs], basis)
+        return EvenGaussHermite(self.scale, c)
 
     def __repr__(self):
         return f"EvenGaussHermite(scale={self.scale}, order={self.order})"

@@ -21,8 +21,56 @@ import numpy as np
 from mpmath import mp, mpc, mpf
 
 
+_MAX_SWEEPS = 80
+_GUARD_BITS = 8  # Jacobi stops at off-norm 2^(_GUARD_BITS - precision_bits) ||A||_F
+
+
 def _is_complex(x) -> bool:
     return isinstance(x, (mpc, complex)) and x.imag != 0
+
+
+def _hermitize(rows, cplx):
+    """Average rows with its adjoint in place (real diagonal, exact symmetry);
+    returns the rows, converted to mpf when the matrix is real."""
+    n = len(rows)
+    for i in range(n):
+        rows[i][i] = mp.re(rows[i][i])
+        for j in range(i):
+            avg = (rows[i][j] + mp.conj(rows[j][i])) / 2
+            rows[i][j] = avg
+            rows[j][i] = mp.conj(avg)
+    if not cplx:
+        return [[mp.re(x) for x in r] for r in rows]
+    return rows
+
+
+def remove_components(v, basis):
+    """v minus its components along the orthonormal basis, one vector at a
+    time (the modified Gram-Schmidt order)."""
+    v = list(v)
+    for u in basis:
+        dot = mp.fdot(v, u, conjugate=True)
+        v = [x - dot * y for x, y in zip(v, u)]
+    return v
+
+
+def orthonormalize(vectors, threshold, basis=()):
+    """Modified Gram-Schmidt over real or complex vectors.
+
+    Each vector is orthogonalized against the already orthonormal basis and
+    against the vectors accepted before it; one whose remaining norm is at or
+    below threshold is dropped.  Returns the accepted vectors, normalized.
+    """
+    basis = list(basis)
+    out = []
+    for v in vectors:
+        v = remove_components(v, basis)
+        nrm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in v))
+        if nrm > threshold:
+            u = [x / nrm for x in v]
+            basis.append(u)
+            out.append(u)
+    return out
 
 
 class HPMatrix:
@@ -30,7 +78,7 @@ class HPMatrix:
 
     __slots__ = ("dim", "precision_bits", "rows", "is_complex")
 
-    def __init__(self, entries, precision_bits: int, check_tol_bits: int | None = None):
+    def __init__(self, entries, precision_bits: int):
         if precision_bits < 8:
             raise ValueError("precision_bits too small")
         n = len(entries)
@@ -38,26 +86,21 @@ class HPMatrix:
             raise ValueError("matrix must be square")
         with mp.workprec(precision_bits):
             rows = [[mp.mpmathify(x) for x in r] for r in entries]
+            if not all(mp.isfinite(x) for r in rows for x in r):
+                raise ValueError("matrix entries must be finite")
             cplx = any(_is_complex(x) for r in rows for x in r)
             scale = max((abs(x) for r in rows for x in r), default=mpf(0))
-            tol_bits = check_tol_bits if check_tol_bits is not None else precision_bits // 2
-            tol = (scale if scale else mpf(1)) * mpf(2) ** (-tol_bits)
-            resid = mpf(0)
+            tol = (scale if scale else mpf(1)) * mpf(2) ** (-(precision_bits // 2))
             for i in range(n):
                 if abs(mp.im(rows[i][i])) > tol:
                     raise ValueError(f"diagonal entry {i} is not real")
-                rows[i][i] = mp.re(rows[i][i])
-                for j in range(i):
-                    resid = max(resid, abs(rows[i][j] - mp.conj(rows[j][i])))
+            resid = max(
+                (abs(rows[i][j] - mp.conj(rows[j][i])) for i in range(n) for j in range(i)),
+                default=mpf(0),
+            )
             if resid > tol:
                 raise ValueError(f"matrix is not Hermitian: residual {resid}")
-            for i in range(n):
-                for j in range(i):
-                    avg = (rows[i][j] + mp.conj(rows[j][i])) / 2
-                    rows[i][j] = avg
-                    rows[j][i] = mp.conj(avg)
-            if not cplx:
-                rows = [[mp.re(x) for x in r] for r in rows]
+            rows = _hermitize(rows, cplx)
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "precision_bits", precision_bits)
         object.__setattr__(self, "rows", rows)
@@ -152,35 +195,15 @@ def _rotate(rows, vecs, n, p, q, cplx):
     return True
 
 
-def _mgs_orthonormalize(cols, n, cplx):
-    """Modified Gram-Schmidt on a list of column vectors, in place."""
-    for j in range(n):
-        v = cols[j]
-        for i in range(j):
-            u = cols[i]
-            dot = mp.fsum((mp.conj(u[k]) * v[k] for k in range(n)))
-            for k in range(n):
-                v[k] -= dot * u[k]
-        nrm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in v))
-        if nrm == 0:
-            raise ValueError("warm-start basis is singular")
-        inv = 1 / nrm
-        for k in range(n):
-            v[k] *= inv
-    return cols
-
-
 def jacobi_eigensystem(
     m: HPMatrix,
     want_vectors: bool = True,
     warm_start: bool = True,
-    max_sweeps: int = 80,
-    guard_bits: int = 8,
 ) -> EigenResult:
     """Eigenvalues (ascending) and certified eigenpairs by cyclic Jacobi.
 
     Convergence target: off-diagonal Frobenius norm below
-    2^(guard_bits - precision_bits) * ||A||_F.  Raises RuntimeError if the
+    2^(_GUARD_BITS - precision_bits) * ||A||_F.  Raises RuntimeError if the
     sweep budget is exhausted first.
     """
     n = m.dim
@@ -191,28 +214,23 @@ def jacobi_eigensystem(
         rows = [list(r) for r in m.rows]
         cplx = m.is_complex
         norm = m.frobenius_norm()
-        target = (norm if norm else mpf(1)) * mpf(2) ** (guard_bits - prec)
+        target = (norm if norm else mpf(1)) * mpf(2) ** (_GUARD_BITS - prec)
         basis = None  # columns of the accumulated similarity, as rows[k][j]
         if warm_start and n >= 3:
             a64 = m.to_numpy()
             if np.all(np.isfinite(a64)):
                 _, q64 = np.linalg.eigh(a64)
                 cols = [[mp.mpmathify(q64[k, j]) for k in range(n)] for j in range(n)]
-                _mgs_orthonormalize(cols, n, cplx)
+                cols = orthonormalize(cols, 0)
+                if len(cols) != n:
+                    raise ValueError("warm-start basis is singular")
                 # B = Q* A Q, exact at working precision; re-Hermitize so the
                 # sweeps see exact symmetry (Q is orthonormal only to ~2^-prec)
                 aq = [[mp.fsum(m.rows[i][k] * cols[j][k] for k in range(n))
                        for j in range(n)] for i in range(n)]
                 rows = [[mp.fsum(mp.conj(cols[i][k]) * aq[k][j] for k in range(n))
                          for j in range(n)] for i in range(n)]
-                for i in range(n):
-                    rows[i][i] = mp.re(rows[i][i])
-                    for j in range(i):
-                        avg = (rows[i][j] + mp.conj(rows[j][i])) / 2
-                        rows[i][j] = avg
-                        rows[j][i] = mp.conj(avg)
-                if not cplx:
-                    rows = [[mp.re(x) for x in r] for r in rows]
+                rows = _hermitize(rows, cplx)
                 basis = [[cols[j][k] for j in range(n)] for k in range(n)]
         if want_vectors and basis is None:
             basis = [[mpf(1) if i == j else mpf(0) for j in range(n)] for i in range(n)]
@@ -223,9 +241,9 @@ def jacobi_eigensystem(
         off = _offdiag_norm(rows, n)
         skip = target / (2 * n)
         while off > target:
-            if sweeps >= max_sweeps:
+            if sweeps >= _MAX_SWEEPS:
                 raise RuntimeError(
-                    f"Jacobi did not converge in {max_sweeps} sweeps "
+                    f"Jacobi did not converge in {_MAX_SWEEPS} sweeps "
                     f"(off-norm {mp.nstr(off, 5)}, target {mp.nstr(target, 5)})"
                 )
             for p in range(n - 1):
@@ -251,11 +269,6 @@ def jacobi_eigensystem(
             # Gershgorin-style certificate from the final off-diagonal mass
             residuals = [off] * n
         return EigenResult(eigenvalues, vectors, residuals, off, sweeps, prec)
-
-
-def symmetric_eigen(m: HPMatrix, want_vectors: bool = False) -> EigenResult:
-    """Ascending eigenvalue list of a Hermitian HPMatrix (certified)."""
-    return jacobi_eigensystem(m, want_vectors=want_vectors)
 
 
 def _ldl(rows, n):

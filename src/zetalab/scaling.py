@@ -449,16 +449,3 @@ def dirac_spectrum(
         matched_within_threshold=len(matches),
         first20_max_rel_error=first20_max,
     )
-
-
-def dirac_sweep(lam: float, k_values, basis_size: int, zeros, mode_cut: int | None = None):
-    """Reports for each k; shared prolate computation up to max(k)."""
-    reports = []
-    for k in k_values:
-        reports.append(dirac_spectrum(lam, k, basis_size, zeros, mode_cut=mode_cut))
-    best = max(
-        reports,
-        key=lambda r: (r.matched_within_threshold, -r.first20_max_rel_error
-                       if np.isfinite(r.first20_max_rel_error) else -1e9),
-    )
-    return reports, best

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from zetalab.scaling import map_E
-from zetalab.weil import QuadratureError, is_prime, w_arch
-
-_GUARD = 48
+from zetalab.weil import _GUARD, QuadratureError, is_prime, w_arch
 
 
 @dataclass(frozen=True)
@@ -141,22 +139,14 @@ def tate_arch_check(f, s, precision_bits: int = 256):
 
 def _gamma_orbit_integers(mu: float) -> list[int]:
     """Positive integers n <= mu whose prime factors are all < mu (the
-    integer points of the S-unit group orbit intersected with [-mu, mu])."""
-    out = []
-    for n in range(1, int(mp.floor(mu)) + 1):
-        m = n
-        ok = True
-        f = 2
-        while f * f <= m:
-            while m % f == 0:
-                if not (f < mu):
-                    ok = False
-                m //= f
-            f += 1
-        if m > 1 and not (m < mu):
-            ok = False
-        if ok:
-            out.append(n)
+    integer points of the S-unit group orbit intersected with [-mu, mu]).
+
+    A prime factor of n <= mu is at most mu, and equals mu only for n = mu
+    prime, so that is the one integer dropped."""
+    top = int(mp.floor(mu))
+    out = list(range(1, top + 1))
+    if top == mu and is_prime(top):
+        out.pop()
     return out
 
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from zetalab.bandfn import ConvolvedBandFunction, LogBandFunction, star_convolve  # noqa: F401
-from zetalab.precision import EigenResult, HPMatrix, jacobi_eigensystem
+from zetalab.precision import HPMatrix, jacobi_eigensystem, orthonormalize
 from zetalab.zerotable import ZeroTable
 
 _GUARD = 48
@@ -35,19 +34,6 @@ _GUARD = 48
 
 class QuadratureError(ArithmeticError):
     pass
-
-
-def primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    p = 2
-    while p * p <= n:
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        p += 1
-    return [i for i, alive in enumerate(sieve) if alive]
 
 
 def is_prime(n: int) -> bool:
@@ -59,6 +45,10 @@ def is_prime(n: int) -> bool:
             return False
         f += 1
     return True
+
+
+def primes_up_to(n: int) -> list[int]:
+    return [p for p in range(2, n + 1) if is_prime(p)]
 
 
 def mellin_hat(f, s, precision_bits: int = 256):
@@ -208,45 +198,17 @@ def _psi_hat_poles(K, L, alpha, c0):
     return a, b
 
 
-def _sinh_kernel_regular(z):
-    """u(z) = e^(z/2)/sinh(z) - 1/z: analytic on |z| < pi, u(0) = 1/2.
-
-    Near zero the subtraction cancels ~|log2 z| bits, so evaluate with a
-    local precision boost to keep full relative accuracy.
-    """
-    az = abs(z)
-    if az == 0:
-        return mpf(0.5)
-    boost = 16 + max(0, int(-mp.log(az, 2)) + 1) if az < 1 else 16
-    with mp.workprec(mp.prec + boost):
-        val = mp.exp(z / 2) / mp.sinh(z) - 1 / z
-    return +val
-
-
 def _arch_integrals(K, L, alpha, c2, precision_bits):
     """I(m) = int_0^2L sin(alpha m t) e^(t/2)/sinh t dt  (odd in m) and
-    J(k) = int_0^2L [c2 (2L-t) cos(alpha k t) - e^(-t/2)] e^(t/2)/sinh t dt.
+    J(k) = int_0^2L [c2 (2L-t) cos(alpha k t) - e^(-t/2)] e^(t/2)/sinh t dt
+    for m = 1..K and k = 0..K.
 
-    Writing e^(t/2)/sinh t = 1/t + u(t) splits each into closed forms
-    (Si/Cin/Ein at 2 pi m) plus smooth oscillatory integrals of u.  Small
-    orders integrate directly by tanh-sinh; for alpha*m*H >> prec the
-    rectangle contour 0 -> iH -> T+iH -> T drops its top edge below the
-    working precision, leaving two vertical legs whose nodes are shared by
-    every order (so each extra order costs O(nodes))."""
+    Both numerators vanish at t = 0 (c2 2L = 1), so the integrands are smooth
+    on [0, 2L] and every order is one certified tanh-sinh quadrature."""
     T = 2 * L
-    H = min(mpf("2.6"), mp.pi - mpf("0.4"), T)
-    # direct tanh-sinh below the contour threshold
-    bound_top = (mp.exp(T / 2) / mp.sin(H) + 1 / H) * (T + 1)
-    thresh = mpf(2) ** (-precision_bits - 24) / bound_top
-    m_contour = 1
-    while mp.exp(-alpha * m_contour * H) > thresh:
-        m_contour += 1
-
     I = {0: mpf(0)}
     J = {}
-    direct_I = [m for m in range(1, K + 1) if m < m_contour]
-    direct_J = [k for k in range(0, K + 1) if k < m_contour]
-    for m in direct_I:
+    for m in range(1, K + 1):
         am = alpha * m
 
         def integrand(t, am=am):
@@ -256,7 +218,7 @@ def _arch_integrals(K, L, alpha, c2, precision_bits):
 
         I[m] = _quad_checked(integrand, [0, T], precision_bits)
     lim0 = mpf(0.5) - c2
-    for k in direct_J:
+    for k in range(0, K + 1):
         ak = alpha * k
 
         def integrand(t, ak=ak, lim0=lim0):
@@ -267,58 +229,7 @@ def _arch_integrals(K, L, alpha, c2, precision_bits):
             return n * mp.exp(t / 2) / mp.sinh(t)
 
         J[k] = _quad_checked(integrand, [0, T], precision_bits)
-    if m_contour > K:
-        return I, J
-
-    # shared vertical-leg nodes for the contour orders
-    n_nodes = max(int(0.75 * precision_bits) + 80, 260)
-    legs = _gauss_legendre_nodes(n_nodes, mpf(0), H)
-    u_left = [_sinh_kernel_regular(1j * y) for y, _ in legs]
-    u_right = [_sinh_kernel_regular(T + 1j * y) for y, _ in legs]
-    ein_half_T = mp.euler + mp.log(T / 2) + mp.e1(T / 2)
-    s0 = _quad_checked(
-        lambda t: mp.exp(-t / 2) * _sinh_kernel_regular(t), [0, T], precision_bits
-    )
-    for m in range(m_contour, K + 1):
-        b = alpha * m
-        damp = [w * mp.exp(-b * y) for y, w in legs]
-        # R1 = int_0^T e^(ibt) u(t) dt, R2 = same with factor (T - t);
-        # top edge below threshold and e^(ibT) = 1 on the frequency grid
-        left = mp.fsum(d * ul for d, ul in zip(damp, u_left))
-        right = mp.fsum(d * ur for d, ur in zip(damp, u_right))
-        R1 = 1j * (left - right)
-        left2 = mp.fsum(d * (T - 1j * y) * ul for d, (y, _), ul in zip(damp, legs, u_left))
-        right2 = mp.fsum(d * (-1j * y) * ur for d, (y, _), ur in zip(damp, legs, u_right))
-        R2 = 1j * (left2 - right2)
-        two_pi_m = 2 * mp.pi * m
-        I[m] = mp.si(two_pi_m) + mp.im(R1)
-        cin = mp.euler + mp.log(two_pi_m) - mp.ci(two_pi_m)
-        J[m] = -cin + ein_half_T + c2 * mp.re(R2) - s0
     return I, J
-
-
-def _gauss_legendre_nodes(n, a, b):
-    """Gauss-Legendre (node, weight) pairs on [a, b] at working precision."""
-    out = []
-    for i in range(1, n + 1):
-        x = mp.cos(mp.pi * (i - mpf(1) / 4) / (n + mpf(1) / 2))
-        dp = None
-        for _ in range(100):
-            p0, p1 = mpf(1), x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) < mpf(2) ** (-mp.prec + 8):
-                break
-        p0, p1 = mpf(1), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1)
-        w = 2 / ((1 - x * x) * dp * dp)
-        out.append((a + (b - a) * (x + 1) / 2, (b - a) / 2 * w))
-    return out
 
 
 def _prime_powers(lam2):
@@ -459,25 +370,11 @@ def _project_out(rows, constraints, precision_bits):
     """Compress the symmetric matrix onto the orthocomplement of the span of
     the given row vectors (orthonormalized by Gram-Schmidt)."""
     n = len(rows)
-    basis = []
-    for c in constraints:
-        v = list(c)
-        for u in basis:
-            dot = mp.fsum(u[i] * v[i] for i in range(n))
-            v = [v[i] - dot * u[i] for i in range(n)]
-        nrm = mp.sqrt(mp.fsum(x * x for x in v))
-        if nrm > mpf(2) ** (-precision_bits // 2):
-            basis.append([x / nrm for x in v])
-    # complete to an orthonormal basis of the complement via MGS on identity
-    comp = []
-    for i in range(n):
-        v = [mpf(1) if j == i else mpf(0) for j in range(n)]
-        for u in basis + comp:
-            dot = mp.fsum(u[j] * v[j] for j in range(n))
-            v = [v[j] - dot * u[j] for j in range(n)]
-        nrm = mp.sqrt(mp.fsum(x * x for x in v))
-        if nrm > mpf(1) / 4:  # keep well-conditioned directions only
-            comp.append([x / nrm for x in v])
+    basis = orthonormalize(constraints, mpf(2) ** (-precision_bits // 2))
+    # complete to an orthonormal basis of the complement via MGS on identity;
+    # the 1/4 floor keeps well-conditioned directions only
+    identity = ([mpf(1) if j == i else mpf(0) for j in range(n)] for i in range(n))
+    comp = orthonormalize(identity, mpf(1) / 4, basis)
     if len(comp) != n - len(basis):
         raise ArithmeticError("projection basis completion failed")
     av = [[mp.fsum(rows[i][j] * c[j] for j in range(n)) for c in comp] for i in range(n)]

@@ -1,4 +1,4 @@
-"""Tables of nontrivial zeta-zero ordinates: parsing, validation, fetching.
+"""Tables of nontrivial zeta-zero ordinates: parsing and validation.
 
 File format: plain text, one positive decimal ordinate per line, strictly
 increasing, `#` starts a comment.  A genuine table must start with the first
@@ -12,9 +12,6 @@ A table bundled with the package carries the first 10^4 ordinates (leading
 
 from __future__ import annotations
 
-import hashlib
-import os
-import urllib.request
 from importlib import resources
 from pathlib import Path
 
@@ -44,6 +41,8 @@ class ZeroTable:
                     f"(violated at line entry {i + 1})"
                 )
             prev = g
+        if not mp.isfinite(prev):  # strictly increasing: only the last can be inf
+            raise ZeroTableError(f"last ordinate {prev} is not finite")
         if not (14 < ordinates[0] < 15):
             raise ZeroTableError(
                 f"first ordinate {ordinates[0]} outside (14,15); "
@@ -97,36 +96,3 @@ def bundled_zero_table() -> ZeroTable:
     """The packaged table of the first 10^4 ordinates."""
     text = resources.files("zetalab").joinpath("data/zeros10k.txt").read_text()
     return parse_zero_table(text, source="zetalab bundled zeros10k")
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get("ZETALAB_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "zetalab"
-
-
-def fetch_zero_table(url: str, cache_dir=None, timeout: float = 30.0) -> ZeroTable:
-    """Download a zero table, validate it, and cache the validated payload.
-
-    The cache key is the sha256 of the URL; the payload checksum is stored
-    alongside and re-verified on reuse.  Nothing is cached unless validation
-    succeeds.
-    """
-    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    key = hashlib.sha256(url.encode()).hexdigest()[:24]
-    payload_path = cache_dir / f"zeros-{key}.txt"
-    digest_path = cache_dir / f"zeros-{key}.sha256"
-    if payload_path.exists() and digest_path.exists():
-        payload = payload_path.read_text()
-        if hashlib.sha256(payload.encode()).hexdigest() == digest_path.read_text().strip():
-            return parse_zero_table(payload, source=f"{url} [cached]")
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        payload = resp.read().decode()
-    table = parse_zero_table(payload, source=url)  # raises before caching
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    tmp = payload_path.with_suffix(".tmp")
-    tmp.write_text(payload)
-    tmp.replace(payload_path)
-    digest_path.write_text(hashlib.sha256(payload.encode()).hexdigest())
-    return table

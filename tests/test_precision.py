@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from zetalab.precision import EigenResult, HPMatrix, jacobi_eigensystem, symmetric_eigen
+from zetalab.precision import EigenResult, HPMatrix, jacobi_eigensystem
 
 
 def random_hermitian(rng, n, cplx=False):
@@ -36,14 +36,20 @@ class TestHPMatrix:
         with pytest.raises(ValueError):
             HPMatrix([[1, 0]], 128)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            HPMatrix([[1, 0, bad], [0, 2, 0], [bad, 0, 3]], 128)
+
 
 class TestJacobi:
     def test_diagonal(self):
-        res = symmetric_eigen(HPMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]], 128))
+        m = HPMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]], 128)
+        res = jacobi_eigensystem(m, want_vectors=False)
         assert [float(x) for x in res.eigenvalues] == [1.0, 2.0, 3.0]
 
     def test_swap(self):
-        res = symmetric_eigen(HPMatrix([[0, 1], [1, 0]], 128), want_vectors=True)
+        res = jacobi_eigensystem(HPMatrix([[0, 1], [1, 0]], 128), want_vectors=True)
         assert [float(x) for x in res.eigenvalues] == [-1.0, 1.0]
         assert float(res.max_residual()) < 1e-30
 
@@ -99,5 +105,5 @@ class TestJacobi:
         assert res.max_residual() < mpf(2) ** -200
 
     def test_empty(self):
-        res = symmetric_eigen(HPMatrix([], 128))
+        res = jacobi_eigensystem(HPMatrix([], 128), want_vectors=False)
         assert res.eigenvalues == []

@@ -200,3 +200,26 @@ class TestWeilGram:
         spec = weil_gram_spectrum(5, 8, 192)
         assert max(spec.residuals) < mpf(2) ** -140
         assert spec.smallest_positive is not None
+
+    def test_high_order_arch_integrals_pinned(self):
+        # I(m), J(m) at lambda^2 = 5, 128 bits, to 40 digits, from an independent
+        # route: a rectangle contour on a Gauss-Legendre rule, good to ~5e-52
+        from zetalab.weil import _GUARD, _arch_integrals
+
+        ref = {
+            18: (
+                "1.564654806101629316716510533092396133866",
+                "-5.11730740040618174514454428897183290807",
+            ),
+            24: (
+                "1.566189615932991791755512343388541035952",
+                "-5.404969431862693567591209464085459215882",
+            ),
+        }
+        with mp.workprec(128 + _GUARD):
+            L = mp.log(mpf(5)) / 2
+            c2 = 1 / (2 * L)
+            I, J = _arch_integrals(24, L, mp.pi / L, c2, 128)
+            for m, (i_ref, j_ref) in ref.items():
+                assert abs(I[m] - mpf(i_ref)) < mpf(2) ** -120
+                assert abs(J[m] - mpf(j_ref)) < mpf(2) ** -120

@@ -1,6 +1,3 @@
-import http.server
-import threading
-
 import pytest
 from mpmath import mpf
 
@@ -8,7 +5,6 @@ from zetalab.zerotable import (
     ZeroTable,
     ZeroTableError,
     bundled_zero_table,
-    fetch_zero_table,
     load_zero_table,
     parse_zero_table,
 )
@@ -37,6 +33,10 @@ class TestParse:
     def test_sanity_anchor(self):
         with pytest.raises(ZeroTableError, match="14"):
             parse_zero_table("21.022040\n25.010858\n")
+
+    def test_trailing_inf_rejected(self):
+        with pytest.raises(ZeroTableError, match="finite"):
+            parse_zero_table("14.134725\ninf\n")
 
     def test_garbage_line(self):
         with pytest.raises(ZeroTableError, match="line 2"):
@@ -72,70 +72,3 @@ class TestBundled:
         with mp.workdps(50):
             ref = mpf("21.02203963877155499262847959389690277733")
             assert abs(t[1] - ref) < mpf(10) ** -35
-
-
-def _serve(payloads):
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def do_GET(self):
-            body = payloads.get(self.path)
-            if body is None:
-                self.send_response(404)
-                self.end_headers()
-                return
-            data = body.encode()
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def log_message(self, *a):
-            pass
-
-    srv = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=srv.serve_forever, daemon=True).start()
-    return srv
-
-
-class TestFetch:
-    def test_fetch_validate_and_cache(self, tmp_path):
-        srv = _serve({"/zeros.txt": SAMPLE})
-        try:
-            url = f"http://127.0.0.1:{srv.server_port}/zeros.txt"
-            t = fetch_zero_table(url, cache_dir=tmp_path)
-            assert len(t) == 3
-            cached = list(tmp_path.glob("zeros-*.txt"))
-            assert len(cached) == 1
-            # second fetch comes from cache even if the server dies
-            srv.shutdown()
-            t2 = fetch_zero_table(url, cache_dir=tmp_path)
-            assert len(t2) == 3 and "cached" in t2.source
-        finally:
-            srv.server_close()
-
-    def test_404_raises_and_no_cache(self, tmp_path):
-        srv = _serve({})
-        try:
-            url = f"http://127.0.0.1:{srv.server_port}/missing.txt"
-            with pytest.raises(Exception):
-                fetch_zero_table(url, cache_dir=tmp_path)
-            assert not list(tmp_path.glob("zeros-*.txt"))
-        finally:
-            srv.shutdown()
-            srv.server_close()
-
-    def test_corrupt_payload_not_cached(self, tmp_path):
-        srv = _serve({"/bad.txt": "21.0\n14.0\n"})
-        try:
-            url = f"http://127.0.0.1:{srv.server_port}/bad.txt"
-            with pytest.raises(ZeroTableError):
-                fetch_zero_table(url, cache_dir=tmp_path)
-            assert not list(tmp_path.glob("zeros-*.txt"))
-        finally:
-            srv.shutdown()
-            srv.server_close()
-
-    def test_env_cache_dir(self, tmp_path, monkeypatch):
-        from zetalab.zerotable import default_cache_dir
-
-        monkeypatch.setenv("ZETALAB_CACHE", str(tmp_path / "c"))
-        assert default_cache_dir() == tmp_path / "c"
