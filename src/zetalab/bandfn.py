@@ -97,8 +97,7 @@ class LogBandFunction:
 
     def star(self) -> "LogBandFunction":
         """f~(x) = conj(f(1/x)); in this basis the coefficients conjugate."""
-        with mp.workprec(mp.prec):
-            return LogBandFunction(self.lam2, {k: mp.conj(_num(v)) for k, v in self.coeffs.items()})
+        return LogBandFunction(self.lam2, {k: mp.conj(_num(v)) for k, v in self.coeffs.items()})
 
     def norm_sq(self):
         """L^2(d*x) norm squared (the basis is orthonormal)."""

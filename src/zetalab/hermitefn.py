@@ -76,8 +76,7 @@ class EvenGaussHermite:
 
     def fourier(self) -> "EvenGaussHermite":
         """Closed-form transform: coefficients pick up (-1)^m, scale inverts."""
-        with mp.workprec(mp.prec):
-            inv = 1 / mp.mpmathify(self.scale)
+        inv = 1 / mp.mpmathify(self.scale)
         return EvenGaussHermite(inv, [(-1) ** m * mp.mpmathify(c) for m, c in enumerate(self.coeffs)])
 
     def value_at_zero(self):

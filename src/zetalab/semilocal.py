@@ -164,7 +164,7 @@ def semilocal_lift_check(f, mu, u, lam=None, precision_bits: int = 256):
             raise ValueError("the lift identity is only asserted for u > 1/lambda")
         ys = _gamma_orbit_integers(mu)
         lhs = mp.sqrt(u) * mp.fsum(2 * f.evaluate(n * u) for n in ys)
-        rhs = 2 * map_E(f.evaluate, u, precision_bits, support_radius=lam)
+        rhs = 2 * map_E(f.evaluate, u, lam, precision_bits)
         return +lhs, +rhs
 
 
@@ -199,7 +199,7 @@ def arch_phase_derivative(s, precision_bits: int = 256):
 
 
 def trace_side_integral(f, precision_bits: int = 256):
-    """(1/4pi) integral f^(s) theta'(s) ds over the line, for a real even
+    """-(1/2pi) integral f^(s) theta'(s) ds over the line, for a real even
     band function (so f^ is real even and the integrand decays)."""
     with mp.workprec(precision_bits + _GUARD):
         L = f.log_halfwidth()
@@ -214,32 +214,13 @@ def trace_side_integral(f, precision_bits: int = 256):
         if err > mpf(2) ** (-precision_bits // 2) * (1 + abs(head)):
             raise QuadratureError(f"trace-side head integral: err={err}")
         tail = mp.quadosc(integrand, [a, mp.inf], period=2 * mp.pi / L)
-        return +(2 * (head + tail) / (4 * mp.pi))
+        return +(-(head + tail) / mp.pi)
 
 
-_CALIBRATION = {}
-
-
-def trace_calibration(precision_bits: int = 256):
-    """The frozen normalization constant of the trace identity, fixed once on
-    a reference function: kappa = W_R(f0) / [(1/4pi) int f0^ theta' ds]."""
-    key = precision_bits
-    if key not in _CALIBRATION:
-        from zetalab.bandfn import LogBandFunction
-
-        f0 = LogBandFunction.cosine_power(4, 2)
-        with mp.workprec(precision_bits + _GUARD):
-            _CALIBRATION[key] = +(w_arch(f0, precision_bits)
-                                  / trace_side_integral(f0, precision_bits))
-    return _CALIBRATION[key]
-
-
-def arch_trace_check(f, precision_bits: int = 256, kappa=None):
-    """w_inf = W_R(f) against the calibrated trace side; returns the triple
+def arch_trace_check(f, precision_bits: int = 256):
+    """w_inf = W_R(f) against the trace side; returns the triple
     (w_inf, trace_side, residual)."""
-    if kappa is None:
-        kappa = trace_calibration(precision_bits)
     with mp.workprec(precision_bits + _GUARD):
         w_inf = w_arch(f, precision_bits)
-        trace = kappa * trace_side_integral(f, precision_bits)
+        trace = trace_side_integral(f, precision_bits)
         return +w_inf, +trace, +(w_inf - trace)

@@ -77,11 +77,11 @@ def w_prime(p: int, f, precision_bits: int = 256):
         return +(logp * acc)
 
 
-def _quad_checked(integrand, interval, precision_bits, method="tanh-sinh"):
+def _quad_checked(integrand, interval, precision_bits):
     # run with headroom: tanh-sinh error estimates are conservative, so the
     # rule must over-converge for the certificate below to be meaningful
     with mp.workprec(precision_bits + 80):
-        val, err = mp.quad(integrand, interval, method=method, error=True)
+        val, err = mp.quad(integrand, interval, error=True)
     tol = mpf(2) ** (-precision_bits - 8) * (1 + abs(val))
     if err > tol:
         raise QuadratureError(
@@ -91,7 +91,7 @@ def _quad_checked(integrand, interval, precision_bits, method="tanh-sinh"):
     return +val
 
 
-def w_arch(f, precision_bits: int = 256, method: str = "tanh-sinh", breakpoints=()):
+def w_arch(f, precision_bits: int = 256, breakpoints=()):
     """(log 4pi + gamma) f(1) + the archimedean principal-value integral.
 
     Band functions (anything with evaluate_log_minus_center) use the exact
@@ -117,7 +117,7 @@ def w_arch(f, precision_bits: int = 256, method: str = "tanh-sinh", breakpoints=
                 return n * mp.exp(t / 2) / (2 * mp.sinh(t))
 
             tail = -f1 * mp.log(mp.coth(S / 2))
-            core = _quad_checked(integrand, [0, S], precision_bits, method)
+            core = _quad_checked(integrand, [0, S], precision_bits)
             head = (mp.log(4 * mp.pi) + mp.euler) * f1
             return +(head + core + tail)
 
@@ -134,7 +134,7 @@ def w_arch(f, precision_bits: int = 256, method: str = "tanh-sinh", breakpoints=
             return +val
 
         interval = [0] + sorted(mp.mpmathify(b) for b in breakpoints) + [mp.inf]
-        core = _quad_checked(integrand, interval, precision_bits, method)
+        core = _quad_checked(integrand, interval, precision_bits)
         return +((mp.log(4 * mp.pi) + mp.euler) * f1 + core)
 
 

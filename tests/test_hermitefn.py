@@ -2,11 +2,24 @@ from mpmath import mp, mpf
 
 from zetalab.hermitefn import EvenGaussHermite
 
+F = EvenGaussHermite(mpf("1.3"), [1, mpf("0.5"), mpf(-2) / 3, mpf("0.25")])
+
+
+def test_fourier_closed_form_matches_transform():
+    # F(f)(y) = 2 int_0^inf f(x) cos(2 pi x y) dx for even f
+    with mp.workprec(96):
+        fhat = F.fourier()
+        for y in (mpf("0.4"), mpf("1.1")):
+            num = 2 * mp.quad(
+                lambda x: F.evaluate(x) * mp.cos(2 * mp.pi * x * y),
+                [0, 2, F.decay_radius(128)],
+            )
+            assert abs(num - fhat.evaluate(y)) < mpf(2) ** -80
+
 
 def test_project_even_schwartz_zero():
     with mp.workprec(128):
-        f = EvenGaussHermite(mpf("1.3"), [1, mpf("0.5"), mpf(-2) / 3, mpf("0.25")])
-        g = f.project_even_schwartz_zero()
+        g = F.project_even_schwartz_zero()
         assert abs(g.value_at_zero()) < mpf(2) ** -100
         assert abs(g.fourier_at_zero()) < mpf(2) ** -100
         h = g.project_even_schwartz_zero()

@@ -5,6 +5,7 @@ from mpmath import mp, mpc, mpf
 
 from zetalab.bandfn import LogBandFunction, star_convolve
 from zetalab.precision import HPMatrix
+from zetalab.semilocal import arch_phase_derivative
 from zetalab.weil import (
     explicit_formula_profile,
     explicit_formula_residual,
@@ -75,13 +76,18 @@ class TestWArch:
     def test_zero_function(self):
         assert w_arch(LogBandFunction(4, {})) == 0
 
-    def test_gaussian_in_log_two_rules(self):
+    def test_gaussian_in_log_trace_identity(self):
+        # W_R(f) = -(1/2 pi) int_R f^(s) theta'(s) ds, f^(s) = sqrt(pi) e^(-s^2/4)
         def gauss(x):
             return mp.exp(-mp.log(x) ** 2)
 
-        v1 = w_arch(gauss, 180, method="tanh-sinh")
-        v2 = w_arch(gauss, 180, method="gauss-legendre")
-        assert abs(v1 - v2) < mpf(10) ** -45
+        got = w_arch(gauss, 120)
+        with mp.workprec(168):
+            trace = -mp.quad(
+                lambda s: mp.sqrt(mp.pi) * mp.exp(-s * s / 4) * arch_phase_derivative(s, 120),
+                [0, 10, 20, 40, 80],
+            ) / mp.pi
+        assert abs(got - trace) < mpf(2) ** -120
 
     def test_band_path_matches_generic(self):
         f = LogBandFunction.cosine_power(4, 2, modulation=1)
