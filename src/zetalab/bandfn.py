@@ -24,6 +24,8 @@ from typing import Mapping
 
 from mpmath import mp, mpf
 
+from zetalab.immutable import Immutable
+
 
 def _num(v):
     if isinstance(v, Fraction):
@@ -31,7 +33,7 @@ def _num(v):
     return mp.mpmathify(v)
 
 
-class LogBandFunction:
+class LogBandFunction(Immutable):
     """Finite log-Fourier series on [lambda^-1, lambda], zero outside.
 
     lam2 is lambda^2, stored exactly (so e.g. lambda = sqrt(11) is exact at
@@ -45,9 +47,6 @@ class LogBandFunction:
             raise ValueError("lambda must exceed 1")
         object.__setattr__(self, "lam2", lam2)
         object.__setattr__(self, "coeffs", {int(k): v for k, v in coeffs.items() if v != 0})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LogBandFunction is immutable")
 
     @classmethod
     def cosine_power(cls, lam2, q: int, modulation: int = 0) -> "LogBandFunction":
@@ -152,7 +151,7 @@ class LogBandFunction:
         return f"LogBandFunction(lam2={self.lam2}, K={self.half_width_index})"
 
 
-class ConvolvedBandFunction:
+class ConvolvedBandFunction(Immutable):
     """Exact form of f * g~ for two LogBandFunctions on the same band.
 
     On each side of t = 0 the value is sum_m (p_m + t q_m) e^(i alpha m t),
@@ -167,9 +166,6 @@ class ConvolvedBandFunction:
         object.__setattr__(self, "lam2", f.lam2)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConvolvedBandFunction is immutable")
 
     def log_halfwidth(self):
         return mp.log(_num(self.lam2))  # 2L of the inputs

@@ -16,8 +16,10 @@ import re
 from math import gcd
 from typing import Iterable, Iterator, Mapping
 
+from zetalab.immutable import Immutable
 
-class Root:
+
+class Root(Immutable):
     """Reduced representative of an element of Q/Z, written e(num/den)."""
 
     __slots__ = ("num", "den")
@@ -31,9 +33,6 @@ class Root:
         g = gcd(num, den)
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", den // g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Root is immutable")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Root) and self.num == other.num and self.den == other.den
@@ -77,7 +76,7 @@ class Root:
 ZERO_ROOT = Root(0, 1)
 
 
-class Divisor:
+class Divisor(Immutable):
     """Element of Z[Q/Z]: a finite map Root -> nonzero integer coefficient."""
 
     __slots__ = ("_terms",)
@@ -94,9 +93,6 @@ class Divisor:
             elif root in acc:
                 del acc[root]
         object.__setattr__(self, "_terms", dict(sorted(acc.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Divisor is immutable")
 
     @classmethod
     def of(cls, root: Root, coeff: int = 1) -> "Divisor":

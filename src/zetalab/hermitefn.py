@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
+from zetalab.immutable import Immutable
 from zetalab.precision import orthonormalize, remove_components
 
 
@@ -46,7 +47,7 @@ def hermite_phi_zero(j: int):
     return val
 
 
-class EvenGaussHermite:
+class EvenGaussHermite(Immutable):
     """Real combination sum_m c_m phi_{2m}(x/a)/sqrt(a); even by construction."""
 
     __slots__ = ("scale", "coeffs")
@@ -56,9 +57,6 @@ class EvenGaussHermite:
             raise ValueError("scale must be positive")
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "coeffs", list(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EvenGaussHermite is immutable")
 
     @property
     def order(self) -> int:

@@ -1,0 +1,15 @@
+"""The package's one immutable-value idiom."""
+
+
+class Immutable:
+    """Slotted base for immutable values: a subclass fills its __slots__ once,
+    in __init__, with object.__setattr__; afterwards assigning or deleting
+    any attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp, mpc, mpf
 
+from zetalab.immutable import Immutable
+
 
 _MAX_SWEEPS = 80
 _GUARD_BITS = 8  # Jacobi stops at off-norm 2^(_GUARD_BITS - precision_bits) ||A||_F
@@ -73,7 +75,7 @@ def orthonormalize(vectors, threshold, basis=()):
     return out
 
 
-class HPMatrix:
+class HPMatrix(Immutable):
     """Dense Hermitian matrix with explicit precision-in-bits."""
 
     __slots__ = ("dim", "precision_bits", "rows", "is_complex")
@@ -105,9 +107,6 @@ class HPMatrix:
         object.__setattr__(self, "precision_bits", precision_bits)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "is_complex", cplx)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HPMatrix is immutable")
 
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
@@ -270,53 +269,3 @@ def jacobi_eigensystem(
             residuals = [off] * n
         return EigenResult(eigenvalues, vectors, residuals, off, sweeps, prec)
 
-
-def _ldl(rows, n):
-    """LDL^T of a positive definite real matrix (no pivoting)."""
-    L = [[mpf(0)] * n for _ in range(n)]
-    d = [mpf(0)] * n
-    for i in range(n):
-        for j in range(i):
-            s = rows[i][j] - mp.fsum(L[i][k] * L[j][k] * d[k] for k in range(j))
-            L[i][j] = s / d[j]
-        di = rows[i][i] - mp.fsum(L[i][k] ** 2 * d[k] for k in range(i))
-        if di <= 0:
-            raise ArithmeticError("matrix is not positive definite; use Jacobi")
-        d[i] = di
-        L[i][i] = mpf(1)
-    return L, d
-
-
-def _ldl_solve(L, d, b, n):
-    y = list(b)
-    for i in range(n):
-        y[i] -= mp.fsum(L[i][k] * y[k] for k in range(i))
-    for i in range(n):
-        y[i] /= d[i]
-    for i in reversed(range(n)):
-        y[i] -= mp.fsum(L[k][i] * y[k] for k in range(i + 1, n))
-    return y
-
-
-def smallest_eigenpair(m: HPMatrix, iterations: int = 3):
-    """Smallest eigenvalue of a positive definite real HPMatrix by inverse
-    iteration on an LDL^T factorization, with a certified residual.
-
-    Much cheaper than full Jacobi when only the bottom of the spectrum is
-    needed (the Weil-gram stability sweeps); requires positive definiteness.
-    """
-    if m.is_complex:
-        raise ValueError("smallest_eigenpair expects a real symmetric matrix")
-    n = m.dim
-    with mp.workprec(m.precision_bits + 16):
-        L, d = _ldl(m.rows, n)
-        x = [mpf(1) / mp.sqrt(n)] * n
-        lam = None
-        for _ in range(iterations):
-            y = _ldl_solve(L, d, x, n)
-            nrm = mp.sqrt(mp.fsum(v * v for v in y))
-            x = [v / nrm for v in y]
-        ax = [mp.fsum(m.rows[i][k] * x[k] for k in range(n)) for i in range(n)]
-        lam = mp.fsum(x[i] * ax[i] for i in range(n))
-        resid = mp.sqrt(mp.fsum((ax[i] - lam * x[i]) ** 2 for i in range(n)))
-        return +lam, x, +resid

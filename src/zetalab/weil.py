@@ -18,6 +18,14 @@ basis.  In that basis everything collapses: pole and prime terms are closed
 forms, and the archimedean part of every entry is a combination of the 2K+2
 one-dimensional integrals I(m), J(k) below, so the assembly needs O(K)
 quadratures rather than O(K^2).
+
+QW commutes with the reflection x -> 1/x, which maps psi_k to psi_-k, so in
+the real basis the Gram is block diagonal: an even block over [const,
+cos_1..cos_K] and an odd block over [sin_1..sin_K].  The pole functionals
+split the same way, (f^(i/2) + f^(-i/2))/2 acting on the even block and
+(f^(i/2) - f^(-i/2))/2 on the odd one, so the Weil-positivity subspace
+f^(+-i/2) = 0 is one constraint per block.  Every Gram is assembled,
+projected and solved as these two blocks.
 """
 
 from __future__ import annotations
@@ -187,15 +195,15 @@ def explicit_formula_profile(
 
 
 def _psi_hat_poles(K, L, alpha, c0):
-    """psi_k^(+-i/2) for k = -K..K: 2 c0 sin((alpha k -+ i/2) L)/(alpha k -+ i/2)."""
+    """psi_k^(i/2) for k = -K..K: 2 c0 sin((alpha k - i/2) L)/(alpha k - i/2).
+
+    psi_k^(-i/2) is psi_-k^(i/2), so this one table serves both poles."""
     sh = mp.sinh(L / 2)
     a = {}
-    b = {}
     for k in range(-K, K + 1):
         sgn = -1 if k % 2 else 1
         a[k] = 2 * c0 * (-sgn * 1j * sh) / (alpha * k - 0.5j)
-        b[k] = 2 * c0 * (sgn * 1j * sh) / (alpha * k + 0.5j)
-    return a, b
+    return a
 
 
 def _arch_integrals(K, L, alpha, c2, precision_bits):
@@ -261,7 +269,7 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
         alpha = mp.pi / L
         c0 = 1 / mp.sqrt(2 * L)
         c2 = c0 * c0
-        A, B = _psi_hat_poles(K, L, alpha, c0)
+        A = _psi_hat_poles(K, L, alpha, c0)
         I, J = _arch_integrals(K, L, alpha, c2, precision_bits)
         pp = _prime_powers(mp.mpmathify(lam2))
         arch_const = mp.log(4 * mp.pi) + mp.euler + mp.log(mp.tanh(L))
@@ -285,11 +293,10 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
 
         size = 2 * K + 1
         G = [[None] * size for _ in range(size)]
-        Bc = {k: mp.conj(B[k]) for k in B}
         Ac = {k: mp.conj(A[k]) for k in A}
         for j in range(-K, K + 1):
             for k in range(-K, K + 1):
-                pole = A[k] * Bc[j] + B[k] * Ac[j]
+                pole = A[k] * Ac[-j] + A[-k] * Ac[j]
                 if j == k:
                     arch = arch_const + J[abs(k)]
                     prime = diag_prime[k]
@@ -303,74 +310,67 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
 
 
 def _real_basis_gram(G, K, precision_bits):
-    """Transform the complex Gram to the real basis
-    [const, cos_1..cos_K, sin_1..sin_K]; entries must come out real."""
-    size = 2 * K + 1
+    """The two parity blocks of the complex Gram in the real basis: even over
+    [const, cos_1..cos_K], odd over [sin_1..sin_K].
+
+    The cos-sin cross block vanishes because G(j, k) = G(-j, -k) (psi_-k is
+    the reflection of psi_k and QW commutes with x -> 1/x); that symmetry and
+    the reality of both blocks are checked, not assumed."""
     rt2 = mp.sqrt(2)
 
     def g(j, k):
         return G[j + K][k + K]
 
-    R = [[mpf(0)] * size for _ in range(size)]
-    R[0][0] = g(0, 0)
+    even = [[None] * (K + 1) for _ in range(K + 1)]
+    odd = [[None] * K for _ in range(K)]
+    even[0][0] = g(0, 0)
     for k in range(1, K + 1):
-        ck, sk = k, K + k
-        R[0][ck] = (g(0, k) + g(0, -k)) / rt2
-        R[ck][0] = (g(k, 0) + g(-k, 0)) / rt2
-        R[0][sk] = (g(0, k) - g(0, -k)) / (rt2 * 1j)
-        R[sk][0] = (g(k, 0) - g(-k, 0)) * 1j / rt2
+        even[0][k] = (g(0, k) + g(0, -k)) / rt2
+        even[k][0] = (g(k, 0) + g(-k, 0)) / rt2
         for j in range(1, K + 1):
-            cj, sj = j, K + j
-            R[cj][ck] = (g(j, k) + g(j, -k) + g(-j, k) + g(-j, -k)) / 2
-            R[sj][sk] = (g(j, k) - g(j, -k) - g(-j, k) + g(-j, -k)) / 2
-            R[cj][sk] = (g(j, k) - g(j, -k) + g(-j, k) - g(-j, -k)) / (2j)
-            R[sj][ck] = (g(j, k) + g(j, -k) - g(-j, k) - g(-j, -k)) * 1j / 2
-    scale = max(abs(R[i][j]) for i in range(size) for j in range(size))
+            even[j][k] = (g(j, k) + g(j, -k) + g(-j, k) + g(-j, -k)) / 2
+            odd[j - 1][k - 1] = (g(j, k) - g(j, -k) - g(-j, k) + g(-j, -k)) / 2
+    scale = max(abs(x) for block in (even, odd) for r in block for x in r)
     tol = scale * mpf(2) ** (-(precision_bits // 2))
-    clean = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            if abs(mp.im(R[i][j])) > tol:
-                raise ArithmeticError(
-                    f"real-basis Gram has imaginary residue {mp.im(R[i][j])} "
-                    f"at ({i},{j}); insufficient precision"
-                )
-            clean[i][j] = mp.re(R[i][j])
-    return clean
+    skew = max(abs(g(j, k) - g(-j, -k)) for j in range(-K, K + 1) for k in range(-K, K + 1))
+    if skew > tol:
+        raise ArithmeticError(f"Gram breaks the reflection symmetry by {mp.nstr(skew, 5)}")
+    imag = max(abs(mp.im(x)) for block in (even, odd) for r in block for x in r)
+    if imag > tol:
+        raise ArithmeticError(
+            f"real-basis Gram has imaginary residue {mp.nstr(imag, 5)}; insufficient precision"
+        )
+    return [[[mp.re(x) for x in r] for r in block] for block in (even, odd)]
 
 
 def pole_constraint_vectors(lam2, half_width: int, precision_bits: int):
-    """Real-basis coordinate vectors of the functionals f -> f^(+-i/2).
+    """Coordinates of the even and odd pole functionals on the parity blocks.
 
-    On real test functions both functionals are real, one per pole; the
-    codimension-2 subspace they cut out is where Weil positivity lives.
+    even (length K+1, over [const, cos_1..cos_K]) is f -> (f^(i/2) + f^(-i/2))/2
+    and odd (length K, over [sin_1..sin_K]) is f -> (f^(i/2) - f^(-i/2))/2.
+    Both are real on real test functions; the codimension-2 subspace they cut
+    out, one constraint per block, is where Weil positivity lives.
     """
     K = half_width
     with mp.workprec(precision_bits + _GUARD):
         L = mp.log(mp.mpmathify(lam2)) / 2
         alpha = mp.pi / L
         c0 = 1 / mp.sqrt(2 * L)
-        A, B = _psi_hat_poles(K, L, alpha, c0)
+        A = _psi_hat_poles(K, L, alpha, c0)
         rt2 = mp.sqrt(2)
-        out = []
-        for hat in (A, B):
-            vec = [hat[0]]
-            for k in range(1, K + 1):
-                vec.append((hat[k] + hat[-k]) / rt2)
-            for k in range(1, K + 1):
-                vec.append((hat[k] - hat[-k]) / (rt2 * 1j))
-            tol = mpf(2) ** (-(precision_bits // 2)) * (1 + max(abs(v) for v in vec))
-            if any(abs(mp.im(v)) > tol for v in vec):
-                raise ArithmeticError("pole constraint vector is not real")
-            out.append([mp.re(v) for v in vec])
-        return out
+        even = [A[0]] + [(A[k] + A[-k]) / rt2 for k in range(1, K + 1)]
+        odd = [(A[k] - A[-k]) / (rt2 * 1j) for k in range(1, K + 1)]
+        tol = mpf(2) ** (-(precision_bits // 2)) * (1 + max(abs(v) for v in even + odd))
+        if any(abs(mp.im(v)) > tol for v in even + odd):
+            raise ArithmeticError("pole constraint vector is not real")
+        return [mp.re(v) for v in even], [mp.re(v) for v in odd]
 
 
-def _project_out(rows, constraints, precision_bits):
-    """Compress the symmetric matrix onto the orthocomplement of the span of
-    the given row vectors (orthonormalized by Gram-Schmidt)."""
+def _project_out(rows, constraint, precision_bits):
+    """Compress the symmetric matrix onto the orthocomplement of the given
+    row vector."""
     n = len(rows)
-    basis = orthonormalize(constraints, mpf(2) ** (-precision_bits // 2))
+    basis = orthonormalize([constraint], mpf(2) ** (-precision_bits // 2))
     # complete to an orthonormal basis of the complement via MGS on identity;
     # the 1/4 floor keeps well-conditioned directions only
     identity = ([mpf(1) if j == i else mpf(0) for j in range(n)] for i in range(n))
@@ -384,62 +384,43 @@ def _project_out(rows, constraints, precision_bits):
     ]
 
 
-def weil_gram(lam2, half_width: int, precision_bits: int, project_poles: bool = False) -> HPMatrix:
-    """Gram matrix of the truncated Weil form in the real log-Fourier basis
-    [const, cos_1..cos_K, sin_1..sin_K] (layout matters for the parity
-    blocks).  With project_poles=True the matrix is first compressed onto
+def weil_gram(
+    lam2, half_width: int, precision_bits: int, project_poles: bool = False
+) -> tuple[HPMatrix, HPMatrix]:
+    """Gram matrix of the truncated Weil form as its (even, odd) parity
+    blocks in the real log-Fourier basis: even over [const, cos_1..cos_K],
+    odd over [sin_1..sin_K].  With project_poles=True each block is first
+    compressed onto the kernel of its pole functional, which together cut out
     the codimension-2 subspace f^(+-i/2) = 0."""
     G = weil_gram_complex(lam2, half_width, precision_bits)
     with mp.workprec(precision_bits + _GUARD):
-        R = _real_basis_gram(G, half_width, precision_bits)
+        blocks = _real_basis_gram(G, half_width, precision_bits)
         if project_poles:
             cons = pole_constraint_vectors(lam2, half_width, precision_bits)
-            R = _project_out(R, cons, precision_bits)
-    return HPMatrix(R, precision_bits)
+            blocks = [_project_out(b, c, precision_bits) for b, c in zip(blocks, cons)]
+    return tuple(HPMatrix(b, precision_bits) for b in blocks)
 
 
 @dataclass
 class GramSpectrum:
-    matrix: HPMatrix
     eigenvalues: list
     residuals: list
     smallest_positive: object
-    blocks: tuple
     precision_bits: int
 
 
 def weil_gram_spectrum(
-    lam2,
-    half_width: int,
-    precision_bits: int,
-    project_poles: bool = False,
-    want_vectors: bool = False,
+    lam2, half_width: int, precision_bits: int, project_poles: bool = False
 ) -> GramSpectrum:
-    """Assemble the Gram and solve it.  Without pole projection the real
-    basis splits into even/odd parity blocks which are solved separately."""
-    m = weil_gram(lam2, half_width, precision_bits, project_poles)
-    K = half_width
-    with mp.workprec(precision_bits + _GUARD):
-        if project_poles or K == 0:
-            res = jacobi_eigensystem(m, want_vectors=want_vectors)
-            pairs = [(lam, r) for lam, r in zip(res.eigenvalues, res.residuals)]
-            blocks = (res,)
-        else:
-            rows = m.rows
-            cos_idx = list(range(0, K + 1))
-            sin_idx = list(range(K + 1, 2 * K + 1))
-            results = []
-            pairs = []
-            for idx in (cos_idx, sin_idx):
-                sub = [[rows[i][j] for j in idx] for i in idx]
-                res = jacobi_eigensystem(
-                    HPMatrix(sub, precision_bits), want_vectors=want_vectors
-                )
-                results.append(res)
-                pairs.extend(zip(res.eigenvalues, res.residuals))
-            blocks = tuple(results)
-        pairs.sort(key=lambda e: e[0])
-        eigenvalues = [e[0] for e in pairs]
-        residuals = [e[1] for e in pairs]
-        smallest_pos = next((lam for lam, r in pairs if lam > r), None)
-    return GramSpectrum(m, eigenvalues, residuals, smallest_pos, blocks, precision_bits)
+    """Assemble the Gram's parity blocks and solve each by Jacobi; the
+    spectrum is their union, ascending, each eigenvalue with its block's
+    residual."""
+    pairs = []
+    for block in weil_gram(lam2, half_width, precision_bits, project_poles):
+        res = jacobi_eigensystem(block, want_vectors=False)
+        pairs.extend(zip(res.eigenvalues, res.residuals))
+    pairs.sort(key=lambda e: e[0])
+    smallest_pos = next((lam for lam, r in pairs if lam > r), None)
+    return GramSpectrum(
+        [e[0] for e in pairs], [e[1] for e in pairs], smallest_pos, precision_bits
+    )

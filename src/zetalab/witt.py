@@ -24,11 +24,12 @@ from typing import Iterable, Mapping
 from mpmath import mp, mpc
 
 from zetalab.cyclotomy import Divisor, Root, ZERO_ROOT, rho_tilde
+from zetalab.immutable import Immutable
 
 Entry = tuple[int, Root]
 
 
-class MonoidMatrix:
+class MonoidMatrix(Immutable):
     """Column-monomial matrix over (Q/Z)_+; rows/columns are 1-based."""
 
     __slots__ = ("n", "cols")
@@ -48,9 +49,6 @@ class MonoidMatrix:
             clean[j] = (i, root)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "cols", dict(sorted(clean.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonoidMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "MonoidMatrix":
@@ -189,7 +187,7 @@ def tau(t: MonoidMatrix) -> Divisor:
     return acc
 
 
-class DivisorMatrix:
+class DivisorMatrix(Immutable):
     """Dense n x n matrix over Z[Q/Z]; rows/columns are 0-based."""
 
     __slots__ = ("n", "rows")
@@ -201,9 +199,6 @@ class DivisorMatrix:
             raise ValueError("shape mismatch")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", [list(r) for r in rows])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DivisorMatrix is immutable")
 
     @classmethod
     def from_monoid(cls, t: MonoidMatrix) -> "DivisorMatrix":

@@ -17,6 +17,8 @@ from pathlib import Path
 
 from mpmath import mp, mpf
 
+from zetalab.immutable import Immutable
+
 _PARSE_DPS = 60  # enough for 40-digit entries with headroom
 
 
@@ -24,7 +26,7 @@ class ZeroTableError(ValueError):
     pass
 
 
-class ZeroTable:
+class ZeroTable(Immutable):
     """Strictly increasing positive ordinates with source metadata."""
 
     __slots__ = ("ordinates", "source")
@@ -50,9 +52,6 @@ class ZeroTable:
             )
         object.__setattr__(self, "ordinates", ordinates)
         object.__setattr__(self, "source", source)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZeroTable is immutable")
 
     def __len__(self) -> int:
         return len(self.ordinates)

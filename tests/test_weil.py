@@ -26,6 +26,13 @@ def zeros():
     return bundled_zero_table()
 
 
+@pytest.fixture(scope="module")
+def bump_profile(zeros):
+    # one pass over the 10^4 zeros serves both explicit-formula tests below
+    f = LogBandFunction.cosine_power(4, 4, modulation=1)
+    return explicit_formula_profile(f, zeros, [10, 10000], 256)
+
+
 class TestMellinHat:
     def test_constant_basis_at_zero(self):
         f = LogBandFunction(4, {0: 1})
@@ -114,14 +121,13 @@ class TestExplicitFormula:
         chk = explicit_formula_residual(LogBandFunction(4, {}), zeros.truncated(10))
         assert chk.lhs == chk.rhs == chk.residual == 0
 
-    def test_smooth_bump_small_residual(self, zeros):
-        f = LogBandFunction.cosine_power(4, 4, modulation=1)
-        chk = explicit_formula_residual(f, zeros, 256)
+    def test_smooth_bump_small_residual(self, zeros, bump_profile):
+        chk = bump_profile[1]
+        assert chk.zeros_used == len(zeros)
         assert abs(chk.residual) < mpf(10) ** -8
 
-    def test_truncation_dominates_short_table(self, zeros):
-        f = LogBandFunction.cosine_power(4, 4, modulation=1)
-        profile = explicit_formula_profile(f, zeros, [10, 10000], 256)
+    def test_truncation_dominates_short_table(self, bump_profile):
+        profile = bump_profile
         assert abs(profile[0].residual) > 1000 * abs(profile[1].residual)
 
     def test_rejects_bad_sizes(self, zeros):
@@ -132,17 +138,29 @@ class TestExplicitFormula:
 
 class TestWeilGram:
     def test_hermitian_lam2_5(self):
-        G = weil_gram_complex(5, 16, 128)
+        from zetalab.weil import _real_basis_gram
+
+        K = 16
+        G = weil_gram_complex(5, K, 128)
+        n = 2 * K + 1
         with mp.workprec(160):
-            resid = max(
-                abs(G[i][j] - mp.conj(G[j][i]))
-                for i in range(33)
-                for j in range(33)
-            )
+            resid = max(abs(G[i][j] - mp.conj(G[j][i])) for i in range(n) for j in range(n))
             assert resid < mpf(2) ** -100
-        # and the real-basis matrix passes HPMatrix's Hermitianity gate
-        m = weil_gram(5, 16, 128)
-        assert m.dim == 33
+            # G(j, k) = G(-j, -k), the reflection symmetry _real_basis_gram checks
+            skew = max(abs(G[i][j] - G[n - 1 - i][n - 1 - j]) for i in range(n) for j in range(n))
+            assert skew < mpf(2) ** -100
+            even, odd = _real_basis_gram(G, K, 128)
+        # both parity blocks pass HPMatrix's Hermitianity gate
+        assert (HPMatrix(even, 128).dim, HPMatrix(odd, 128).dim) == (K + 1, K)
+
+    def test_reflection_break_raises(self):
+        from zetalab.weil import _real_basis_gram
+
+        K = 2
+        G = weil_gram_complex(2, K, 128)
+        G[K + 1][K + 2] += mpf(2) ** -20
+        with mp.workprec(176), pytest.raises(ArithmeticError, match="reflection"):
+            _real_basis_gram(G, K, 128)
 
     def test_no_prime_terms_below_sqrt2(self):
         from zetalab.weil import _prime_powers
@@ -191,16 +209,53 @@ class TestWeilGram:
         assert spec.eigenvalues[0] > -max(spec.residuals)
 
     def test_parity_blocks_decouple(self):
-        m = weil_gram(5, 6, 128)
+        # the cos-sin cross block of the real basis, formed from the complex
+        # Gram, vanishes; weil_gram keeps only the two parity blocks
         K = 6
+        G = weil_gram_complex(5, K, 128)
         with mp.workprec(128):
-            for j in range(0, K + 1):
-                for k in range(K + 1, 2 * K + 1):
-                    assert abs(m[j, k]) < mpf(2) ** -60
+            rt2 = mp.sqrt(2)
 
-    def test_pole_constraints_annihilate_projected_gram(self):
-        cons = pole_constraint_vectors(2, 5, 160)
-        assert len(cons) == 2 and len(cons[0]) == 11
+            def g(j, k):
+                return G[j + K][k + K]
+
+            for k in range(1, K + 1):
+                assert abs(g(0, k) - g(0, -k)) / rt2 < mpf(2) ** -60
+                for j in range(1, K + 1):
+                    assert abs(g(j, k) - g(j, -k) + g(-j, k) - g(-j, -k)) / 2 < mpf(2) ** -60
+        even, odd = weil_gram(5, K, 128)
+        assert (even.dim, odd.dim) == (K + 1, K)
+
+    def test_projected_lambda_min_pinned(self):
+        # the value the full-matrix projection (both pole vectors at once) gave
+        spec = weil_gram_spectrum(2, 8, 160, project_poles=True)
+        with mp.workprec(160):
+            want = mpf("0.5495570442393672361675858169873364299816")
+            assert abs(spec.eigenvalues[0] - want) < mpf(10) ** -40
+
+    def test_eigenvalue_counts_at_half_width_zero(self):
+        assert len(weil_gram_spectrum(2, 0, 128).eigenvalues) == 1
+        assert weil_gram_spectrum(2, 0, 128, project_poles=True).eigenvalues == []
+
+    def test_pole_constraints_are_the_pole_functionals(self):
+        lam2, K, prec = 2, 5, 160
+        even, odd = pole_constraint_vectors(lam2, K, prec)
+        assert (len(even), len(odd)) == (K + 1, K)
+        # real coordinates over [const, cos_1..cos_K] and [sin_1..sin_K]
+        x = [mpf(1), mpf(1) / 2, -mpf(1) / 3, mpf(1) / 5, mpf(0), mpf(1) / 7]
+        y = [mpf(2) / 3, mpf(0), mpf(1) / 4, -mpf(1), mpf(1) / 9]
+        with mp.workprec(prec + 48):
+            rt2 = mp.sqrt(2)
+            coeffs = {0: x[0]}
+            for k in range(1, K + 1):
+                coeffs[k] = mpc(x[k], -y[k - 1]) / rt2
+                coeffs[-k] = mpc(x[k], y[k - 1]) / rt2
+            f = LogBandFunction(lam2, coeffs)
+            assert f.is_real()
+            up = mellin_hat(f, mpc(0, 0.5), prec)
+            down = mellin_hat(f, mpc(0, -0.5), prec)
+            assert abs(mp.fdot(even, x) - (up + down) / 2) < mpf(2) ** -140
+            assert abs(mp.fdot(odd, y) - (up - down) / 2) < mpf(2) ** -140
 
     def test_spectrum_residuals_certified(self):
         spec = weil_gram_spectrum(5, 8, 192)
