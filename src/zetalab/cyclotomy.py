@@ -63,9 +63,6 @@ class Root(Immutable):
             raise ValueError("n must be a positive integer")
         return [Root(self.num + j * self.den, n * self.den) for j in range(n)]
 
-    def as_fraction(self) -> tuple[int, int]:
-        return (self.num, self.den)
-
     def __repr__(self) -> str:
         return f"Root({self.num}, {self.den})"
 
@@ -111,10 +108,6 @@ class Divisor(Immutable):
     def total_mass(self) -> int:
         """Sum of all coefficients (the augmentation map to Z)."""
         return sum(self._terms.values())
-
-    def degree(self) -> int:
-        """Number of distinct roots with nonzero coefficient."""
-        return len(self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

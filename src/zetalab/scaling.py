@@ -58,11 +58,10 @@ def map_E(f, x, support_radius, precision_bits: int = 53):
         return mp.sqrt(x) * mp.fsum(f(n * x) for n in range(1, nmax + 1))
 
 
-def poincare_sum(mu, g, u, precision_bits: int = 53, support=None):
+def poincare_sum(mu, g, u, precision_bits: int = 53):
     """(Sigma_mu g)(u) = sum_{k in Z} g(mu^k u); invariant under u -> mu u.
 
-    Compactly supported g (pass support=(lo, hi)) always converges; otherwise
-    terms must decay below 2^-precision_bits within _MAX_TERMS on each side,
+    Terms must decay below 2^-precision_bits within _MAX_TERMS on each side,
     else the input is rejected as divergent.  Computed with guard bits.
     """
     if not (mu > 1):
@@ -72,13 +71,6 @@ def poincare_sum(mu, g, u, precision_bits: int = 53, support=None):
     with mp.workprec(precision_bits + _GUARD):
         mu = mp.mpmathify(mu)
         u = mp.mpmathify(u)
-        if support is not None:
-            lo, hi = support
-            if not (0 < lo < hi):
-                raise ValueError("support must be inside the positive half-line")
-            kmin = int(mp.ceil(mp.log(lo / u) / mp.log(mu)))
-            kmax = int(mp.floor(mp.log(hi / u) / mp.log(mu)))
-            return mp.fsum(g(mu**k * u) for k in range(kmin, kmax + 1))
         tol = mpf(2) ** (-precision_bits)
         total = mp.mpmathify(g(u))
         for direction in (1, -1):

@@ -2,8 +2,7 @@
 
 The functional-equation unitary on the critical line is the unimodular ratio
 u(s) = zeta(1/2-is)/zeta(1/2+is) = gamma_R(1/2+is)/gamma_R(1/2-is) with
-gamma_R(z) = pi^(-z/2) Gamma(z/2); at a finite place the analogous ratio is
-built from the local Euler factor.  Tate's archimedean functional equation,
+gamma_R(z) = pi^(-z/2) Gamma(z/2).  Tate's archimedean functional equation,
 the adelic lift of finite orbit sums to the map E, and the trace-formula form
 of the archimedean explicit-formula distribution are all checked numerically
 here at arbitrary precision.
@@ -11,33 +10,10 @@ here at arbitrary precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from mpmath import mp, mpf
 
 from zetalab.scaling import map_E
 from zetalab.weil import _GUARD, QuadratureError, is_prime, w_arch
-
-
-@dataclass(frozen=True)
-class PlaceSet:
-    """A finite set of places of Q; the archimedean place is always in."""
-
-    primes: frozenset
-
-    def __init__(self, primes=()):
-        ps = frozenset(int(p) for p in primes)
-        for p in ps:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "primes", ps)
-
-    @property
-    def includes_infinity(self) -> bool:
-        return True
-
-    def __iter__(self):
-        return iter(sorted(self.primes))
 
 
 def gamma_factor(z, precision_bits: int = 256):
@@ -63,38 +39,6 @@ def zeta_ratio(s, precision_bits: int = 256):
     with mp.workprec(precision_bits + _GUARD):
         s = mp.mpmathify(s)
         return +(mp.zeta(0.5 - 1j * s) / mp.zeta(0.5 + 1j * s))
-
-
-def rho_p(p: int, s, precision_bits: int = 256):
-    """Finite-place ratio (1 - p^(-1/2+is))/(1 - p^(-1/2-is)): unimodular on
-    the real line and equal to 1 at s = 0."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    with mp.workprec(precision_bits + _GUARD):
-        s = mp.mpmathify(s)
-        num = 1 - mp.power(p, -0.5 + 1j * s)
-        den = 1 - mp.power(p, -0.5 - 1j * s)
-        return +(num / den)
-
-
-def rho_p_phase_derivative(p: int, s, terms: int = 200, precision_bits: int = 256):
-    """d/ds arg rho_p(s) = -2 log p sum_m p^(-m/2) cos(m s log p): the local
-    winding density carries exactly the prime's explicit-formula weights."""
-    with mp.workprec(precision_bits + _GUARD):
-        s = mp.mpmathify(s)
-        logp = mp.log(p)
-        return +(-2 * logp * mp.fsum(
-            mp.power(p, -mpf(m) / 2) * mp.cos(m * s * logp) for m in range(1, terms + 1)
-        ))
-
-
-def u_semilocal(s, places: PlaceSet, precision_bits: int = 256):
-    """Product of the archimedean ratio and the finite-place ratios over S."""
-    with mp.workprec(precision_bits + _GUARD):
-        val = u_arch(s, precision_bits)
-        for p in places:
-            val *= rho_p(p, s, precision_bits)
-        return +val
 
 
 # -- Tate's archimedean functional equation -------------------------------------
@@ -150,7 +94,7 @@ def _gamma_orbit_integers(mu: float) -> list[int]:
     return out
 
 
-def semilocal_lift_check(f, mu, u, lam=None, precision_bits: int = 256):
+def semilocal_lift_check(f, mu, u, precision_bits: int = 256):
     """lhs = u^(1/2) * sum over the orbit integers Y of f(g u) versus
     rhs = 2 E(f)(u), valid for u > 1/lambda with lambda = sqrt(mu).
 
@@ -158,8 +102,7 @@ def semilocal_lift_check(f, mu, u, lam=None, precision_bits: int = 256):
     with mp.workprec(precision_bits + _GUARD):
         mu = mp.mpmathify(mu)
         u = mp.mpmathify(u)
-        if lam is None:
-            lam = mp.sqrt(mu)
+        lam = mp.sqrt(mu)
         if not (u > 1 / lam):
             raise ValueError("the lift identity is only asserted for u > 1/lambda")
         ys = _gamma_orbit_integers(mu)

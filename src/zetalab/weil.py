@@ -167,10 +167,11 @@ def explicit_formula_profile(
     f, zeros: ZeroTable, table_sizes, precision_bits: int = 256
 ) -> list[ExplicitFormulaCheck]:
     """Explicit-formula checks at several nested table prefixes, reusing the
-    partial zero sums (table_sizes must be increasing)."""
+    partial zero sums (table_sizes must be nonempty, increasing and within
+    the table)."""
     sizes = list(table_sizes)
-    if sizes != sorted(sizes) or sizes[-1] > len(zeros):
-        raise ValueError("table_sizes must be increasing and within the table")
+    if not sizes or sizes != sorted(sizes) or sizes[0] < 0 or sizes[-1] > len(zeros):
+        raise ValueError("table_sizes must be nonempty, increasing and within the table")
     with mp.workprec(precision_bits + _GUARD):
         pole = f.mellin(mp.mpc(0, 0.5)) + f.mellin(mp.mpc(0, -0.5))
         rhs = w_arch(f, precision_bits)
@@ -256,6 +257,16 @@ def _prime_powers(lam2):
     return out
 
 
+def _check_gram_args(lam2, half_width):
+    """The band must be nondegenerate (finite lam2 > 1) and K a nonnegative
+    integer; anything else would fail deep inside the assembly."""
+    x = mp.mpmathify(lam2)
+    if not (isinstance(x, mpf) and mp.isfinite(x) and x > 1):
+        raise ValueError(f"lam2 must be a finite number above 1, got {lam2}")
+    if not (half_width >= 0 and half_width == int(half_width)):
+        raise ValueError(f"half_width must be a nonnegative integer, got {half_width}")
+
+
 def weil_gram_complex(lam2, half_width: int, precision_bits: int):
     """Gram of QW over psi_-K..psi_K as a raw complex matrix (list of rows).
 
@@ -263,6 +274,7 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
     W_p(h) with h = psi_k * psi_j~, all reduced to closed forms plus the
     shared I/J integrals.
     """
+    _check_gram_args(lam2, half_width)
     K = half_width
     with mp.workprec(precision_bits + _GUARD):
         L = mp.log(mp.mpmathify(lam2)) / 2
@@ -351,6 +363,7 @@ def pole_constraint_vectors(lam2, half_width: int, precision_bits: int):
     Both are real on real test functions; the codimension-2 subspace they cut
     out, one constraint per block, is where Weil positivity lives.
     """
+    _check_gram_args(lam2, half_width)
     K = half_width
     with mp.workprec(precision_bits + _GUARD):
         L = mp.log(mp.mpmathify(lam2)) / 2
@@ -412,15 +425,23 @@ class GramSpectrum:
 def weil_gram_spectrum(
     lam2, half_width: int, precision_bits: int, project_poles: bool = False
 ) -> GramSpectrum:
-    """Assemble the Gram's parity blocks and solve each by Jacobi; the
-    spectrum is their union, ascending, each eigenvalue with its block's
-    residual."""
-    pairs = []
+    """Assemble the Gram's parity blocks and solve each with
+    precision.jacobi_eigensystem; the spectrum is their union, ascending.
+
+    Every eigenvalue carries the larger of the two blocks' residuals: each
+    bounds its block's eigenvalues in sorted order, and the larger one bounds
+    the merged, sorted spectrum the same way.  The residual covers the
+    eigenproblem of the stored blocks only; it leaves out the Gram's own
+    error, the quadrature tolerance of 2^-(bits+8) per I(m), J(k) integral.
+    """
+    eigenvalues = []
+    residual = mpf(0)
     for block in weil_gram(lam2, half_width, precision_bits, project_poles):
-        res = jacobi_eigensystem(block, want_vectors=False)
-        pairs.extend(zip(res.eigenvalues, res.residuals))
-    pairs.sort(key=lambda e: e[0])
-    smallest_pos = next((lam for lam, r in pairs if lam > r), None)
+        res = jacobi_eigensystem(block)
+        eigenvalues.extend(res.eigenvalues)
+        residual = max(residual, res.max_residual())
+    eigenvalues.sort()
+    smallest_pos = next((lam for lam in eigenvalues if lam > residual), None)
     return GramSpectrum(
-        [e[0] for e in pairs], [e[1] for e in pairs], smallest_pos, precision_bits
+        eigenvalues, [residual] * len(eigenvalues), smallest_pos, precision_bits
     )

@@ -54,11 +54,6 @@ class MonoidMatrix(Immutable):
     def identity(cls, n: int) -> "MonoidMatrix":
         return cls(n, {j: (j, ZERO_ROOT) for j in range(1, n + 1)})
 
-    @classmethod
-    def from_diagonal(cls, roots: Iterable[Root]) -> "MonoidMatrix":
-        roots = list(roots)
-        return cls(len(roots), {j + 1: (j + 1, r) for j, r in enumerate(roots)})
-
     def entry(self, i: int, j: int) -> Root | None:
         bound = self.cols.get(j)
         if bound is not None and bound[0] == i:
@@ -206,13 +201,6 @@ class DivisorMatrix(Immutable):
         for j, (i, root) in t.cols.items():
             rows[i - 1][j - 1] = Divisor.of(root)
         return cls(t.n, rows)
-
-    @classmethod
-    def scalar(cls, n: int, coeff: int) -> "DivisorMatrix":
-        rows = [[Divisor() for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = coeff * Divisor.of(ZERO_ROOT)
-        return cls(n, rows)
 
     def __getitem__(self, ij: tuple[int, int]) -> Divisor:
         return self.rows[ij[0]][ij[1]]

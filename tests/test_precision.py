@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from zetalab.precision import EigenResult, HPMatrix, jacobi_eigensystem
+from zetalab.precision import HPMatrix, jacobi_eigensystem
 
 
-def random_hermitian(rng, n, cplx=False):
+def random_symmetric(rng, n):
     a = [[0] * n for _ in range(n)]
     for i in range(n):
         a[i][i] = rng.uniform(-2, 2)
         for j in range(i):
-            v = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) if cplx else rng.uniform(-1, 1)
-            a[i][j] = v
-            a[j][i] = v.conjugate() if cplx else v
+            a[i][j] = a[j][i] = rng.uniform(-1, 1)
     return a
 
 
@@ -23,9 +21,17 @@ class TestHPMatrix:
         with pytest.raises(ValueError):
             HPMatrix([[1, 2], [3, 1]], 128)
 
-    def test_rejects_complex_diagonal(self):
-        with pytest.raises(ValueError):
-            HPMatrix([[1j, 0], [0, 1]], 128)
+    @pytest.mark.parametrize("entries", [[[1j, 0], [0, 1]], [[1, 1j], [-1j, 1]]])
+    def test_rejects_complex_entries(self, entries):
+        with pytest.raises(ValueError, match="real"):
+            HPMatrix(entries, 128)
+
+    def test_keeps_symmetric_entries_exactly(self):
+        # an entry already equal to its mirror is not rounded to 128 bits
+        with mp.workprec(256):
+            third = mpf(1) / 3
+        m = HPMatrix([[1, third], [third, 2]], 128)
+        assert m[0, 1] == third and m[1, 0] == third
 
     def test_enforces_exact_symmetry(self):
         eps = 1e-25
@@ -45,46 +51,41 @@ class TestHPMatrix:
 class TestJacobi:
     def test_diagonal(self):
         m = HPMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]], 128)
-        res = jacobi_eigensystem(m, want_vectors=False)
+        res = jacobi_eigensystem(m)
         assert [float(x) for x in res.eigenvalues] == [1.0, 2.0, 3.0]
 
     def test_swap(self):
-        res = jacobi_eigensystem(HPMatrix([[0, 1], [1, 0]], 128), want_vectors=True)
+        res = jacobi_eigensystem(HPMatrix([[0, 1], [1, 0]], 128))
         assert [float(x) for x in res.eigenvalues] == [-1.0, 1.0]
         assert float(res.max_residual()) < 1e-30
 
     def test_trace_identity_12x12_256bits(self):
         rng = random.Random(5)
-        a = random_hermitian(rng, 12, cplx=True)
+        a = random_symmetric(rng, 12)
         m = HPMatrix(a, 256)
-        res = jacobi_eigensystem(m, want_vectors=True)
+        res = jacobi_eigensystem(m)
         with mp.workprec(300):
             trace = mp.fsum(m[i, i] for i in range(12))
             diff = abs(mp.fsum(res.eigenvalues) - trace)
         assert diff < mpf(10) ** -70
         assert float(res.max_residual()) < 1e-70
 
-    @pytest.mark.parametrize("cplx", [False, True])
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_matches_numpy(self, cplx, warm):
-        rng = random.Random(7 if cplx else 8)
-        a = random_hermitian(rng, 9, cplx=cplx)
-        m = HPMatrix(a, 192)
-        res = jacobi_eigensystem(m, warm_start=warm, want_vectors=True)
-        ref = np.linalg.eigvalsh(m.to_numpy())
+    @pytest.mark.parametrize("seed", [7, 8, 9, 10])
+    def test_matches_numpy(self, seed):
+        m = HPMatrix(random_symmetric(random.Random(seed), 9), 192)
+        res = jacobi_eigensystem(m)
+        ref = np.linalg.eigvalsh(np.array([[float(x) for x in r] for r in m.rows]))
         got = np.array([float(x) for x in res.eigenvalues])
         assert np.allclose(got, ref, atol=1e-12)
 
     def test_eigenvector_orthonormality(self):
         rng = random.Random(11)
-        m = HPMatrix(random_hermitian(rng, 8, cplx=True), 192)
-        res = jacobi_eigensystem(m, want_vectors=True)
+        m = HPMatrix(random_symmetric(rng, 8), 192)
+        res = jacobi_eigensystem(m)
         with mp.workprec(200):
             for i in range(8):
                 for j in range(i + 1):
-                    dot = mp.fsum(
-                        mp.conj(res.vectors[i][k]) * res.vectors[j][k] for k in range(8)
-                    )
+                    dot = mp.fdot(res.vectors[i], res.vectors[j])
                     want = 1 if i == j else 0
                     assert abs(dot - want) < mpf(2) ** -150
 
@@ -99,11 +100,11 @@ class TestJacobi:
                 [(1 - e) * c * s, s * s + e * c * c],
             ]
         m = HPMatrix(a, 256)
-        res = jacobi_eigensystem(m, want_vectors=True)
+        res = jacobi_eigensystem(m)
         small = res.eigenvalues[0]
         assert abs(small - mpf(10) ** -60) < mpf(10) ** -70
         assert res.max_residual() < mpf(2) ** -200
 
     def test_empty(self):
-        res = jacobi_eigensystem(HPMatrix([], 128), want_vectors=False)
+        res = jacobi_eigensystem(HPMatrix([], 128))
         assert res.eigenvalues == []

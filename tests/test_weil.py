@@ -27,6 +27,12 @@ def zeros():
 
 
 @pytest.fixture(scope="module")
+def spectrum_5_8_192():
+    # shared by the certificate tests below
+    return weil_gram_spectrum(5, 8, 192)
+
+
+@pytest.fixture(scope="module")
 def bump_profile(zeros):
     # one pass over the 10^4 zeros serves both explicit-formula tests below
     f = LogBandFunction.cosine_power(4, 4, modulation=1)
@@ -134,6 +140,27 @@ class TestExplicitFormula:
         f = LogBandFunction.cosine_power(4, 4)
         with pytest.raises(ValueError):
             explicit_formula_profile(f, zeros, [100, 50], 128)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda zeros: weil_gram_spectrum(0.5, 3, 128),
+        lambda zeros: weil_gram_spectrum(1, 3, 128),
+        lambda zeros: weil_gram_spectrum(2, -1, 128),
+        lambda zeros: pole_constraint_vectors(1, 3, 128),
+        lambda zeros: explicit_formula_profile(
+            LogBandFunction.cosine_power(4, 4), zeros.truncated(20), [], 128
+        ),
+        lambda zeros: explicit_formula_profile(
+            LogBandFunction.cosine_power(4, 4), zeros.truncated(20), [-5], 128
+        ),
+    ],
+    ids=["lam2-below-1", "lam2-1", "negative-K", "poles-lam2-1", "no-sizes", "negative-size"],
+)
+def test_bad_input_raises_value_error(call, zeros):
+    with pytest.raises(ValueError):
+        call(zeros)
 
 
 class TestWeilGram:
@@ -257,10 +284,23 @@ class TestWeilGram:
             assert abs(mp.fdot(even, x) - (up + down) / 2) < mpf(2) ** -140
             assert abs(mp.fdot(odd, y) - (up - down) / 2) < mpf(2) ** -140
 
-    def test_spectrum_residuals_certified(self):
-        spec = weil_gram_spectrum(5, 8, 192)
+    def test_spectrum_residuals_certified(self, spectrum_5_8_192):
+        spec = spectrum_5_8_192
         assert max(spec.residuals) < mpf(2) ** -140
         assert spec.smallest_positive is not None
+
+    @pytest.mark.parametrize("project", [False, True])
+    def test_certificate_covers_eigenvalues(self, project, spectrum_5_8_192):
+        # each sorted eigenvalue at 128 bits is within both residuals of the
+        # same sorted eigenvalue at 192 bits
+        low = weil_gram_spectrum(5, 8, 128, project_poles=project)
+        high = spectrum_5_8_192 if not project else weil_gram_spectrum(5, 8, 192, True)
+        assert len(low.eigenvalues) == len(high.eigenvalues)
+        with mp.workprec(256):
+            for a, b, ra, rb in zip(
+                low.eigenvalues, high.eigenvalues, low.residuals, high.residuals
+            ):
+                assert abs(a - b) <= ra + rb
 
     def test_high_order_arch_integrals_pinned(self):
         # I(m), J(m) at lambda^2 = 5, 128 bits, to 40 digits, from an independent
