@@ -14,7 +14,7 @@ from __future__ import annotations
 from mpmath import mp, mpf
 
 from zetalab.immutable import Immutable
-from zetalab.precision import orthonormalize, remove_components
+from zetalab.precision import _GUARD, orthonormalize, remove_components
 
 
 def hermite_phi(nmax: int, x):
@@ -96,14 +96,16 @@ class EvenGaussHermite(Immutable):
         slack = 4 * (self.order + 2)
         return a * mp.sqrt((precision_bits + slack) * mp.log(2) / mp.pi)
 
-    def project_even_schwartz_zero(self) -> "EvenGaussHermite":
+    def project_even_schwartz_zero(self, precision_bits: int) -> "EvenGaussHermite":
         """Orthogonal projection onto {f(0) = 0, f^(0) = 0} in coefficient
-        space (the basis is orthonormal, so this is the L^2 projection)."""
-        n = self.order + 1
-        u = [hermite_phi_zero(2 * m) for m in range(n)]  # f(0) functional / sqrt(a)
-        v = [(-1) ** m * u[m] for m in range(n)]  # f^(0) functional * sqrt-scale
-        basis = orthonormalize((u, v), mpf(2) ** (-mp.prec // 2))
-        c = remove_components([mp.mpmathify(x) for x in self.coeffs], basis)
+        space (the basis is orthonormal, so this is the L^2 projection),
+        computed _GUARD bits above precision_bits."""
+        with mp.workprec(precision_bits + _GUARD):
+            n = self.order + 1
+            u = [hermite_phi_zero(2 * m) for m in range(n)]  # f(0) functional / sqrt(a)
+            v = [(-1) ** m * u[m] for m in range(n)]  # f^(0) functional * sqrt-scale
+            basis = orthonormalize((u, v), mpf(2) ** (-(precision_bits // 2)))
+            c = remove_components([mp.mpmathify(x) for x in self.coeffs], basis)
         return EvenGaussHermite(self.scale, c)
 
     def __repr__(self):

@@ -15,9 +15,9 @@ computable without any zero table: QW(f, g) = h^(i/2) + h^(-i/2) - W_R(h)
 
 weil_gram assembles the Gram matrix of QW over the orthonormal log-Fourier
 basis.  In that basis everything collapses: pole and prime terms are closed
-forms, and the archimedean part of every entry is a combination of the 2K+2
-one-dimensional integrals I(m), J(k) below, so the assembly needs O(K)
-quadratures rather than O(K^2).
+forms, and the archimedean part of every entry is a combination of the 2K+1
+one-dimensional integrals I(m), J(k) below, each a digamma value plus a
+geometric series, so the assembly runs no quadrature.
 
 QW commutes with the reflection x -> 1/x, which maps psi_k to psi_-k, so in
 the real basis the Gram is block diagonal: an even block over [const,
@@ -37,6 +37,12 @@ from mpmath import mp, mpf
 from zetalab.precision import HPMatrix, jacobi_eigensystem, orthonormalize
 from zetalab.zerotable import ZeroTable
 
+# Working bits above precision_bits for every weil (and semilocal) evaluation.
+# They buy the Weil Gram its certificate: its entries are formed from terms up
+# to about lambda in size, and with 48 bits the entry-error bound
+# (_gram_entry_error, about 2^-(bits+33) at the benchmark's settings) times the
+# block dimension stays about 20 bits below the eigensolver's residual, which
+# is near 2^-(bits+6) there, so the certified bits are the solver's.
 _GUARD = 48
 
 
@@ -86,8 +92,10 @@ def w_prime(p: int, f, precision_bits: int = 256):
 
 
 def _quad_checked(integrand, interval, precision_bits):
-    # run with headroom: tanh-sinh error estimates are conservative, so the
-    # rule must over-converge for the certificate below to be meaningful
+    # w_arch's quadratures.  The rule runs 80 bits above precision_bits, 32
+    # above the caller's _GUARD: tanh-sinh estimates its error from the gap
+    # between successive levels, which certifies the 2^-(bits+8) tolerance
+    # only once the rule has converged well past it.
     with mp.workprec(precision_bits + 80):
         val, err = mp.quad(integrand, interval, error=True)
     tol = mpf(2) ** (-precision_bits - 8) * (1 + abs(val))
@@ -210,34 +218,40 @@ def _psi_hat_poles(K, L, alpha, c0):
 def _arch_integrals(K, L, alpha, c2, precision_bits):
     """I(m) = int_0^2L sin(alpha m t) e^(t/2)/sinh t dt  (odd in m) and
     J(k) = int_0^2L [c2 (2L-t) cos(alpha k t) - e^(-t/2)] e^(t/2)/sinh t dt
-    for m = 1..K and k = 0..K.
+    for m = 0..K and k = 0..K, in closed form (c2 = 1/(2L), alpha = pi/L).
 
-    Both numerators vanish at t = 0 (c2 2L = 1), so the integrands are smooth
-    on [0, 2L] and every order is one certified tanh-sinh quadrature."""
-    T = 2 * L
-    I = {0: mpf(0)}
-    J = {}
-    for m in range(1, K + 1):
-        am = alpha * m
+    Expand e^(t/2)/sinh t = 2 sum_{n>=0} e^(-a_n t) with a_n = 2n + 1/2.  On
+    T = 2L, e^(i beta T) = 1 for beta = alpha k, so with w = 1/4 + i beta/2
+    and lambda = e^L, term by term (the digamma series of w),
 
-        def integrand(t, am=am):
-            if t == 0:
-                return am
-            return mp.sin(am * t) * mp.exp(t / 2) / mp.sinh(t)
+        I = Im psi(w) - 2 sum_n lambda^-(4n+1) beta/(a_n^2 + beta^2),
+        J = psi(1/2) - Re psi(w) - (c2/2) Re psi'(w)
+            + 2 c2 sum_n lambda^-(4n+1) Re (a_n - i beta)^-2 + 2 artanh(lambda^-2).
 
-        I[m] = _quad_checked(integrand, [0, T], precision_bits)
-    lim0 = mpf(0.5) - c2
-    for k in range(0, K + 1):
-        ak = alpha * k
-
-        def integrand(t, ak=ak, lim0=lim0):
-            if t == 0:
-                return lim0
-            # c2(2L-t)cos - e^(-t/2), written cancellation-free
-            n = -2 * mp.sin(ak * t / 2) ** 2 - c2 * t * mp.cos(ak * t) - mp.expm1(-t / 2)
-            return n * mp.exp(t / 2) / mp.sinh(t)
-
-        J[k] = _quad_checked(integrand, [0, T], precision_bits)
+    Tail: |beta/(a^2 + beta^2)| <= 1/(2a) and |(a - i beta)^-2| <= 1/a^2, and
+    lambda^-(4n+1) falls by lambda^-4 per term, so the terms n >= N sum to at
+    most lambda^-(4N+1)/(a_N (1 - lambda^-4)) in I and 2 c2 lambda^-(4N+1)/
+    (a_N^2 (1 - lambda^-4)) in J.  The series stop at the first N where both
+    are below 2^-(precision_bits + _GUARD): every I(m), J(k) is off by less
+    than that plus rounding.
+    """
+    lam = mp.exp(L)
+    ratio = lam**-4
+    tol = mpf(2) ** -(precision_bits + _GUARD)
+    terms = []  # (a_n, lambda^-(4n+1))
+    a, g = mpf(1) / 2, 1 / lam
+    while max(1, 2 * c2 / a) * g / (a * (1 - ratio)) >= tol:
+        terms.append((a, g))
+        a, g = a + 2, g * ratio
+    const = mp.digamma(mpf(1) / 2) + 2 * mp.atanh(lam**-2)
+    I, J = {}, {}
+    for k in range(K + 1):
+        b = alpha * k
+        w = mp.mpc(mpf(1) / 4, b / 2)
+        psi = mp.digamma(w)
+        I[k] = mp.im(psi) - 2 * mp.fsum(g * b / (a * a + b * b) for a, g in terms)
+        J[k] = (const - mp.re(psi) - c2 / 2 * mp.re(mp.psi(1, w))
+                + 2 * c2 * mp.fsum(g * (a * a - b * b) / (a * a + b * b) ** 2 for a, g in terms))
     return I, J
 
 
@@ -397,6 +411,38 @@ def _project_out(rows, constraint, precision_bits):
     ]
 
 
+def _gram_entry_error(lam2, K, precision_bits):
+    """Bound on |stored - exact| for every entry of either parity block.
+
+    Each complex entry pole - arch - prime is formed at p = precision_bits +
+    _GUARD bits from terms whose absolute values add up to at most S, the sum
+    of these bounds:
+      - pole: 2 max|A_k|^2 <= 32 c2 sinh(L/2)^2, since |A_k| <= 4 c0 sinh(L/2);
+      - prime: 2W, with W the sum of the prime-power weights;
+      - arch: log 4pi + gamma, psi(1/2) and Im psi(w) are each below 4 in
+        absolute value (|Im psi(1/4 + iy)| <= 2 + pi/2); log tanh L enters
+        twice, in arch_const and as J's 2 artanh(lambda^-2); |Re psi(w)| is at
+        most max(-psi(1/4), |Re psi(w_K)|), as Re psi(1/4 + iy) increases
+        with y; (c2/2)|psi'(w)| <= (c2/2) psi'(1/4) < 9 c2; and the two series
+        of _arch_integrals sum to less than (2 + 32 c2)/(lambda - lambda^-3).
+    Rounding: every product, quotient, sum and special-function value is
+    within 4 units of 2^-p of itself, no chain from an input to an entry has
+    more than 2^7 such steps, and the absolute values along any sum add up to
+    at most S, so the rounding of a complex entry is below 2^9 2^-p S.  The
+    series tails of I and J add less than 2^-p (weight at most 1).  The real
+    basis combines complex entries with weights whose absolute values sum to
+    at most 2, so each block entry is within 2^-p (2 + 2^10 S) of exact.
+    """
+    with mp.workprec(precision_bits + _GUARD):
+        L = mp.log(mp.mpmathify(lam2)) / 2
+        lam, c2 = mp.exp(L), 1 / (2 * L)
+        weights = mp.fsum(w for _, w in _prime_powers(mp.mpmathify(lam2)))
+        psi_top = abs(mp.re(mp.digamma(mp.mpc(mpf(1) / 4, mp.pi * K / (2 * L)))))
+        S = (32 * c2 * mp.sinh(L / 2) ** 2 + 2 * weights + 12 - 2 * mp.log(mp.tanh(L))
+             + max(-mp.digamma(mpf(1) / 4), psi_top) + 9 * c2 + (2 + 32 * c2) / (lam - lam**-3))
+        return mpf(2) ** -(precision_bits + _GUARD) * (2 + 2**10 * S)
+
+
 def weil_gram(
     lam2, half_width: int, precision_bits: int, project_poles: bool = False
 ) -> tuple[HPMatrix, HPMatrix]:
@@ -428,11 +474,16 @@ def weil_gram_spectrum(
     """Assemble the Gram's parity blocks and solve each with
     precision.jacobi_eigensystem; the spectrum is their union, ascending.
 
-    Every eigenvalue carries the larger of the two blocks' residuals: each
-    bounds its block's eigenvalues in sorted order, and the larger one bounds
-    the merged, sorted spectrum the same way.  The residual covers the
-    eigenproblem of the stored blocks only; it leaves out the Gram's own
-    error, the quadrature tolerance of 2^-(bits+8) per I(m), J(k) integral.
+    Every eigenvalue carries one residual: the larger of the two blocks'
+    eigensolver residuals (each bounds its block's eigenvalues in sorted
+    order, and the larger one bounds the merged, sorted spectrum the same
+    way) plus the Gram's own error.  Each stored entry is within
+    e = _gram_entry_error of its exact value; by Weyl's inequality
+    the sorted eigenvalues then move by at most ||E||_2 <= n e, with n = K + 1
+    the larger block's dimension.  Projection compresses E to Q^T E Q, whose
+    2-norm is no larger.  The rounding of the projection itself is not in the
+    bound, nor is HPMatrix's averaging of the projected blocks' unequal
+    symmetric pairs at precision_bits + 16 bits.
     """
     eigenvalues = []
     residual = mpf(0)
@@ -440,6 +491,8 @@ def weil_gram_spectrum(
         res = jacobi_eigensystem(block)
         eigenvalues.extend(res.eigenvalues)
         residual = max(residual, res.max_residual())
+    with mp.workprec(precision_bits + _GUARD):
+        residual += (half_width + 1) * _gram_entry_error(lam2, half_width, precision_bits)
     eigenvalues.sort()
     smallest_pos = next((lam for lam in eigenvalues if lam > residual), None)
     return GramSpectrum(

@@ -19,8 +19,8 @@ def test_fourier_closed_form_matches_transform():
 
 def test_project_even_schwartz_zero():
     with mp.workprec(128):
-        g = F.project_even_schwartz_zero()
+        g = F.project_even_schwartz_zero(128)
         assert abs(g.value_at_zero()) < mpf(2) ** -100
         assert abs(g.fourier_at_zero()) < mpf(2) ** -100
-        h = g.project_even_schwartz_zero()
+        h = g.project_even_schwartz_zero(128)
         assert max(abs(a - b) for a, b in zip(g.coeffs, h.coeffs)) < mpf(2) ** -100

@@ -302,6 +302,51 @@ class TestWeilGram:
             ):
                 assert abs(a - b) <= ra + rb
 
+    @pytest.mark.parametrize(
+        "lam2, K, bits",
+        [("3", 12, 192), ("11", 24, 128), ("1.2", 6, 192)],
+        ids=["lam2-3", "lam2-11", "lam2-1.2"],
+    )
+    def test_arch_integrals_match_quadrature(self, lam2, K, bits):
+        # the closed form against a certified tanh-sinh quadrature of each
+        # defining integrand; lambda^2 = 3 at 192 bits and 1.2 (ratio
+        # lambda^-4 near 0.69) run the longest series
+        from zetalab.weil import _GUARD, _arch_integrals, _quad_checked
+
+        with mp.workprec(bits + _GUARD):
+            L = mp.log(mpf(lam2)) / 2
+            alpha, c2 = mp.pi / L, 1 / (2 * L)
+            I, J = _arch_integrals(K, L, alpha, c2, bits)
+
+            def i_integrand(t, b):
+                return mp.sin(b * t) * mp.exp(t / 2) / mp.sinh(t) if t else b
+
+            def j_integrand(t, b):
+                if t == 0:
+                    return mpf(1) / 2 - c2
+                n = -2 * mp.sin(b * t / 2) ** 2 - c2 * t * mp.cos(b * t) - mp.expm1(-t / 2)
+                return n * mp.exp(t / 2) / mp.sinh(t)
+
+            assert I[0] == 0
+            for k in range(K + 1):
+                b = alpha * k
+                for got, f in ((I[k], i_integrand), (J[k], j_integrand)):
+                    want = _quad_checked(lambda t: f(t, b), [0, 2 * L], bits)
+                    assert abs(got - want) < mpf(2) ** -(bits + 8)
+
+    def test_entry_error_covers_gram(self):
+        # every parity-block entry at 128 bits is within both entry-error
+        # bounds of the same entry at 192 bits
+        from zetalab.weil import _gram_entry_error
+
+        lam2, K = 5, 8
+        low, high = weil_gram(lam2, K, 128), weil_gram(lam2, K, 192)
+        allowance = _gram_entry_error(lam2, K, 128) + _gram_entry_error(lam2, K, 192)
+        with mp.workprec(256):
+            for a, b in zip(low, high):
+                gap = max(abs(x - y) for r, s in zip(a.rows, b.rows) for x, y in zip(r, s))
+                assert gap <= allowance
+
     def test_high_order_arch_integrals_pinned(self):
         # I(m), J(m) at lambda^2 = 5, 128 bits, to 40 digits, from an independent
         # route: a rectangle contour on a Gauss-Legendre rule, good to ~5e-52
