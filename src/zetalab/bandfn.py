@@ -3,8 +3,9 @@
 LogBandFunction is a finite series over the orthonormal log-Fourier basis
 psi_k(u) = (2L)^(-1/2) exp(i pi k log(u)/L) on [lambda^-1, lambda], L = log
 lambda, extended by zero.  Its Mellin transform along vertical lines is an
-entire closed form, which is what makes explicit-formula sums over thousands
-of zeros cheap.
+entire closed form, sin(sL) times a rational function of s, which is what
+makes explicit-formula sums over thousands of zeros cheap: the zero sum
+(mellin_pair_sum) costs one sine per zero.
 
 The multiplicative convolution f * g~ (g~(x) = conj(g(1/x))) of two such
 series is not another finite log-Fourier series: it is a piecewise structure
@@ -31,6 +32,15 @@ def _num(v):
     if isinstance(v, Fraction):
         return mpf(v.numerator) / v.denominator
     return mp.mpmathify(v)
+
+
+def _sinc(z, L):
+    """sin(zL)/z, by its Taylor form L (1 - (zL)^2/6) once |zL| < 2^(-prec/2)
+    (the dropped term is below 2^(-2 prec) relative)."""
+    zL = z * L
+    if abs(zL) < mpf(2) ** (-mp.prec // 2):
+        return L * (1 - zL * zL / 6)
+    return mp.sin(zL) / z
 
 
 class LogBandFunction(Immutable):
@@ -98,6 +108,14 @@ class LogBandFunction(Immutable):
         """f~(x) = conj(f(1/x)); in this basis the coefficients conjugate."""
         return LogBandFunction(self.lam2, {k: mp.conj(_num(v)) for k, v in self.coeffs.items()})
 
+    def even_coefficients(self) -> list:
+        """e_0 = v_0 and e_k = v_k + v_-k for k = 1..K: the coefficients of
+        f(e^t) + f(e^-t) = 2 c0 sum_k e_k cos(alpha k t), all that the zero
+        sum f^(g) + f^(-g) and the archimedean term W_R(f) see of f."""
+        v = {k: _num(x) for k, x in self.coeffs.items()}
+        K = self.half_width_index
+        return [v.get(0, mpf(0))] + [v.get(k, 0) + v.get(-k, 0) for k in range(1, K + 1)]
+
     def norm_sq(self):
         """L^2(d*x) norm squared (the basis is orthonormal)."""
         return mp.fsum(abs(_num(v)) ** 2 for v in self.coeffs.values())
@@ -136,16 +154,55 @@ class LogBandFunction(Immutable):
     def mellin(self, s):
         """f^(s) = integral f(x) x^(-is) d*x; entire in s, closed form."""
         L, alpha, c0 = self._frame()
-        acc = []
-        for k, v in self.coeffs.items():
-            z = alpha * k - s
-            zL = z * L
-            if abs(zL) < mpf(2) ** (-mp.prec // 2):
-                term = L * (1 - zL * zL / 6)
+        return 2 * c0 * mp.fsum(_num(v) * _sinc(alpha * k - s, L) for k, v in self.coeffs.items())
+
+    def mellin_pair_sum(self, ordinates):
+        """Sum of f^(g) + f^(-g) over the real ordinates g, one sine per g.
+
+        Since alpha L = pi, sin((alpha k - s) L) = (-1)^(k+1) sin(sL), so
+
+            f^(s) = 2 c0 sin(sL) sum_k (-1)^k v_k/(s - alpha k),
+
+        and f^(-s) is the same sum with v_k replaced by v_-k.  Hence
+
+            f^(g) + f^(-g) = 2 c0 sin(gL) sum_k d_k/(g - alpha k),
+            d_k = (-1)^k (v_k + v_-k).
+
+        d is even in k (the odd part of the coefficients cancels), so pairing
+        k with -k leaves, with e_k from even_coefficients,
+
+            f^(g) + f^(-g) = 4 c0 sin(gL) [e_0/g + g sum_{k>=1} (-1)^k e_k/(g^2 - alpha^2 k^2)]:
+
+        one sine and K divisions per ordinate; the identity is exact, so
+        there is no tail.  At g = alpha k, sin(gL) and g - alpha k both
+        vanish, and near it their quotient loses about
+        log2(alpha k/|g - alpha k|) bits.  So an ordinate with
+        |g| <= alpha K + 1 is summed term by term as mellin does, Taylor
+        branch included, with S(z) = sin(zL)/z:
+
+            f^(g) + f^(-g) = 4 c0 [e_0 S(g) + sum_{k>=1} e_k (S(g - alpha k) + S(g + alpha k))/2].
+
+        Every other ordinate is at least 1 from the grid, where the pair form
+        loses at most log2(alpha K + 1) bits.  The sum is accumulated one
+        ordinate at a time under the ambient precision, building no list;
+        its rounding is at most len(ordinates) 2^-prec times the sum of the
+        terms' sizes.
+        """
+        L, alpha, c0 = self._frame()
+        e = self.even_coefficients()
+        K = len(e) - 1
+        pairs = [((-1) ** k * e[k], (alpha * k) ** 2) for k in range(1, K + 1) if e[k]]
+        edge = alpha * K + 1
+        acc = mpf(0)
+        for g in ordinates:
+            if abs(g) <= edge:
+                acc += e[0] * _sinc(g, L) + mp.fsum(
+                    e[k] * (_sinc(g - alpha * k, L) + _sinc(g + alpha * k, L)) / 2
+                    for k in range(1, K + 1))
             else:
-                term = mp.sin(zL) / z
-            acc.append(_num(v) * term)
-        return 2 * c0 * mp.fsum(acc)
+                g2 = g * g
+                acc += mp.sin(g * L) * (e[0] / g + g * sum(c / (g2 - b) for c, b in pairs))
+        return 4 * c0 * acc
 
     def __repr__(self):
         return f"LogBandFunction(lam2={self.lam2}, K={self.half_width_index})"

@@ -4,14 +4,19 @@ The explicit formula pairs the zero side
 
     f^(i/2) + f^(-i/2) - sum_{zeros} f^(s)
 
-with the prime/archimedean side W_R(f) + sum_p W_p(f).  For test functions
-supported in [lambda^-1, lambda] the prime side is a finite sum over prime
-powers below lambda^2, which is what makes the quadratic form
+with the prime/archimedean side W_R(f) + sum_p W_p(f).  For a band function
+f (bandfn.LogBandFunction, supported in [lambda^-1, lambda]) every term is a
+closed form: the zero sum costs one sine per zero
+(LogBandFunction.mellin_pair_sum), W_R(f) is K+1 digamma values plus one
+geometric series, and the prime side is a finite sum over prime powers below
+lambda, so the explicit formula runs no quadrature.  The same finiteness
+makes the quadratic form
 
     QW(f, g) = sum_{zeros} conj(f^) g^
 
 computable without any zero table: QW(f, g) = h^(i/2) + h^(-i/2) - W_R(h)
-- sum_p W_p(h) with h = f * g~.
+- sum_p W_p(h) with h = f * g~, whose prime sum runs over prime powers below
+lambda^2.
 
 weil_gram assembles the Gram matrix of QW over the orthonormal log-Fourier
 basis.  In that basis everything collapses: pole and prime terms are closed
@@ -31,9 +36,11 @@ projected and solved as these two blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from mpmath import mp, mpf
 
+from zetalab.bandfn import LogBandFunction
 from zetalab.precision import HPMatrix, jacobi_eigensystem, orthonormalize
 from zetalab.zerotable import ZeroTable
 
@@ -107,17 +114,81 @@ def _quad_checked(integrand, interval, precision_bits):
     return +val
 
 
+def _decay_series(x, term_bound, tol):
+    """The pairs (a_n, x^(-2 a_n)), a_n = 2n + 1/2, n < N, of a series
+
+        sum_{n>=0} x^(-2 a_n) t_n,   |t_n| <= term_bound(a_n),
+
+    as e^(t/2)/sinh t = 2 sum_n e^(-a_n t) produces it from an integral
+    beyond T, with x = e^(T/2) > 1 and term_bound nonincreasing.  The weights
+    fall by x^-4 per term, so the terms n >= N sum to at most
+    x^(-2 a_N) term_bound(a_N)/(1 - x^-4); N is the first index where that
+    tail bound is below tol.
+    """
+    ratio = x**-4
+    terms = []
+    a, g = mpf(1) / 2, 1 / x
+    while g * term_bound(a) / (1 - ratio) >= tol:
+        terms.append((a, g))
+        a, g = a + 2, g * ratio
+    return terms
+
+
+def _w_arch_band(f: LogBandFunction, precision_bits):
+    """W_R(f) for a band function, in closed form:
+
+        W_R(f) = c0 sum_{k>=0} e_k [log pi - Re psi(1/4 + i alpha k/2)
+                 - 2 (-1)^k sum_n lambda^(-a_n) a_n/(a_n^2 + alpha^2 k^2)],
+
+    with e_k = f.even_coefficients(), a_n = 2n + 1/2 and lambda = e^L.  For
+    one basis function, f(e^t) + f(e^-t) = 2 c0 cos(beta t) on |t| <= L with
+    beta = alpha k, and W_R is (log 4pi + gamma) f(1) + int_0^inf [f(e^t) +
+    f(e^-t) - 2 f(1) e^(-t/2)] e^(t/2)/(2 sinh t) dt.  Over [0, inf) that is
+    the digamma value log pi - Re psi(1/4 + i beta/2); the part beyond L is
+    subtracted with e^(t/2)/sinh t = 2 sum_n e^(-a_n t) and e^(i beta L) =
+    (-1)^k, which gives the series, while the constant's share beyond L,
+    int_L^inf dt/sinh t = 2 artanh(1/lambda), cancels exactly against the
+    -f(1) log coth(L/2) = -2 f(1) artanh(1/lambda) of the truncated support.
+    Tail: |2 a/(a^2 + beta^2)| <= 2/a and the weights fall by lambda^-2, so
+    _decay_series stops each basis value within 2^-(precision_bits + _GUARD)
+    of its series; W_R(f) is then within c0 sum_k |e_k| times that, plus
+    rounding.
+    """
+    L = f.log_halfwidth()
+    alpha = mp.pi / L
+    terms = _decay_series(mp.exp(L / 2), lambda a: 2 / a, mpf(2) ** -(precision_bits + _GUARD))
+    log_pi = mp.log(mp.pi)
+    acc = mpf(0)
+    for k, e in enumerate(f.even_coefficients()):
+        if not e:
+            continue
+        b2 = (alpha * k) ** 2
+        series = 2 * mp.fsum(g * a / (a * a + b2) for a, g in terms)
+        psi = mp.digamma(mp.mpc(mpf(1) / 4, alpha * k / 2))
+        acc += e * (log_pi - mp.re(psi) - (-1) ** k * series)
+    return acc / mp.sqrt(2 * L)
+
+
 def w_arch(f, precision_bits: int = 256, breakpoints=()):
     """(log 4pi + gamma) f(1) + the archimedean principal-value integral.
 
-    Band functions (anything with evaluate_log_minus_center) use the exact
-    cancellation-free integrand plus a closed-form tail beyond the support;
-    a plain callable f(x) is integrated over [0, inf) in log coordinates
-    with local precision boosts near the removable singularity at x = 1.
-    Known kinks of a callable f (in log coordinates) can be passed as
-    breakpoints so the quadrature splits there.
+    Three routes, by input:
+      - a LogBandFunction takes the closed form of _w_arch_band (K+1 digamma
+        values and one geometric series, no quadrature);
+      - any other band function (anything with evaluate_log_minus_center,
+        such as a ConvolvedBandFunction) is integrated over its support with
+        the exact cancellation-free integrand, plus a closed-form tail beyond
+        it;
+      - a plain callable f(x) is integrated over [0, inf) in log coordinates
+        with local precision boosts near the removable singularity at x = 1.
+        Known kinks of f (in log coordinates) can be passed as breakpoints so
+        the quadrature splits there.
+    The two quadrature routes are the tests' independent oracle for the
+    closed form.
     """
     with mp.workprec(precision_bits + _GUARD):
+        if isinstance(f, LogBandFunction):
+            return +_w_arch_band(f, precision_bits)
         if hasattr(f, "evaluate_log_minus_center"):
             S = f.log_halfwidth()
             f1 = f.value_at_one()
@@ -176,7 +247,10 @@ def explicit_formula_profile(
 ) -> list[ExplicitFormulaCheck]:
     """Explicit-formula checks at several nested table prefixes, reusing the
     partial zero sums (table_sizes must be nonempty, increasing and within
-    the table)."""
+    the table).  f must be a LogBandFunction: its zero sum costs one sine per
+    zero (LogBandFunction.mellin_pair_sum) and its W_R is a closed form."""
+    if not isinstance(f, LogBandFunction):
+        raise TypeError(f"the explicit formula takes a LogBandFunction, not {type(f).__name__}")
     sizes = list(table_sizes)
     if not sizes or sizes != sorted(sizes) or sizes[0] < 0 or sizes[-1] > len(zeros):
         raise ValueError("table_sizes must be nonempty, increasing and within the table")
@@ -191,9 +265,7 @@ def explicit_formula_profile(
         zsum = mpf(0)
         done = 0
         for size in sizes:
-            zsum += mp.fsum(
-                f.mellin(g) + f.mellin(-g) for g in zeros.ordinates[done:size]
-            )
+            zsum += f.mellin_pair_sum(islice(zeros.ordinates, done, size))
             done = size
             lhs = pole - zsum
             out.append(ExplicitFormulaCheck(+lhs, +rhs, +(lhs - rhs), size))
@@ -236,13 +308,8 @@ def _arch_integrals(K, L, alpha, c2, precision_bits):
     than that plus rounding.
     """
     lam = mp.exp(L)
-    ratio = lam**-4
-    tol = mpf(2) ** -(precision_bits + _GUARD)
-    terms = []  # (a_n, lambda^-(4n+1))
-    a, g = mpf(1) / 2, 1 / lam
-    while max(1, 2 * c2 / a) * g / (a * (1 - ratio)) >= tol:
-        terms.append((a, g))
-        a, g = a + 2, g * ratio
+    # (a_n, lambda^-(4n+1)) with x = lambda, T = 2L
+    terms = _decay_series(lam, lambda a: max(1, 2 * c2 / a) / a, mpf(2) ** -(precision_bits + _GUARD))
     const = mp.digamma(mpf(1) / 2) + 2 * mp.atanh(lam**-2)
     I, J = {}, {}
     for k in range(K + 1):
@@ -405,10 +472,13 @@ def _project_out(rows, constraint, precision_bits):
     if len(comp) != n - len(basis):
         raise ArithmeticError("projection basis completion failed")
     av = [[mp.fsum(rows[i][j] * c[j] for j in range(n)) for c in comp] for i in range(n)]
-    return [
-        [mp.fsum(comp[a][i] * av[i][b] for i in range(n)) for b in range(len(comp))]
-        for a in range(len(comp))
-    ]
+    # the upper triangle, mirrored: the compression is exactly symmetric
+    m = len(comp)
+    out = [[None] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a, m):
+            out[a][b] = out[b][a] = mp.fsum(comp[a][i] * av[i][b] for i in range(n))
+    return out
 
 
 def _gram_entry_error(lam2, K, precision_bits):
@@ -482,8 +552,7 @@ def weil_gram_spectrum(
     the sorted eigenvalues then move by at most ||E||_2 <= n e, with n = K + 1
     the larger block's dimension.  Projection compresses E to Q^T E Q, whose
     2-norm is no larger.  The rounding of the projection itself is not in the
-    bound, nor is HPMatrix's averaging of the projected blocks' unequal
-    symmetric pairs at precision_bits + 16 bits.
+    bound.
     """
     eigenvalues = []
     residual = mpf(0)

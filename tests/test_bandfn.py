@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 from zetalab.bandfn import LogBandFunction, star_convolve
+from zetalab.zerotable import bundled_zero_table
 
 
 @pytest.fixture(autouse=True)
@@ -88,6 +89,38 @@ class TestLogBandFunction:
         on_grid = f.mellin(3 * alpha)
         near = f.mellin(3 * alpha + mpf(10) ** -30)
         assert abs(on_grid - near) < mpf(10) ** -25
+
+    @pytest.mark.parametrize("lam2", [3, 11])
+    def test_pair_sum_matches_mellin(self, lam2):
+        # complex coefficients with an odd part (v_k != v_-k), which the pair
+        # sum must drop; table ordinates (pair form) and points on and next to
+        # the grid alpha k (term-by-term form), against mellin 64 bits higher
+        coeffs = {0: mp.mpc(1, 0.5), 1: Fraction(1, 3), -1: mp.mpc(-0.25, 2),
+                  2: mp.mpc(0, 1), 3: mp.mpc(0.5, -0.5), -3: Fraction(2, 7)}
+        f = band(coeffs, lam2=lam2)
+        p, L = mp.prec, f.log_halfwidth()
+        alpha, c0 = mp.pi / L, 1 / mp.sqrt(2 * L)
+        K = f.half_width_index
+        size = 4 * c0 * mp.fsum(abs(e) for e in f.even_coefficients())
+
+        def tolerance(ordinates):
+            # per ordinate, sin(gL) carries an absolute error of about
+            # 2^-p (|g| L + 1), the rational part (at most 2 size/(4 c0) in
+            # absolute value) a relative one of about 2^-p (2 alpha K + 1),
+            # and the term-by-term form near the grid no more; 2^8 covers the
+            # small constants and the reference's own error
+            return mp.fsum(mpf(2) ** (8 - p) * size * (2 + L * abs(g) + 2 * alpha * K)
+                           for g in ordinates)
+
+        def reference(ordinates):
+            with mp.workprec(p + 64):
+                return mp.fsum(f.mellin(g) + f.mellin(-g) for g in ordinates)
+
+        grid = [alpha * k + d for k in range(K + 1) for d in (0, mpf(10) ** -30, -mpf(10) ** -60)]
+        for g in grid:
+            assert abs(f.mellin_pair_sum([g]) - reference([g])) <= tolerance([g])
+        table = bundled_zero_table().ordinates[:300]
+        assert abs(f.mellin_pair_sum(table) - reference(table)) <= tolerance(table)
 
 
 class TestStarConvolve:

@@ -113,6 +113,25 @@ class TestWArch:
             gen_val = w_arch(generic, 160, breakpoints=[mp.log(2)])
             assert abs(band_val - gen_val) < mpf(10) ** -40
 
+    @pytest.mark.parametrize("lam2", ["1.2", "4", "11"])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            LogBandFunction.cosine_power(4, 3, modulation=1).coeffs,
+            {1: 1, -1: -1},  # odd: f(1) = 0 and W_R(f) = 0
+            {0: mpc(1, 0.5), 1: Fraction(1, 3), -1: mpc(-0.25, 2), 2: 1j, -3: Fraction(2, 7)},
+        ],
+        ids=["cosine-power", "odd", "complex"],
+    )
+    def test_closed_form_matches_generic(self, lam2, coeffs):
+        # the closed form (no quadrature) against the plain-callable route
+        bits = 128
+        f = LogBandFunction(mpf(lam2), coeffs)
+        closed = w_arch(f, bits)
+        with mp.workprec(bits + 48):
+            generic = w_arch(lambda x: f.evaluate(x), bits, breakpoints=[f.log_halfwidth()])
+        assert abs(closed - generic) < mpf(2) ** -(bits - 8)
+
     def test_vanishing_at_one_truncates(self):
         # f(1) = 0: no distributional term, integral over the band only
         f = LogBandFunction(4, {1: 1, -1: -1})  # odd combination: f(1) = 0
@@ -135,6 +154,16 @@ class TestExplicitFormula:
     def test_truncation_dominates_short_table(self, bump_profile):
         profile = bump_profile
         assert abs(profile[0].residual) > 1000 * abs(profile[1].residual)
+
+    @pytest.mark.parametrize("make", [
+        lambda: star_convolve(LogBandFunction(4, {0: 1}), LogBandFunction(4, {1: 1})),
+        lambda: (lambda x: x),
+    ], ids=["convolved", "callable"])
+    def test_rejects_non_band_function(self, zeros, make):
+        with pytest.raises(TypeError):
+            explicit_formula_residual(make(), zeros.truncated(10), 128)
+        with pytest.raises(TypeError):
+            explicit_formula_profile(make(), zeros, [10], 128)
 
     def test_rejects_bad_sizes(self, zeros):
         f = LogBandFunction.cosine_power(4, 4)
@@ -333,6 +362,21 @@ class TestWeilGram:
                 for got, f in ((I[k], i_integrand), (J[k], j_integrand)):
                     want = _quad_checked(lambda t: f(t, b), [0, 2 * L], bits)
                     assert abs(got - want) < mpf(2) ** -(bits + 8)
+
+    def test_projected_blocks_exactly_symmetric(self):
+        # the projection forms one triangle and mirrors it, so HPMatrix has no
+        # unequal pair to average
+        from zetalab.weil import _GUARD, _project_out, _real_basis_gram
+
+        lam2, K, bits = 5, 16, 128
+        G = weil_gram_complex(lam2, K, bits)
+        with mp.workprec(bits + _GUARD):
+            blocks = _real_basis_gram(G, K, bits)
+            cons = pole_constraint_vectors(lam2, K, bits)
+            for block, con in zip(blocks, cons):
+                rows = _project_out(block, con, bits)
+                n = len(rows)
+                assert sum(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)) == 0
 
     def test_entry_error_covers_gram(self):
         # every parity-block entry at 128 bits is within both entry-error
