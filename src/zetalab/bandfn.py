@@ -15,7 +15,8 @@ exact form; its Mellin transform factorizes through the inputs.
 
 Coefficients may be ints, Fractions, floats or mpmath numbers; they are
 converted under the ambient mpmath precision at evaluation time, so the same
-object can be used at any working precision.
+object can be used at any working precision.  ConvolvedBandFunction builds its
+piece table once per precision and keeps it.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ class ConvolvedBandFunction(Immutable):
     with alpha the input band's frequency step; support is |t| <= 2L.
     """
 
-    __slots__ = ("lam2", "f", "g")
+    __slots__ = ("lam2", "f", "g", "_pieces_at")
 
     def __init__(self, f: LogBandFunction, g: LogBandFunction):
         if f.lam2 != g.lam2:
@@ -223,12 +224,21 @@ class ConvolvedBandFunction(Immutable):
         object.__setattr__(self, "lam2", f.lam2)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
+        object.__setattr__(self, "_pieces_at", {})
 
     def log_halfwidth(self):
         return mp.log(_num(self.lam2))  # 2L of the inputs
 
     def _pieces(self):
-        """Coefficient arrays (p_pos, q_pos, p_neg, q_neg) as dicts over m."""
+        """The pieces under the ambient precision, built once per precision."""
+        pieces = self._pieces_at.get(mp.prec)
+        if pieces is None:
+            pieces = self._pieces_at[mp.prec] = self._build_pieces()
+        return pieces
+
+    def _build_pieces(self):
+        """Coefficient arrays (p_pos, q_pos, p_neg, q_neg) as dicts over m,
+        with alpha and L: O(K^2) mpmath sums."""
         L = self.f.log_halfwidth()
         alpha = mp.pi / L
         c2 = 1 / (2 * L)

@@ -17,25 +17,34 @@ orthocomplement of the k-dimensional prolate-vector subspace.  The zeta-cycle
 check reads one spectrum per ordinate: at the circle length
 resonant_lambda(m, gamma) an eigenvalue reproduces a zero gamma, while a fake
 ordinate finds no eigenvalue that close.  dirac_spectrum reports the spectrum
-and, for each table ordinate up to its top eigenvalue, the distance to the
-nearest eigenvalue.
+and, for each ordinate of a ZeroTable up to its top eigenvalue, the distance
+to the nearest eigenvalue.
+
+What does not change between calls is built once: the Gauss-Legendre rule of
+each node count (leggauss is a dense O(n^3) eigensolve) is cached, at most
+128 rules, and a table's float64 ordinates are cached on the table.  Per
+call, the circle phases exp(-i alpha m t) over the modes m = -M..M are
+products of two small exponential tables, and the compression of D0 is a
+rank-2k update.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from mpmath import mp, mpf
 
 from zetalab.weil import _GUARD
+from zetalab.zerotable import ZeroTable
 
 _EXTRA = 2  # prolates beyond k: the constraints f(0) = f^(0) = 0 use up two
 _RANK_TOL = 1e-8  # least singular-value ratio of the constrained E-images
 _DEPTH = 1  # Poincare levels lambda^(2j), j = 0..-_DEPTH, in each E-image
 _MODE_CUT = 256  # least mode cut M of the prolate frame
 _MAX_TERMS = 400  # terms per side of a Poincare sum without compact support
+_PHASE_BLOCK = 32  # modes per block of the factored phase table
 
 
 class ProlateRankError(RuntimeError):
@@ -162,15 +171,45 @@ def pswf_basis(lam: float, count: int) -> np.ndarray:
 # -- prolate vectors on the circle ---------------------------------------------
 
 
+@lru_cache(maxsize=128)
+def _gauss_legendre(n: int):
+    """leggauss(n), nodes and weights on [-1, 1], built once per node count
+    and shared by every caller, hence read-only.  Node counts run from 24 to
+    3.5 M + 24 (920 at the least mode cut), so the 128 rules kept hold a few
+    MB."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _phase_table(alpha: float, M: int, t: np.ndarray) -> np.ndarray:
+    """exp(-i alpha m t) for the modes m = -M..M (rows) at the nodes t.
+
+    With m = -M + B a + b and 0 <= b < B = _PHASE_BLOCK, each entry is the
+    product hi[a] lo[b] of exp(-i alpha (B a - M) t) and exp(-i alpha b t),
+    so about (2M+1)/B + B exponentials per node replace 2M+1.  Like the
+    direct exp(-i alpha m t), the factors round arguments of size up to
+    alpha M max|t|, and the product adds a few eps: both forms lie within a
+    few eps (1 + alpha M max|t|) of the exact phase.
+    """
+    blocks = -(-(2 * M + 1) // _PHASE_BLOCK)
+    hi = np.exp(-1j * alpha * np.outer(_PHASE_BLOCK * np.arange(blocks) - M, t))
+    lo = np.exp(-1j * alpha * np.outer(np.arange(_PHASE_BLOCK), t))
+    return (hi[:, None, :] * lo[None, :, :]).reshape(-1, len(t))[: 2 * M + 1]
+
+
 def _truncated_prolate_E_coefficients(coeffs: np.ndarray, lam: float, M: int):
     """Circle Fourier coefficients of the Poincare-periodized E-images of the
     time-limited prolates g_i(x) = psi_i(x/lambda)/sqrt(lambda).
 
     v_i(t) = sum_{j<=0} E(g_i)(lambda^(2j) e^t); the j = 0 term is piecewise
     smooth with breakpoints where terms f(n x) enter, so the quadrature is
-    segment-by-segment Gauss-Legendre sized to the top oscillation.  Levels
-    down to -_DEPTH are included (their own kinks are weaker by the level's
-    magnitude and need no extra breakpoints).
+    segment-by-segment Gauss-Legendre sized to the top oscillation, each
+    segment's rule taken from the _gauss_legendre cache.  Levels down to
+    -_DEPTH are included (their own kinks are weaker by the level's
+    magnitude and need no extra breakpoints).  The phases over the 2M+1
+    modes come from the factored _phase_table.
     """
     lam = float(lam)
     L = np.log(lam)
@@ -181,7 +220,7 @@ def _truncated_prolate_E_coefficients(coeffs: np.ndarray, lam: float, M: int):
     for a, b in zip(cuts[:-1], cuts[1:]):
         width = b - a
         n_nodes = int(M * width / (2 * L) * 3.5) + 24
-        x, w = np.polynomial.legendre.leggauss(n_nodes)
+        x, w = _gauss_legendre(n_nodes)
         t = 0.5 * (a + b) + 0.5 * width * x
         rows.append((t, 0.5 * width * w))
     t_all = np.concatenate([r[0] for r in rows])
@@ -198,9 +237,8 @@ def _truncated_prolate_E_coefficients(coeffs: np.ndarray, lam: float, M: int):
                 continue
             vals[inside] += su[inside, None] * _prolate_values(coeffs, arg[inside])
     vals /= np.sqrt(lam)
-    ms = np.arange(-M, M + 1)
-    phases = np.exp(-1j * alpha * np.outer(ms, t_all)) / np.sqrt(2 * L)
-    return phases @ (w_all[:, None] * vals)  # (2M+1, count)
+    phases = _phase_table(alpha, M, t_all)
+    return phases @ (w_all[:, None] * vals) / np.sqrt(2 * L)  # (2M+1, count)
 
 
 def resonant_lambda(m: int, ordinate: float) -> float:
@@ -251,7 +289,13 @@ class SpectralReport:
 
 def dirac_matrix(lam: float, frame: np.ndarray, basis_size: int) -> np.ndarray:
     """(1 - Pi) D0 (1 - Pi) in the log-Fourier basis; D0 = diag(pi m / L) and
-    Pi projects on the prolate frame truncated to modes -M..M."""
+    Pi = Q Q^H projects on the prolate frame truncated to modes -M..M and
+    re-orthonormalized (Q is n x k, n = basis_size).
+
+    Expanded, (1 - Pi) D0 (1 - Pi) = D0 - (W Q^H + Q W^H) with
+    W = D0 Q - Q C/2 and C = Q^H D0 Q: a rank-2k update of O(n^2 k) in place
+    of two dense n^3 products, exactly Hermitian, and within a few
+    eps max|d0| of the dense product entrywise."""
     if basis_size % 2 == 0:
         raise ValueError("basis_size must be odd (modes -M..M)")
     M = (basis_size - 1) // 2
@@ -267,18 +311,25 @@ def dirac_matrix(lam: float, frame: np.ndarray, basis_size: int) -> np.ndarray:
             f"basis_size {basis_size} too small for the projection rank "
             f"(singular value {s[-1]:.2e} after truncation)"
         )
-    comp = np.eye(basis_size) - q @ q.conj().T
-    return comp @ np.diag(d0).astype(complex) @ comp
+    dq = d0[:, None] * q
+    x = (dq - q @ (q.conj().T @ dq) / 2) @ q.conj().T  # W Q^H
+    out = -(x + x.conj().T)
+    out[np.diag_indices(basis_size)] += d0
+    return out
 
 
-def dirac_spectrum(lam: float, k: int, basis_size: int, zeros) -> SpectralReport:
-    """Spectrum of D(lambda, k) against an ascending table of ordinates."""
+def dirac_spectrum(lam: float, k: int, basis_size: int, zeros: ZeroTable) -> SpectralReport:
+    """Spectrum of D(lambda, k) against the ordinates of a ZeroTable, read
+    from the table's cached float64 view."""
+    if not isinstance(zeros, ZeroTable):
+        raise TypeError(f"dirac_spectrum takes a ZeroTable, not {type(zeros).__name__}")
     if basis_size < 2 * k + 8:
         raise ValueError("basis_size must be at least 2k + 8")
     M = (basis_size - 1) // 2
     frame = prolate_vectors(lam, k, max(M, _MODE_CUT))
     eigs = np.linalg.eigvalsh(dirac_matrix(lam, frame, basis_size))
-    ords = np.array([float(g) for g in zeros[: bisect_right(zeros, float(eigs[-1]))]])
+    table = zeros.float_ordinates()
+    ords = table[: np.searchsorted(table, eigs[-1], side="right")]
     i = np.clip(np.searchsorted(eigs, ords), 1, len(eigs) - 1)
     errors = np.minimum(np.abs(ords - eigs[i - 1]), np.abs(eigs[i] - ords))
     return SpectralReport(eigs, errors)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 from mpmath import mp, mpf
 
 from zetalab.immutable import Immutable
@@ -29,7 +30,7 @@ class ZeroTableError(ValueError):
 class ZeroTable(Immutable):
     """Strictly increasing positive ordinates with source metadata."""
 
-    __slots__ = ("ordinates", "source")
+    __slots__ = ("ordinates", "source", "_floats")
 
     def __init__(self, ordinates, source: str = ""):
         ordinates = list(ordinates)
@@ -52,6 +53,7 @@ class ZeroTable(Immutable):
             )
         object.__setattr__(self, "ordinates", ordinates)
         object.__setattr__(self, "source", source)
+        object.__setattr__(self, "_floats", None)
 
     def __len__(self) -> int:
         return len(self.ordinates)
@@ -61,6 +63,15 @@ class ZeroTable(Immutable):
 
     def __iter__(self):
         return iter(self.ordinates)
+
+    def float_ordinates(self) -> np.ndarray:
+        """The ordinates rounded to float64, a read-only array built on first
+        use and kept on the table."""
+        if self._floats is None:
+            floats = np.fromiter(map(float, self.ordinates), float, len(self.ordinates))
+            floats.flags.writeable = False
+            object.__setattr__(self, "_floats", floats)
+        return self._floats
 
     def truncated(self, n: int) -> "ZeroTable":
         """Prefix table with the first n ordinates."""

@@ -160,6 +160,19 @@ class TestStarConvolve:
             quad = mp.quad(lambda t: h.evaluate_log(t) * mp.expj(-s * t), [-S, 0, S])
             assert abs(closed - quad) < mpf(10) ** -30
 
+    def test_pieces_follow_the_working_precision(self):
+        # pieces are kept per precision: a value at 64 bits after use at 240
+        # equals a fresh object's, and the 240-bit value is unchanged
+        f = band({0: 1, 1: Fraction(1, 3)})
+        g = band({-1: Fraction(2, 5), 2: 1})
+        h = star_convolve(f, g)
+        t = mpf(1) / 7
+        high = h.evaluate_log(t)
+        with mp.workprec(64):
+            assert h.evaluate_log(t) == star_convolve(f, g).evaluate_log(t)
+            assert h.value_at_one() == star_convolve(f, g).value_at_one()
+        assert h.evaluate_log(t) == high == star_convolve(f, g).evaluate_log(t)
+
     def test_requires_same_band(self):
         with pytest.raises(ValueError):
             star_convolve(band({0: 1}, lam2=4), band({0: 1}, lam2=9))

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from zetalab.scaling import dirac_spectrum, poincare_sum, resonant_lambda
+from zetalab.scaling import (
+    _gauss_legendre,
+    _phase_table,
+    dirac_matrix,
+    dirac_spectrum,
+    poincare_sum,
+    resonant_lambda,
+)
 from zetalab.zerotable import bundled_zero_table
 
 # the zeta-cycle protocol: circle length resonant_lambda(4, ordinate), k = 2
@@ -18,7 +25,7 @@ def _spectrum(ordinate, zeros):
     return dirac_spectrum(resonant_lambda(M_CYCLE, ordinate), K, BASIS, zeros)
 
 
-@pytest.mark.parametrize("index, bound", [(1, 1e-11), (2, 1e-8)])
+@pytest.mark.parametrize("index, bound", [(1, 1e-11), (2, 1e-8), (3, 1e-5)])
 def test_resonant_zero_is_reproduced(zeros, index, bound):
     report = _spectrum(float(zeros[index - 1]), zeros)
     eigs = report.eigenvalues
@@ -42,6 +49,51 @@ def test_fake_ordinate_is_not_reproduced(zeros, fake):
 def test_dirac_spectrum_rejects_bad_sizes(zeros, k, basis_size):
     with pytest.raises(ValueError):
         dirac_spectrum(resonant_lambda(M_CYCLE, 14.5), k, basis_size, zeros)
+
+
+def test_dirac_spectrum_takes_a_zero_table(zeros):
+    ordinates = [float(g) for g in zeros[:40]]
+    with pytest.raises(TypeError):
+        dirac_spectrum(resonant_lambda(M_CYCLE, 14.5), K, BASIS, ordinates)
+
+
+def test_gauss_legendre_is_cached_and_read_only():
+    x, w = _gauss_legendre(37)
+    want_x, want_w = np.polynomial.legendre.leggauss(37)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    assert not x.flags.writeable and not w.flags.writeable
+    again = _gauss_legendre(37)
+    assert again[0] is x and again[1] is w
+
+
+@pytest.mark.parametrize("M", [5, 150, 256])
+def test_phase_table_matches_direct(M):
+    lam = resonant_lambda(M_CYCLE, 21.0)
+    L = np.log(lam)
+    alpha = np.pi / L
+    t = np.linspace(-L, L, 97)
+    direct = np.exp(-1j * alpha * np.outer(np.arange(-M, M + 1), t))
+    got = _phase_table(alpha, M, t)
+    eps = np.finfo(float).eps
+    assert got.shape == direct.shape
+    assert np.abs(got - direct).max() <= 4 * eps * (1 + alpha * M * np.abs(t).max())
+
+
+def test_rank_2k_dirac_matrix_matches_dense():
+    # a random orthonormal complex frame with exactly basis_size modes, so the
+    # truncation keeps it whole and its SVD gives the Q that dirac_matrix uses
+    lam, n, k = 1.3, 61, 4
+    rng = np.random.default_rng(7)
+    frame, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+    got = dirac_matrix(lam, frame, n)
+    q, _, _ = np.linalg.svd(frame, full_matrices=False)
+    d0 = np.pi * np.arange(-(n // 2), n // 2 + 1) / np.log(lam)
+    comp = np.eye(n) - q @ q.conj().T
+    dense = comp @ np.diag(d0) @ comp
+    tol = 64 * np.finfo(float).eps * np.abs(d0).max()
+    assert np.array_equal(got, got.conj().T)
+    assert np.abs(got - dense).max() <= tol
+    assert np.abs(np.linalg.eigvalsh(got) - np.linalg.eigvalsh(dense)).max() <= tol
 
 
 def test_poincare_sum_invariant_and_accurate():

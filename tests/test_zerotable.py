@@ -48,6 +48,13 @@ class TestParse:
         with pytest.raises(ValueError):
             t.truncated(7)
 
+    def test_float_ordinates_cached_and_read_only(self):
+        t = parse_zero_table(SAMPLE)
+        floats = t.float_ordinates()
+        assert floats.tolist() == [float(g) for g in t]
+        assert not floats.flags.writeable
+        assert t.float_ordinates() is floats
+
 
 class TestLoad:
     def test_roundtrip(self, tmp_path):
