@@ -22,7 +22,8 @@ to the nearest eigenvalue.
 
 What does not change between calls is built once: the Gauss-Legendre rule of
 each node count (leggauss is a dense O(n^3) eigensolve) is cached, at most
-128 rules, and a table's float64 ordinates are cached on the table.  Per
+128 rules; node counts are rounded up to multiples of 32, so circle lengths
+share rules.  A table's float64 ordinates are cached on the table.  Per
 call, the circle phases exp(-i alpha m t) over the modes m = -M..M are
 products of two small exponential tables, and the compression of D0 is a
 rank-2k update.
@@ -45,6 +46,7 @@ _DEPTH = 1  # Poincare levels lambda^(2j), j = 0..-_DEPTH, in each E-image
 _MODE_CUT = 256  # least mode cut M of the prolate frame
 _MAX_TERMS = 400  # terms per side of a Poincare sum without compact support
 _PHASE_BLOCK = 32  # modes per block of the factored phase table
+_NODE_STEP = 32  # Gauss-Legendre node counts are multiples of this
 
 
 class ProlateRankError(RuntimeError):
@@ -174,9 +176,9 @@ def pswf_basis(lam: float, count: int) -> np.ndarray:
 @lru_cache(maxsize=128)
 def _gauss_legendre(n: int):
     """leggauss(n), nodes and weights on [-1, 1], built once per node count
-    and shared by every caller, hence read-only.  Node counts run from 24 to
-    3.5 M + 24 (920 at the least mode cut), so the 128 rules kept hold a few
-    MB."""
+    and shared by every caller, hence read-only.  Node counts are multiples
+    of _NODE_STEP up to 3.5 M + 24 rounded up (928 at the least mode cut, so
+    at most 29 counts there), and the 128 rules kept hold a few MB."""
     x, w = np.polynomial.legendre.leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
@@ -199,27 +201,41 @@ def _phase_table(alpha: float, M: int, t: np.ndarray) -> np.ndarray:
     return (hi[:, None, :] * lo[None, :, :]).reshape(-1, len(t))[: 2 * M + 1]
 
 
+def _segments(lam: float, M: int) -> list[tuple[float, float, int]]:
+    """The quadrature segments (a, b, node count) of the E-images in
+    t = log u on [-L, L]: the breakpoints are where the terms f(n x) enter,
+    t = log(lambda/n).  Each count is sized to the top oscillation,
+    3.5 M (b - a)/(2L) + 24, and rounded up to a multiple of _NODE_STEP,
+    so that the node counts, and with them the _gauss_legendre rules, are
+    few whatever lambda is."""
+    L = np.log(lam)
+    nmax0 = int(np.floor(lam * lam))
+    cuts = sorted({-L, L} | {np.log(lam / n) for n in range(1, nmax0 + 1) if -L < np.log(lam / n) < L})
+    out = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        n_nodes = int(M * (b - a) / (2 * L) * 3.5) + 24
+        out.append((a, b, -(-n_nodes // _NODE_STEP) * _NODE_STEP))
+    return out
+
+
 def _truncated_prolate_E_coefficients(coeffs: np.ndarray, lam: float, M: int):
     """Circle Fourier coefficients of the Poincare-periodized E-images of the
     time-limited prolates g_i(x) = psi_i(x/lambda)/sqrt(lambda).
 
     v_i(t) = sum_{j<=0} E(g_i)(lambda^(2j) e^t); the j = 0 term is piecewise
     smooth with breakpoints where terms f(n x) enter, so the quadrature is
-    segment-by-segment Gauss-Legendre sized to the top oscillation, each
-    segment's rule taken from the _gauss_legendre cache.  Levels down to
-    -_DEPTH are included (their own kinks are weaker by the level's
-    magnitude and need no extra breakpoints).  The phases over the 2M+1
+    segment-by-segment Gauss-Legendre (_segments), each segment's rule taken
+    from the _gauss_legendre cache.  Levels down to -_DEPTH are included
+    (their own kinks are weaker by the level's magnitude and need no extra
+    breakpoints).  The phases over the 2M+1
     modes come from the factored _phase_table.
     """
     lam = float(lam)
     L = np.log(lam)
     alpha = np.pi / L
-    nmax0 = int(np.floor(lam * lam))
-    cuts = sorted({-L, L} | {np.log(lam / n) for n in range(1, nmax0 + 1) if -L < np.log(lam / n) < L})
     rows = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
+    for a, b, n_nodes in _segments(lam, M):
         width = b - a
-        n_nodes = int(M * width / (2 * L) * 3.5) + 24
         x, w = _gauss_legendre(n_nodes)
         t = 0.5 * (a + b) + 0.5 * width * x
         rows.append((t, 0.5 * width * w))

@@ -175,10 +175,10 @@ def w_arch(f, precision_bits: int = 256, breakpoints=()):
     Three routes, by input:
       - a LogBandFunction takes the closed form of _w_arch_band (K+1 digamma
         values and one geometric series, no quadrature);
-      - any other band function (anything with evaluate_log_minus_center,
-        such as a ConvolvedBandFunction) is integrated over its support with
-        the exact cancellation-free integrand, plus a closed-form tail beyond
-        it;
+      - any other band function (duck-typed: anything with log_halfwidth,
+        value_at_one and evaluate_log_minus_center, such as the tests' exact
+        convolution f * g~) is integrated over its support with the exact
+        cancellation-free integrand, plus a closed-form tail beyond it;
       - a plain callable f(x) is integrated over [0, inf) in log coordinates
         with local precision boosts near the removable singularity at x = 1.
         Known kinks of f (in log coordinates) can be passed as breakpoints so

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from zetalab.bandfn import LogBandFunction, star_convolve
+from convolved_band import star_convolve
+from zetalab.bandfn import LogBandFunction
 from zetalab.zerotable import bundled_zero_table
 
 
@@ -121,6 +122,60 @@ class TestLogBandFunction:
             assert abs(f.mellin_pair_sum([g]) - reference([g])) <= tolerance([g])
         table = bundled_zero_table().ordinates[:300]
         assert abs(f.mellin_pair_sum(table) - reference(table)) <= tolerance(table)
+
+    def test_pair_sum_within_stated_bound(self, bump_prefix):
+        f, table, want = bump_prefix
+        with mp.workprec(256):
+            got = f.mellin_pair_sum(table)
+            assert abs(got - want) <= pair_sum_bound(f, table, got)
+
+    def test_pair_sum_follows_the_working_precision(self, bump_prefix):
+        # the 128- and 256-bit sums each meet their own bound and agree within
+        # the 128-bit one; the 256-bit sum is not a 128-bit number
+        f, table, want = bump_prefix
+        with mp.workprec(128):
+            low = f.mellin_pair_sum(table)
+            low_bound = pair_sum_bound(f, table, low)
+        with mp.workprec(256):
+            high = f.mellin_pair_sum(table)
+            assert abs(high - want) <= pair_sum_bound(f, table, high)
+        assert abs(low - want) <= low_bound
+        assert abs(high - low) <= low_bound
+        with mp.workprec(128):
+            assert +high != high
+
+
+@pytest.fixture(scope="module")
+def bump_prefix():
+    """The explicit formula's cosine_power(5, 4, 1) over the first 2,000
+    bundled zeros (gamma_1 is within alpha K + 1 of the grid, so both routes
+    run) and the sum of mellin(g) + mellin(-g), 64 bits above the highest
+    precision tested; f is real and even in log u, so f^(-g) = f^(g)."""
+    f = LogBandFunction.cosine_power(5, 4, 1)
+    table = bundled_zero_table().ordinates[:2000]
+    with mp.workprec(256 + 64):
+        want = 2 * mp.fsum(f.mellin(g) for g in table)
+    return f, table, want
+
+
+def pair_sum_bound(f, ordinates, result):
+    """mellin_pair_sum's stated rounding bound for real Fraction coefficients
+    at the ambient precision p: 2^-p |result| + 4 c0 2^-(p+32) sum_g beta(g).
+    The reference's own error is about 2^-64 of it."""
+    p = mp.prec
+    L = f.log_halfwidth()
+    alpha, c0 = mp.pi / L, 1 / mp.sqrt(2 * L)
+    K = f.half_width_index
+    V = mp.fsum(abs(mpf(v.numerator) / v.denominator) for v in f.coeffs.values())
+    edge = alpha * K + 1
+
+    def beta(g):
+        if abs(g) <= edge:
+            return V * L * (4 * mp.pi * K + L + 20) + 1
+        return K * (abs(g) + 1) + V * (3 * L * abs(g) + 15 * alpha * K + 30) + 4
+
+    terms = mp.fsum(beta(g) for g in ordinates)
+    return mpf(2) ** -p * abs(result) + 4 * c0 * mpf(2) ** -(p + 32) * terms
 
 
 class TestStarConvolve:

@@ -3,8 +3,10 @@ import pytest
 from mpmath import mp, mpf
 
 from zetalab.scaling import (
+    _MODE_CUT,
     _gauss_legendre,
     _phase_table,
+    _segments,
     dirac_matrix,
     dirac_spectrum,
     poincare_sum,
@@ -64,6 +66,28 @@ def test_gauss_legendre_is_cached_and_read_only():
     assert not x.flags.writeable and not w.flags.writeable
     again = _gauss_legendre(37)
     assert again[0] is x and again[1] is w
+
+
+def test_few_node_counts_across_circle_lengths(zeros):
+    # every circle length of the bench's rounds: the first 31 zeros and seven
+    # points across each gap between them (the fakes are drawn from the
+    # middle half of a gap).  Rounded to multiples of 32 the segments ask for
+    # at most 30 distinct rules (93 without the rounding), never fewer nodes
+    # than the sizing rule, and still tile [-L, L];
+    # test_resonant_zero_is_reproduced gates the zero errors under these counts
+    g = [float(x) for x in zeros[:31]]
+    ordinates = g + [a + (b - a) * i / 8 for a, b in zip(g, g[1:]) for i in range(1, 8)]
+    counts = set()
+    for ordinate in ordinates:
+        lam = resonant_lambda(M_CYCLE, ordinate)
+        L = np.log(lam)
+        segments = _segments(lam, _MODE_CUT)
+        assert segments[0][0] == -L and segments[-1][1] == L
+        assert all(b == a2 for (_, b, _), (a2, _, _) in zip(segments, segments[1:]))
+        for a, b, n in segments:
+            assert n > 3.5 * _MODE_CUT * (b - a) / (2 * L) + 23  # the rule floors, then adds 24
+            counts.add(n)
+    assert len(counts) <= 30
 
 
 @pytest.mark.parametrize("M", [5, 150, 256])

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
-from zetalab.bandfn import LogBandFunction, star_convolve
+from convolved_band import star_convolve
+from zetalab.bandfn import LogBandFunction
 from zetalab.precision import HPMatrix
 from zetalab.semilocal import arch_phase_derivative
 from zetalab.weil import (
