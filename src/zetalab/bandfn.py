@@ -47,6 +47,39 @@ def _sinc(z, L):
     return mp.sin(zL) / z
 
 
+def _real_pair_sum(e, L, alpha, ordinates, P):
+    """The fixed-point pass of LogBandFunction.mellin_pair_sum for real e:
+    sum over g of (f^(g) + f^(-g))/(4 c0), exact as an mpf; runs at P bits."""
+    K = len(e) - 1
+
+    def fixed(x):
+        return to_fixed(x._mpf_, P)
+
+    # G floors toward -inf, so |G| <= near catches every |g| <= alpha K + 1
+    near = fixed(alpha * K + 1) + 1
+    E0 = fixed(e[0]) << P
+    pairs = [(fixed((-1) ** k * e[k]) << P, fixed((alpha * k) ** 2)) for k in range(1, K + 1) if e[k]]
+    Lm = L._mpf_
+    acc = 0
+    for g in ordinates:
+        if type(g) is not mpf:
+            g = mpf(g)
+        G = to_fixed(g._mpf_, P)
+        if -near <= G <= near:
+            t = e[0] * _sinc(g, L) + mp.fsum(
+                e[k] * (_sinc(g - alpha * k, L) + _sinc(g + alpha * k, L)) / 2
+                for k in range(1, K + 1))
+            acc += fixed(t)
+            continue
+        G2 = G * G >> P
+        S = to_fixed(mpf_sin(mpf_mul(g._mpf_, Lm, P), P, round_nearest), P)
+        q = 0
+        for C, Bk in pairs:
+            q += C // (G2 - Bk)
+        acc += S * (E0 // G + (G * q >> P)) >> P
+    return mp.make_mpf(from_man_exp(acc, -P))
+
+
 class LogBandFunction(Immutable):
     """Finite log-Fourier series on [lambda^-1, lambda], zero outside.
 
@@ -57,8 +90,10 @@ class LogBandFunction(Immutable):
     __slots__ = ("lam2", "coeffs")
 
     def __init__(self, lam2, coeffs: Mapping[int, object]):
-        if not (lam2 > 1):
-            raise ValueError("lambda must exceed 1")
+        if not (lam2 > 1 and mp.isfinite(_num(lam2))):
+            raise ValueError(f"lambda^2 must be finite and exceed 1, got {lam2}")
+        if not all(mp.isfinite(_num(v)) for v in coeffs.values()):
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "lam2", lam2)
         object.__setattr__(self, "coeffs", {int(k): v for k, v in coeffs.items() if v != 0})
 
@@ -197,11 +232,10 @@ class LogBandFunction(Immutable):
             term = (E_0 << P) // G + (G sum_k (C_k << P) // (G2 - B_k) >> P),
 
         the sine is mpf_sin of g L at P bits, and S term >> P is added to one
-        integer.  With complex coefficients one quotient
-        Q = (1 << 2P) // (G2 - B_k) per k serves the real and the imaginary
-        parts, which keep an accumulator each.  A term-by-term ordinate is
-        summed in mpf at P bits and added to the same integers, so the sum
-        over ordinates is exact and is rounded to mp.prec once, at the end.
+        integer.  A term-by-term ordinate is summed in mpf at P bits and added
+        to the same integer, so the sum over ordinates is exact and is rounded
+        to mp.prec once, at the end.  Complex coefficients run as two real
+        passes, the sum over Re v plus i times the sum over Im v.
 
         Rounding.  Write u = 2^-P, V = sum_k |v_k|, and let mpmath's log,
         sin and pi be within one unit in the last place.  Then
@@ -222,8 +256,7 @@ class LogBandFunction(Immutable):
         the e_k's conversion and the scaling by 4 c0 add a few units and a
         few V.  A term-by-term ordinate has |S| <= L and |S'| <= L^2/2, and
         each z = g -+ alpha k is off by at most 7 alpha K + 1 units.  With
-        complex coefficients each part obeys the bound with K replaced by
-        K + V, since the floor of each shared quotient is multiplied by c_k.
+        complex coefficients each part obeys the bound of its own pass.
         For cosine_power(5, 4, 1) over the 10^4 bundled zeros,
         sum_g beta(g) is about 2^31, which makes the second term 1.5 times
         the first.  Both are far below the former statement's
@@ -233,57 +266,13 @@ class LogBandFunction(Immutable):
         with mp.workprec(P):
             L, alpha, c0 = self._frame()
             e = self.even_coefficients()
-            K = len(e) - 1
-
-            def fixed(x):
-                return to_fixed(x._mpf_, P)
-
-            # G floors toward -inf, so |G| <= near catches every |g| <= alpha K + 1
-            near = fixed(alpha * K + 1) + 1
-            ks = [k for k in range(1, K + 1) if e[k]]
-            c = [(-1) ** k * e[k] for k in ks]
-            B = [fixed((alpha * k) ** 2) for k in ks]
-            real = not any(mp.im(x) for x in e)
-            if real:
-                E0 = fixed(mp.re(e[0])) << P
-                pairs = [(fixed(mp.re(ck)) << P, Bk) for ck, Bk in zip(c, B)]
+            if any(mp.im(x) for x in e):
+                ordinates = list(ordinates)
+                total = mp.mpc(_real_pair_sum([mp.re(x) for x in e], L, alpha, ordinates, P),
+                               _real_pair_sum([mp.im(x) for x in e], L, alpha, ordinates, P))
             else:
-                E0r, E0i = fixed(mp.re(e[0])) << P, fixed(mp.im(e[0])) << P
-                pairs = [(fixed(mp.re(ck)), fixed(mp.im(ck)), Bk) for ck, Bk in zip(c, B)]
-                one = 1 << 2 * P
-            Lm = L._mpf_
-            acc = acc_i = 0
-            for g in ordinates:
-                if type(g) is not mpf:
-                    g = mpf(g)
-                G = to_fixed(g._mpf_, P)
-                if -near <= G <= near:
-                    t = e[0] * _sinc(g, L) + mp.fsum(
-                        e[k] * (_sinc(g - alpha * k, L) + _sinc(g + alpha * k, L)) / 2
-                        for k in range(1, K + 1))
-                    acc += fixed(mp.re(t))
-                    acc_i += fixed(mp.im(t))
-                    continue
-                G2 = G * G >> P
-                S = to_fixed(mpf_sin(mpf_mul(g._mpf_, Lm, P), P, round_nearest), P)
-                if real:
-                    q = 0
-                    for C, Bk in pairs:
-                        q += C // (G2 - Bk)
-                    acc += S * (E0 // G + (G * q >> P)) >> P
-                else:
-                    qr = qi = 0
-                    for Cr, Ci, Bk in pairs:
-                        Q = one // (G2 - Bk)
-                        qr += Cr * Q
-                        qi += Ci * Q
-                    acc += S * (E0r // G + (G * qr >> 2 * P)) >> P
-                    acc_i += S * (E0i // G + (G * qi >> 2 * P)) >> P
-            total = from_man_exp(acc, -P)
-            if real:
-                total = 4 * c0 * mp.make_mpf(total)
-            else:
-                total = 4 * c0 * mp.make_mpc((total, from_man_exp(acc_i, -P)))
+                total = _real_pair_sum([mp.re(x) for x in e], L, alpha, ordinates, P)
+            total = 4 * c0 * total
         return +total
 
     def __repr__(self):

@@ -35,19 +35,16 @@ def remove_components(v, basis):
     return v
 
 
-def orthonormalize(vectors, threshold, basis=()):
+def orthonormalize(vectors, threshold):
     """Modified Gram-Schmidt on real vectors: each vector, orthogonalized
-    against the orthonormal basis and the vectors accepted before it, is
-    normalized and kept unless its remaining norm is at or below threshold."""
-    basis = list(basis)
+    against the vectors accepted before it, is normalized and kept unless its
+    remaining norm is at or below threshold."""
     out = []
     for v in vectors:
-        v = remove_components(v, basis)
+        v = remove_components(v, out)
         nrm = mp.sqrt(mp.fsum(x * x for x in v))
         if nrm > threshold:
-            u = [x / nrm for x in v]
-            basis.append(u)
-            out.append(u)
+            out.append([x / nrm for x in v])
     return out
 
 

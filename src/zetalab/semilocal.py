@@ -124,30 +124,10 @@ def semilocal_lift_check(f, mu, u, precision_bits: int = 256):
 
 
 def arch_phase_derivative(s, precision_bits: int = 256):
-    """theta'(s) for u_arch = e^(i theta): -log pi + Re psi(1/4 + is/2).
-
-    For |s| beyond the asymptotic threshold the digamma is evaluated by its
-    Stirling series (terms are cheap polynomials; optimal truncation leaves
-    an error ~e^(-pi |s|), far below the working precisions used here)."""
+    """theta'(s) for u_arch = e^(i theta): -log pi + Re psi(1/4 + is/2)."""
     with mp.workprec(precision_bits + _GUARD):
-        s = mp.mpmathify(s)
-        z = 0.25 + 0.5j * s
-        if abs(z) < max(30, precision_bits / 6):
-            return +(-mp.log(mp.pi) + mp.re(mp.digamma(z)))
-        acc = mp.log(z) - 1 / (2 * z)
-        z2 = z * z
-        zpow = z2
-        prev = mp.inf
-        for n in range(1, 200):
-            term = mp.bernoulli(2 * n) / (2 * n * zpow)
-            if abs(term) > prev:  # asymptotic series turned; stop at best
-                break
-            acc -= term
-            prev = abs(term)
-            if prev < mpf(2) ** (-mp.prec - 8):
-                break
-            zpow *= z2
-        return +(-mp.log(mp.pi) + mp.re(acc))
+        z = 0.25 + 0.5j * mp.mpmathify(s)
+        return +(-mp.log(mp.pi) + mp.re(mp.digamma(z)))
 
 
 def trace_side_integral(f, precision_bits: int = 256):

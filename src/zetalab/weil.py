@@ -24,13 +24,15 @@ forms, and the archimedean part of every entry is a combination of the 2K+1
 one-dimensional integrals I(m), J(k) below, each a digamma value plus a
 geometric series, so the assembly runs no quadrature.
 
-QW commutes with the reflection x -> 1/x, which maps psi_k to psi_-k, so in
-the real basis the Gram is block diagonal: an even block over [const,
-cos_1..cos_K] and an odd block over [sin_1..sin_K].  The pole functionals
-split the same way, (f^(i/2) + f^(-i/2))/2 acting on the even block and
-(f^(i/2) - f^(-i/2))/2 on the odd one, so the Weil-positivity subspace
-f^(+-i/2) = 0 is one constraint per block.  Every Gram is assembled,
-projected and solved as these two blocks.
+QW commutes with the reflection x -> 1/x, which maps psi_k to psi_-k, and
+psi_-k^(i/2) = conj psi_k^(i/2), so over the real basis every entry is real
+and the Gram is block diagonal: an even block over [const, cos_1..cos_K] and
+an odd block over [sin_1..sin_K].  _parity_blocks forms the two blocks
+directly, in real arithmetic (weil_gram_complex, the Gram over psi_-K..psi_K,
+is a view of them).  The pole functionals split the same way,
+(f^(i/2) + f^(-i/2))/2 acting on the even block and (f^(i/2) - f^(-i/2))/2
+on the odd one, so the Weil-positivity subspace f^(+-i/2) = 0 is one
+constraint per block, projected out by one Householder reflector.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from itertools import islice
 from mpmath import mp, mpf
 
 from zetalab.bandfn import LogBandFunction
-from zetalab.precision import HPMatrix, jacobi_eigensystem, orthonormalize
+from zetalab.precision import HPMatrix, jacobi_eigensystem
 from zetalab.zerotable import ZeroTable
 
 # Working bits above precision_bits for every weil (and semilocal) evaluation.
@@ -275,16 +277,33 @@ def explicit_formula_profile(
 # -- Gram matrix of the truncated Weil form ------------------------------------
 
 
-def _psi_hat_poles(K, L, alpha, c0):
-    """psi_k^(i/2) for k = -K..K: 2 c0 sin((alpha k - i/2) L)/(alpha k - i/2).
+def _frame(lam2):
+    """L = log(lambda), alpha = pi/L and c0 = (2L)^(-1/2) of the band."""
+    L = mp.log(mp.mpmathify(lam2)) / 2
+    return L, mp.pi / L, 1 / mp.sqrt(2 * L)
 
-    psi_k^(-i/2) is psi_-k^(i/2), so this one table serves both poles."""
+
+def _pole_functionals(K, L, alpha, c0):
+    """The pole functionals on the parity blocks: Pe over [const, cos_1..cos_K]
+    is f -> (f^(i/2) + f^(-i/2))/2 and Po over [sin_1..sin_K] is
+    f -> (f^(i/2) - f^(-i/2))/2.
+
+    psi_k^(i/2) = 2 c0 sin((alpha k - i/2) L)/(alpha k - i/2) = -2i c0 (-1)^k
+    sinh(L/2)/(alpha k - i/2) and psi_k^(-i/2) = psi_-k^(i/2), so with
+    cos_k = (psi_k + psi_-k)/sqrt2 and sin_k = (psi_k - psi_-k)/(i sqrt2)
+
+        Pe_0 = 4 c0 sinh(L/2),
+        Pe_k = sqrt2 c0 (-1)^k sinh(L/2)/(alpha^2 k^2 + 1/4),
+        Po_k = -2 sqrt2 c0 (-1)^k sinh(L/2) alpha k/(alpha^2 k^2 + 1/4).
+    """
     sh = mp.sinh(L / 2)
-    a = {}
-    for k in range(-K, K + 1):
-        sgn = -1 if k % 2 else 1
-        a[k] = 2 * c0 * (-sgn * 1j * sh) / (alpha * k - 0.5j)
-    return a
+    e = mp.sqrt(2) * c0 * sh
+    Pe, Po = [4 * c0 * sh], []
+    for k in range(1, K + 1):
+        ek = (-e if k % 2 else e) / ((alpha * k) ** 2 + mpf(1) / 4)
+        Pe.append(ek)
+        Po.append(-2 * alpha * k * ek)
+    return Pe, Po
 
 
 def _arch_integrals(K, L, alpha, c2, precision_bits):
@@ -348,163 +367,163 @@ def _check_gram_args(lam2, half_width):
         raise ValueError(f"half_width must be a nonnegative integer, got {half_width}")
 
 
-def weil_gram_complex(lam2, half_width: int, precision_bits: int):
-    """Gram of QW over psi_-K..psi_K as a raw complex matrix (list of rows).
+def _parity_blocks(lam2, K, precision_bits):
+    """The even block over [const, cos_1..cos_K] and the odd block over
+    [sin_1..sin_K] of QW's Gram, as lists of rows, and the pole functionals
+    (Pe, Po); run under workprec(precision_bits + _GUARD).
 
-    Entry (j, k) is QW(psi_j, psi_k) = h^(i/2) + h^(-i/2) - W_R(h) - sum_p
-    W_p(h) with h = psi_k * psi_j~, all reduced to closed forms plus the
-    shared I/J integrals.
+    Entry (j, k) of the Gram over psi_-K..psi_K is QW(psi_j, psi_k) = h^(i/2)
+    + h^(-i/2) - W_R(h) - sum_p W_p(h) with h = psi_k * psi_j~.  With r =
+    c2/alpha, sigma = (-1)^(j+k), the prime-power weights w at t = log p^m,
+
+        D(m) = I(m) + 2 sum w sin(alpha m t)                       (odd in m),
+        T(m) = log 4pi + gamma + log tanh L + J(m) + 2 c2 sum w (2L - t) cos(alpha m t),
+
+    its archimedean and prime part is T(k) on the diagonal and r sigma
+    (D(k) - D(j))/(j - k) off it, and its pole part psi_k^(i/2)
+    conj(psi_j^(-i/2)) + psi_k^(-i/2) conj(psi_j^(i/2)).  In the real basis
+    the pole part is 2 Pe_j Pe_k on the even block and -2 Po_j Po_k on the
+    odd one, and with a = (D(k) - D(j))/(j - k), b = (D(k) + D(j))/(j + k)
+    for j != k >= 1:
+
+        even[0][0] = 2 Pe_0^2 - T(0),
+        even[0][k] = 2 Pe_0 Pe_k + sqrt2 r (-1)^k D(k)/k,
+        even[j][k] = 2 Pe_j Pe_k - r sigma (a - b),
+        odd[j][k]  = -2 Po_j Po_k - r sigma (a + b),
+        even[k][k] = 2 Pe_k^2 - T(k) + r D(k)/k,
+        odd[k][k]  = -2 Po_k^2 - T(k) - r D(k)/k.
+
+    Every term is real and the cos-sin cross block is 0 term by term, as QW
+    commutes with x -> 1/x, which maps psi_k to psi_-k.  Each entry is formed
+    once and mirrored, so both blocks are exactly symmetric.
+    """
+    L, alpha, c0 = _frame(lam2)
+    c2 = c0 * c0
+    r = c2 / alpha
+    Pe, Po = _pole_functionals(K, L, alpha, c0)
+    I, J = _arch_integrals(K, L, alpha, c2, precision_bits)
+    pp = _prime_powers(mp.mpmathify(lam2))
+    arch_const = mp.log(4 * mp.pi) + mp.euler + mp.log(mp.tanh(L))
+    D = [I[m] + 2 * mp.fsum(w * mp.sin(alpha * m * t) for t, w in pp) for m in range(K + 1)]
+    T = [arch_const + J[m] + 2 * c2 * mp.fsum(w * (2 * L - t) * mp.cos(alpha * m * t) for t, w in pp)
+         for m in range(K + 1)]
+    even = [[None] * (K + 1) for _ in range(K + 1)]
+    odd = [[None] * K for _ in range(K)]
+    even[0][0] = 2 * Pe[0] ** 2 - T[0]
+    for k in range(1, K + 1):
+        q = r * D[k] / k
+        even[0][k] = even[k][0] = 2 * Pe[0] * Pe[k] + mp.sqrt(2) * (-q if k % 2 else q)
+        even[k][k] = 2 * Pe[k] ** 2 - T[k] + q
+        odd[k - 1][k - 1] = -2 * Po[k - 1] ** 2 - T[k] - q
+        for j in range(1, k):
+            s = -r if (j + k) % 2 else r
+            a = (D[k] - D[j]) / (j - k)
+            b = (D[k] + D[j]) / (j + k)
+            even[j][k] = even[k][j] = 2 * Pe[j] * Pe[k] - s * (a - b)
+            odd[j - 1][k - 1] = odd[k - 1][j - 1] = -2 * Po[j - 1] * Po[k - 1] - s * (a + b)
+    return (even, odd), (Pe, Po)
+
+
+def weil_gram_complex(lam2, half_width: int, precision_bits: int):
+    """Gram of QW over psi_-K..psi_K (list of rows), read off the parity
+    blocks E (even) and O (odd) of _parity_blocks.
+
+    Since psi_+-k = (cos_k +- i sin_k)/sqrt2 for k >= 1,
+
+        G(j, k) = w_j w_k E[|j|][|k|] + [j, k != 0] sgn(j) sgn(k) O[|j|-1][|k|-1]/2,
+
+    with w_0 = 1 and w_k = 1/sqrt2 otherwise: every entry is real, and G is
+    symmetric with G(j, k) = G(-j, -k).
     """
     _check_gram_args(lam2, half_width)
     K = half_width
     with mp.workprec(precision_bits + _GUARD):
-        L = mp.log(mp.mpmathify(lam2)) / 2
-        alpha = mp.pi / L
-        c0 = 1 / mp.sqrt(2 * L)
-        c2 = c0 * c0
-        A = _psi_hat_poles(K, L, alpha, c0)
-        I, J = _arch_integrals(K, L, alpha, c2, precision_bits)
-        pp = _prime_powers(mp.mpmathify(lam2))
-        arch_const = mp.log(4 * mp.pi) + mp.euler + mp.log(mp.tanh(L))
+        (even, odd), _ = _parity_blocks(lam2, K, precision_bits)
+        rt2 = mp.sqrt(2)
 
-        # prime sums collapse to tabulated combinations: for j != k the value
-        # is 2 c2 (-1)^(j-k) (Spr[k] - Spr[j])/(alpha (j-k)) with
-        # Spr[m] = sum_pp w sin(alpha m t); the diagonal needs the cos table
-        Spr = {}
-        diag_prime = {}
-        for m in range(-K, K + 1):
-            Spr[m] = mp.fsum(w * mp.sin(alpha * m * t) for t, w in pp) if pp else mpf(0)
-        for m in range(-K, K + 1):
-            diag_prime[m] = (
-                mp.fsum(w * 2 * c2 * (2 * L - t) * mp.cos(alpha * m * t) for t, w in pp)
-                if pp
-                else mpf(0)
-            )
+        def entry(j, k):
+            e = even[abs(j)][abs(k)]
+            if j and k:
+                o = odd[abs(j) - 1][abs(k) - 1]
+                return (e + o if (j > 0) == (k > 0) else e - o) / 2
+            return e / rt2 if j or k else e
 
-        def isgn(m):
-            return I[m] if m >= 0 else -I[-m]
-
-        size = 2 * K + 1
-        G = [[None] * size for _ in range(size)]
-        Ac = {k: mp.conj(A[k]) for k in A}
-        for j in range(-K, K + 1):
-            for k in range(-K, K + 1):
-                pole = A[k] * Ac[-j] + A[-k] * Ac[j]
-                if j == k:
-                    arch = arch_const + J[abs(k)]
-                    prime = diag_prime[k]
-                else:
-                    sgn = -1 if (j - k) % 2 else 1
-                    d = alpha * (j - k)
-                    arch = c2 * sgn * (isgn(k) - isgn(j)) / d
-                    prime = 2 * c2 * sgn * (Spr[k] - Spr[j]) / d
-                G[j + K][k + K] = pole - arch - prime
-        return G
-
-
-def _real_basis_gram(G, K, precision_bits):
-    """The two parity blocks of the complex Gram in the real basis: even over
-    [const, cos_1..cos_K], odd over [sin_1..sin_K].
-
-    The cos-sin cross block vanishes because G(j, k) = G(-j, -k) (psi_-k is
-    the reflection of psi_k and QW commutes with x -> 1/x); that symmetry and
-    the reality of both blocks are checked, not assumed."""
-    rt2 = mp.sqrt(2)
-
-    def g(j, k):
-        return G[j + K][k + K]
-
-    even = [[None] * (K + 1) for _ in range(K + 1)]
-    odd = [[None] * K for _ in range(K)]
-    even[0][0] = g(0, 0)
-    for k in range(1, K + 1):
-        even[0][k] = (g(0, k) + g(0, -k)) / rt2
-        even[k][0] = (g(k, 0) + g(-k, 0)) / rt2
-        for j in range(1, K + 1):
-            even[j][k] = (g(j, k) + g(j, -k) + g(-j, k) + g(-j, -k)) / 2
-            odd[j - 1][k - 1] = (g(j, k) - g(j, -k) - g(-j, k) + g(-j, -k)) / 2
-    scale = max(abs(x) for block in (even, odd) for r in block for x in r)
-    tol = scale * mpf(2) ** (-(precision_bits // 2))
-    skew = max(abs(g(j, k) - g(-j, -k)) for j in range(-K, K + 1) for k in range(-K, K + 1))
-    if skew > tol:
-        raise ArithmeticError(f"Gram breaks the reflection symmetry by {mp.nstr(skew, 5)}")
-    imag = max(abs(mp.im(x)) for block in (even, odd) for r in block for x in r)
-    if imag > tol:
-        raise ArithmeticError(
-            f"real-basis Gram has imaginary residue {mp.nstr(imag, 5)}; insufficient precision"
-        )
-    return [[[mp.re(x) for x in r] for r in block] for block in (even, odd)]
+        return [[entry(j, k) for k in range(-K, K + 1)] for j in range(-K, K + 1)]
 
 
 def pole_constraint_vectors(lam2, half_width: int, precision_bits: int):
     """Coordinates of the even and odd pole functionals on the parity blocks.
 
     even (length K+1, over [const, cos_1..cos_K]) is f -> (f^(i/2) + f^(-i/2))/2
-    and odd (length K, over [sin_1..sin_K]) is f -> (f^(i/2) - f^(-i/2))/2.
-    Both are real on real test functions; the codimension-2 subspace they cut
-    out, one constraint per block, is where Weil positivity lives.
+    and odd (length K, over [sin_1..sin_K]) is f -> (f^(i/2) - f^(-i/2))/2,
+    in the closed form of _pole_functionals.  The codimension-2 subspace they
+    cut out, one constraint per block, is where Weil positivity lives.
     """
     _check_gram_args(lam2, half_width)
-    K = half_width
     with mp.workprec(precision_bits + _GUARD):
-        L = mp.log(mp.mpmathify(lam2)) / 2
-        alpha = mp.pi / L
-        c0 = 1 / mp.sqrt(2 * L)
-        A = _psi_hat_poles(K, L, alpha, c0)
-        rt2 = mp.sqrt(2)
-        even = [A[0]] + [(A[k] + A[-k]) / rt2 for k in range(1, K + 1)]
-        odd = [(A[k] - A[-k]) / (rt2 * 1j) for k in range(1, K + 1)]
-        tol = mpf(2) ** (-(precision_bits // 2)) * (1 + max(abs(v) for v in even + odd))
-        if any(abs(mp.im(v)) > tol for v in even + odd):
-            raise ArithmeticError("pole constraint vector is not real")
-        return [mp.re(v) for v in even], [mp.re(v) for v in odd]
+        return _pole_functionals(half_width, *_frame(lam2))
 
 
-def _project_out(rows, constraint, precision_bits):
-    """Compress the symmetric matrix onto the orthocomplement of the given
-    row vector."""
+def _project_out(rows, c):
+    """Compress the symmetric matrix A onto the orthocomplement of the
+    vector c by one Householder reflector.
+
+    With u = c + sgn(c_0) |c| e_0 and tau = 2/(u.u) = 1/(|c| (|c| + |c_0|)),
+    H = I - tau u u^T is symmetric and orthogonal with H c = -sgn(c_0) |c| e_0,
+    so its columns 1..n-1 are an orthonormal basis of the complement and the
+    compression is H A H without row and column 0.  With p = tau A u and
+    w = p - (tau/2)(u.p) u, H A H = A - u w^T - w u^T.
+    """
     n = len(rows)
-    basis = orthonormalize([constraint], mpf(2) ** (-precision_bits // 2))
-    # complete to an orthonormal basis of the complement via MGS on identity;
-    # the 1/4 floor keeps well-conditioned directions only
-    identity = ([mpf(1) if j == i else mpf(0) for j in range(n)] for i in range(n))
-    comp = orthonormalize(identity, mpf(1) / 4, basis)
-    if len(comp) != n - len(basis):
-        raise ArithmeticError("projection basis completion failed")
-    av = [[mp.fsum(rows[i][j] * c[j] for j in range(n)) for c in comp] for i in range(n)]
+    if n == 0:
+        return []
+    nrm = mp.sqrt(mp.fsum(x * x for x in c))
+    u = list(c)
+    u[0] += nrm if c[0] >= 0 else -nrm
+    tau = 1 / (nrm * (nrm + abs(c[0])))
+    p = [tau * mp.fdot(row, u) for row in rows]
+    h = tau / 2 * mp.fdot(u, p)
+    w = [x - h * y for x, y in zip(p, u)]
     # the upper triangle, mirrored: the compression is exactly symmetric
-    m = len(comp)
-    out = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a, m):
-            out[a][b] = out[b][a] = mp.fsum(comp[a][i] * av[i][b] for i in range(n))
+    out = [[None] * (n - 1) for _ in range(n - 1)]
+    for a in range(1, n):
+        for b in range(a, n):
+            out[a - 1][b - 1] = out[b - 1][a - 1] = rows[a][b] - u[a] * w[b] - w[a] * u[b]
     return out
 
 
 def _gram_entry_error(lam2, K, precision_bits):
     """Bound on |stored - exact| for every entry of either parity block.
 
-    Each complex entry pole - arch - prime is formed at p = precision_bits +
-    _GUARD bits from terms whose absolute values add up to at most S, the sum
-    of these bounds:
-      - pole: 2 max|A_k|^2 <= 32 c2 sinh(L/2)^2, since |A_k| <= 4 c0 sinh(L/2);
-      - prime: 2W, with W the sum of the prime-power weights;
+    Each entry of _parity_blocks is formed at p = precision_bits + _GUARD
+    bits from terms whose absolute values add up to at most 2S, where S is
+    the sum of these bounds:
+      - pole: 32 c2 sinh(L/2)^2.  |Pe_0| = 4 c0 sinh(L/2), and |Pe_k| <=
+        4 sqrt2 c0 sinh(L/2) and |Po_k| <= 2 sqrt2 c0 sinh(L/2) since
+        alpha^2 k^2 + 1/4 >= max(1/4, alpha k); so 2 |P_j P_k| <= 2 (32 c2
+        sinh(L/2)^2);
+      - prime: 2W, with W the sum of the prime-power weights; T's prime sum
+        is at most 2 c2 (2L) W = 2W, and so is D's;
       - arch: log 4pi + gamma, psi(1/2) and Im psi(w) are each below 4 in
         absolute value (|Im psi(1/4 + iy)| <= 2 + pi/2); log tanh L enters
-        twice, in arch_const and as J's 2 artanh(lambda^-2); |Re psi(w)| is at
-        most max(-psi(1/4), |Re psi(w_K)|), as Re psi(1/4 + iy) increases
-        with y; (c2/2)|psi'(w)| <= (c2/2) psi'(1/4) < 9 c2; and the two series
-        of _arch_integrals sum to less than (2 + 32 c2)/(lambda - lambda^-3).
+        twice, in T and as J's 2 artanh(lambda^-2); |Re psi(w)| is at most
+        max(-psi(1/4), |Re psi(w_K)|), as Re psi(1/4 + iy) increases with y;
+        (c2/2)|psi'(w)| <= (c2/2) psi'(1/4) < 9 c2; and the two series of
+        _arch_integrals sum to less than (2 + 32 c2)/(lambda - lambda^-3).
+    T enters an entry with weight at most 1, and D with weight below 1/2:
+    r = c2/alpha = 1/(2 pi), and r (|a| + |b|) <= (1 + 1/3) r (|D(j)| +
+    |D(k)|) for j != k >= 1, sqrt2 r |D(k)|/k and r |D(k)|/k are smaller.  So
+    the terms of T and D add up to at most S - 32 c2 sinh(L/2)^2 + W, and
+    with the pole terms an entry's add up to at most 2S.
     Rounding: every product, quotient, sum and special-function value is
     within 4 units of 2^-p of itself, no chain from an input to an entry has
     more than 2^7 such steps, and the absolute values along any sum add up to
-    at most S, so the rounding of a complex entry is below 2^9 2^-p S.  The
-    series tails of I and J add less than 2^-p (weight at most 1).  The real
-    basis combines complex entries with weights whose absolute values sum to
-    at most 2, so each block entry is within 2^-p (2 + 2^10 S) of exact.
+    at most 2S, so the rounding of an entry is below 2^10 2^-p S.  The series
+    tails of I and J add less than 2^-p each (weight at most 1), so each
+    block entry is within 2^-p (2 + 2^10 S) of exact.
     """
     with mp.workprec(precision_bits + _GUARD):
-        L = mp.log(mp.mpmathify(lam2)) / 2
+        L = _frame(lam2)[0]
         lam, c2 = mp.exp(L), 1 / (2 * L)
         weights = mp.fsum(w for _, w in _prime_powers(mp.mpmathify(lam2)))
         psi_top = abs(mp.re(mp.digamma(mp.mpc(mpf(1) / 4, mp.pi * K / (2 * L)))))
@@ -521,12 +540,11 @@ def weil_gram(
     odd over [sin_1..sin_K].  With project_poles=True each block is first
     compressed onto the kernel of its pole functional, which together cut out
     the codimension-2 subspace f^(+-i/2) = 0."""
-    G = weil_gram_complex(lam2, half_width, precision_bits)
+    _check_gram_args(lam2, half_width)
     with mp.workprec(precision_bits + _GUARD):
-        blocks = _real_basis_gram(G, half_width, precision_bits)
+        blocks, poles = _parity_blocks(lam2, half_width, precision_bits)
         if project_poles:
-            cons = pole_constraint_vectors(lam2, half_width, precision_bits)
-            blocks = [_project_out(b, c, precision_bits) for b, c in zip(blocks, cons)]
+            blocks = [_project_out(b, c) for b, c in zip(blocks, poles)]
     return tuple(HPMatrix(b, precision_bits) for b in blocks)
 
 
@@ -550,9 +568,9 @@ def weil_gram_spectrum(
     way) plus the Gram's own error.  Each stored entry is within
     e = _gram_entry_error of its exact value; by Weyl's inequality
     the sorted eigenvalues then move by at most ||E||_2 <= n e, with n = K + 1
-    the larger block's dimension.  Projection compresses E to Q^T E Q, whose
-    2-norm is no larger.  The rounding of the projection itself is not in the
-    bound.
+    the larger block's dimension.  Projection compresses E to a principal
+    submatrix of H E H (_project_out's reflector H), whose 2-norm is no
+    larger.  The rounding of the projection itself is not in the bound.
     """
     eigenvalues = []
     residual = mpf(0)

@@ -31,6 +31,16 @@ class TestLogBandFunction:
         with pytest.raises(ValueError):
             LogBandFunction(1, {0: 1})
 
+    @pytest.mark.parametrize(
+        "lam2, coeffs",
+        [(mp.inf, {0: 1}), (5, {0: mp.nan}), (5, {1: mp.mpc(1, mp.inf)}), (5, {2: float("inf")})],
+        ids=["lam2-inf", "nan", "complex-inf", "float-inf"],
+    )
+    def test_rejects_non_finite(self, lam2, coeffs):
+        # mellin would return nan or inf
+        with pytest.raises(ValueError):
+            LogBandFunction(lam2, coeffs)
+
     def test_orthonormality_via_quadrature(self):
         f = band({3: 1})
         g = band({3: 1})

@@ -195,29 +195,24 @@ def test_bad_input_raises_value_error(call, zeros):
 
 class TestWeilGram:
     def test_hermitian_lam2_5(self):
-        from zetalab.weil import _real_basis_gram
-
         K = 16
         G = weil_gram_complex(5, K, 128)
         n = 2 * K + 1
         with mp.workprec(160):
             resid = max(abs(G[i][j] - mp.conj(G[j][i])) for i in range(n) for j in range(n))
             assert resid < mpf(2) ** -100
-            # G(j, k) = G(-j, -k), the reflection symmetry _real_basis_gram checks
+            # G(j, k) = G(-j, -k): QW commutes with the reflection x -> 1/x
             skew = max(abs(G[i][j] - G[n - 1 - i][n - 1 - j]) for i in range(n) for j in range(n))
             assert skew < mpf(2) ** -100
-            even, odd = _real_basis_gram(G, K, 128)
-        # both parity blocks pass HPMatrix's Hermitianity gate
-        assert (HPMatrix(even, 128).dim, HPMatrix(odd, 128).dim) == (K + 1, K)
+        # both parity blocks pass HPMatrix's symmetry gate
+        even, odd = weil_gram(5, K, 128)
+        assert (even.dim, odd.dim) == (K + 1, K)
 
-    def test_reflection_break_raises(self):
-        from zetalab.weil import _real_basis_gram
-
-        K = 2
-        G = weil_gram_complex(2, K, 128)
-        G[K + 1][K + 2] += mpf(2) ** -20
-        with mp.workprec(176), pytest.raises(ArithmeticError, match="reflection"):
-            _real_basis_gram(G, K, 128)
+    def test_gram_over_psi_is_real(self):
+        # psi_-k^(i/2) = conj psi_k^(i/2), so every entry is real, not a
+        # complex number with a zero imaginary part
+        G = weil_gram_complex(5, 6, 128)
+        assert all(isinstance(x, mpf) for r in G for x in r)
 
     def test_no_prime_terms_below_sqrt2(self):
         from zetalab.weil import _prime_powers
@@ -232,7 +227,7 @@ class TestWeilGram:
         lam2, K = 5, 3
         G = weil_gram_complex(lam2, K, prec)
         with mp.workprec(prec + 48):
-            for (j, k) in [(0, 0), (1, -2), (3, 3), (0, 2)]:
+            for (j, k) in [(0, 0), (1, -2), (3, 3), (0, 2), (2, -2), (-1, 3)]:
                 h = star_convolve(
                     LogBandFunction(lam2, {k: 1}), LogBandFunction(lam2, {j: 1})
                 )
@@ -365,17 +360,14 @@ class TestWeilGram:
                     assert abs(got - want) < mpf(2) ** -(bits + 8)
 
     def test_projected_blocks_exactly_symmetric(self):
-        # the projection forms one triangle and mirrors it, so HPMatrix has no
-        # unequal pair to average
-        from zetalab.weil import _GUARD, _project_out, _real_basis_gram
+        # the assembly and the projection each form one triangle and mirror
+        # it, so HPMatrix has no unequal pair to average
+        from zetalab.weil import _GUARD, _parity_blocks, _project_out
 
         lam2, K, bits = 5, 16, 128
-        G = weil_gram_complex(lam2, K, bits)
         with mp.workprec(bits + _GUARD):
-            blocks = _real_basis_gram(G, K, bits)
-            cons = pole_constraint_vectors(lam2, K, bits)
-            for block, con in zip(blocks, cons):
-                rows = _project_out(block, con, bits)
+            blocks, poles = _parity_blocks(lam2, K, bits)
+            for rows in (*blocks, *map(_project_out, blocks, poles)):
                 n = len(rows)
                 assert sum(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)) == 0
 
