@@ -38,6 +38,13 @@ def _num(v):
     return mp.mpmathify(v)
 
 
+def band_frame(lam2):
+    """L = log(lambda), alpha = pi/L and c0 = (2L)^(-1/2) of the band
+    [1/lambda, lambda], lambda^2 = lam2, under the ambient precision."""
+    L = mp.log(_num(lam2)) / 2
+    return L, mp.pi / L, 1 / mp.sqrt(2 * L)
+
+
 def _sinc(z, L):
     """sin(zL)/z, by its Taylor form L (1 - (zL)^2/6) once |zL| < 2^(-prec/2)
     (the dropped term is below 2^(-2 prec) relative)."""
@@ -129,10 +136,6 @@ class LogBandFunction(Immutable):
     def log_halfwidth(self):
         return mp.log(_num(self.lam2)) / 2
 
-    def _frame(self):
-        L = self.log_halfwidth()
-        return L, mp.pi / L, 1 / mp.sqrt(2 * L)
-
     @property
     def half_width_index(self) -> int:
         return max((abs(k) for k in self.coeffs), default=0)
@@ -163,7 +166,7 @@ class LogBandFunction(Immutable):
 
     def evaluate_log(self, t):
         """Value at u = e^t; zero outside the support band."""
-        L, alpha, c0 = self._frame()
+        L, alpha, c0 = band_frame(self.lam2)
         if abs(t) > L:
             return mpf(0)
         return c0 * mp.fsum(_num(v) * mp.expj(alpha * k * t) for k, v in self.coeffs.items())
@@ -174,12 +177,12 @@ class LogBandFunction(Immutable):
         return self.evaluate_log(mp.log(x))
 
     def value_at_one(self):
-        L, alpha, c0 = self._frame()
+        L, alpha, c0 = band_frame(self.lam2)
         return c0 * mp.fsum(_num(v) for v in self.coeffs.values())
 
     def evaluate_log_minus_center(self, t):
         """f(e^t) - f(1), computed without cancellation for small t."""
-        L, alpha, c0 = self._frame()
+        L, alpha, c0 = band_frame(self.lam2)
         if abs(t) > L:
             return -self.value_at_one()
         acc = []
@@ -192,7 +195,7 @@ class LogBandFunction(Immutable):
 
     def mellin(self, s):
         """f^(s) = integral f(x) x^(-is) d*x; entire in s, closed form."""
-        L, alpha, c0 = self._frame()
+        L, alpha, c0 = band_frame(self.lam2)
         return 2 * c0 * mp.fsum(_num(v) * _sinc(alpha * k - s, L) for k, v in self.coeffs.items())
 
     def mellin_pair_sum(self, ordinates):
@@ -264,7 +267,7 @@ class LogBandFunction(Immutable):
         """
         P = mp.prec + _PAIR_GUARD
         with mp.workprec(P):
-            L, alpha, c0 = self._frame()
+            L, alpha, c0 = band_frame(self.lam2)
             e = self.even_coefficients()
             if any(mp.im(x) for x in e):
                 ordinates = list(ordinates)

@@ -3,36 +3,39 @@ prolate-compressed Dirac operator D(lambda, k) of Connes-Consani ("Spectral
 triples and zeta-cycles", arXiv:2106.01715).
 
 E(f)(x) = x^(1/2) sum_{n>0} f(nx) sends even functions with f(0) = f^(0) = 0
-into the near-radical of the Weil form.  For f supported in [-lambda, lambda]
-only n <= lambda/x contribute, so on the circle R+*/lambda^(2Z) everything is
-a finite sum.  Prolate spheroidal wave functions (computed by the classical
-Legendre tridiagonalization of the commuting differential operator) supply
-the f's: the first even prolates at bandwidth c = 2 pi lambda^2 are nearly
-invariant under time/band truncation, which is exactly what makes their
-E-images almost lie in the radical.
+into the near-radical of the Weil form.  Prolate spheroidal wave functions
+(computed by the classical Legendre tridiagonalization of the commuting
+differential operator) supply the f's: the first even prolates at bandwidth
+c = 2 pi lambda^2 are nearly invariant under time/band truncation, which is
+exactly what makes their E-images almost lie in the radical.
+
+On the circle R+*/lambda^(2Z), with L = log lambda and alpha = pi/L, the
+Poincare sum of E(g) has the coefficient Mellin(E(g))(alpha m)/sqrt(2L) at
+the mode exp(i alpha m log u)/sqrt(2L), and summing E(g) term by term gives
+
+    int E(g)(u) u^(-is) d*u = zeta(1/2 - is) g^(s),  g^(s) = int g(x) x^(1/2 - is) d*x.
+
+That sum converges only right of the critical line.  On the line the
+identity needs int g = 0 (f^(0) = 0): else E(g) grows like u^(-1/2) at 0,
+the Poincare sum diverges, and the right side is a continuation, the
+coefficient of no function.  The right side is linear in g, so it is taken
+per prolate and is exact on the constrained span that prolate_vectors keeps,
+where g(0) = 0 only removes E(g)'s term -u^(1/2) g(0)/2 at 0, speeding the
+decay of the Poincare levels.  Both factors are closed forms: no quadrature.
 
 The Dirac operator D0 = -i u d/du on the circle is diagonal in the log-Fourier
 basis with eigenvalues pi m / log(lambda); D(lambda, k) compresses it to the
-orthocomplement of the k-dimensional prolate-vector subspace.  The zeta-cycle
-check reads one spectrum per ordinate: at the circle length
-resonant_lambda(m, gamma) an eigenvalue reproduces a zero gamma, while a fake
-ordinate finds no eigenvalue that close.  dirac_spectrum reports the spectrum
-and, for each ordinate of a ZeroTable up to its top eigenvalue, the distance
-to the nearest eigenvalue.
-
-What does not change between calls is built once: the Gauss-Legendre rule of
-each node count (leggauss is a dense O(n^3) eigensolve) is cached, at most
-128 rules; node counts are rounded up to multiples of 32, so circle lengths
-share rules.  A table's float64 ordinates are cached on the table.  Per
-call, the circle phases exp(-i alpha m t) over the modes m = -M..M are
-products of two small exponential tables, and the compression of D0 is a
-rank-2k update.
+orthocomplement of the k-dimensional prolate-vector subspace, a rank-2k
+update.  The zeta-cycle check reads one spectrum per ordinate: at the circle
+length resonant_lambda(m, gamma) an eigenvalue reproduces a zero gamma, while
+a fake ordinate finds no eigenvalue that close.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf
@@ -42,11 +45,10 @@ from zetalab.zerotable import ZeroTable
 
 _EXTRA = 2  # prolates beyond k: the constraints f(0) = f^(0) = 0 use up two
 _RANK_TOL = 1e-8  # least singular-value ratio of the constrained E-images
-_DEPTH = 1  # Poincare levels lambda^(2j), j = 0..-_DEPTH, in each E-image
 _MODE_CUT = 256  # least mode cut M of the prolate frame
 _MAX_TERMS = 400  # terms per side of a Poincare sum without compact support
-_PHASE_BLOCK = 32  # modes per block of the factored phase table
-_NODE_STEP = 32  # Gauss-Legendre node counts are multiples of this
+# B_2j/(2j)!, j = 1..16: the Euler-Maclaurin corrections of _zeta_critical
+_EM_COEFFS = [float(Fraction(*mp.bernfrac(2 * j)) / math.factorial(2 * j)) for j in range(1, 17)]
 
 
 class ProlateRankError(RuntimeError):
@@ -106,40 +108,16 @@ def poincare_sum(mu, g, u, precision_bits: int = 53):
 def _legendre_matrix_even(c, n_pairs: int) -> np.ndarray:
     """Symmetric tridiagonal matrix of the prolate operator
     -d/dx[(1-x^2) d/dx] + c^2 x^2 over normalized even Legendre polynomials."""
-    diag = np.empty(n_pairs)
-    off = np.empty(n_pairs - 1)
-    for k in range(n_pairs):
-        n = 2 * k
-        diag[k] = n * (n + 1) + c * c * (2 * n * (n + 1) - 1) / ((2 * n + 3) * (2 * n - 1))
-        if k + 1 < n_pairs:
-            off[k] = (
-                c * c * (n + 1) * (n + 2)
-                / ((2 * n + 3) * np.sqrt((2 * n + 1) * (2 * n + 5)))
-            )
-    m = np.diag(diag)
-    m += np.diag(off, 1) + np.diag(off, -1)
-    return m
+    n = 2 * np.arange(n_pairs)
+    diag = n * (n + 1) + c * c * (2 * n * (n + 1) - 1) / ((2 * n + 3) * (2 * n - 1))
+    n = n[:-1]
+    off = c * c * (n + 1) * (n + 2) / ((2 * n + 3) * np.sqrt((2 * n + 1) * (2 * n + 5)))
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def legendre_even_values(n_pairs: int, x: np.ndarray) -> np.ndarray:
-    """Matrix of normalized even Legendre values P~_{2k}(x); shape (len(x), n_pairs)."""
-    x = np.asarray(x, dtype=float)
-    nmax = 2 * (n_pairs - 1)
-    out = np.empty((len(x), n_pairs))
-    p_prev = np.ones_like(x)
-    p_cur = x.copy()
-    out[:, 0] = p_prev * np.sqrt(0.5)
-    for n in range(1, nmax + 1):
-        p_next = ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1)
-        if n % 2 == 1 and (n + 1) // 2 < n_pairs:
-            out[:, (n + 1) // 2] = p_next * np.sqrt(n + 1.5)
-        p_prev, p_cur = p_cur, p_next
-    return out
-
-
-def _prolate_values(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Prolate values at x in [-1, 1]; shape (len(x), count)."""
-    return legendre_even_values(coeffs.shape[0], x) @ coeffs
+def _legendre_at_one(n_pairs: int) -> np.ndarray:
+    """P~_2k(1) = sqrt(2k + 1/2), k < n_pairs, where P~_2k = sqrt(2k + 1/2) P_2k."""
+    return np.sqrt(2 * np.arange(n_pairs) + 0.5)
 
 
 def pswf_basis(lam: float, count: int) -> np.ndarray:
@@ -163,105 +141,88 @@ def pswf_basis(lam: float, count: int) -> np.ndarray:
             f"requested count exceeds numerically resolvable modes "
             f"(trailing Legendre coefficient {tail:.2e})"
         )
-    # sign convention: positive value at x = 1 (all normalized Legendre are
-    # positive there, so the column sum against sqrt(n+1/2) decides)
-    at_one = _prolate_values(coeffs, np.array([1.0]))
-    coeffs *= np.where(at_one[0] >= 0, 1.0, -1.0)
+    # sign convention: positive value at x = 1
+    coeffs *= np.where(_legendre_at_one(n_pairs) @ coeffs >= 0, 1.0, -1.0)
     return coeffs
 
 
 # -- prolate vectors on the circle ---------------------------------------------
 
 
-@lru_cache(maxsize=128)
-def _gauss_legendre(n: int):
-    """leggauss(n), nodes and weights on [-1, 1], built once per node count
-    and shared by every caller, hence read-only.  Node counts are multiples
-    of _NODE_STEP up to 3.5 M + 24 rounded up (928 at the least mode cut, so
-    at most 29 counts there), and the 128 rules kept hold a few MB."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+def _zeta_critical(alpha: float, M: int) -> np.ndarray:
+    """zeta(1/2 - i alpha m), m = 0..M, by Euler-Maclaurin in float64: with
+    s = 1/2 - i alpha m, N = floor(alpha M / 2) + 30 and J = 16,
 
+        zeta(s) = sum_{n<N} n^-s + N^-s (N/(s-1) + 1/2 + sum_{j<=J} T_j) + R,
+        T_j = B_2j/(2j)! s(s+1)...(s+2j-2) N^(1-2j).
 
-def _phase_table(alpha: float, M: int, t: np.ndarray) -> np.ndarray:
-    """exp(-i alpha m t) for the modes m = -M..M (rows) at the nodes t.
+    The row n^(-1/2) n^(i alpha m), n < N, goes from m to m + 1 by one
+    product with n^(i alpha): no (M+1) x N table of powers is built.
 
-    With m = -M + B a + b and 0 <= b < B = _PHASE_BLOCK, each entry is the
-    product hi[a] lo[b] of exp(-i alpha (B a - M) t) and exp(-i alpha b t),
-    so about (2M+1)/B + B exponentials per node replace 2M+1.  Like the
-    direct exp(-i alpha m t), the factors round arguments of size up to
-    alpha M max|t|, and the product adds a few eps: both forms lie within a
-    few eps (1 + alpha M max|t|) of the exact phase.
+    Accuracy, u = 2^-53.  |R| <= |s+2J+1|/(Re s+2J+1) |N^-s T_{J+1}| (Edwards,
+    Riemann's Zeta Function, 6.4), below 1e-18 sqrt(N): |s| + 32 < 2N, so each
+    |s+k|/(2 pi N) in it is below 1/pi, and |B_2j|/(2j)! < 2.1 (2 pi)^-2j.  The
+    phase m alpha log n, by the running product or directly for N, rounds
+    within 4u m alpha log N; cos, sin, complex products and n^(-1/2) add 6u per
+    mode and 2u.  The head weighs below 2 sqrt(N), its sum rounds (N - 2) u of
+    that, and N^-s times the tail factor (below 2N + 1) below 2 sqrt(N) + 1, so
+
+        |error at m| <= (4 sqrt(N) + 1) u (m (4 alpha log N + 6) + N + 12) + 1e-18 sqrt(N).
     """
-    blocks = -(-(2 * M + 1) // _PHASE_BLOCK)
-    hi = np.exp(-1j * alpha * np.outer(_PHASE_BLOCK * np.arange(blocks) - M, t))
-    lo = np.exp(-1j * alpha * np.outer(np.arange(_PHASE_BLOCK), t))
-    return (hi[:, None, :] * lo[None, :, :]).reshape(-1, len(t))[: 2 * M + 1]
+    N = int(alpha * M / 2) + 30
+    n = np.arange(1, N)
+    step = np.exp(1j * alpha * np.log(n))
+    row = n ** -0.5 + 0j
+    head = np.empty(M + 1, dtype=complex)
+    for m in range(M + 1):
+        head[m] = row.sum()
+        row *= step
+    s = 0.5 - 1j * alpha * np.arange(M + 1)
+    tail = N / (s - 1) + 0.5
+    rising = s / N  # s(s+1)...(s+2j-2) N^(1-2j)
+    for j, b in enumerate(_EM_COEFFS, start=1):
+        tail += b * rising
+        rising *= (s + 2 * j - 1) * (s + 2 * j) / (N * N)
+    return head + N ** -0.5 * np.exp(1j * alpha * np.log(N) * np.arange(M + 1)) * tail
 
 
-def _segments(lam: float, M: int) -> list[tuple[float, float, int]]:
-    """The quadrature segments (a, b, node count) of the E-images in
-    t = log u on [-L, L]: the breakpoints are where the terms f(n x) enter,
-    t = log(lambda/n).  Each count is sized to the top oscillation,
-    3.5 M (b - a)/(2L) + 24, and rounded up to a multiple of _NODE_STEP,
-    so that the node counts, and with them the _gauss_legendre rules, are
-    few whatever lambda is."""
-    L = np.log(lam)
-    nmax0 = int(np.floor(lam * lam))
-    cuts = sorted({-L, L} | {np.log(lam / n) for n in range(1, nmax0 + 1) if -L < np.log(lam / n) < L})
-    out = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        n_nodes = int(M * (b - a) / (2 * L) * 3.5) + 24
-        out.append((a, b, -(-n_nodes // _NODE_STEP) * _NODE_STEP))
-    return out
+def _prolate_E_coefficients(coeffs: np.ndarray, lam: float, M: int) -> np.ndarray:
+    """Circle coefficients zeta(1/2 - i alpha m) g^(alpha m)/sqrt(2L), m = -M..M,
+    of the prolates g_i(x) = psi_i(x/lambda)/sqrt(lambda); shape (2M+1, count).
 
-
-def _truncated_prolate_E_coefficients(coeffs: np.ndarray, lam: float, M: int):
-    """Circle Fourier coefficients of the Poincare-periodized E-images of the
-    time-limited prolates g_i(x) = psi_i(x/lambda)/sqrt(lambda).
-
-    v_i(t) = sum_{j<=0} E(g_i)(lambda^(2j) e^t); the j = 0 term is piecewise
-    smooth with breakpoints where terms f(n x) enter, so the quadrature is
-    segment-by-segment Gauss-Legendre (_segments), each segment's rule taken
-    from the _gauss_legendre cache.  Levels down to -_DEPTH are included
-    (their own kinks are weaker by the level's magnitude and need no extra
-    breakpoints).  The phases over the 2M+1
-    modes come from the factored _phase_table.
-    """
-    lam = float(lam)
-    L = np.log(lam)
-    alpha = np.pi / L
-    rows = []
-    for a, b, n_nodes in _segments(lam, M):
-        width = b - a
-        x, w = _gauss_legendre(n_nodes)
-        t = 0.5 * (a + b) + 0.5 * width * x
-        rows.append((t, 0.5 * width * w))
-    t_all = np.concatenate([r[0] for r in rows])
-    w_all = np.concatenate([r[1] for r in rows])
-    vals = np.zeros((len(t_all), coeffs.shape[1]))
-    for j in range(0, -_DEPTH - 1, -1):
-        u = lam ** (2 * j) * np.exp(t_all)
-        su = np.sqrt(u)
-        nmax = int(np.floor(lam / u.min()))
-        for n in range(1, nmax + 1):
-            arg = n * u / lam
-            inside = arg <= 1.0
-            if not inside.any():
-                continue
-            vals[inside] += su[inside, None] * _prolate_values(coeffs, arg[inside])
-    vals /= np.sqrt(lam)
-    phases = _phase_table(alpha, M, t_all)
-    return phases @ (w_all[:, None] * vals) / np.sqrt(2 * L)  # (2M+1, count)
+    With psi = sum_k c_k P~_2k, g^(s) = lambda^(-is) sum_k c_k P~_2k(1) M_2k(z),
+    z = 1/2 - is, whose Legendre moments M_n(z) = int_0^1 x^(z-1) P_n(x) dx obey
+    M_0 = 1/z and M_{n+2} = M_n (z-n-1)/(z+n+2); lambda^(-i alpha m) = (-1)^m,
+    and m -> -m conjugates both factors."""
+    L = math.log(lam)
+    alpha = math.pi / L
+    z = 0.5 - 1j * alpha * np.arange(M + 1)[:, None]
+    n = 2 * np.arange(coeffs.shape[0] - 1)
+    moments = np.cumprod(np.hstack([1 / z, (z - n - 1) / (z + n + 2)]), axis=1)
+    sign = np.where(np.arange(M + 1) % 2, -1.0, 1.0)  # lambda^(-i alpha m)
+    half = moments @ (_legendre_at_one(coeffs.shape[0])[:, None] * coeffs)
+    half *= (sign * _zeta_critical(alpha, M) / math.sqrt(2 * L))[:, None]
+    return np.vstack([half[:0:-1].conj(), half])
 
 
 def resonant_lambda(m: int, ordinate: float) -> float:
     """Circle parameter with log-circumference m * 2pi / ordinate: the m-th
     zeta-cycle length for a zero at that ordinate (the compressed Dirac then
-    locks onto it instead of carrying the generic seam error)."""
+    locks onto it instead of carrying the generic seam error).  Needs m >= 1
+    and a finite positive ordinate, else raises ValueError."""
+    if not (m >= 1 and math.isfinite(ordinate) and ordinate > 0):
+        raise ValueError(f"need m >= 1 and a finite positive ordinate, not {m}, {ordinate}")
     return float(np.exp(m * np.pi / ordinate))
+
+
+def _constrained_span(coeffs: np.ndarray, lam: float) -> np.ndarray:
+    """Orthonormal columns spanning the prolate combinations g with g(0) = 0
+    and int g = 0: P~_2k(0) = P~_2k(1) (-1)^k (2k)!/(4^k k!^2), a product of
+    ratios -(2k+1)/(2k+2), and int_{-1}^{1} P~_2k = sqrt(2) [k = 0]."""
+    n = 2 * np.arange(coeffs.shape[0] - 1)
+    at0 = _legendre_at_one(coeffs.shape[0]) * np.cumprod(np.append(1.0, -(n + 1) / (n + 2)))
+    integ = np.sqrt(2.0) * coeffs[0] * np.sqrt(lam)
+    return np.linalg.svd(np.vstack([at0 @ coeffs / np.sqrt(lam), integ]))[2][2:].T
 
 
 def prolate_vectors(lam: float, k: int, mode_cut: int) -> np.ndarray:
@@ -271,17 +232,16 @@ def prolate_vectors(lam: float, k: int, mode_cut: int) -> np.ndarray:
 
     Takes the first k + _EXTRA even prolates, restricts their span to the
     codimension-2 subspace f(0) = 0, f^(0) = 0, applies E to a basis of it,
-    restricts to the circle and orthonormalizes.  Rank loss beyond _RANK_TOL
-    is an error (reported, never silently repaired)."""
+    restricts to the circle and orthonormalizes.  lambda must be finite and
+    above 1 (else ValueError).  Rank loss beyond _RANK_TOL is an error
+    (reported, never silently repaired)."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not (math.isfinite(lam) and lam > 1):
+        raise ValueError(f"circle parameter lambda must be finite and above 1, not {lam}")
     coeffs = pswf_basis(lam, k + _EXTRA)
-    E = _truncated_prolate_E_coefficients(coeffs, lam, mode_cut)
-    at0 = _prolate_values(coeffs, np.array([0.0]))[0] / np.sqrt(lam)
-    integ = np.sqrt(2.0) * coeffs[0] * np.sqrt(lam)  # integral of psi_i over [-1, 1]
-    # orthonormal basis of the constraint null space inside the prolate span
-    _, _, vt = np.linalg.svd(np.vstack([at0, integ]))
-    q, sv, _ = np.linalg.svd(E @ vt[2:].T, full_matrices=False)
+    E = _prolate_E_coefficients(coeffs, lam, mode_cut)
+    q, sv, _ = np.linalg.svd(E @ _constrained_span(coeffs, lam), full_matrices=False)
     ratio = sv[-1] / sv[0]
     if ratio < _RANK_TOL:
         raise ProlateRankError(

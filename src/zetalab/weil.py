@@ -42,7 +42,7 @@ from itertools import islice
 
 from mpmath import mp, mpf
 
-from zetalab.bandfn import LogBandFunction
+from zetalab.bandfn import LogBandFunction, band_frame
 from zetalab.precision import HPMatrix, jacobi_eigensystem
 from zetalab.zerotable import ZeroTable
 
@@ -277,12 +277,6 @@ def explicit_formula_profile(
 # -- Gram matrix of the truncated Weil form ------------------------------------
 
 
-def _frame(lam2):
-    """L = log(lambda), alpha = pi/L and c0 = (2L)^(-1/2) of the band."""
-    L = mp.log(mp.mpmathify(lam2)) / 2
-    return L, mp.pi / L, 1 / mp.sqrt(2 * L)
-
-
 def _pole_functionals(K, L, alpha, c0):
     """The pole functionals on the parity blocks: Pe over [const, cos_1..cos_K]
     is f -> (f^(i/2) + f^(-i/2))/2 and Po over [sin_1..sin_K] is
@@ -397,7 +391,7 @@ def _parity_blocks(lam2, K, precision_bits):
     commutes with x -> 1/x, which maps psi_k to psi_-k.  Each entry is formed
     once and mirrored, so both blocks are exactly symmetric.
     """
-    L, alpha, c0 = _frame(lam2)
+    L, alpha, c0 = band_frame(lam2)
     c2 = c0 * c0
     r = c2 / alpha
     Pe, Po = _pole_functionals(K, L, alpha, c0)
@@ -461,7 +455,7 @@ def pole_constraint_vectors(lam2, half_width: int, precision_bits: int):
     """
     _check_gram_args(lam2, half_width)
     with mp.workprec(precision_bits + _GUARD):
-        return _pole_functionals(half_width, *_frame(lam2))
+        return _pole_functionals(half_width, *band_frame(lam2))
 
 
 def _project_out(rows, c):
@@ -523,7 +517,7 @@ def _gram_entry_error(lam2, K, precision_bits):
     block entry is within 2^-p (2 + 2^10 S) of exact.
     """
     with mp.workprec(precision_bits + _GUARD):
-        L = _frame(lam2)[0]
+        L = band_frame(lam2)[0]
         lam, c2 = mp.exp(L), 1 / (2 * L)
         weights = mp.fsum(w for _, w in _prime_powers(mp.mpmathify(lam2)))
         psi_top = abs(mp.re(mp.digamma(mp.mpc(mpf(1) / 4, mp.pi * K / (2 * L)))))

@@ -1,38 +1,50 @@
+import math
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from e_image_quadrature import e_image_coefficients
 from zetalab.scaling import (
+    _EXTRA,
     _MODE_CUT,
-    _gauss_legendre,
-    _phase_table,
-    _segments,
+    _constrained_span,
+    _prolate_E_coefficients,
+    _zeta_critical,
     dirac_matrix,
     dirac_spectrum,
     poincare_sum,
+    pswf_basis,
     resonant_lambda,
 )
 from zetalab.zerotable import bundled_zero_table
 
 # the zeta-cycle protocol: circle length resonant_lambda(4, ordinate), k = 2
 M_CYCLE, K, BASIS = 4, 2, 301
+ZEROS = bundled_zero_table()
+# the null model's fakes: a few fixed ordinates and the midpoint of every gap
+# between the first 31 zeros
+_G31 = ZEROS.float_ordinates()[:31]
+FAKES = [15.5, 19.0, 23.0, 27.5] + [
+    pytest.param((a + b) / 2, id=f"midpoint{i}") for i, (a, b) in enumerate(zip(_G31, _G31[1:]), 1)
+]
 
 
 @pytest.fixture(scope="module")
 def zeros():
-    return bundled_zero_table()
+    return ZEROS
 
 
 def _spectrum(ordinate, zeros):
     return dirac_spectrum(resonant_lambda(M_CYCLE, ordinate), K, BASIS, zeros)
 
 
-@pytest.mark.parametrize("index, bound", [(1, 1e-11), (2, 1e-8), (3, 1e-5)])
-def test_resonant_zero_is_reproduced(zeros, index, bound):
+@pytest.mark.parametrize("index", range(1, 32))
+def test_resonant_zero_is_reproduced(zeros, index):
     report = _spectrum(float(zeros[index - 1]), zeros)
     eigs = report.eigenvalues
     assert eigs.shape == (BASIS,) and np.all(np.diff(eigs) >= 0)
-    assert report.zero_errors[index - 1] < bound
+    assert report.zero_errors[index - 1] < 1e-11
     # zero_errors covers the table up to the top eigenvalue, nearest eigenvalue each
     n = len(report.zero_errors)
     assert float(zeros[n - 1]) <= eigs[-1] < float(zeros[n])
@@ -40,7 +52,7 @@ def test_resonant_zero_is_reproduced(zeros, index, bound):
     assert np.array_equal(report.zero_errors, brute)
 
 
-@pytest.mark.parametrize("fake", [15.5, 19.0, 23.0, 27.5])
+@pytest.mark.parametrize("fake", FAKES)
 def test_fake_ordinate_is_not_reproduced(zeros, fake):
     # the null model: at a fake ordinate's resonant length no eigenvalue locks on
     eigs = _spectrum(fake, zeros).eigenvalues
@@ -53,54 +65,49 @@ def test_dirac_spectrum_rejects_bad_sizes(zeros, k, basis_size):
         dirac_spectrum(resonant_lambda(M_CYCLE, 14.5), k, basis_size, zeros)
 
 
+@pytest.mark.parametrize(
+    "m, ordinate, lam",
+    [(4, 0.0, None), (0, 14.1, None), (4, -14.1, None), (4, math.nan, None), (4, math.inf, None)]
+    + [(None, None, lam) for lam in (1.0, 0.8, math.nan, -2.0, math.inf)],
+)
+def test_bad_circle_length_raises_value_error(zeros, m, ordinate, lam):
+    with pytest.raises(ValueError):
+        if lam is None:
+            resonant_lambda(m, ordinate)
+        else:
+            dirac_spectrum(lam, K, BASIS, zeros)
+
+
 def test_dirac_spectrum_takes_a_zero_table(zeros):
     ordinates = [float(g) for g in zeros[:40]]
     with pytest.raises(TypeError):
         dirac_spectrum(resonant_lambda(M_CYCLE, 14.5), K, BASIS, ordinates)
 
 
-def test_gauss_legendre_is_cached_and_read_only():
-    x, w = _gauss_legendre(37)
-    want_x, want_w = np.polynomial.legendre.leggauss(37)
-    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
-    assert not x.flags.writeable and not w.flags.writeable
-    again = _gauss_legendre(37)
-    assert again[0] is x and again[1] is w
+@pytest.mark.parametrize("index", [1, 31])
+def test_zeta_on_the_critical_line(zeros, index):
+    # _zeta_critical against mp.zeta at 80 bits, within its docstring's bound
+    lam = resonant_lambda(M_CYCLE, float(zeros[index - 1]))
+    alpha, M = math.pi / math.log(lam), _MODE_CUT
+    got = _zeta_critical(alpha, M)
+    N, u = int(alpha * M / 2) + 30, 2.0**-53
+    m = np.arange(M + 1)
+    bound = (4 * math.sqrt(N) + 1) * u * (m * (4 * alpha * math.log(N) + 6) + N + 12) + 1e-18 * math.sqrt(N)
+    with mp.workprec(80):
+        want = np.array([complex(mp.zeta(mp.mpc(0.5, -mpf(alpha) * k))) for k in range(M + 1)])
+    assert np.all(np.abs(got - want) <= bound)
 
 
-def test_few_node_counts_across_circle_lengths(zeros):
-    # every circle length of the bench's rounds: the first 31 zeros and seven
-    # points across each gap between them (the fakes are drawn from the
-    # middle half of a gap).  Rounded to multiples of 32 the segments ask for
-    # at most 30 distinct rules (93 without the rounding), never fewer nodes
-    # than the sizing rule, and still tile [-L, L];
-    # test_resonant_zero_is_reproduced gates the zero errors under these counts
-    g = [float(x) for x in zeros[:31]]
-    ordinates = g + [a + (b - a) * i / 8 for a, b in zip(g, g[1:]) for i in range(1, 8)]
-    counts = set()
-    for ordinate in ordinates:
-        lam = resonant_lambda(M_CYCLE, ordinate)
-        L = np.log(lam)
-        segments = _segments(lam, _MODE_CUT)
-        assert segments[0][0] == -L and segments[-1][1] == L
-        assert all(b == a2 for (_, b, _), (a2, _, _) in zip(segments, segments[1:]))
-        for a, b, n in segments:
-            assert n > 3.5 * _MODE_CUT * (b - a) / (2 * L) + 23  # the rule floors, then adds 24
-            counts.add(n)
-    assert len(counts) <= 30
-
-
-@pytest.mark.parametrize("M", [5, 150, 256])
-def test_phase_table_matches_direct(M):
-    lam = resonant_lambda(M_CYCLE, 21.0)
-    L = np.log(lam)
-    alpha = np.pi / L
-    t = np.linspace(-L, L, 97)
-    direct = np.exp(-1j * alpha * np.outer(np.arange(-M, M + 1), t))
-    got = _phase_table(alpha, M, t)
-    eps = np.finfo(float).eps
-    assert got.shape == direct.shape
-    assert np.abs(got - direct).max() <= 4 * eps * (1 + alpha * M * np.abs(t).max())
+def test_closed_form_frame_matches_quadrature(zeros):
+    # on the constrained span the Mellin identity is exact, so the closed form
+    # lies within the quadrature oracle's own truncation error, its change from
+    # one Poincare level below the circle to two
+    lam = resonant_lambda(M_CYCLE, float(zeros[0]))
+    coeffs = pswf_basis(lam, K + _EXTRA)
+    span = _constrained_span(coeffs, lam)
+    closed = _prolate_E_coefficients(coeffs, lam, _MODE_CUT) @ span
+    depth1, depth2 = (e_image_coefficients(coeffs, lam, _MODE_CUT, d) @ span for d in (1, 2))
+    assert np.abs(closed - depth2).max() <= np.abs(depth2 - depth1).max()
 
 
 def test_rank_2k_dirac_matrix_matches_dense():
