@@ -18,8 +18,8 @@ the tests build it as their own oracle for the closed forms.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_mul, mpf_sin, round_nearest, to_fixed
@@ -165,11 +165,24 @@ class LogBandFunction(Immutable):
     # -- values ----------------------------------------------------------------
 
     def evaluate_log(self, t):
-        """Value at u = e^t; zero outside the support band."""
+        """Value at u = e^t; zero outside the support band.  Pairing k with -k,
+
+            f(e^t) = c0 [v_0 + sum_{k>=1} (e_k cos(alpha k t) + i o_k sin(alpha k t))],
+
+        e_k = v_k + v_-k, o_k = v_k - v_-k; the sine term is left out where
+        o_k = 0, so real symmetric coefficients give an mpf."""
         L, alpha, c0 = band_frame(self.lam2)
         if abs(t) > L:
             return mpf(0)
-        return c0 * mp.fsum(_num(v) * mp.expj(alpha * k * t) for k, v in self.coeffs.items())
+        v = {k: _num(x) for k, x in self.coeffs.items()}
+        acc = [v.get(0, mpf(0))]
+        for k in range(1, self.half_width_index + 1):
+            cos, sin = mp.cos_sin(alpha * k * t)
+            vp, vm = v.get(k, 0), v.get(-k, 0)
+            acc.append((vp + vm) * cos)
+            if vp != vm:
+                acc.append(1j * (vp - vm) * sin)
+        return c0 * mp.fsum(acc)
 
     def evaluate(self, x):
         if x <= 0:

@@ -7,14 +7,20 @@ given by convolution over the group law.  sigma_n and rho_tilde_n are the two
 endomorphism families generating the integral BC-system: sigma_n scales a
 root by n, rho_tilde_n sums over its n preimages under scaling.
 
+Divisor's constructor is the one accumulator of Z[Q/Z]: it sums the
+coefficients of a stream of (Root, int) pairs per root and drops the zeros.
+Sums, products and the images under sigma_n, rho_tilde_n and witt's tau and
+matrix product only hand it their unsummed pairs.
+
 Everything here is immutable and exact (Python integers only).
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain
 from math import gcd
-from typing import Iterable, Iterator, Mapping
 
 from zetalab.immutable import Immutable
 
@@ -74,22 +80,22 @@ ZERO_ROOT = Root(0, 1)
 
 
 class Divisor(Immutable):
-    """Element of Z[Q/Z]: a finite map Root -> nonzero integer coefficient."""
+    """Element of Z[Q/Z]: a finite map Root -> nonzero integer coefficient.
+
+    Built from a Mapping or a stream of (Root, int) pairs: coefficients of
+    the same root are summed, zero sums dropped and the roots sorted.  This
+    is the only place where coefficients are added.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Root, int] | Iterable[tuple[Root, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Root, int] = {}
-        for root, coeff in items:
+        for root, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             if not isinstance(root, Root):
                 raise TypeError(f"expected Root, got {type(root).__name__}")
-            c = acc.get(root, 0) + coeff
-            if c:
-                acc[root] = c
-            elif root in acc:
-                del acc[root]
-        object.__setattr__(self, "_terms", dict(sorted(acc.items())))
+            acc[root] = acc.get(root, 0) + coeff
+        object.__setattr__(self, "_terms", dict(sorted(rc for rc in acc.items() if rc[1])))
 
     @classmethod
     def of(cls, root: Root, coeff: int = 1) -> "Divisor":
@@ -119,14 +125,7 @@ class Divisor(Immutable):
         return hash(tuple(self._terms.items()))
 
     def __add__(self, other: "Divisor") -> "Divisor":
-        acc = dict(self._terms)
-        for root, coeff in other._terms.items():
-            c = acc.get(root, 0) + coeff
-            if c:
-                acc[root] = c
-            else:
-                del acc[root]
-        return Divisor(acc)
+        return Divisor(chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self) -> "Divisor":
         return Divisor({r: -c for r, c in self._terms.items()})
@@ -137,8 +136,6 @@ class Divisor(Immutable):
     def __rmul__(self, n: int) -> "Divisor":
         if not isinstance(n, int):
             return NotImplemented
-        if n == 0:
-            return Divisor()
         return Divisor({r: n * c for r, c in self._terms.items()})
 
     def __mul__(self, other):
@@ -155,18 +152,14 @@ class Divisor(Immutable):
         return format_divisor(self)
 
 
+def _products(x: Divisor, y: Divisor) -> Iterator[tuple[Root, int]]:
+    """The unsummed pairs (rx + ry, cx cy) of the convolution x y."""
+    return ((rx + ry, cx * cy) for rx, cx in x._terms.items() for ry, cy in y._terms.items())
+
+
 def divisor_mul(x: Divisor, y: Divisor) -> Divisor:
     """Convolution product in Z[Q/Z]: exponents add, coefficients multiply."""
-    acc: dict[Root, int] = {}
-    for rx, cx in x.items():
-        for ry, cy in y.items():
-            r = rx + ry
-            c = acc.get(r, 0) + cx * cy
-            if c:
-                acc[r] = c
-            elif r in acc:
-                del acc[r]
-    return Divisor(acc)
+    return Divisor(_products(x, y))
 
 
 def sigma(n: int, x: Divisor) -> Divisor:
@@ -180,11 +173,7 @@ def rho_tilde(n: int, x: Divisor) -> Divisor:
     """Linear extension of e(r) -> sum of e(r') over the n solutions of n*r' = r."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    acc: list[tuple[Root, int]] = []
-    for r, c in x.items():
-        for rp in r.preimages(n):
-            acc.append((rp, c))
-    return Divisor(acc)
+    return Divisor((rp, c) for r, c in x.items() for rp in r.preimages(n))
 
 
 def format_divisor(x: Divisor) -> str:

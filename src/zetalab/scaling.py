@@ -47,6 +47,7 @@ _EXTRA = 2  # prolates beyond k: the constraints f(0) = f^(0) = 0 use up two
 _RANK_TOL = 1e-8  # least singular-value ratio of the constrained E-images
 _MODE_CUT = 256  # least mode cut M of the prolate frame
 _MAX_TERMS = 400  # terms per side of a Poincare sum without compact support
+_MAX_ZETA_HEAD = 2**21  # most Euler-Maclaurin head terms _zeta_critical builds
 # B_2j/(2j)!, j = 1..16: the Euler-Maclaurin corrections of _zeta_critical
 _EM_COEFFS = [float(Fraction(*mp.bernfrac(2 * j)) / math.factorial(2 * j)) for j in range(1, 17)]
 
@@ -170,6 +171,9 @@ def _zeta_critical(alpha: float, M: int) -> np.ndarray:
         |error at m| <= (4 sqrt(N) + 1) u (m (4 alpha log N + 6) + N + 12) + 1e-18 sqrt(N).
     """
     N = int(alpha * M / 2) + 30
+    if N > _MAX_ZETA_HEAD:
+        raise ValueError(f"zeta head of {N} terms exceeds {_MAX_ZETA_HEAD}: "
+                         f"the circle is too short for {M} modes")
     n = np.arange(1, N)
     step = np.exp(1j * alpha * np.log(n))
     row = n ** -0.5 + 0j
@@ -196,12 +200,13 @@ def _prolate_E_coefficients(coeffs: np.ndarray, lam: float, M: int) -> np.ndarra
     and m -> -m conjugates both factors."""
     L = math.log(lam)
     alpha = math.pi / L
+    zeta = _zeta_critical(alpha, M)
     z = 0.5 - 1j * alpha * np.arange(M + 1)[:, None]
     n = 2 * np.arange(coeffs.shape[0] - 1)
     moments = np.cumprod(np.hstack([1 / z, (z - n - 1) / (z + n + 2)]), axis=1)
     sign = np.where(np.arange(M + 1) % 2, -1.0, 1.0)  # lambda^(-i alpha m)
     half = moments @ (_legendre_at_one(coeffs.shape[0])[:, None] * coeffs)
-    half *= (sign * _zeta_critical(alpha, M) / math.sqrt(2 * L))[:, None]
+    half *= (sign * zeta / math.sqrt(2 * L))[:, None]
     return np.vstack([half[:0:-1].conj(), half])
 
 
@@ -232,9 +237,12 @@ def prolate_vectors(lam: float, k: int, mode_cut: int) -> np.ndarray:
 
     Takes the first k + _EXTRA even prolates, restricts their span to the
     codimension-2 subspace f(0) = 0, f^(0) = 0, applies E to a basis of it,
-    restricts to the circle and orthonormalizes.  lambda must be finite and
-    above 1 (else ValueError).  Rank loss beyond _RANK_TOL is an error
-    (reported, never silently repaired)."""
+    restricts to the circle and orthonormalizes.  lambda must be finite, above
+    1 and far enough from 1 that _zeta_critical's head, N = floor(pi mode_cut
+    /(2 log lambda)) + 30 terms, stays within 2^21 (else ValueError, raised
+    before the head is built); the resonant lambda of the bundled table's last
+    zero at m = 1, mode cut 256, needs N = 1,264,386.  Rank loss beyond
+    _RANK_TOL is an error (reported, never silently repaired)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not (math.isfinite(lam) and lam > 1):

@@ -257,7 +257,10 @@ def explicit_formula_profile(
     if not sizes or sizes != sorted(sizes) or sizes[0] < 0 or sizes[-1] > len(zeros):
         raise ValueError("table_sizes must be nonempty, increasing and within the table")
     with mp.workprec(precision_bits + _GUARD):
-        pole = f.mellin(mp.mpc(0, 0.5)) + f.mellin(mp.mpc(0, -0.5))
+        # f^(i/2) + f^(-i/2) = 2 Pe(even part), whose cos_k coordinate is e_k/sqrt2
+        e = f.even_coefficients()
+        Pe, _ = _pole_functionals(len(e) - 1, *band_frame(f.lam2))
+        pole = 2 * (Pe[0] * e[0] + mp.fdot(Pe[1:], e[1:]) / mp.sqrt(2))
         rhs = w_arch(f, precision_bits)
         S = f.log_halfwidth()
         for p in primes_up_to(int(mp.exp(S)) + 1):

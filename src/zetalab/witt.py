@@ -17,13 +17,15 @@ C(n) W = W Delta(n).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from math import lcm
-from typing import Iterable, Mapping
 
 from mpmath import mp, mpc
 
-from zetalab.cyclotomy import Divisor, Root, ZERO_ROOT, rho_tilde
+from zetalab.cyclotomy import Divisor, Root, ZERO_ROOT, _products, rho_tilde
 from zetalab.immutable import Immutable
 
 Entry = tuple[int, Root]
@@ -37,9 +39,8 @@ class MonoidMatrix(Immutable):
     def __init__(self, n: int, cols: Mapping[int, Entry] | Iterable[tuple[int, Entry]] = ()):
         if n < 0:
             raise ValueError("dimension must be nonnegative")
-        items = cols.items() if isinstance(cols, Mapping) else cols
         clean: dict[int, Entry] = {}
-        for j, (i, root) in items:
+        for j, (i, root) in cols.items() if isinstance(cols, Mapping) else cols:
             if not (1 <= j <= n and 1 <= i <= n):
                 raise ValueError(f"index out of range: column {j} -> row {i} with n={n}")
             if j in clean:
@@ -111,10 +112,7 @@ def frobenius(n: int, t: MonoidMatrix) -> MonoidMatrix:
     """n-th matrix power (n >= 1)."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    acc = t
-    for _ in range(n - 1):
-        acc = compose(acc, t)
-    return acc
+    return reduce(compose, [t] * n)
 
 
 def verschiebung(n: int, t: MonoidMatrix) -> MonoidMatrix:
@@ -157,6 +155,10 @@ def tau(t: MonoidMatrix) -> Divisor:
     stabilizes within n steps onto a subset where phi is a permutation.  Each
     cycle of length m with entry roots summing to r contributes the m-th
     preimages of e(r).  The zero matrix yields the empty divisor.
+
+    All cycles' terms go into one Divisor.  Each cycle still calls rho_tilde,
+    through this module's name for it, so tau reads as the sum of rho_tilde_m
+    images and a profile of tau sees one rho_tilde call per cycle.
     """
     live = set(range(1, t.n + 1))
     for _ in range(t.n + 1):
@@ -164,22 +166,17 @@ def tau(t: MonoidMatrix) -> Divisor:
         if nxt == live:
             break
         live = nxt
-    acc = Divisor()
+    pairs: list[tuple[Root, int]] = []
     seen: set[int] = set()
-    for start in sorted(live):
-        if start in seen:
-            continue
-        cycle_sum = ZERO_ROOT
-        length = 0
-        j = start
+    for j in sorted(live):
+        cycle_sum, length = ZERO_ROOT, 0
         while j not in seen:
             seen.add(j)
-            i, root = t.cols[j]
-            cycle_sum = cycle_sum + root
-            length += 1
-            j = i
-        acc = acc + rho_tilde(length, Divisor.of(cycle_sum))
-    return acc
+            j, root = t.cols[j]
+            cycle_sum, length = cycle_sum + root, length + 1
+        if length:
+            pairs.extend(rho_tilde(length, Divisor.of(cycle_sum)).items())
+    return Divisor(pairs)
 
 
 class DivisorMatrix(Immutable):
@@ -187,9 +184,7 @@ class DivisorMatrix(Immutable):
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: list[list[Divisor]] | None = None):
-        if rows is None:
-            rows = [[Divisor() for _ in range(n)] for _ in range(n)]
+    def __init__(self, n: int, rows: list[list[Divisor]]):
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("shape mismatch")
         object.__setattr__(self, "n", n)
@@ -219,20 +214,11 @@ class DivisorMatrix(Immutable):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for k in range(n):
-                acc = Divisor()
-                for j in range(n):
-                    a = self.rows[i][j]
-                    b = other.rows[j][k]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return DivisorMatrix(n, rows)
+        cols = list(zip(*other.rows))
+        # empty entries are skipped: a MonoidMatrix factor is all but n of them
+        rows = [[Divisor(chain.from_iterable(_products(a, b) for a, b in zip(row, col) if a and b))
+                 for col in cols] for row in self.rows]
+        return DivisorMatrix(self.n, rows)
 
     def __rmatmul__(self, other) -> "DivisorMatrix":
         if isinstance(other, MonoidMatrix):
@@ -269,12 +255,11 @@ def root_to_complex(r: Root) -> mpc:
 
 def embed_complex(m: MonoidMatrix | DivisorMatrix):
     """mpmath matrix of the standard complex embedding (current precision)."""
+    out = mp.zeros(m.n, m.n)
     if isinstance(m, MonoidMatrix):
-        out = mp.zeros(m.n, m.n)
         for j, (i, root) in m.cols.items():
             out[i - 1, j - 1] = root_to_complex(root)
         return out
-    out = mp.zeros(m.n, m.n)
     for i in range(m.n):
         for j in range(m.n):
             for root, coeff in m.rows[i][j].items():

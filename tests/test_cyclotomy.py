@@ -1,4 +1,7 @@
 import random
+from collections import Counter
+from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from zetalab.cyclotomy import (
 )
 
 roots = st.builds(Root, st.integers(0, 40), st.integers(1, 24))
+pairs = st.lists(st.tuples(roots, st.integers(-5, 5)), max_size=12)
 divisors = st.lists(st.tuples(roots, st.integers(-5, 5)), max_size=6).map(Divisor)
 
 
@@ -132,6 +136,30 @@ class TestDivisorRing:
         d = Divisor([(Root(1, 3), 2), (Root(1, 3), -2)])
         assert not d
         assert d == Divisor.zero()
+
+
+class TestAccumulator:
+    @given(pairs)
+    def test_pair_stream_matches_counter(self, terms):
+        ref: Counter = Counter()
+        for root, coeff in terms:
+            ref[root] += coeff
+        got = Divisor(iter(terms))
+        assert list(got.items()) == sorted((r, c) for r, c in ref.items() if c)
+
+    @given(pairs)
+    def test_pair_stream_cancels_fully(self, terms):
+        # every pair followed later by its negative, as one generator
+        d = Divisor((r, sign * c) for sign in (1, -1) for r, c in terms)
+        assert not d and d == Divisor.zero() and not list(d.items())
+
+    def test_mapping_input_and_key_check(self):
+        third = Root(1, 3)
+        d = Divisor(MappingProxyType({third: 2, Root(0): 0}))
+        assert list(d.items()) == [(third, 2)]
+        for bad in ({"1/3": 1}, [(Fraction(1, 3), 1)], [(third, 1), ((1, 3), 1)]):
+            with pytest.raises(TypeError):
+                Divisor(bad)
 
 
 class TestSerialization:

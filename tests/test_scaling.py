@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from zetalab.scaling import (
     dirac_matrix,
     dirac_spectrum,
     poincare_sum,
+    prolate_vectors,
     pswf_basis,
     resonant_lambda,
 )
@@ -63,6 +65,14 @@ def test_fake_ordinate_is_not_reproduced(zeros, fake):
 def test_dirac_spectrum_rejects_bad_sizes(zeros, k, basis_size):
     with pytest.raises(ValueError):
         dirac_spectrum(resonant_lambda(M_CYCLE, 14.5), k, basis_size, zeros)
+
+
+def test_prolate_vectors_near_one_fails_fast():
+    # lambda = 1 + 1e-6 would need a zeta head of 4e8 terms (gigabytes)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="zeta head"):
+        prolate_vectors(1 + 1e-6, K, _MODE_CUT)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize(

@@ -152,6 +152,13 @@ class TestExplicitFormula:
         assert chk.zeros_used == len(zeros)
         assert abs(chk.residual) < mpf(10) ** -8
 
+    def test_real_function_gives_real_values(self, bump_profile):
+        # a real even f: the poles, W_R, the primes and the zero sum are all
+        # real, so no mpc with a zero imaginary part comes back
+        for chk in bump_profile:
+            assert all(type(x) is mpf for x in (chk.lhs, chk.rhs, chk.residual))
+        assert abs(bump_profile[1].residual) < mpf(10) ** -8
+
     def test_truncation_dominates_short_table(self, bump_profile):
         profile = bump_profile
         assert abs(profile[0].residual) > 1000 * abs(profile[1].residual)

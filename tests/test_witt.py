@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from zetalab.cyclotomy import Divisor, Root, parse_divisor, rho_tilde, sigma
@@ -27,6 +29,23 @@ def random_matrix(rng, max_n=6, max_den=6, fill=0.8):
             den = rng.randint(1, max_den)
             cols[j] = (rng.randint(1, n), Root(rng.randrange(den), den))
     return MonoidMatrix(n, cols)
+
+
+roots = st.builds(Root, st.integers(0, 40), st.integers(1, 24))
+signed = st.lists(st.tuples(roots, st.integers(-3, 3)), max_size=3).map(Divisor)
+
+
+@st.composite
+def cancelling_factors(draw):
+    """(a, b) whose j = 0, 1 terms of a @ b cancel: columns 0 and 1 of a are
+    equal and row 1 of b is minus row 0."""
+    n = draw(st.integers(2, 4))
+    a = [[draw(signed) for _ in range(n)] for _ in range(n)]
+    b = [[draw(signed) for _ in range(n)] for _ in range(n)]
+    for row in a:
+        row[1] = row[0]
+    b[1] = [-x for x in b[0]]
+    return DivisorMatrix(n, a), DivisorMatrix(n, b)
 
 
 TWO_CYCLE = MonoidMatrix(2, {1: (2, Root(1, 4)), 2: (1, Root(1, 3))})
@@ -178,6 +197,19 @@ class TestFourier:
         v, w, c, d = fourier_pair(n)
         assert d @ v == v @ c
         assert c @ w == w @ d
+
+    @given(cancelling_factors())
+    @settings(max_examples=40, deadline=None)
+    def test_signed_products_match_complex_model(self, ab):
+        a, b = ab
+        n = a.n
+        prod = a @ b
+        rest = [[sum((a[i, j] * b[j, k] for j in range(2, n)), Divisor()) for k in range(n)]
+                for i in range(n)]
+        assert prod == DivisorMatrix(n, rest)
+        with mp.workprec(128):
+            gap = embed_complex(prod) - embed_complex(a) * embed_complex(b)
+            assert mp.mnorm(gap, 1) < mp.mpf(2) ** -100
 
     @pytest.mark.parametrize("n", [2, 6])
     def test_vw_equals_n_in_complex_model(self, n):
