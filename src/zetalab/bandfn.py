@@ -194,7 +194,10 @@ class LogBandFunction(Immutable):
         return c0 * mp.fsum(_num(v) for v in self.coeffs.values())
 
     def evaluate_log_minus_center(self, t):
-        """f(e^t) - f(1), computed without cancellation for small t."""
+        """f(e^t) - f(1), computed without cancellation for small t.
+
+        No package code calls it; it stays while the benchmark's span map
+        names it, as deleting it is a benchmark change."""
         L, alpha, c0 = band_frame(self.lam2)
         if abs(t) > L:
             return -self.value_at_one()

@@ -14,7 +14,7 @@ from __future__ import annotations
 from mpmath import mp, mpf
 
 from zetalab.immutable import Immutable
-from zetalab.precision import _GUARD, orthonormalize, remove_components
+from zetalab.precision import _GUARD
 
 
 def hermite_phi(nmax: int, x):
@@ -99,13 +99,23 @@ class EvenGaussHermite(Immutable):
     def project_even_schwartz_zero(self, precision_bits: int) -> "EvenGaussHermite":
         """Orthogonal projection onto {f(0) = 0, f^(0) = 0} in coefficient
         space (the basis is orthonormal, so this is the L^2 projection),
-        computed _GUARD bits above precision_bits."""
+        computed _GUARD bits above precision_bits.
+
+        With u_m = phi_2m(0), f(0) sqrt(a) = sum_m c_m u_m and f^(0)/sqrt(a)
+        = sum_m (-1)^m c_m u_m, so the two constraints are equivalently
+        e.c = 0 and o.c = 0 for the even-m and odd-m halves e, o of u.  Their
+        supports are disjoint, so they are orthogonal, and the projection
+        removes c's component along each nonzero half.  Every u_m is nonzero,
+        so a half is zero only when it is empty: o at order 0, where f^(0) =
+        f(0) a and the space is one constraint.
+        """
         with mp.workprec(precision_bits + _GUARD):
-            n = self.order + 1
-            u = [hermite_phi_zero(2 * m) for m in range(n)]  # f(0) functional / sqrt(a)
-            v = [(-1) ** m * u[m] for m in range(n)]  # f^(0) functional * sqrt-scale
-            basis = orthonormalize((u, v), mpf(2) ** (-(precision_bits // 2)))
-            c = remove_components([mp.mpmathify(x) for x in self.coeffs], basis)
+            c = [mp.mpmathify(x) for x in self.coeffs]
+            u = [hermite_phi_zero(2 * m) for m in range(len(c))]
+            for half in (slice(0, None, 2), slice(1, None, 2)):
+                if u[half]:
+                    k = mp.fdot(u[half], c[half]) / mp.fdot(u[half], u[half])
+                    c[half] = [x - k * y for x, y in zip(c[half], u[half])]
         return EvenGaussHermite(self.scale, c)
 
     def __repr__(self):

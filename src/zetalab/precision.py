@@ -18,34 +18,11 @@ from mpmath import mp, mpf
 from zetalab.immutable import Immutable
 
 # Working bits above precision_bits for averaging, solving and hermitefn's
-# Gram-Schmidt.  They set the certificate's level: with 16, the eigsy residual
-# plus the rounding term n 2^-(bits+16) (||A||_F + max|lambda|) comes to
-# between 2^-(bits+6) and 2^-(bits+8) on the Weil blocks of the benchmark
-# (dimension up to 25), a few bits past the precision_bits asked for.
+# closed-form projection.  They set the certificate's level: with 16, the
+# eigsy residual plus the rounding term n 2^-(bits+16) (||A||_F + max|lambda|)
+# comes to between 2^-(bits+6) and 2^-(bits+8) on the Weil blocks of the
+# benchmark (dimension up to 25), a few bits past the precision_bits asked for.
 _GUARD = 16
-
-
-def remove_components(v, basis):
-    """Real v minus its components along the real orthonormal basis, one
-    vector at a time (the modified Gram-Schmidt order)."""
-    v = list(v)
-    for u in basis:
-        dot = mp.fdot(v, u)
-        v = [x - dot * y for x, y in zip(v, u)]
-    return v
-
-
-def orthonormalize(vectors, threshold):
-    """Modified Gram-Schmidt on real vectors: each vector, orthogonalized
-    against the vectors accepted before it, is normalized and kept unless its
-    remaining norm is at or below threshold."""
-    out = []
-    for v in vectors:
-        v = remove_components(v, out)
-        nrm = mp.sqrt(mp.fsum(x * x for x in v))
-        if nrm > threshold:
-            out.append([x / nrm for x in v])
-    return out
 
 
 class HPMatrix(Immutable):

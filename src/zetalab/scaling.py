@@ -237,12 +237,12 @@ def prolate_vectors(lam: float, k: int, mode_cut: int) -> np.ndarray:
 
     Takes the first k + _EXTRA even prolates, restricts their span to the
     codimension-2 subspace f(0) = 0, f^(0) = 0, applies E to a basis of it,
-    restricts to the circle and orthonormalizes.  lambda must be finite, above
-    1 and far enough from 1 that _zeta_critical's head, N = floor(pi mode_cut
-    /(2 log lambda)) + 30 terms, stays within 2^21 (else ValueError, raised
-    before the head is built); the resonant lambda of the bundled table's last
-    zero at m = 1, mode cut 256, needs N = 1,264,386.  Rank loss beyond
-    _RANK_TOL is an error (reported, never silently repaired)."""
+    restricts to the circle and makes the columns orthonormal.  lambda must be
+    finite, above 1 and far enough from 1 that _zeta_critical's head, N =
+    floor(pi mode_cut/(2 log lambda)) + 30 terms, stays within 2^21 (else
+    ValueError, raised before the head is built); the resonant lambda of the
+    bundled table's last zero at m = 1, mode cut 256, needs N = 1,264,386.
+    Rank loss beyond _RANK_TOL is an error (reported, never silently repaired)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not (math.isfinite(lam) and lam > 1):
@@ -274,7 +274,7 @@ class SpectralReport:
 def dirac_matrix(lam: float, frame: np.ndarray, basis_size: int) -> np.ndarray:
     """(1 - Pi) D0 (1 - Pi) in the log-Fourier basis; D0 = diag(pi m / L) and
     Pi = Q Q^H projects on the prolate frame truncated to modes -M..M and
-    re-orthonormalized (Q is n x k, n = basis_size).
+    made orthonormal again (Q is n x k, n = basis_size).
 
     Expanded, (1 - Pi) D0 (1 - Pi) = D0 - (W Q^H + Q W^H) with
     W = D0 Q - Q C/2 and C = Q^H D0 Q: a rank-2k update of O(n^2 k) in place
@@ -288,7 +288,7 @@ def dirac_matrix(lam: float, frame: np.ndarray, basis_size: int) -> np.ndarray:
         raise ValueError("prolate frame has fewer modes than basis_size")
     L = np.log(float(lam))
     d0 = np.pi * np.arange(-M, M + 1) / L
-    # re-orthonormalize after mode truncation
+    # orthonormal again after mode truncation
     q, s, _ = np.linalg.svd(frame[mid - M : mid + M + 1, :], full_matrices=False)
     if s[-1] < 0.5:
         raise ValueError(

@@ -12,8 +12,13 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
+from zetalab.bandfn import LogBandFunction
 from zetalab.scaling import map_E
-from zetalab.weil import _GUARD, QuadratureError, is_prime, w_arch
+from zetalab.weil import _GUARD, is_prime, w_arch
+
+
+class QuadratureError(ArithmeticError):
+    """A quadrature's error estimate exceeds the tolerance its check states."""
 
 
 def gamma_factor(z, precision_bits: int = 256):
@@ -59,8 +64,8 @@ def tate_arch_check(f, s, precision_bits: int = 256):
     stay below 2^-(precision_bits // 2) (else QuadratureError).  Doubled for
     the two half-lines, each side is certified to 2^(1 - precision_bits // 2)
     and, for real s where |rho(s)| = 1, the residual to twice that: about
-    half the working bits, not 2^-precision_bits.  _quad_checked's
-    2^-(bits+8) would refuse here:
+    half the working bits, not 2^-precision_bits.  A 2^-(bits+8) tolerance
+    would refuse here:
     x^(is) oscillates without end at x = 0, and tanh-sinh's estimate there
     stays far above that (at 128 bits, 1.0e-33 against 1.6e-41).
     """
@@ -149,9 +154,12 @@ def trace_side_integral(f, precision_bits: int = 256):
         return +(-(head + tail) / mp.pi)
 
 
-def arch_trace_check(f, precision_bits: int = 256):
+def arch_trace_check(f: LogBandFunction, precision_bits: int = 256):
     """w_inf = W_R(f) against the trace side; returns the triple
-    (w_inf, trace_side, residual)."""
+    (w_inf, trace_side, residual).  f must be a LogBandFunction (else
+    TypeError, raised before any quadrature starts)."""
+    if not isinstance(f, LogBandFunction):
+        raise TypeError(f"arch_trace_check takes a LogBandFunction, not {type(f).__name__}")
     with mp.workprec(precision_bits + _GUARD):
         w_inf = w_arch(f, precision_bits)
         trace = trace_side_integral(f, precision_bits)

@@ -9,8 +9,9 @@ f (bandfn.LogBandFunction, supported in [lambda^-1, lambda]) every term is a
 closed form: the zero sum costs one sine per zero
 (LogBandFunction.mellin_pair_sum), W_R(f) is K+1 digamma values plus one
 geometric series, and the prime side is a finite sum over prime powers below
-lambda, so the explicit formula runs no quadrature.  The same finiteness
-makes the quadratic form
+lambda, so the explicit formula runs no quadrature.  w_arch and the explicit
+formula take a LogBandFunction only; nothing in this module integrates
+numerically.  The same finiteness makes the quadratic form
 
     QW(f, g) = sum_{zeros} conj(f^) g^
 
@@ -55,10 +56,6 @@ from zetalab.zerotable import ZeroTable
 _GUARD = 48
 
 
-class QuadratureError(ArithmeticError):
-    pass
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -98,22 +95,6 @@ def w_prime(p: int, f, precision_bits: int = 256):
             acc += mp.power(p, -mpf(m) / 2) * (f.evaluate_log(t) + f.evaluate_log(-t))
             m += 1
         return +(logp * acc)
-
-
-def _quad_checked(integrand, interval, precision_bits):
-    # w_arch's quadratures.  The rule runs 80 bits above precision_bits, 32
-    # above the caller's _GUARD: tanh-sinh estimates its error from the gap
-    # between successive levels, which certifies the 2^-(bits+8) tolerance
-    # only once the rule has converged well past it.
-    with mp.workprec(precision_bits + 80):
-        val, err = mp.quad(integrand, interval, error=True)
-    tol = mpf(2) ** (-precision_bits - 8) * (1 + abs(val))
-    if err > tol:
-        raise QuadratureError(
-            f"quadrature error estimate {mp.nstr(err, 5)} exceeds tolerance "
-            f"{mp.nstr(tol, 5)} at {precision_bits} bits"
-        )
-    return +val
 
 
 def _decay_series(x, term_bound, tol):
@@ -171,60 +152,15 @@ def _w_arch_band(f: LogBandFunction, precision_bits):
     return acc / mp.sqrt(2 * L)
 
 
-def w_arch(f, precision_bits: int = 256, breakpoints=()):
-    """(log 4pi + gamma) f(1) + the archimedean principal-value integral.
-
-    Three routes, by input:
-      - a LogBandFunction takes the closed form of _w_arch_band (K+1 digamma
-        values and one geometric series, no quadrature);
-      - any other band function (duck-typed: anything with log_halfwidth,
-        value_at_one and evaluate_log_minus_center, such as the tests' exact
-        convolution f * g~) is integrated over its support with the exact
-        cancellation-free integrand, plus a closed-form tail beyond it;
-      - a plain callable f(x) is integrated over [0, inf) in log coordinates
-        with local precision boosts near the removable singularity at x = 1.
-        Known kinks of f (in log coordinates) can be passed as breakpoints so
-        the quadrature splits there.
-    The two quadrature routes are the tests' independent oracle for the
-    closed form.
-    """
+def w_arch(f: LogBandFunction, precision_bits: int = 256):
+    """W_R(f) = (log 4pi + gamma) f(1) + the archimedean principal-value
+    integral, for a LogBandFunction f, in the closed form of _w_arch_band:
+    K+1 digamma values and one geometric series, no quadrature.  Any other
+    input raises TypeError."""
+    if not isinstance(f, LogBandFunction):
+        raise TypeError(f"w_arch takes a LogBandFunction, not {type(f).__name__}")
     with mp.workprec(precision_bits + _GUARD):
-        if isinstance(f, LogBandFunction):
-            return +_w_arch_band(f, precision_bits)
-        if hasattr(f, "evaluate_log_minus_center"):
-            S = f.log_halfwidth()
-            f1 = f.value_at_one()
-
-            def integrand(t):
-                if t == 0:
-                    return f1 / 2
-                n = (
-                    f.evaluate_log_minus_center(t)
-                    + f.evaluate_log_minus_center(-t)
-                    - 2 * f1 * mp.expm1(-t / 2)
-                )
-                return n * mp.exp(t / 2) / (2 * mp.sinh(t))
-
-            tail = -f1 * mp.log(mp.coth(S / 2))
-            core = _quad_checked(integrand, [0, S], precision_bits)
-            head = (mp.log(4 * mp.pi) + mp.euler) * f1
-            return +(head + core + tail)
-
-        f1 = mp.mpmathify(f(mpf(1)))
-
-        def integrand(t):
-            if t == 0:
-                return f1 / 2
-            boost = 16 + max(0, int(-mp.log(abs(t), 2)))
-            with mp.workprec(mp.prec + boost):
-                x = mp.exp(t)
-                n = f(x) + f(1 / x) - 2 * mp.exp(-t / 2) * f1
-                val = n * mp.exp(t / 2) / (2 * mp.sinh(t))
-            return +val
-
-        interval = [0] + sorted(mp.mpmathify(b) for b in breakpoints) + [mp.inf]
-        core = _quad_checked(integrand, interval, precision_bits)
-        return +((mp.log(4 * mp.pi) + mp.euler) * f1 + core)
+        return +_w_arch_band(f, precision_bits)
 
 
 @dataclass
@@ -431,6 +367,9 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
 
     with w_0 = 1 and w_k = 1/sqrt2 otherwise: every entry is real, and G is
     symmetric with G(j, k) = G(-j, -k).
+
+    Only tests read it; it stays while the benchmark's span map names it, as
+    deleting it is a benchmark change.
     """
     _check_gram_args(lam2, half_width)
     K = half_width

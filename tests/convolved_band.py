@@ -6,9 +6,9 @@ g~(x) = conj(g(1/x)).  The convolution of two finite log-Fourier series on
 (trigonometric polynomial plus t * trigonometric polynomial on each side of
 t = 0) supported in [lambda^-2, lambda^2].  ConvolvedBandFunction stores that
 exact form; its Mellin transform factorizes through the inputs.  It exposes
-evaluate_log_minus_center, so weil.w_arch integrates it by quadrature, which
-is how the tests check the closed-form archimedean terms.  The piece table is
-built once per working precision and kept.
+evaluate_log_minus_center, so arch_quadrature.w_arch_quadrature integrates
+it, which is how the tests check the closed-form archimedean terms.  The
+piece table is built once per working precision and kept.
 """
 
 from __future__ import annotations

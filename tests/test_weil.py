@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
+from arch_quadrature import quad_checked, w_arch_quadrature
 from convolved_band import star_convolve
 from zetalab.bandfn import LogBandFunction
 from zetalab.precision import HPMatrix
-from zetalab.semilocal import arch_phase_derivative
+from zetalab.semilocal import arch_phase_derivative, arch_trace_check
 from zetalab.weil import (
     explicit_formula_profile,
     explicit_formula_residual,
@@ -20,6 +21,14 @@ from zetalab.weil import (
     weil_gram_spectrum,
 )
 from zetalab.zerotable import bundled_zero_table
+
+
+# inputs that are not a LogBandFunction: a band function of another type,
+# and a plain callable
+NON_BAND = pytest.mark.parametrize("make", [
+    lambda: star_convolve(LogBandFunction(4, {0: 1}), LogBandFunction(4, {1: 1})),
+    lambda: (lambda x: x),
+], ids=["convolved", "callable"])
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +104,7 @@ class TestWArch:
         def gauss(x):
             return mp.exp(-mp.log(x) ** 2)
 
-        got = w_arch(gauss, 120)
+        got = w_arch_quadrature(gauss, 120)
         with mp.workprec(168):
             trace = -mp.quad(
                 lambda s: mp.sqrt(mp.pi) * mp.exp(-s * s / 4) * arch_phase_derivative(s, 120),
@@ -111,7 +120,7 @@ class TestWArch:
                 return f.evaluate(x)
 
             # the support edge is a kink in log coordinates
-            gen_val = w_arch(generic, 160, breakpoints=[mp.log(2)])
+            gen_val = w_arch_quadrature(generic, 160, breakpoints=[mp.log(2)])
             assert abs(band_val - gen_val) < mpf(10) ** -40
 
     @pytest.mark.parametrize("lam2", ["1.2", "4", "11"])
@@ -130,8 +139,16 @@ class TestWArch:
         f = LogBandFunction(mpf(lam2), coeffs)
         closed = w_arch(f, bits)
         with mp.workprec(bits + 48):
-            generic = w_arch(lambda x: f.evaluate(x), bits, breakpoints=[f.log_halfwidth()])
+            generic = w_arch_quadrature(lambda x: f.evaluate(x), bits,
+                                        breakpoints=[f.log_halfwidth()])
         assert abs(closed - generic) < mpf(2) ** -(bits - 8)
+
+    @NON_BAND
+    @pytest.mark.parametrize("check", [w_arch, arch_trace_check], ids=["w_arch", "arch-trace"])
+    def test_rejects_non_band_function(self, check, make):
+        # before any work: arch_trace_check's quadosc alone would run for minutes
+        with pytest.raises(TypeError):
+            check(make(), 128)
 
     def test_vanishing_at_one_truncates(self):
         # f(1) = 0: no distributional term, integral over the band only
@@ -163,10 +180,7 @@ class TestExplicitFormula:
         profile = bump_profile
         assert abs(profile[0].residual) > 1000 * abs(profile[1].residual)
 
-    @pytest.mark.parametrize("make", [
-        lambda: star_convolve(LogBandFunction(4, {0: 1}), LogBandFunction(4, {1: 1})),
-        lambda: (lambda x: x),
-    ], ids=["convolved", "callable"])
+    @NON_BAND
     def test_rejects_non_band_function(self, zeros, make):
         with pytest.raises(TypeError):
             explicit_formula_residual(make(), zeros.truncated(10), 128)
@@ -239,7 +253,7 @@ class TestWeilGram:
                     LogBandFunction(lam2, {k: 1}), LogBandFunction(lam2, {j: 1})
                 )
                 val = h.mellin(mpc(0, 0.5)) + h.mellin(mpc(0, -0.5))
-                val -= w_arch(h, prec)
+                val -= w_arch_quadrature(h, prec)
                 S = h.log_halfwidth()
                 for p in primes_up_to(int(mp.exp(S)) + 1):
                     if mp.log(p) <= S:
@@ -343,7 +357,7 @@ class TestWeilGram:
         # the closed form against a certified tanh-sinh quadrature of each
         # defining integrand; lambda^2 = 3 at 192 bits and 1.2 (ratio
         # lambda^-4 near 0.69) run the longest series
-        from zetalab.weil import _GUARD, _arch_integrals, _quad_checked
+        from zetalab.weil import _GUARD, _arch_integrals
 
         with mp.workprec(bits + _GUARD):
             L = mp.log(mpf(lam2)) / 2
@@ -363,7 +377,7 @@ class TestWeilGram:
             for k in range(K + 1):
                 b = alpha * k
                 for got, f in ((I[k], i_integrand), (J[k], j_integrand)):
-                    want = _quad_checked(lambda t: f(t, b), [0, 2 * L], bits)
+                    want = quad_checked(lambda t: f(t, b), [0, 2 * L], bits)
                     assert abs(got - want) < mpf(2) ** -(bits + 8)
 
     def test_projected_blocks_exactly_symmetric(self):

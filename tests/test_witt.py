@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from tau_oracle import eigenvalue_divisor, embed_complex
 from zetalab.cyclotomy import Divisor, Root, parse_divisor, rho_tilde, sigma
 from zetalab.witt import (
     DivisorMatrix,
     MonoidMatrix,
     compose,
-    eigenvalue_divisor,
-    embed_complex,
     fourier_pair,
     frobenius,
     smash,
