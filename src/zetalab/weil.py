@@ -51,8 +51,10 @@ from zetalab.zerotable import ZeroTable
 # They buy the Weil Gram its certificate: its entries are formed from terms up
 # to about lambda in size, and with 48 bits the entry-error bound
 # (_gram_entry_error, about 2^-(bits+33) at the benchmark's settings) times the
-# block dimension stays about 20 bits below the eigensolver's residual, which
-# is near 2^-(bits+6) there, so the certified bits are the solver's.
+# block dimension, and the reflector's rounding (_projection_error, about
+# 2^-(bits+27)) when the poles are projected, stay about 18 bits below the
+# eigensolver's residual, which is between 2^-(bits+7.5) and 2^-(bits+9)
+# there, so the certified bits are the solver's.
 _GUARD = 48
 
 
@@ -408,7 +410,8 @@ def _project_out(rows, c):
     H = I - tau u u^T is symmetric and orthogonal with H c = -sgn(c_0) |c| e_0,
     so its columns 1..n-1 are an orthonormal basis of the complement and the
     compression is H A H without row and column 0.  With p = tau A u and
-    w = p - (tau/2)(u.p) u, H A H = A - u w^T - w u^T.
+    w = p - (tau/2)(u.p) u, H A H = A - u w^T - w u^T.  _projection_error
+    bounds the rounding.
     """
     n = len(rows)
     if n == 0:
@@ -428,11 +431,9 @@ def _project_out(rows, c):
     return out
 
 
-def _gram_entry_error(lam2, K, precision_bits):
-    """Bound on |stored - exact| for every entry of either parity block.
-
-    Each entry of _parity_blocks is formed at p = precision_bits + _GUARD
-    bits from terms whose absolute values add up to at most 2S, where S is
+def _gram_scale(lam2, K, precision_bits):
+    """S, with every entry of either parity block formed at p = precision_bits
+    + _GUARD bits from terms whose absolute values add up to at most 2S.  S is
     the sum of these bounds:
       - pole: 32 c2 sinh(L/2)^2.  |Pe_0| = 4 c0 sinh(L/2), and |Pe_k| <=
         4 sqrt2 c0 sinh(L/2) and |Po_k| <= 2 sqrt2 c0 sinh(L/2) since
@@ -451,21 +452,67 @@ def _gram_entry_error(lam2, K, precision_bits):
     |D(k)|) for j != k >= 1, sqrt2 r |D(k)|/k and r |D(k)|/k are smaller.  So
     the terms of T and D add up to at most S - 32 c2 sinh(L/2)^2 + W, and
     with the pole terms an entry's add up to at most 2S.
-    Rounding: every product, quotient, sum and special-function value is
-    within 4 units of 2^-p of itself, no chain from an input to an entry has
-    more than 2^7 such steps, and the absolute values along any sum add up to
-    at most 2S, so the rounding of an entry is below 2^10 2^-p S.  The series
-    tails of I and J add less than 2^-p each (weight at most 1), so each
-    block entry is within 2^-p (2 + 2^10 S) of exact.
     """
     with mp.workprec(precision_bits + _GUARD):
         L = band_frame(lam2)[0]
         lam, c2 = mp.exp(L), 1 / (2 * L)
         weights = mp.fsum(w for _, w in _prime_powers(mp.mpmathify(lam2)))
         psi_top = abs(mp.re(mp.digamma(mp.mpc(mpf(1) / 4, mp.pi * K / (2 * L)))))
-        S = (32 * c2 * mp.sinh(L / 2) ** 2 + 2 * weights + 12 - 2 * mp.log(mp.tanh(L))
-             + max(-mp.digamma(mpf(1) / 4), psi_top) + 9 * c2 + (2 + 32 * c2) / (lam - lam**-3))
-        return mpf(2) ** -(precision_bits + _GUARD) * (2 + 2**10 * S)
+        return (32 * c2 * mp.sinh(L / 2) ** 2 + 2 * weights + 12 - 2 * mp.log(mp.tanh(L))
+                + max(-mp.digamma(mpf(1) / 4), psi_top) + 9 * c2 + (2 + 32 * c2) / (lam - lam**-3))
+
+
+def _gram_entry_error(lam2, K, precision_bits):
+    """Bound on |stored - exact| for every entry of either parity block.
+
+    Rounding: every product, quotient, sum and special-function value is
+    within 4 units of 2^-p of itself, p = precision_bits + _GUARD, no chain
+    from an input to an entry has more than 2^7 such steps, and the absolute
+    values along any sum add up to at most 2S (_gram_scale), so the rounding
+    of an entry is below 2^10 2^-p S.  The series tails of I and J add less
+    than 2^-p each (weight at most 1), so each block entry is within
+    2^-p (2 + 2^10 S) of exact.
+    """
+    with mp.workprec(precision_bits + _GUARD):
+        return mpf(2) ** -(precision_bits + _GUARD) * (2 + 2**10 * _gram_scale(lam2, K, precision_bits))
+
+
+def _projection_error(lam2, K, precision_bits):
+    """Bound on how far the eigenvalues of _project_out(A, c), as computed
+    at p = precision_bits + _GUARD bits (unit eps = 2^-p), lie from those of
+    the exact compression of the stored block A onto the complement of the
+    exact pole functional; 2-norms, with n = K + 1 at least the block's
+    dimension.
+
+    The stored c: each entry of _pole_functionals is a chain of fewer than
+    2^4 roundings, each within 4 eps; L's error reaches alpha = pi/L with
+    factor 1 and sinh(L/2) with factor (L/2) coth(L/2) <= 1 + L/2, so every
+    entry is within 2^7 (1 + L) eps of exact, relatively, and so is the angle
+    theta between c and its exact value (up to 1%).  A rotation U in their
+    plane, ||U - I|| = 2 sin(theta/2) <= theta, maps one complement onto the
+    other, so the two compressions have eigenvalues within
+    ||U^T A U - A|| <= 2 theta ||A||.
+
+    The reflector, for the stored c: let u*, tau* = 2/|u*|^2, p*, h*, w* be
+    _project_out's quantities in exact arithmetic, so |p*| <= 2 ||A||/|u*|,
+    |h*| <= tau* ||A|| and |w*| <= 4 ||A||/|u*|.  |c| is formed within
+    2.1 eps and u_0 within 3.2 eps, relatively (c_0 and sgn(c_0) |c| share a
+    sign); tau within 7.3 eps; p, one fdot and one product per entry, within
+    25.4 eps ||A||/|u*|; h within 25.5 tau* eps ||A||; and w, outside entry 0
+    (u_a = c_a exactly there), within 83 eps ||A||/|u*|.  The output entries
+    A_ab - u_a w_b - w_a u_b are then off by 2 |u*| |w - w*| <= 166 eps ||A||
+    in Frobenius norm, plus their own four roundings, 3 eps (|A_ab| +
+    |u_a| |w_b| + |w_a| |u_b|) each, at most 27 eps ||A||_F in all.  With the
+    O(eps^2) terms that is below 2^8 eps ||A||_F.
+
+    Together, below 2^9 (2 + L) eps ||A||_F, and every entry of A is at most
+    2S (_gram_scale), so ||A||_F <= 2 n S and the bound is
+    2^10 (2 + L) n S eps.
+    """
+    with mp.workprec(precision_bits + _GUARD):
+        L = band_frame(lam2)[0]
+        return (mpf(2) ** -(precision_bits + _GUARD) * 2**10 * (2 + L) * (K + 1)
+                * _gram_scale(lam2, K, precision_bits))
 
 
 def weil_gram(
@@ -496,7 +543,8 @@ def weil_gram_spectrum(
     lam2, half_width: int, precision_bits: int, project_poles: bool = False
 ) -> GramSpectrum:
     """Assemble the Gram's parity blocks and solve each with
-    precision.jacobi_eigensystem; the spectrum is their union, ascending.
+    precision.jacobi_eigensystem, which certifies every eigenvalue without
+    eigenvectors; the spectrum is their union, ascending.
 
     Every eigenvalue carries one residual: the larger of the two blocks'
     eigensolver residuals (each bounds its block's eigenvalues in sorted
@@ -506,7 +554,7 @@ def weil_gram_spectrum(
     the sorted eigenvalues then move by at most ||E||_2 <= n e, with n = K + 1
     the larger block's dimension.  Projection compresses E to a principal
     submatrix of H E H (_project_out's reflector H), whose 2-norm is no
-    larger.  The rounding of the projection itself is not in the bound.
+    larger, and adds its own rounding, _projection_error.
     """
     eigenvalues = []
     residual = mpf(0)
@@ -516,6 +564,8 @@ def weil_gram_spectrum(
         residual = max(residual, res.max_residual())
     with mp.workprec(precision_bits + _GUARD):
         residual += (half_width + 1) * _gram_entry_error(lam2, half_width, precision_bits)
+        if project_poles:
+            residual += _projection_error(lam2, half_width, precision_bits)
     eigenvalues.sort()
     smallest_pos = next((lam for lam in eigenvalues if lam > residual), None)
     return GramSpectrum(

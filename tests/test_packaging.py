@@ -47,3 +47,20 @@ def test_quadrature_only_in_semilocal():
         ]
         if path.stem != "semilocal":
             assert calls == [], f"{path.name} calls mp.quad at lines {calls}"
+
+
+def test_mpmath_provides_the_eigensolver_halves():
+    # precision.jacobi_eigensystem calls eigsy's two halves by name, so an
+    # mpmath that moves or renames them fails here, not in every Weil test
+    import inspect
+
+    from mpmath.matrices import eigen_symmetric
+
+    params = {
+        "r_sy_tridiag": ["ctx", "A", "D", "E", "calc_ev"],
+        "tridiag_eigen": ["ctx", "d", "e", "z"],
+    }
+    for name, want in params.items():
+        fn = getattr(eigen_symmetric, name, None)
+        assert callable(fn), f"mpmath.matrices.eigen_symmetric has no {name}"
+        assert list(inspect.signature(fn).parameters) == want

@@ -4,7 +4,57 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from zetalab.precision import HPMatrix, jacobi_eigensystem
+from zetalab.precision import _GUARD, HPMatrix, jacobi_eigensystem
+
+
+def clustered_blocks():
+    """An 8x8 block H diag(lam) H and a 2x2 block [[1, 1/4], [1/4, 1]], built
+    at 400 bits.  H = I - v v^T/8 with v = (3, 1, ..., 1) is a reflector
+    (v.v = 16) with dyadic entries, so every entry is exact at 192 bits and
+    the eigenvalues are exactly lam, 3/4 and 5/4: a triple one, a pair 2^-150
+    apart (closer than the residual at 128 bits), and a second block that
+    makes T split (a zero off-diagonal)."""
+    v = [3, 1, 1, 1, 1, 1, 1, 1]
+    with mp.workprec(400):
+        lam = [mpf(-5) / 8] * 3 + [mpf(1) / 2, mpf(1) / 2 + mpf(2) ** -150, 2, -1, mpf(3) / 16]
+        h = [[int(i == j) - mpf(v[i] * v[j]) / 8 for j in range(8)] for i in range(8)]
+        a = [[mp.fsum(h[i][k] * lam[k] * h[k][j] for k in range(8)) for j in range(8)]
+             for i in range(8)]
+    with mp.workprec(192):
+        stored = [[+x for x in row] for row in a]
+    assert stored == a
+    entries = [row + [0, 0] for row in stored] + [[0] * 8 + [1, mpf(1) / 4], [0] * 8 + [mpf(1) / 4, 1]]
+    return entries, lam + [mpf(3) / 4, mpf(5) / 4]
+
+
+def tridiagonal_ones(n=36):
+    """tridiag(1, 1, 1), eigenvalues 1 + 2 cos(k pi/(n + 1)).  It is already
+    tridiagonal, so the reduction is exact (Q = I, R = 0, delta = 0) and the
+    residual is the Sturm radius alone, which QL's error here exceeds
+    without rho."""
+    entries = [[int(abs(i - j) <= 1) for j in range(n)] for i in range(n)]
+    with mp.workprec(800):
+        return entries, [1 + 2 * mp.cos(k * mp.pi / (n + 1)) for k in range(1, n + 1)]
+
+
+def zero_pivot(bits=128):
+    """[[3 - 3u, u, 0], [u, 0, 0], [0, 0, 3]], u = 2^-(bits + _GUARD), is its
+    own T.  The Sturm radius starts at u max|T entry| = 3u, so lambda~ -+ rho
+    lands on T's diagonal entries 3 - 3u (before a nonzero off-diagonal) and
+    3."""
+    u = mpf(2) ** -(bits + _GUARD)
+    with mp.workprec(800):
+        a = 3 - 3 * u
+        r = mp.sqrt(a * a / 4 + u * u)
+        return [[a, u, 0], [u, 0, 0], [0, 0, 3]], [a / 2 - r, a / 2 + r, mpf(3)]
+
+
+SPECTRA = {
+    "clustered": clustered_blocks,
+    "one-by-one": lambda: ([[mpf(1) / 3]], [mpf(1) / 3]),
+    "tridiagonal": tridiagonal_ones,
+    "zero-pivot": zero_pivot,
+}
 
 
 def random_symmetric(rng, n):
@@ -78,16 +128,11 @@ class TestJacobi:
         got = np.array([float(x) for x in res.eigenvalues])
         assert np.allclose(got, ref, atol=1e-12)
 
-    def test_eigenvector_orthonormality(self):
+    def test_orthogonality_defect(self):
         rng = random.Random(11)
         m = HPMatrix(random_symmetric(rng, 8), 192)
         res = jacobi_eigensystem(m)
-        with mp.workprec(200):
-            for i in range(8):
-                for j in range(i + 1):
-                    dot = mp.fdot(res.vectors[i], res.vectors[j])
-                    want = 1 if i == j else 0
-                    assert abs(dot - want) < mpf(2) ** -150
+        assert res.defect < mpf(2) ** -150
 
     def test_tiny_eigenvalue_resolved(self):
         # 2x2 with eigenvalues ~ {1, 1e-60}: certified at 256 bits
@@ -104,6 +149,23 @@ class TestJacobi:
         small = res.eigenvalues[0]
         assert abs(small - mpf(10) ** -60) < mpf(10) ** -70
         assert res.max_residual() < mpf(2) ** -200
+
+    @pytest.mark.parametrize("case", sorted(SPECTRA))
+    def test_certificate_covers_every_eigenvalue(self, case):
+        entries, exact = SPECTRA[case]()
+        res = jacobi_eigensystem(HPMatrix(entries, 128))
+        with mp.workprec(800):
+            for got, want in zip(res.eigenvalues, sorted(exact)):
+                assert abs(got - want) <= res.max_residual()
+
+    def test_residual_scales_with_the_matrix(self):
+        # no absolute floor: 2^-300 A gets 2^-300 times A's residual
+        entries, _ = clustered_blocks()
+        with mp.workprec(400):
+            scaled = [[mpf(x) * mpf(2) ** -300 for x in row] for row in entries]
+        a, b = (jacobi_eigensystem(HPMatrix(x, 128)) for x in (entries, scaled))
+        with mp.workprec(400):
+            assert b.max_residual() == a.max_residual() * mpf(2) ** -300
 
     def test_empty(self):
         res = jacobi_eigensystem(HPMatrix([], 128))

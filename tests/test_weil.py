@@ -392,6 +392,22 @@ class TestWeilGram:
                 n = len(rows)
                 assert sum(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)) == 0
 
+    def test_projection_error_covers_reflector(self):
+        # the compression at bits + _GUARD against the same stored blocks
+        # compressed at 512 bits onto the pole functionals formed at 512 bits
+        from zetalab.weil import _GUARD, _parity_blocks, _project_out, _projection_error
+
+        lam2, K, bits = 5, 16, 128
+        with mp.workprec(bits + _GUARD):
+            blocks, poles = _parity_blocks(lam2, K, bits)
+            low = list(map(_project_out, blocks, poles))
+        fine = pole_constraint_vectors(lam2, K, 512 - _GUARD)
+        with mp.workprec(512):
+            for a, b, c in zip(low, blocks, fine):
+                gap = mp.sqrt(mp.fsum((x - y) ** 2 for r, s in zip(a, _project_out(b, c))
+                                      for x, y in zip(r, s)))
+                assert gap <= _projection_error(lam2, K, bits)
+
     def test_entry_error_covers_gram(self):
         # every parity-block entry at 128 bits is within both entry-error
         # bounds of the same entry at 192 bits
