@@ -1,37 +1,42 @@
 """Arbitrary-precision real symmetric matrices and a certified eigensolver.
 
-HPMatrix stores a real symmetric matrix with its working precision in bits.
-Symmetry is checked on construction and made exact by averaging, _GUARD
-bits above that precision, the pairs of entries that differ; every other
-entry is kept as given.  jacobi_eigensystem (the name is kept; no Jacobi
-sweep runs) reduces the stored matrix to tridiagonal form once, takes the
-tridiagonal's eigenvalues by values-only implicit QL, and certifies them
-without eigenvectors: a Weyl bound for the reduction and Sturm counts for
-every eigenvalue of the tridiagonal.  It returns one residual that bounds
-every eigenvalue's error, in sorted order, for the eigenproblem of the
-stored matrix; the error of the entries is the caller's.
+HPMatrix stores a real symmetric matrix, as a tuple of row tuples, with its
+working precision in bits.  Symmetry is checked on construction and made
+exact by averaging, _GUARD bits above that precision, the pairs of entries
+that differ; every other entry is kept as given.  jacobi_eigensystem (the
+name is kept; no Jacobi sweep runs) rounds the stored matrix once to fixed
+point, reduces it to tridiagonal form by Householder reflectors on Python
+integers, takes the tridiagonal's eigenvalues by mpmath's values-only
+implicit QL, and certifies them without eigenvectors: the input rounding,
+a Weyl bound whose residual and orthogonality defect are formed exactly in
+integers, and Sturm counts for every eigenvalue of the tridiagonal.  It
+returns one residual that bounds every eigenvalue's error, in sorted order,
+for the eigenproblem of the stored matrix; the error of the entries is the
+caller's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from math import isqrt
+from operator import mul
 
 from mpmath import mp, mpf
-from mpmath.matrices.eigen_symmetric import r_sy_tridiag, tridiag_eigen
+from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from zetalab.immutable import Immutable
 
 # Working bits above precision_bits for averaging, solving and hermitefn's
 # closed-form projection.  They set the certificate's level: with 16, the
-# reduction's Weyl term plus the Sturm radius rho + eta comes to between
-# 2^-(bits+7.5) and 2^-(bits+9) on the Weil blocks of the benchmark
-# (dimension up to 25), a few bits past the precision_bits asked for.
+# Sturm radius rho + eta (12 to 17 u t, t the largest tridiagonal entry), the
+# reduction's Weyl term (below u t/2) and the input rounding (below u t/10)
+# come to between 2^-(bits+10.4) and 2^-(bits+11.2) on the Weil blocks of the
+# benchmark (dimension up to 25).
 _GUARD = 16
 
 
 class HPMatrix(Immutable):
-    """Dense real symmetric matrix with explicit precision-in-bits."""
+    """Dense real symmetric matrix with explicit precision-in-bits, rows a tuple of tuples."""
 
     __slots__ = ("dim", "precision_bits", "rows")
 
@@ -58,7 +63,7 @@ class HPMatrix(Immutable):
                         rows[i][j] = rows[j][i] = (rows[i][j] + rows[j][i]) / 2
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "precision_bits", precision_bits)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
 
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
@@ -93,27 +98,85 @@ def _sturm_count(diag, off2, sigma, pivmin):
     return count
 
 
+def _tridiagonalize(N, P):
+    """Householder reduction of the symmetric integer matrix N on Python
+    integers: T's diagonal d and off-diagonal e, on N's scale, and the
+    columns of Q, for 2^-P Q, with N Q ~ Q T.  For a column x, H = I -
+    2 v v^T/h, v = x + a e_1, h = |v|^2, is orthogonal whatever a is;
+    a = round(|x|) with x_0's sign (one isqrt) makes H x = -a e_1 to half a
+    unit per entry.  H B H = B - (v y^T + y v^T)/h^2, w = B v, y = 2 (h w -
+    (v.w) v), with y/h^2 kept to s bits past the point (s above v's length)
+    and each entry rounded to nearest by one shift; Q = H_1 H_2 ... is
+    accumulated backward the same way.  The caller certifies what is
+    returned: no rounding is analysed here."""
+    n = len(N)
+    c, d, e, refl = [list(r) for r in N], [], [], []
+    for j in range(1, n - 1):  # c is the trailing block from row j - 1
+        d.append(c[0][0])
+        x, c = [r[0] for r in c[1:]], [r[1:] for r in c[1:]]
+        s2, a = sum(map(mul, x, x)), -x[0]
+        if s2 > a * a:  # something below the subdiagonal: reflect
+            a = isqrt(s2)
+            a = (a + (s2 - a * a > a)) * (1 if x[0] >= 0 else -1)
+            v = [x[0] + a, *x[1:]]
+            h, w = sum(map(mul, v, v)), [sum(map(mul, r, v)) for r in c]
+            vw, s = sum(map(mul, v, w)), max(map(abs, v)).bit_length() + 4
+            z = [(((h * wi - vw * vi) << (s + 2)) + h * h) // (2 * h * h) for wi, vi in zip(w, v)]
+            half = 1 << (s - 1)
+            c = [[cil - ((vi * zl + zi * vl + half) >> s) for cil, zl, vl in zip(r, z, v)]
+                 for r, vi, zi in zip(c, v, z)]
+            refl.append((j, v, h, s))
+        e.append(-a)
+    d.extend(c[i][i] for i in range(len(c)))
+    e.extend(c[i + 1][i] for i in range(len(c) - 1))
+    q = [[int(i == j) << P for j in range(n)] for i in range(n)]
+    for j, v, h, s in reversed(refl):  # H acts on rows and columns j..n-1
+        half = 1 << (s - 1)
+        z = [((sum(map(mul, v, col)) << (s + 2)) + h) // (2 * h)
+             for col in zip(*(r[j:] for r in q[j:]))]
+        for r, vi in zip(q[j:], v):
+            r[j:] = [qil - ((vi * zl + half) >> s) for qil, zl in zip(r[j:], z)]
+    return d, e, list(zip(*q))
+
+
+def _fixed(x, s):
+    """round(x 2^s) for an mpf x, to nearest."""
+    sign, man, exp, _ = x._mpf_
+    man = man << (exp + s) if exp + s >= 0 else (man + (1 << (-exp - s - 1))) >> (-exp - s)
+    return -man if sign else man
+
+
+def _sqrt_up(x, exp):
+    """An mpf at least sqrt(x) 2^exp, for an integer x >= 0."""
+    r = isqrt(x)
+    return mpf((r + (r * r < x), exp), rounding="c")
+
+
 def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     """Ascending eigenvalues of A and one certified residual, without
     eigenvectors.
 
-    At p = precision_bits + _GUARD bits, u = 2^-p, each half of mpmath's eigsy
-    runs once: r_sy_tridiag reduces A to T = Q^T A Q, T tridiagonal with
-    diagonal d and off-diagonal e, and forms Q; tridiag_eigen(z=False) takes
-    T's eigenvalues lam~ by implicit QL (RuntimeError when it does not
-    converge).  They are eigsy's eigenvalues bit for bit.
+    Fixed point.  Let p = precision_bits + _GUARD, u = 2^-p, P = p + 8 and
+    2^k > max|A_ij|, k read off the entries' exponents.  Each entry of A is
+    rounded to nearest once, to A^ = 2^(k-P) N with N integer, so by Weyl's
+    inequality A's sorted eigenvalues are within ||A - A^||_2 <= n 2^(k-P-1)
+    of A^'s.  _tridiagonalize reduces N to T = 2^(k-P) tridiag(e, d, e) and
+    Q (for 2^-P Q).  mpmath's tridiag_eigen(z=False) takes T's eigenvalues
+    lam~ by implicit QL at p bits, from T's entries converted exactly
+    (RuntimeError when it does not converge).
 
-    A against T.  Let R = A Q - Q T, G = Q^T Q and delta = ||G - I||_F,
-    which must be below 1/2 (else ArithmeticError).  W = Q G^(-1/2) is
-    orthogonal, so M = W^T A W has exactly A's eigenvalues, and from
-    Q^T A Q = G T + Q^T R,
+    A^ against T.  R = A^ Q - Q T and G = Q^T Q - I are integer matrices
+    times 2^(k-2P) and 2^-2P, formed exactly; ||R||_F and delta = ||G||_F
+    are their integer square roots rounded up, and delta must be below 1/2
+    (else ArithmeticError).  W = Q G^(-1/2) is orthogonal, so M = W^T A^ W
+    has exactly A^'s eigenvalues, and from Q^T A^ Q = G T + Q^T R,
 
         M - T = G^(-1/2) (Q^T R + G^(1/2) [G^(1/2) - I, T]) G^(-1/2).
 
     In the 2-norm ||G^(-1/2)||^2 <= 1/(1 - delta), ||Q|| <= 1 + delta and
     ||G^(1/2)|| ||G^(1/2) - I|| <= sqrt(1 + delta) delta/(1 + sqrt(1 - delta))
     <= delta, so ||M - T|| <= ((1 + delta) ||R||_F + 2 delta ||T||)/(1 - delta).
-    By Weyl's inequality that bounds |lambda_i(A) - lambda_i(T)|, both
+    By Weyl's inequality that bounds |lambda_i(A^) - lambda_i(T)|, both
     sorted.
 
     T against lam~.  The count of negative q_i in q_0 = d_0 - sigma,
@@ -125,10 +188,11 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     scaled by (1 + b)(1 + c)/((1 + a_i)(1 + a_(i-1))(1 + f_(i-1))): the
     computed count is exact for a T' whose off-diagonals are within
     2.5 u + O(u^2) <= 3u of T's, relatively.  A zero pivot is replaced by
-    -theta, theta = u t with t = max |T entry|; that is exact for d_i moved by
-    theta/(1 + a_i) <= 2 theta.  So ||T' - T|| <= 2 (3u max|e|) + 2 theta
-    <= eta = 8 u t, whatever sigma is.  The radius rho climbs a ladder, x 9/8
-    per rung, from u t (u when T = 0) until, for each i in turn,
+    -theta, theta = u t with t >= max |T entry| (rounded up to p bits); that
+    is exact for d_i moved by theta/(1 + a_i) <= 2 theta.  So ||T' - T|| <=
+    2 (3u max|e|) + 2 theta <= eta = 8 u t, whatever sigma is.  The radius
+    rho climbs a ladder, x 9/8 per rung, from u t (u when T = 0) until, for
+    each i in turn,
 
         #{lambda(T) < lam~_i - rho} <= i < #{lambda(T) < lam~_i + rho},
 
@@ -136,18 +200,13 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     own T' within eta of T, so lambda_i(T) is within rho + eta of lam~_i, and
     ||T|| <= max|lam~| + rho + eta.
 
-    Rounding of the certificate.  Each entry of R and of G - I is one fdot:
-    exact products, summed exactly except that mpf_sum drops a term or
-    partial sum 2p bits below the next, and rounded once; so it is within u
-    of itself, relatively, plus (n + 3) u^2 times its terms' absolute sum.
-    With ||Q||_F^2 <= n (1 + delta), the computed ||R||_F and delta are
-    within 3u of the exact ones, relatively, plus 5 n^1.5 u^2 (||A||_F +
-    ||T||_F) and 5 n^2 u^2.  The bound is a formula of positive terms (u t is
-    exact), evaluated within 14u of itself, inputs' errors included, so the
-    Weyl term plus rho + eta is scaled by 1 + 32u.  The dropped terms reach
-    it through the factor (1 + delta)/(1 - delta) <= 3 on ||R||_F and a slope
-    2 (||R||_F + ||T||)/(1 - delta)^2 <= 20 (||A||_F + ||T||_F) in delta, so
-    2^7 n^2 u^2 (||A||_F + 2 n t), with ||T||_F <= 2 n t, covers them.
+    Rounding of the certificate.  ||R||_F, delta, u t and the input term
+    n 2^(k-P-1) enter as exact upper bounds, and rho is exact whatever
+    value the ladder gives it.  The bound is a formula of positive terms
+    with at most 9 roundings to nearest on any path from an input (1 - delta
+    and the final product included), each within u of its exact result, so
+    the product with 1 + 16u (exact) is at least its exact value:
+    (1 - u)^9 (1 + 16u) >= 1.
 
     The residual bounds every sorted eigenvalue, not only the smallest.
     defect is delta.
@@ -155,33 +214,24 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     n, prec = m.dim, m.precision_bits
     if n == 0:
         return EigenResult([], mpf(0), [], 0, prec)
-    p = prec + _GUARD
+    p, P = prec + _GUARD, prec + _GUARD + 8
+    k = max((x.exp + x.bc for r in m.rows for x in r if x), default=0)
+    N = [[_fixed(x, P - k) for x in r] for r in m.rows]
+    di, ei, qc = _tridiagonalize(N, P)
+    qp, ep = [(0,) * n, *qc, (0,) * n], [0, *ei, 0]  # qp[j + 1] = qc[j], ep[j + 1] = e_j
+    r2 = sum((sum(map(mul, row, qc[j])) - qp[j][i] * ep[j] - qc[j][i] * di[j]
+              - qp[j + 2][i] * ep[j + 1]) ** 2 for j in range(n) for i, row in enumerate(N))
+    g2 = sum((2 if i != j else 1) * (sum(map(mul, qc[i], qc[j])) - ((i == j) << 2 * P)) ** 2
+             for j in range(n) for i in range(j + 1))
     u = mpf(2) ** -p
     with mp.workprec(p):
-        Q, d, e = mp.matrix(m.rows), mp.zeros(n, 1), mp.zeros(n, 1)
-        r_sy_tridiag(mp, Q, d, e, calc_ev=True)
-        diag, off = [d[i] for i in range(n)], [e[i] for i in range(n - 1)]
-        tridiag_eigen(mp, d, e, False)
-        lam = [d[i] for i in range(n)]
-
-        qrows = [[Q[k, j] for j in range(n)] for k in range(n)]
-        qcols = list(zip(*qrows))
-
-        def tcol(j):  # column j of T as (row, entry)
-            return [(i, diag[j] if i == j else off[min(i, j)])
-                    for i in range(max(j - 1, 0), min(j + 2, n))]
-
-        r2 = mp.fsum(
-            mp.fdot(chain(zip(m.rows[k], qcols[j]), ((qrows[k][i], -x) for i, x in tcol(j)))) ** 2
-            for j in range(n) for k in range(n))
-        g2 = mp.fsum(
-            (2 if i != j else 1) * mp.fdot(chain(zip(qcols[i], qcols[j]), [(int(i == j), -1)])) ** 2
-            for j in range(n) for i in range(j + 1))
-        delta = mp.sqrt(g2)
+        delta = _sqrt_up(g2, -2 * P)
         if delta >= 0.5:
             raise ArithmeticError(f"tridiagonalising Q is not orthonormal: defect {delta}")
-
-        t = max(abs(x) for x in chain(diag, off))
+        diag, off = ([mpf((x, k - P), prec=0) for x in y] for y in (di, ei))
+        lam = list(diag)
+        tridiag_eigen(mp, lam, off + [mpf(0)], False)
+        t = mpf((max(map(abs, di + ei)), k - P), rounding="c")
         off2 = [mpf(0)] + [x * x for x in off]
         top = max(abs(x) for x in lam)
         rho = u * (t or 1)
@@ -190,7 +240,6 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
                    or _sturm_count(diag, off2, mp.fadd(x, rho, exact=True), u * t) <= i):
                 rho += rho / 8
         eig_t = rho + 8 * u * t  # |lambda_i(T) - lam~_i|
-        weyl = ((1 + delta) * mp.sqrt(r2) + 2 * delta * (top + eig_t)) / (1 - delta)
-        norm_a = mp.sqrt(mp.fsum(x * x for r in m.rows for x in r))
-        bound = (weyl + eig_t) * (1 + 32 * u) + 2**7 * n * n * u * u * (norm_a + 2 * n * t)
+        weyl = ((1 + delta) * _sqrt_up(r2, k - 2 * P) + 2 * delta * (top + eig_t)) / (1 - delta)
+        bound = (weyl + eig_t + mpf((n, k - P - 1))) * (1 + 16 * u)
     return EigenResult(lam, delta, [bound] * n, 0, prec)

@@ -52,8 +52,8 @@ from zetalab.zerotable import ZeroTable
 # to about lambda in size, and with 48 bits the entry-error bound
 # (_gram_entry_error, about 2^-(bits+33) at the benchmark's settings) times the
 # block dimension, and the reflector's rounding (_projection_error, about
-# 2^-(bits+27)) when the poles are projected, stay about 18 bits below the
-# eigensolver's residual, which is between 2^-(bits+7.5) and 2^-(bits+9)
+# 2^-(bits+27)) when the poles are projected, stay 16 to 18 bits below the
+# eigensolver's residual, which is between 2^-(bits+10.4) and 2^-(bits+11.2)
 # there, so the certified bits are the solver's.
 _GUARD = 48
 

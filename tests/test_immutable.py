@@ -26,3 +26,13 @@ def test_fields_cannot_be_set_or_deleted(make, field):
         value.extra = 1
     assert getattr(value, field) is before
 
+
+
+def test_hpmatrix_rows_cannot_be_assigned():
+    # the symmetry HPMatrix checks is the Weyl bound's premise: no entry or
+    # row can be replaced after construction
+    m = HPMatrix([[1, 0], [0, 2]], 64)
+    with pytest.raises(TypeError):
+        m.rows[0][1] = 1
+    with pytest.raises(TypeError):
+        m.rows[0] = (1, 1)

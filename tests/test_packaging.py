@@ -50,17 +50,28 @@ def test_quadrature_only_in_semilocal():
 
 
 def test_mpmath_provides_the_eigensolver_halves():
-    # precision.jacobi_eigensystem calls eigsy's two halves by name, so an
-    # mpmath that moves or renames them fails here, not in every Weil test
+    # precision.jacobi_eigensystem calls tridiag_eigen by name, so an mpmath
+    # that moves or renames it fails here, not in every Weil test
     import inspect
 
     from mpmath.matrices import eigen_symmetric
 
-    params = {
-        "r_sy_tridiag": ["ctx", "A", "D", "E", "calc_ev"],
-        "tridiag_eigen": ["ctx", "d", "e", "z"],
-    }
-    for name, want in params.items():
-        fn = getattr(eigen_symmetric, name, None)
-        assert callable(fn), f"mpmath.matrices.eigen_symmetric has no {name}"
-        assert list(inspect.signature(fn).parameters) == want
+    fn = getattr(eigen_symmetric, "tridiag_eigen", None)
+    assert callable(fn), "mpmath.matrices.eigen_symmetric has no tridiag_eigen"
+    assert list(inspect.signature(fn).parameters) == ["ctx", "d", "e", "z"]
+
+
+def test_reduction_runs_on_integers():
+    # the tridiagonal reduction is the package's own, on Python integers: no
+    # module calls mpmath's reduction, its dense matrix type or its dense solver
+    for path in sorted(PACKAGE.glob("*.py")):
+        calls = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            on_mp = isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "mp"
+            if name == "r_sy_tridiag" or on_mp and name in ("matrix", "eigsy"):
+                calls.append((node.lineno, name))
+        assert calls == [], f"{path.name} calls {calls}"

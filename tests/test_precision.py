@@ -7,31 +7,48 @@ from mpmath import mp, mpf
 from zetalab.precision import _GUARD, HPMatrix, jacobi_eigensystem
 
 
-def clustered_blocks():
-    """An 8x8 block H diag(lam) H and a 2x2 block [[1, 1/4], [1/4, 1]], built
-    at 400 bits.  H = I - v v^T/8 with v = (3, 1, ..., 1) is a reflector
-    (v.v = 16) with dyadic entries, so every entry is exact at 192 bits and
-    the eigenvalues are exactly lam, 3/4 and 5/4: a triple one, a pair 2^-150
-    apart (closer than the residual at 128 bits), and a second block that
-    makes T split (a zero off-diagonal)."""
+def reflected(lam):
+    """H diag(lam) H for the 8 eigenvalues lam, built at 400 bits.  H = I -
+    v v^T/8 with v = (3, 1, ..., 1) is a reflector (v.v = 16) with dyadic
+    entries, so for dyadic lam every entry is exact at 192 bits and the
+    eigenvalues are exactly lam."""
     v = [3, 1, 1, 1, 1, 1, 1, 1]
     with mp.workprec(400):
-        lam = [mpf(-5) / 8] * 3 + [mpf(1) / 2, mpf(1) / 2 + mpf(2) ** -150, 2, -1, mpf(3) / 16]
         h = [[int(i == j) - mpf(v[i] * v[j]) / 8 for j in range(8)] for i in range(8)]
         a = [[mp.fsum(h[i][k] * lam[k] * h[k][j] for k in range(8)) for j in range(8)]
              for i in range(8)]
     with mp.workprec(192):
         stored = [[+x for x in row] for row in a]
     assert stored == a
-    entries = [row + [0, 0] for row in stored] + [[0] * 8 + [1, mpf(1) / 4], [0] * 8 + [mpf(1) / 4, 1]]
+    return stored
+
+
+def clustered_blocks():
+    """An 8x8 reflected block and a 2x2 block [[1, 1/4], [1/4, 1]]: the
+    eigenvalues are lam, 3/4 and 5/4, with a triple one, a pair 2^-150 apart
+    (closer than the residual at 128 bits), and a second block that makes T
+    split (a zero off-diagonal)."""
+    with mp.workprec(400):
+        lam = [mpf(-5) / 8] * 3 + [mpf(1) / 2, mpf(1) / 2 + mpf(2) ** -150, 2, -1, mpf(3) / 16]
+    entries = [row + [0, 0] for row in reflected(lam)] + [[0] * 8 + [1, mpf(1) / 4], [0] * 8 + [mpf(1) / 4, 1]]
     return entries, lam + [mpf(3) / 4, mpf(5) / 4]
+
+
+def graded():
+    """A reflected block with eigenvalues from 1 down to 2^-150, of both
+    signs.  Its entries run over some 157 bits, so at 128 bits the rounding
+    to fixed point (152 bits below the largest entry) is not exact."""
+    with mp.workprec(400):
+        lam = [mpf(s) * mpf(2) ** -e for s, e in
+               zip([1, -1, 1, -1, 1, -1, 1, 1], [0, 20, 45, 70, 95, 120, 140, 150])]
+    return reflected(lam), lam
 
 
 def tridiagonal_ones(n=36):
     """tridiag(1, 1, 1), eigenvalues 1 + 2 cos(k pi/(n + 1)).  It is already
     tridiagonal, so the reduction is exact (Q = I, R = 0, delta = 0) and the
-    residual is the Sturm radius alone, which QL's error here exceeds
-    without rho."""
+    residual is the Sturm radius plus the input term (0.14 u), which QL's
+    error here exceeds without rho."""
     entries = [[int(abs(i - j) <= 1) for j in range(n)] for i in range(n)]
     with mp.workprec(800):
         return entries, [1 + 2 * mp.cos(k * mp.pi / (n + 1)) for k in range(1, n + 1)]
@@ -51,6 +68,7 @@ def zero_pivot(bits=128):
 
 SPECTRA = {
     "clustered": clustered_blocks,
+    "graded": graded,
     "one-by-one": lambda: ([[mpf(1) / 3]], [mpf(1) / 3]),
     "tridiagonal": tridiagonal_ones,
     "zero-pivot": zero_pivot,

@@ -348,6 +348,16 @@ class TestWeilGram:
             ):
                 assert abs(a - b) <= ra + rb
 
+    @pytest.mark.parametrize("project", [False, True])
+    def test_solver_residual_pinned(self, project):
+        # jacobi_eigensystem's residual on the (5, 8) blocks at 128 bits
+        # measured 2^-(bits+11.3) to 2^-(bits+11.8) (rho + eta >= 9 u t puts
+        # its floor near 2^-(bits+11.6)); the pin leaves 0.8 bit of margin
+        from zetalab.precision import jacobi_eigensystem
+
+        for block in weil_gram(5, 8, 128, project_poles=project):
+            assert jacobi_eigensystem(block).max_residual() < mpf(2) ** -(128 + 10.5)
+
     @pytest.mark.parametrize(
         "lam2, K, bits",
         [("3", 12, 192), ("11", 24, 128), ("1.2", 6, 192)],
