@@ -7,11 +7,12 @@ The explicit formula pairs the zero side
 with the prime/archimedean side W_R(f) + sum_p W_p(f).  For a band function
 f (bandfn.LogBandFunction, supported in [lambda^-1, lambda]) every term is a
 closed form: the zero sum costs one sine per zero
-(LogBandFunction.mellin_pair_sum), W_R(f) is K+1 digamma values plus one
-geometric series, and the prime side is a finite sum over prime powers below
-lambda, so the explicit formula runs no quadrature.  w_arch and the explicit
-formula take a LogBandFunction only; nothing in this module integrates
-numerically.  The same finiteness makes the quadratic form
+(LogBandFunction.mellin_pair_sum), W_R(f) is one integer pass for K+1 digamma
+values and a geometric series (_psi_pass), and the prime side is a finite
+sum over prime powers below lambda, so the explicit formula runs no
+quadrature.  w_arch and the explicit formula take a LogBandFunction only;
+nothing in this module integrates numerically.  The same finiteness makes
+the quadratic form
 
     QW(f, g) = sum_{zeros} conj(f^) g^
 
@@ -22,8 +23,8 @@ lambda^2.
 weil_gram assembles the Gram matrix of QW over the orthonormal log-Fourier
 basis.  In that basis everything collapses: pole and prime terms are closed
 forms, and the archimedean part of every entry is a combination of the 2K+1
-one-dimensional integrals I(m), J(k) below, each a digamma value plus a
-geometric series, so the assembly runs no quadrature.
+one-dimensional integrals I(m), J(k) below, digamma values and geometric
+series from the same pass, so the assembly runs no quadrature.
 
 QW commutes with the reflection x -> 1/x, which maps psi_k to psi_-k, and
 psi_-k^(i/2) = conj psi_k^(i/2), so over the real basis every entry is real
@@ -39,12 +40,15 @@ constraint per block, projected out by one Householder reflector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from functools import cache
+from itertools import count, islice
+from math import ceil, lgamma, log, log2, pi, sqrt
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from zetalab.bandfn import LogBandFunction, band_frame
-from zetalab.precision import HPMatrix, jacobi_eigensystem
+from zetalab.precision import HPMatrix, _fixed, jacobi_eigensystem
 from zetalab.zerotable import ZeroTable
 
 # Working bits above precision_bits for every weil (and semilocal) evaluation.
@@ -99,33 +103,92 @@ def w_prime(p: int, f, precision_bits: int = 256):
         return +(logp * acc)
 
 
-def _decay_series(x, term_bound, tol):
-    """The pairs (a_n, x^(-2 a_n)), a_n = 2n + 1/2, n < N, of a series
+_bernfrac = cache(mp.bernfrac)  # exact B_n, the same at every precision
 
-        sum_{n>=0} x^(-2 a_n) t_n,   |t_n| <= term_bound(a_n),
 
-    as e^(t/2)/sinh t = 2 sum_n e^(-a_n t) produces it from an integral
-    beyond T, with x = e^(T/2) > 1 and term_bound nonincreasing.  The weights
-    fall by x^-4 per term, so the terms n >= N sum to at most
-    x^(-2 a_N) term_bound(a_N)/(1 - x^-4); N is the first index where that
-    tail bound is below tol.
+def _psi_pass(ys, p, x=None, term_bound=None):
+    """For each y in ys, w = 1/4 + iy: psi(w), psi'(w) and the series
+    S_i = sum_{n<M} g_n (w+n)^-i, i = 1, 2, g_n = x^-(4n+1) (none if x is
+    None), as exact mpc from one pass on integers at s = p + G fractional
+    bits and one mp.log: psi and psi' within 2^-p of their values at y taken
+    to s bits (exact for y = 0 or a p-bit y >= 1), S_i within 2^-p sum_n g_n.
+    The g_n fall by x^-4, so the terms n >= M of any sum_n g_n t_n, |t_n| <=
+    term_bound(a_n) nonincreasing (a_n = 2n + 1/2), sum to at most g_M
+    term_bound(a_M)/(1 - x^-4), and M is the first index where that < 2^-p.
+
+    With z = w + N, psi(w) = psi(z) - sum_{j<N} 1/(w+j), psi'(w) = psi'(z) +
+    sum_{j<N} 1/(w+j)^2, psi(z) = log z - 1/(2z) - sum_{0<j<J} B_2j/(2j z^2j)
+    + R and psi'(z) = 1/z + 1/(2z^2) + sum_{0<j<J} B_2j/z^(2j+1) + R', both
+    sums by Horner's rule in u = 1/z^2 from the tail.  Remainder, as in DLMF
+    5.11(ii): psi(z) = log z - 1/(2z) - int_0^inf f(t) e^(-zt) dt (Re z > 0,
+    DLMF 5.9.13), f(t) = 1/(e^t - 1) - 1/t + 1/2 = sum_k 2t/(t^2 + a_k^2) with
+    a_k = 2 pi k.  Past J - 1 terms in t^2/a_k^2, f leaves +-t^(2J-1) sum_k
+    2 a_k^-2J/(1 + t^2/a_k^2), and sum_k 2 a_k^-2J = |B_2J|/(2J)! <= 4 (2 pi)^-2J;
+    on the ray t = r e^(-i ph z), |1 + t^2/a_k^2| >= m = 1 if |Im z| <= Re z,
+    else sin(2 |ph z|) = 2 Re z |Im z|/|z|^2.  So |R| <= |B_2J|/(2J m |z|^2J)
+    and |R'| <= |B_2J|/(m |z|^(2J+1)).  N is the least with |z| >= p/6 and J
+    the least for which that bound on |B_2J| puts both below 2^-(p+2), which
+    J near pi |z|/2 does (about 2^(-7.7 |z|)/m).  Rounding, in units of 2^-s:
+    1/(w+j) is within 1 and its square within 7; log z, 1/z, u, their halves
+    and the Horner sums within 2 (|u| <= 36/p^2 damps earlier roundings).  So
+    psi and psi' are within 7N + 6 < 2^(G-1) units, and S_1, S_2, formed
+    exactly from g_n good to about 2s bits, within 2 and 8 units per unit
+    weight.
     """
-    ratio = x**-4
-    terms = []
-    a, g = mpf(1) / 2, 1 / x
-    while g * term_bound(a) / (1 - ratio) >= tol:
-        terms.append((a, g))
-        a, g = a + 2, g * ratio
-    return terms
+    R = p / 6
+    s = p + (14 * ceil(R) + 12).bit_length()
+    h = 1 << (s - 1)
+
+    def div(a, b):  # round(a/b) for b > 0
+        return (2 * a + b) // (2 * b)
+
+    def mul(a, b):  # a b 2^-s, rounded, for integer pairs standing for complex numbers
+        return (a[0] * b[0] - a[1] * b[1] + h) >> s, (a[0] * b[1] + a[1] * b[0] + h) >> s
+
+    gs = []
+    with mp.workprec(2 * s):
+        ratio, g = (x**-4, 1 / x) if x else (0, 0)
+        while g and g * term_bound(2 * len(gs) + mpf(1) / 2) / (1 - ratio) >= mpf(2) ** -p:
+            gs.append(_fixed(g, 2 * s))
+            g *= ratio
+    for y in ys:
+        Y, yf = _fixed(y, s), abs(float(y))
+        N = ceil(sqrt(max(R * R - yf * yf, 0)) - 0.25)
+        sh = wt = [0] * 4  # 1/(w+j), 1/(w+j)^2 summed over j < N, and weighted at 2^-3s
+        for j in range(max(N + 1, len(gs))):
+            X = (4 * j + 1) << (s - 2)
+            r = (div(X << 2 * s, X * X + Y * Y), div(-Y << 2 * s, X * X + Y * Y))
+            terms = (*r, *mul(r, r))
+            if j < N:
+                sh = [a + b for a, b in zip(sh, terms)]
+            elif j == N:
+                rz, u = r, terms[2:]  # 1/z and u
+            if j < len(gs):
+                wt = [a + gs[j] * b for a, b in zip(wt, terms)]
+        lz = log2((N + 0.25) ** 2 + yf * yf) / 2  # log2 |z|, and log2 m:
+        lm = 0 if yf <= N + 0.25 else log2((2 * N + 0.5) * yf) - 2 * lz
+        J = next(k for k in count(1) if lgamma(2 * k + 1) / log(2) - 2 * k * (lz + log2(2 * pi))
+                 - lm - min(log2(2 * k), lz) <= -p - 4)
+        a = c = (0, 0)
+        for j in range(J - 1, 0, -1):  # coefficients round(2^s B_2j/(2j)) and round(2^s B_2j)
+            n, d = _bernfrac(2 * j)
+            a, c = mul((a[0] + div(n << s, 2 * j * d), a[1]), u), mul((c[0] + div(n << s, d), c[1]), u)
+        c = mul(rz, c)
+        with mp.workprec(s + 8):
+            lg = mp.log(mp.mpc(N + 0.25, y))
+        psi = [_fixed(v, s) - div(b, 2) - e - f for v, b, e, f in zip((lg.real, lg.imag), rz, a, sh)]
+        dpsi = [b + div(v, 2) + e + f for b, v, e, f in zip(rz, u, c, sh[2:])]
+        yield [mp.make_mpc((from_man_exp(v[0], e), from_man_exp(v[1], e)))
+               for v, e in ((psi, -s), (dpsi, -s), (wt[:2], -3 * s), (wt[2:], -3 * s))]
 
 
 def _w_arch_band(f: LogBandFunction, precision_bits):
     """W_R(f) for a band function, in closed form:
 
-        W_R(f) = c0 sum_{k>=0} e_k [log pi - Re psi(1/4 + i alpha k/2)
-                 - 2 (-1)^k sum_n lambda^(-a_n) a_n/(a_n^2 + alpha^2 k^2)],
+        W_R(f) = c0 sum_{k>=0} e_k [log pi - Re psi(w) - (-1)^k sum_n lambda^(-a_n) Re 1/(w+n)],
 
-    with e_k = f.even_coefficients(), a_n = 2n + 1/2 and lambda = e^L.  For
+    with w = 1/4 + i alpha k/2, e_k = f.even_coefficients(), a_n = 2n + 1/2
+    (Re 1/(w+n) = 2 a_n/(a_n^2 + alpha^2 k^2)) and lambda = e^L.  For
     one basis function, f(e^t) + f(e^-t) = 2 c0 cos(beta t) on |t| <= L with
     beta = alpha k, and W_R is (log 4pi + gamma) f(1) + int_0^inf [f(e^t) +
     f(e^-t) - 2 f(1) e^(-t/2)] e^(t/2)/(2 sinh t) dt.  Over [0, inf) that is
@@ -134,31 +197,28 @@ def _w_arch_band(f: LogBandFunction, precision_bits):
     (-1)^k, which gives the series, while the constant's share beyond L,
     int_L^inf dt/sinh t = 2 artanh(1/lambda), cancels exactly against the
     -f(1) log coth(L/2) = -2 f(1) artanh(1/lambda) of the truncated support.
-    Tail: |2 a/(a^2 + beta^2)| <= 2/a and the weights fall by lambda^-2, so
-    _decay_series stops each basis value within 2^-(precision_bits + _GUARD)
-    of its series; W_R(f) is then within c0 sum_k |e_k| times that, plus
-    rounding.
+    Tail: |Re 1/(w+n)| <= 2/a_n, so one _psi_pass with x = lambda^(1/2)
+    gives every psi(w) and series within 2^-(precision_bits + _GUARD), and
+    W_R(f) is within c0 sum_k |e_k| times twice that, plus rounding.
     """
     L = f.log_halfwidth()
     alpha = mp.pi / L
-    terms = _decay_series(mp.exp(L / 2), lambda a: 2 / a, mpf(2) ** -(precision_bits + _GUARD))
+    e = f.even_coefficients()
+    ks = [k for k in range(len(e)) if e[k]]
     log_pi = mp.log(mp.pi)
     acc = mpf(0)
-    for k, e in enumerate(f.even_coefficients()):
-        if not e:
-            continue
-        b2 = (alpha * k) ** 2
-        series = 2 * mp.fsum(g * a / (a * a + b2) for a, g in terms)
-        psi = mp.digamma(mp.mpc(mpf(1) / 4, alpha * k / 2))
-        acc += e * (log_pi - mp.re(psi) - (-1) ** k * series)
+    psis = _psi_pass([alpha * k / 2 for k in ks], precision_bits + _GUARD, mp.exp(L / 2),
+                     lambda a: 2 / a)
+    for k, (psi, _, series, _) in zip(ks, psis):
+        acc += e[k] * (log_pi - mp.re(psi) - (-1) ** k * mp.re(series))
     return acc / mp.sqrt(2 * L)
 
 
 def w_arch(f: LogBandFunction, precision_bits: int = 256):
     """W_R(f) = (log 4pi + gamma) f(1) + the archimedean principal-value
     integral, for a LogBandFunction f, in the closed form of _w_arch_band:
-    K+1 digamma values and one geometric series, no quadrature.  Any other
-    input raises TypeError."""
+    one fixed-point _psi_pass gives its K+1 digamma values and geometric
+    series, with no quadrature.  Any other input raises TypeError."""
     if not isinstance(f, LogBandFunction):
         raise TypeError(f"w_arch takes a LogBandFunction, not {type(f).__name__}")
     with mp.workprec(precision_bits + _GUARD):
@@ -248,31 +308,27 @@ def _arch_integrals(K, L, alpha, c2, precision_bits):
 
     Expand e^(t/2)/sinh t = 2 sum_{n>=0} e^(-a_n t) with a_n = 2n + 1/2.  On
     T = 2L, e^(i beta T) = 1 for beta = alpha k, so with w = 1/4 + i beta/2
-    and lambda = e^L, term by term (the digamma series of w),
+    (a_n + i beta = 2 (w + n)) and lambda = e^L, term by term,
 
-        I = Im psi(w) - 2 sum_n lambda^-(4n+1) beta/(a_n^2 + beta^2),
-        J = psi(1/2) - Re psi(w) - (c2/2) Re psi'(w)
-            + 2 c2 sum_n lambda^-(4n+1) Re (a_n - i beta)^-2 + 2 artanh(lambda^-2).
+        I = Im psi(w) + sum_n lambda^-(4n+1) Im 1/(w+n),
+        J = psi(1/2) - Re psi(w) - (c2/2) Re [psi'(w) - sum_n lambda^-(4n+1) (w+n)^-2]
+            + 2 artanh(lambda^-2).
 
-    Tail: |beta/(a^2 + beta^2)| <= 1/(2a) and |(a - i beta)^-2| <= 1/a^2, and
-    lambda^-(4n+1) falls by lambda^-4 per term, so the terms n >= N sum to at
-    most lambda^-(4N+1)/(a_N (1 - lambda^-4)) in I and 2 c2 lambda^-(4N+1)/
-    (a_N^2 (1 - lambda^-4)) in J.  The series stop at the first N where both
-    are below 2^-(precision_bits + _GUARD): every I(m), J(k) is off by less
-    than that plus rounding.
+    Tail: |Im 1/(w+n)| <= 1/a_n and (c2/2) |(w+n)^-2| <= 2 c2/a_n^2, so one
+    _psi_pass with x = lambda stops both series within 2^-p, p = precision_bits
+    + _GUARD, and gives them, psi(w) and psi'(w) within 2^-p more: N shift
+    terms, the least with |w + N| >= p/6; J Stirling terms, the least with
+    remainder bound 4 (2J)! (2 pi |z|)^-2J max(1/(2J), 1/|z|)/m below
+    2^-(p+2); and 2^G > 14 ceil(p/6) + 12 guard bits.
     """
     lam = mp.exp(L)
-    # (a_n, lambda^-(4n+1)) with x = lambda, T = 2L
-    terms = _decay_series(lam, lambda a: max(1, 2 * c2 / a) / a, mpf(2) ** -(precision_bits + _GUARD))
-    const = mp.digamma(mpf(1) / 2) + 2 * mp.atanh(lam**-2)
+    const = -mp.euler - 2 * mp.log(2) + 2 * mp.atanh(lam**-2)  # psi(1/2) + 2 artanh(lambda^-2)
     I, J = {}, {}
-    for k in range(K + 1):
-        b = alpha * k
-        w = mp.mpc(mpf(1) / 4, b / 2)
-        psi = mp.digamma(w)
-        I[k] = mp.im(psi) - 2 * mp.fsum(g * b / (a * a + b * b) for a, g in terms)
-        J[k] = (const - mp.re(psi) - c2 / 2 * mp.re(mp.psi(1, w))
-                + 2 * c2 * mp.fsum(g * (a * a - b * b) / (a * a + b * b) ** 2 for a, g in terms))
+    psis = _psi_pass([alpha * k / 2 for k in range(K + 1)], precision_bits + _GUARD, lam,
+                     lambda a: max(1, 2 * c2 / a) / a)
+    for k, (psi, dpsi, s1, s2) in enumerate(psis):
+        I[k] = mp.im(psi) + mp.im(s1)
+        J[k] = const - mp.re(psi) - c2 / 2 * (mp.re(dpsi) - mp.re(s2))
     return I, J
 
 
@@ -457,20 +513,24 @@ def _gram_scale(lam2, K, precision_bits):
         L = band_frame(lam2)[0]
         lam, c2 = mp.exp(L), 1 / (2 * L)
         weights = mp.fsum(w for _, w in _prime_powers(mp.mpmathify(lam2)))
-        psi_top = abs(mp.re(mp.digamma(mp.mpc(mpf(1) / 4, mp.pi * K / (2 * L)))))
+        psi_top = abs(mp.re(next(_psi_pass([mp.pi * K / (2 * L)], precision_bits + _GUARD))[0]))
+        psi_quarter = -mp.euler - mp.pi / 2 - 3 * mp.log(2)
         return (32 * c2 * mp.sinh(L / 2) ** 2 + 2 * weights + 12 - 2 * mp.log(mp.tanh(L))
-                + max(-mp.digamma(mpf(1) / 4), psi_top) + 9 * c2 + (2 + 32 * c2) / (lam - lam**-3))
+                + max(-psi_quarter, psi_top) + 9 * c2 + (2 + 32 * c2) / (lam - lam**-3))
 
 
 def _gram_entry_error(lam2, K, precision_bits):
     """Bound on |stored - exact| for every entry of either parity block.
 
-    Rounding: every product, quotient, sum and special-function value is
-    within 4 units of 2^-p of itself, p = precision_bits + _GUARD, no chain
-    from an input to an entry has more than 2^7 such steps, and the absolute
-    values along any sum add up to at most 2S (_gram_scale), so the rounding
-    of an entry is below 2^10 2^-p S.  The series tails of I and J add less
-    than 2^-p each (weight at most 1), so each block entry is within
+    Rounding: every product, quotient, sum and elementary-function value is
+    within 4 units of 2^-p of itself, p = precision_bits + _GUARD, and every
+    _psi_pass value within 4 units of 2^-p of what _gram_scale charges for
+    it (psi, psi' within 2^-p, charged at least 4 and 9 c2 for (c2/2) psi';
+    the series within 2^-p sum_n lambda^-(4n+1), charged at least twice
+    that); no chain from an input to an entry has more than 2^7 such steps,
+    and the absolute values along any sum add up to at most 2S, so the
+    rounding of an entry is below 2^10 2^-p S.  The series tails of I and J
+    add less than 2^-p each (weight at most 1), so each block entry is within
     2^-p (2 + 2^10 S) of exact.
     """
     with mp.workprec(precision_bits + _GUARD):

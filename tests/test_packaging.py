@@ -75,3 +75,18 @@ def test_reduction_runs_on_integers():
             if name == "r_sy_tridiag" or on_mp and name in ("matrix", "eigsy"):
                 calls.append((node.lineno, name))
         assert calls == [], f"{path.name} calls {calls}"
+
+
+def test_weil_computes_its_own_digamma():
+    # weil's psi and psi' come from its fixed-point pass on integers, not from
+    # mpmath's digamma or polygamma; semilocal keeps mp.digamma as the
+    # independent route of its trace check
+    calls = [
+        node.lineno for node in ast.walk(ast.parse((PACKAGE / "weil.py").read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("digamma", "psi", "polygamma")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "mp"
+    ]
+    assert calls == [], f"weil.py calls mp.digamma or mp.psi at lines {calls}"

@@ -214,6 +214,64 @@ def test_bad_input_raises_value_error(call, zeros):
         call(zeros)
 
 
+# (lam2, K, bits) of the benchmark's Weil grid, then two narrow bands, where
+# y = alpha K/2 reaches about 100 and 2,600
+PSI_SETTINGS = (
+    (5, 24, 128), (7, 20, 160), (11, 24, 192), (5, 16, 128), (11, 20, 192), (3, 12, 192),
+    ("1.2", 6, 192), ("1.05", 40, 192),
+)
+
+
+def _psi_arguments(lam2, K, p):
+    # y = alpha k/2 for k = 0..K, as _arch_integrals forms them; k = 0 is beta = 0
+    with mp.workprec(p):
+        L = mp.log(mpf(lam2)) / 2
+        alpha = mp.pi / L
+        return L, [alpha * k / 2 for k in range(K + 1)]
+
+
+def test_psi_pass_matches_mpmath():
+    # psi(w) and psi'(w), w = 1/4 + iy, within the 2^-p that _gram_entry_error
+    # assumes of them, against mpmath's digamma and trigamma 64 bits higher
+    from zetalab.weil import _GUARD, _psi_pass
+
+    widest = {}  # (5, 16) and (11, 20) run on prefixes of (5, 24) and (11, 24)
+    for lam2, K, bits in PSI_SETTINGS:
+        widest[lam2, bits] = max(K, widest.get((lam2, bits), 0))
+    for (lam2, bits), K in widest.items():
+        p = bits + _GUARD
+        _, ys = _psi_arguments(lam2, K, p)
+        with mp.workprec(p + 64):
+            for y, (psi, dpsi, _, _) in zip(ys, _psi_pass(ys, p)):
+                w = mpc(mpf(1) / 4, y)
+                assert abs(psi - mp.digamma(w)) < mpf(2) ** -p, (lam2, K, bits, y)
+                assert abs(dpsi - mp.psi(1, w)) < mpf(2) ** -p, (lam2, K, bits, y)
+
+
+@pytest.mark.parametrize("lam2", ["3", "1.2"])
+def test_psi_pass_series_match_direct_sums(lam2):
+    # S_i = sum_n lambda^-(4n+1) (w+n)^-i: the pass stops where the tail bound
+    # of terms |t_n| <= 2/a_n (both |1/(w+n)| and |(w+n)^-2| past n = 0) is
+    # below 2^-p, and is within 2^-p sum_n lambda^-(4n+1) of its own sums, so
+    # it is within 2^-p (1 + sum_n lambda^-(4n+1)) of the infinite series
+    from zetalab.weil import _GUARD, _psi_pass
+
+    p = 192 + _GUARD
+    L, ys = _psi_arguments(lam2, 8, p)
+    with mp.workprec(p):
+        lam = mp.exp(L)
+    out = list(_psi_pass(ys, p, lam, lambda a: 2 / a))
+    with mp.workprec(p + 64):
+        g = []
+        while not g or g[-1] > mpf(2) ** -(p + 80):
+            g.append(lam ** -(4 * len(g) + 1))
+        allowance = mpf(2) ** -p * (1 + 1 / (lam - lam**-3))
+        for y, (_, _, s1, s2) in zip(ys, out):
+            w = mpc(mpf(1) / 4, y)
+            for i, got in ((1, s1), (2, s2)):
+                assert abs(got - mp.fsum(gn / (w + n) ** i for n, gn in enumerate(g))) < allowance, (y, i)
+
+
 class TestWeilGram:
     def test_hermitian_lam2_5(self):
         K = 16
