@@ -140,16 +140,6 @@ class LogBandFunction(Immutable):
     def half_width_index(self) -> int:
         return max((abs(k) for k in self.coeffs), default=0)
 
-    def is_real(self) -> bool:
-        return all(
-            mp.mpmathify(self.coeffs.get(-k, 0)) == mp.conj(_num(v))
-            for k, v in self.coeffs.items()
-        )
-
-    def star(self) -> "LogBandFunction":
-        """f~(x) = conj(f(1/x)); in this basis the coefficients conjugate."""
-        return LogBandFunction(self.lam2, {k: mp.conj(_num(v)) for k, v in self.coeffs.items()})
-
     def even_coefficients(self) -> list:
         """e_0 = v_0 and e_k = v_k + v_-k for k = 1..K: the coefficients of
         f(e^t) + f(e^-t) = 2 c0 sum_k e_k cos(alpha k t), all that the zero
@@ -157,10 +147,6 @@ class LogBandFunction(Immutable):
         v = {k: _num(x) for k, x in self.coeffs.items()}
         K = self.half_width_index
         return [v.get(0, mpf(0))] + [v.get(k, 0) + v.get(-k, 0) for k in range(1, K + 1)]
-
-    def norm_sq(self):
-        """L^2(d*x) norm squared (the basis is orthonormal)."""
-        return mp.fsum(abs(_num(v)) ** 2 for v in self.coeffs.values())
 
     # -- values ----------------------------------------------------------------
 

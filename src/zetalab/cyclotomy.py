@@ -17,7 +17,6 @@ Everything here is immutable and exact (Python integers only).
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain
 from math import gcd
@@ -47,7 +46,7 @@ class Root(Immutable):
         return hash((self.num, self.den))
 
     def __lt__(self, other: "Root") -> bool:
-        # canonical order used by Divisor serialization
+        # canonical order: a Divisor keeps its roots sorted by (den, num)
         return (self.den, self.num) < (other.den, other.num)
 
     def __add__(self, other: "Root") -> "Root":
@@ -101,19 +100,8 @@ class Divisor(Immutable):
     def of(cls, root: Root, coeff: int = 1) -> "Divisor":
         return cls([(root, coeff)])
 
-    @classmethod
-    def zero(cls) -> "Divisor":
-        return cls()
-
     def items(self) -> Iterator[tuple[Root, int]]:
         return iter(self._terms.items())
-
-    def coeff(self, root: Root) -> int:
-        return self._terms.get(root, 0)
-
-    def total_mass(self) -> int:
-        """Sum of all coefficients (the augmentation map to Z)."""
-        return sum(self._terms.values())
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -146,10 +134,22 @@ class Divisor(Immutable):
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"Divisor.parse({str(self)!r})"
+        return f"Divisor({self._terms!r})"
 
     def __str__(self) -> str:
-        return format_divisor(self)
+        """Canonical text form `c1*e(a1/b1) + ...`, roots sorted by (den, num).
+
+        Unit coefficients drop the `c*` prefix; the empty divisor prints as `0`.
+        """
+        parts: list[str] = []
+        for root, coeff in self._terms.items():
+            mag = abs(coeff)
+            body = str(root) if mag == 1 else f"{mag}*{root}"
+            if parts:
+                parts.append(("+ " if coeff > 0 else "- ") + body)
+            else:
+                parts.append(body if coeff > 0 else f"-{body}")
+        return " ".join(parts) or "0"
 
 
 def _products(x: Divisor, y: Divisor) -> Iterator[tuple[Root, int]]:
@@ -174,49 +174,3 @@ def rho_tilde(n: int, x: Divisor) -> Divisor:
     if n < 1:
         raise ValueError("n must be a positive integer")
     return Divisor((rp, c) for r, c in x.items() for rp in r.preimages(n))
-
-
-def format_divisor(x: Divisor) -> str:
-    """Canonical text form `c1*e(a1/b1) + ...`, roots sorted by (den, num).
-
-    Unit coefficients drop the `c*` prefix; the empty divisor prints as `0`.
-    """
-    if not x:
-        return "0"
-    parts: list[str] = []
-    for root, coeff in x.items():
-        mag = abs(coeff)
-        body = str(root) if mag == 1 else f"{mag}*{root}"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts)
-
-
-_TERM_RE = re.compile(
-    r"^\s*(?:(?P<coeff>\d+)\s*\*\s*)?e\(\s*(?P<num>\d+)\s*(?:/\s*(?P<den>\d+)\s*)?\)\s*$"
-)
-
-
-def parse_divisor(text: str) -> Divisor:
-    """Inverse of format_divisor (also accepts unsorted input and `e(0/1)`)."""
-    text = text.strip()
-    if text == "0" or not text:
-        return Divisor()
-    terms: list[tuple[Root, int]] = []
-    sign = 1
-    for chunk in re.split(r"(?<![*(/])\s*([+-])\s*", "+" + text)[1:]:
-        if chunk in "+-":
-            sign = 1 if chunk == "+" else -1
-            continue
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise ValueError(f"cannot parse divisor term {chunk!r}")
-        coeff = sign * int(m.group("coeff") or 1)
-        terms.append((Root(int(m.group("num")), int(m.group("den") or 1)), coeff))
-    return Divisor(terms)
-
-
-# attach for convenience: Divisor.parse("e(1/3) + 2*e(0)")
-Divisor.parse = staticmethod(parse_divisor)  # type: ignore[attr-defined]

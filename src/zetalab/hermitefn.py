@@ -83,9 +83,6 @@ class EvenGaussHermite(Immutable):
             mp.mpmathify(c) * hermite_phi_zero(2 * m) for m, c in enumerate(self.coeffs)
         ) / mp.sqrt(a)
 
-    def fourier_at_zero(self):
-        return self.fourier().value_at_zero()
-
     def norm_sq(self):
         return mp.fsum(abs(mp.mpmathify(c)) ** 2 for c in self.coeffs)
 

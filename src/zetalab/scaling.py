@@ -1,6 +1,6 @@
-"""Scaling-space constructions: the averaging map E, Poincare sums, and the
-prolate-compressed Dirac operator D(lambda, k) of Connes-Consani ("Spectral
-triples and zeta-cycles", arXiv:2106.01715).
+"""Scaling-space constructions: the averaging map E, the prolate frame it
+yields on the circle, and the prolate-compressed Dirac operator D(lambda, k)
+of Connes-Consani ("Spectral triples and zeta-cycles", arXiv:2106.01715).
 
 E(f)(x) = x^(1/2) sum_{n>0} f(nx) sends even functions with f(0) = f^(0) = 0
 into the near-radical of the Weil form.  Prolate spheroidal wave functions
@@ -10,18 +10,18 @@ c = 2 pi lambda^2 are nearly invariant under time/band truncation, which is
 exactly what makes their E-images almost lie in the radical.
 
 On the circle R+*/lambda^(2Z), with L = log lambda and alpha = pi/L, the
-Poincare sum of E(g) has the coefficient Mellin(E(g))(alpha m)/sqrt(2L) at
+periodization sum_k E(g)(lambda^(2k) u) has the coefficient Mellin(E(g))(alpha m)/sqrt(2L) at
 the mode exp(i alpha m log u)/sqrt(2L), and summing E(g) term by term gives
 
     int E(g)(u) u^(-is) d*u = zeta(1/2 - is) g^(s),  g^(s) = int g(x) x^(1/2 - is) d*x.
 
 That sum converges only right of the critical line.  On the line the
 identity needs int g = 0 (f^(0) = 0): else E(g) grows like u^(-1/2) at 0,
-the Poincare sum diverges, and the right side is a continuation, the
+the periodization diverges, and the right side is a continuation, the
 coefficient of no function.  The right side is linear in g, so it is taken
 per prolate and is exact on the constrained span that prolate_vectors keeps,
 where g(0) = 0 only removes E(g)'s term -u^(1/2) g(0)/2 at 0, speeding the
-decay of the Poincare levels.  Both factors are closed forms: no quadrature.
+decay of the periodization's levels.  Both factors are closed forms: no quadrature.
 
 The Dirac operator D0 = -i u d/du on the circle is diagonal in the log-Fourier
 basis with eigenvalues pi m / log(lambda); D(lambda, k) compresses it to the
@@ -46,7 +46,6 @@ from zetalab.zerotable import ZeroTable
 _EXTRA = 2  # prolates beyond k: the constraints f(0) = f^(0) = 0 use up two
 _RANK_TOL = 1e-8  # least singular-value ratio of the constrained E-images
 _MODE_CUT = 256  # least mode cut M of the prolate frame
-_MAX_TERMS = 400  # terms per side of a Poincare sum without compact support
 _MAX_ZETA_HEAD = 2**21  # most Euler-Maclaurin head terms _zeta_critical builds
 # B_2j/(2j)!, j = 1..16: the Euler-Maclaurin corrections of _zeta_critical
 _EM_COEFFS = [float(Fraction(*mp.bernfrac(2 * j)) / math.factorial(2 * j)) for j in range(1, 17)]
@@ -56,7 +55,7 @@ class ProlateRankError(RuntimeError):
     """The prolate-vector family lost rank after constraint projection."""
 
 
-# -- map E and Poincare averaging ---------------------------------------------
+# -- map E ---------------------------------------------------------------------
 
 
 def map_E(f, x, support_radius, precision_bits: int = 53):
@@ -70,37 +69,6 @@ def map_E(f, x, support_radius, precision_bits: int = 53):
         if nmax < 1:
             return mpf(0)
         return mp.sqrt(x) * mp.fsum(f(n * x) for n in range(1, nmax + 1))
-
-
-def poincare_sum(mu, g, u, precision_bits: int = 53):
-    """(Sigma_mu g)(u) = sum_{k in Z} g(mu^k u); invariant under u -> mu u.
-
-    Terms must decay below 2^-precision_bits within _MAX_TERMS on each side,
-    else the input is rejected as divergent.  Computed with guard bits.
-    """
-    if not (mu > 1):
-        raise ValueError("mu must exceed 1")
-    if u <= 0:
-        raise ValueError("u must be positive")
-    with mp.workprec(precision_bits + _GUARD):
-        mu = mp.mpmathify(mu)
-        u = mp.mpmathify(u)
-        tol = mpf(2) ** (-precision_bits)
-        total = mp.mpmathify(g(u))
-        for direction in (1, -1):
-            streak = 0
-            for k in range(1, _MAX_TERMS + 1):
-                term = mp.mpmathify(g(mu ** (direction * k) * u))
-                total += term
-                if abs(term) < tol:
-                    streak += 1
-                    if streak >= 3:
-                        break
-                else:
-                    streak = 0
-            else:
-                raise ValueError("series did not converge; rejecting divergent input")
-        return total
 
 
 # -- even prolate spheroidal wave functions ------------------------------------

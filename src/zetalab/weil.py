@@ -77,12 +77,6 @@ def primes_up_to(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if is_prime(p)]
 
 
-def mellin_hat(f, s, precision_bits: int = 256):
-    """f^(s) = integral_0^infty f(x) x^(-is) d*x (closed form for band functions)."""
-    with mp.workprec(precision_bits + _GUARD):
-        return +f.mellin(mp.mpmathify(s))
-
-
 def w_prime(p: int, f, precision_bits: int = 256):
     """(log p) sum_m p^(-m/2) (f(p^m) + f(p^-m)); exact finite truncation.
 
@@ -445,19 +439,6 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
         return [[entry(j, k) for k in range(-K, K + 1)] for j in range(-K, K + 1)]
 
 
-def pole_constraint_vectors(lam2, half_width: int, precision_bits: int):
-    """Coordinates of the even and odd pole functionals on the parity blocks.
-
-    even (length K+1, over [const, cos_1..cos_K]) is f -> (f^(i/2) + f^(-i/2))/2
-    and odd (length K, over [sin_1..sin_K]) is f -> (f^(i/2) - f^(-i/2))/2,
-    in the closed form of _pole_functionals.  The codimension-2 subspace they
-    cut out, one constraint per block, is where Weil positivity lives.
-    """
-    _check_gram_args(lam2, half_width)
-    with mp.workprec(precision_bits + _GUARD):
-        return _pole_functionals(half_width, *band_frame(lam2))
-
-
 def _project_out(rows, c):
     """Compress the symmetric matrix A onto the orthocomplement of the
     vector c by one Householder reflector.
@@ -519,8 +500,9 @@ def _gram_scale(lam2, K, precision_bits):
                 + max(-psi_quarter, psi_top) + 9 * c2 + (2 + 32 * c2) / (lam - lam**-3))
 
 
-def _gram_entry_error(lam2, K, precision_bits):
-    """Bound on |stored - exact| for every entry of either parity block.
+def _gram_entry_error(S, precision_bits):
+    """Bound on |stored - exact| for every entry of either parity block,
+    given S = _gram_scale(lam2, K, precision_bits).
 
     Rounding: every product, quotient, sum and elementary-function value is
     within 4 units of 2^-p of itself, p = precision_bits + _GUARD, and every
@@ -534,10 +516,10 @@ def _gram_entry_error(lam2, K, precision_bits):
     2^-p (2 + 2^10 S) of exact.
     """
     with mp.workprec(precision_bits + _GUARD):
-        return mpf(2) ** -(precision_bits + _GUARD) * (2 + 2**10 * _gram_scale(lam2, K, precision_bits))
+        return mpf(2) ** -(precision_bits + _GUARD) * (2 + 2**10 * S)
 
 
-def _projection_error(lam2, K, precision_bits):
+def _projection_error(lam2, K, precision_bits, S):
     """Bound on how far the eigenvalues of _project_out(A, c), as computed
     at p = precision_bits + _GUARD bits (unit eps = 2^-p), lie from those of
     the exact compression of the stored block A onto the complement of the
@@ -566,13 +548,12 @@ def _projection_error(lam2, K, precision_bits):
     O(eps^2) terms that is below 2^8 eps ||A||_F.
 
     Together, below 2^9 (2 + L) eps ||A||_F, and every entry of A is at most
-    2S (_gram_scale), so ||A||_F <= 2 n S and the bound is
-    2^10 (2 + L) n S eps.
+    2S (S = _gram_scale(lam2, K, precision_bits)), so ||A||_F <= 2 n S and
+    the bound is 2^10 (2 + L) n S eps.
     """
     with mp.workprec(precision_bits + _GUARD):
         L = band_frame(lam2)[0]
-        return (mpf(2) ** -(precision_bits + _GUARD) * 2**10 * (2 + L) * (K + 1)
-                * _gram_scale(lam2, K, precision_bits))
+        return mpf(2) ** -(precision_bits + _GUARD) * 2**10 * (2 + L) * (K + 1) * S
 
 
 def weil_gram(
@@ -614,7 +595,8 @@ def weil_gram_spectrum(
     the sorted eigenvalues then move by at most ||E||_2 <= n e, with n = K + 1
     the larger block's dimension.  Projection compresses E to a principal
     submatrix of H E H (_project_out's reflector H), whose 2-norm is no
-    larger, and adds its own rounding, _projection_error.
+    larger, and adds its own rounding, _projection_error.  Both bounds scale
+    with the same _gram_scale, formed once here.
     """
     eigenvalues = []
     residual = mpf(0)
@@ -623,9 +605,10 @@ def weil_gram_spectrum(
         eigenvalues.extend(res.eigenvalues)
         residual = max(residual, res.max_residual())
     with mp.workprec(precision_bits + _GUARD):
-        residual += (half_width + 1) * _gram_entry_error(lam2, half_width, precision_bits)
+        S = _gram_scale(lam2, half_width, precision_bits)
+        residual += (half_width + 1) * _gram_entry_error(S, precision_bits)
         if project_poles:
-            residual += _projection_error(lam2, half_width, precision_bits)
+            residual += _projection_error(lam2, half_width, precision_bits, S)
     eigenvalues.sort()
     smallest_pos = next((lam for lam in eigenvalues if lam > residual), None)
     return GramSpectrum(

@@ -51,16 +51,6 @@ class MonoidMatrix(Immutable):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "cols", dict(sorted(clean.items())))
 
-    @classmethod
-    def identity(cls, n: int) -> "MonoidMatrix":
-        return cls(n, {j: (j, ZERO_ROOT) for j in range(1, n + 1)})
-
-    def entry(self, i: int, j: int) -> Root | None:
-        bound = self.cols.get(j)
-        if bound is not None and bound[0] == i:
-            return bound[1]
-        return None
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MonoidMatrix)
@@ -74,25 +64,6 @@ class MonoidMatrix(Immutable):
     def __repr__(self) -> str:
         inner = ", ".join(f"{j}->({i},{r})" for j, (i, r) in self.cols.items())
         return f"MonoidMatrix({self.n}, {{{inner}}})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "cols": {str(j): [i, f"{r.num}/{r.den}"] for j, (i, r) in self.cols.items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "MonoidMatrix":
-        n = int(data["n"])
-        cols: dict[int, Entry] = {}
-        for j, (i, frac) in data.get("cols", {}).items():
-            if isinstance(frac, str):
-                num, _, den = frac.partition("/")
-                root = Root(int(num), int(den or 1))
-            else:
-                root = Root(int(frac), 1)
-            cols[int(j)] = (int(i), root)
-        return cls(n, cols)
 
 
 def compose(a: MonoidMatrix, b: MonoidMatrix) -> MonoidMatrix:
@@ -180,15 +151,17 @@ def tau(t: MonoidMatrix) -> Divisor:
 
 
 class DivisorMatrix(Immutable):
-    """Dense n x n matrix over Z[Q/Z]; rows/columns are 0-based."""
+    """Dense n x n matrix over Z[Q/Z], rows a tuple of tuples; rows/columns
+    are 0-based."""
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: list[list[Divisor]]):
+    def __init__(self, n: int, rows: Iterable[Iterable[Divisor]]):
+        rows = tuple(map(tuple, rows))
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("shape mismatch")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", [list(r) for r in rows])
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_monoid(cls, t: MonoidMatrix) -> "DivisorMatrix":

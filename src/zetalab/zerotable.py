@@ -13,7 +13,6 @@ A table bundled with the package carries the first 10^4 ordinates (leading
 from __future__ import annotations
 
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 from mpmath import mp, mpf
@@ -95,11 +94,6 @@ def parse_zero_table(text: str, source: str = "") -> ZeroTable:
             except (ValueError, TypeError):
                 raise ZeroTableError(f"line {lineno}: cannot parse {line!r}") from None
         return ZeroTable(ordinates, source)
-
-
-def load_zero_table(path) -> ZeroTable:
-    path = Path(path)
-    return parse_zero_table(path.read_text(), source=str(path))
 
 
 def bundled_zero_table() -> ZeroTable:

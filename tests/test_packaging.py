@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,64 @@ def test_reduction_runs_on_integers():
             if name == "r_sy_tridiag" or on_mp and name in ("matrix", "eigsy"):
                 calls.append((node.lineno, name))
         assert calls == [], f"{path.name} calls {calls}"
+
+
+# Public names that only the tests reach, kept because each checks a
+# north-star identity: semilocal's checks, and EvenGaussHermite's methods,
+# which no bench workload runs yet.
+NORTH_STAR_CHECKS = (
+    "u_arch",
+    "zeta_ratio",
+    "tate_arch_check",
+    "semilocal_lift_check",
+    "arch_trace_check",
+    "EvenGaussHermite.value_at_zero",
+    "EvenGaussHermite.norm_sq",
+    "EvenGaussHermite.project_even_schwartz_zero",
+)
+
+
+def _referenced_names(paths):
+    # every identifier used as a name, an attribute, an import, or a dotted
+    # string such as the bench's span targets; docstrings do not count
+    dotted = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+    names = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        docs = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docs and dotted.fullmatch(node.value)):
+                names.update(node.value.split("."))
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # a public function, class or method that no package module and no bench
+    # file reaches is dead surface: delete it, or move it to tests/ as a helper
+    import zetalab
+
+    modules = sorted(PACKAGE.glob("*.py"))
+    used = _referenced_names([*modules, *sorted((ROOT / "perfbench").glob("*.py"))])
+    dead = []
+    for path in modules:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            members = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+            dead += [f"{path.stem}.{qual}" for qual, name in members
+                     if name not in used and qual not in zetalab.__all__
+                     and qual not in NORTH_STAR_CHECKS]
+    assert dead == [], f"public names with no caller in src or perfbench: {dead}"
 
 
 def test_weil_computes_its_own_digamma():

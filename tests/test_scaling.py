@@ -14,7 +14,6 @@ from zetalab.scaling import (
     _zeta_critical,
     dirac_matrix,
     dirac_spectrum,
-    poincare_sum,
     prolate_vectors,
     pswf_basis,
     resonant_lambda,
@@ -135,21 +134,3 @@ def test_rank_2k_dirac_matrix_matches_dense():
     assert np.array_equal(got, got.conj().T)
     assert np.abs(got - dense).max() <= tol
     assert np.abs(np.linalg.eigvalsh(got) - np.linalg.eigvalsh(dense)).max() <= tol
-
-
-def test_poincare_sum_invariant_and_accurate():
-    def g(u):
-        return mp.exp(-mp.log(u) ** 2)
-
-    with mp.workprec(256):
-        u = mpf(17) / 10
-        ell = mp.log(3)
-        # Poisson summation: sum_k g(3^k u) is a theta series in log u
-        want = mp.sqrt(mp.pi) / ell * (1 + 2 * mp.fsum(
-            mp.exp(-(mp.pi * n / ell) ** 2) * mp.cos(2 * mp.pi * n * mp.log(u) / ell)
-            for n in range(1, 12)
-        ))
-        three_u = 3 * u
-    got = poincare_sum(3, g, u, 128)
-    assert abs(got - poincare_sum(3, g, three_u, 128)) < mpf(2) ** -110
-    assert abs(got - want) < mpf(2) ** -110

@@ -5,14 +5,13 @@ from mpmath import mp, mpc, mpf
 
 from arch_quadrature import quad_checked, w_arch_quadrature
 from convolved_band import star_convolve
-from zetalab.bandfn import LogBandFunction
+from zetalab.bandfn import LogBandFunction, band_frame
 from zetalab.precision import HPMatrix
 from zetalab.semilocal import arch_phase_derivative, arch_trace_check
 from zetalab.weil import (
+    _pole_functionals,
     explicit_formula_profile,
     explicit_formula_residual,
-    mellin_hat,
-    pole_constraint_vectors,
     primes_up_to,
     w_arch,
     w_prime,
@@ -54,7 +53,7 @@ class TestMellinHat:
         f = LogBandFunction(4, {0: 1})
         with mp.workprec(256):
             want = mp.sqrt(2 * mp.log(2))
-            assert abs(mellin_hat(f, 0) - want) < mpf(10) ** -70
+            assert abs(f.mellin(0) - want) < mpf(10) ** -70
 
     def test_spot_values_vs_quadrature(self):
         f = LogBandFunction(9, {3: 1, -1: Fraction(1, 7)})
@@ -62,12 +61,12 @@ class TestMellinHat:
             L = f.log_halfwidth()
             for s in (mpf(2), mpf(-11) / 3):
                 quad = mp.quad(lambda t: f.evaluate_log(t) * mp.expj(-s * t), [-L, L])
-                assert abs(mellin_hat(f, s) - quad) < mpf(10) ** -30
+                assert abs(f.mellin(s) - quad) < mpf(10) ** -30
 
     def test_real_for_symmetric(self):
         f = LogBandFunction.cosine_power(4, 2)
         with mp.workprec(200):
-            assert abs(mp.im(mellin_hat(f, mpf(7) / 3))) < mpf(10) ** -50
+            assert abs(mp.im(f.mellin(mpf(7) / 3))) < mpf(10) ** -50
 
 
 class TestWPrime:
@@ -199,7 +198,7 @@ class TestExplicitFormula:
         lambda zeros: weil_gram_spectrum(0.5, 3, 128),
         lambda zeros: weil_gram_spectrum(1, 3, 128),
         lambda zeros: weil_gram_spectrum(2, -1, 128),
-        lambda zeros: pole_constraint_vectors(1, 3, 128),
+        lambda zeros: weil_gram(1, 3, 128, project_poles=True),
         lambda zeros: explicit_formula_profile(
             LogBandFunction.cosine_power(4, 4), zeros.truncated(20), [], 128
         ),
@@ -370,21 +369,21 @@ class TestWeilGram:
 
     def test_pole_constraints_are_the_pole_functionals(self):
         lam2, K, prec = 2, 5, 160
-        even, odd = pole_constraint_vectors(lam2, K, prec)
-        assert (len(even), len(odd)) == (K + 1, K)
         # real coordinates over [const, cos_1..cos_K] and [sin_1..sin_K]
         x = [mpf(1), mpf(1) / 2, -mpf(1) / 3, mpf(1) / 5, mpf(0), mpf(1) / 7]
         y = [mpf(2) / 3, mpf(0), mpf(1) / 4, -mpf(1), mpf(1) / 9]
         with mp.workprec(prec + 48):
+            even, odd = _pole_functionals(K, *band_frame(lam2))
+            assert (len(even), len(odd)) == (K + 1, K)
             rt2 = mp.sqrt(2)
+            # f = x_0 + sum_k (x_k cos_k + y_k sin_k), a real function
             coeffs = {0: x[0]}
             for k in range(1, K + 1):
                 coeffs[k] = mpc(x[k], -y[k - 1]) / rt2
                 coeffs[-k] = mpc(x[k], y[k - 1]) / rt2
             f = LogBandFunction(lam2, coeffs)
-            assert f.is_real()
-            up = mellin_hat(f, mpc(0, 0.5), prec)
-            down = mellin_hat(f, mpc(0, -0.5), prec)
+            up = f.mellin(mpc(0, 0.5))
+            down = f.mellin(mpc(0, -0.5))
             assert abs(mp.fdot(even, x) - (up + down) / 2) < mpf(2) ** -140
             assert abs(mp.fdot(odd, y) - (up - down) / 2) < mpf(2) ** -140
 
@@ -463,27 +462,39 @@ class TestWeilGram:
     def test_projection_error_covers_reflector(self):
         # the compression at bits + _GUARD against the same stored blocks
         # compressed at 512 bits onto the pole functionals formed at 512 bits
-        from zetalab.weil import _GUARD, _parity_blocks, _project_out, _projection_error
+        from zetalab.weil import (_GUARD, _gram_scale, _parity_blocks, _project_out,
+                                  _projection_error)
 
         lam2, K, bits = 5, 16, 128
         with mp.workprec(bits + _GUARD):
             blocks, poles = _parity_blocks(lam2, K, bits)
             low = list(map(_project_out, blocks, poles))
-        fine = pole_constraint_vectors(lam2, K, 512 - _GUARD)
+        bound = _projection_error(lam2, K, bits, _gram_scale(lam2, K, bits))
         with mp.workprec(512):
+            fine = _pole_functionals(K, *band_frame(lam2))
             for a, b, c in zip(low, blocks, fine):
                 gap = mp.sqrt(mp.fsum((x - y) ** 2 for r, s in zip(a, _project_out(b, c))
                                       for x, y in zip(r, s)))
-                assert gap <= _projection_error(lam2, K, bits)
+                assert gap <= bound
+
+    def test_gram_scale_formed_once(self, monkeypatch):
+        # both error bounds of a projected spectrum scale with one S
+        from zetalab import weil
+
+        calls = []
+        scale = weil._gram_scale
+        monkeypatch.setattr(weil, "_gram_scale", lambda *args: calls.append(args) or scale(*args))
+        weil_gram_spectrum(5, 16, 128, project_poles=True)
+        assert calls == [(5, 16, 128)]
 
     def test_entry_error_covers_gram(self):
         # every parity-block entry at 128 bits is within both entry-error
         # bounds of the same entry at 192 bits
-        from zetalab.weil import _gram_entry_error
+        from zetalab.weil import _gram_entry_error, _gram_scale
 
         lam2, K = 5, 8
         low, high = weil_gram(lam2, K, 128), weil_gram(lam2, K, 192)
-        allowance = _gram_entry_error(lam2, K, 128) + _gram_entry_error(lam2, K, 192)
+        allowance = sum(_gram_entry_error(_gram_scale(lam2, K, bits), bits) for bits in (128, 192))
         with mp.workprec(256):
             for a, b in zip(low, high):
                 gap = max(abs(x - y) for r, s in zip(a.rows, b.rows) for x, y in zip(r, s))

@@ -5,7 +5,6 @@ from zetalab.zerotable import (
     ZeroTable,
     ZeroTableError,
     bundled_zero_table,
-    load_zero_table,
     parse_zero_table,
 )
 
@@ -60,7 +59,7 @@ class TestLoad:
     def test_roundtrip(self, tmp_path):
         p = tmp_path / "zeros.txt"
         p.write_text(SAMPLE)
-        t = load_zero_table(p)
+        t = parse_zero_table(p.read_text(), source=str(p))
         assert len(t) == 3 and str(p) in t.source
 
 
