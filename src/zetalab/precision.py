@@ -6,10 +6,11 @@ exact by averaging, _GUARD bits above that precision, the pairs of entries
 that differ; every other entry is kept as given.  jacobi_eigensystem (the
 name is kept; no Jacobi sweep runs) rounds the stored matrix once to fixed
 point, reduces it to tridiagonal form by Householder reflectors on Python
-integers, takes the tridiagonal's eigenvalues by mpmath's values-only
-implicit QL, and certifies them without eigenvectors: the input rounding,
-a Weyl bound whose residual and orthogonality defect are formed exactly in
-integers, and Sturm counts for every eigenvalue of the tridiagonal.  It
+integers, guesses the tridiagonal's eigenvalues by mpmath's values-only
+implicit QL, and certifies them without eigenvectors and without
+floating-point rounding: the input rounding, a Weyl bound whose residual
+and orthogonality defect are formed exactly in integers, and Sturm counts
+on the tridiagonal's integers for every eigenvalue, added in Fractions.  It
 returns one residual that bounds every eigenvalue's error, in sorted order,
 for the eigenproblem of the stored matrix; the error of the entries is the
 caller's.
@@ -18,7 +19,8 @@ caller's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from fractions import Fraction
+from math import ceil, isqrt
 from operator import mul
 
 from mpmath import mp, mpf
@@ -28,10 +30,10 @@ from zetalab.immutable import Immutable
 
 # Working bits above precision_bits for averaging, solving and hermitefn's
 # closed-form projection.  They set the certificate's level: with 16, the
-# Sturm radius rho + eta (12 to 17 u t, t the largest tridiagonal entry), the
-# reduction's Weyl term (below u t/2) and the input rounding (below u t/10)
-# come to between 2^-(bits+10.4) and 2^-(bits+11.2) on the Weil blocks of the
-# benchmark (dimension up to 25).
+# Sturm radius rho + 1 unit (3.7 to 8.6 u t, t the largest tridiagonal
+# entry), the reduction's Weyl term (below u t/2) and the input rounding
+# (below u t/10) come to between 2^-(bits+11.3) and 2^-(bits+12.8) on the
+# Weil blocks of the benchmark (dimension up to 25).
 _GUARD = 16
 
 
@@ -84,16 +86,14 @@ class EigenResult:
         return max(self.residuals) if self.residuals else mpf(0)
 
 
-def _sturm_count(diag, off2, sigma, pivmin):
-    """Number of negative pivots q_i of T - sigma I, for T tridiagonal with
-    diagonal diag and squared off-diagonals off2 (off2[0] = 0, off2[i] =
-    e_(i-1)^2); a zero pivot is replaced by -pivmin.  jacobi_eigensystem
-    bounds what the rounding of this recurrence counts."""
-    count, q = 0, mpf(1)
+def _sturm_count(diag, off2, sigma):
+    """Number of negative pivots q_i = diag_i - sigma - off2_i // q_(i-1) of
+    the integer tridiagonal T - sigma I, off2 its squared off-diagonals
+    (off2[0] = 0, off2[i] = e_(i-1)^2); a zero pivot is set to -1.  The count
+    is exact for a T' within one unit of T (jacobi_eigensystem)."""
+    count, q = 0, 1
     for d, e2 in zip(diag, off2):
-        q = d - sigma - e2 / q
-        if not q:
-            q = -pivmin
+        q = d - sigma - e2 // q or -1
         count += q < 0
     return count
 
@@ -146,24 +146,41 @@ def _fixed(x, s):
     return -man if sign else man
 
 
-def _sqrt_up(x, exp):
-    """An mpf at least sqrt(x) 2^exp, for an integer x >= 0."""
+def _isqrt_up(x):
+    """ceil(sqrt(x)) for an integer x >= 0."""
     r = isqrt(x)
-    return mpf((r + (r * r < x), exp), rounding="c")
+    return r + (r * r < x)
+
+
+def _round_up(x, bits):
+    """An mpf of about `bits` bits at least the Fraction x >= 0."""
+    s = bits + x.denominator.bit_length() - x.numerator.bit_length()
+    return mpf((ceil(x * Fraction(2) ** s), -s), prec=0)
+
+
+def _bound(r2, g2, P, top, radius):
+    """The residual in units of 2^(k-P), exactly: ((1 + delta) ||R||_F +
+    2 delta ||T||)/(1 - delta) + radius, ||R||_F and delta from the integers
+    r2 and g2 (jacobi_eigensystem) and ||T|| <= top."""
+    delta = Fraction(_isqrt_up(g2), 1 << 2 * P)
+    if delta >= Fraction(1, 2):
+        raise ArithmeticError(f"tridiagonalising Q is not orthonormal: defect {float(delta)}")
+    return ((1 + delta) * Fraction(_isqrt_up(r2), 1 << P) + 2 * delta * top) / (1 - delta) + radius
 
 
 def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     """Ascending eigenvalues of A and one certified residual, without
     eigenvectors.
 
-    Fixed point.  Let p = precision_bits + _GUARD, u = 2^-p, P = p + 8 and
-    2^k > max|A_ij|, k read off the entries' exponents.  Each entry of A is
-    rounded to nearest once, to A^ = 2^(k-P) N with N integer, so by Weyl's
-    inequality A's sorted eigenvalues are within ||A - A^||_2 <= n 2^(k-P-1)
-    of A^'s.  _tridiagonalize reduces N to T = 2^(k-P) tridiag(e, d, e) and
-    Q (for 2^-P Q).  mpmath's tridiag_eigen(z=False) takes T's eigenvalues
-    lam~ by implicit QL at p bits, from T's entries converted exactly
-    (RuntimeError when it does not converge).
+    Fixed point.  Let p = precision_bits + _GUARD, P = p + 8, 2^k > max|A_ij|
+    (k read off the entries' exponents) and a unit 2^(k-P).  Each entry of A
+    is rounded to nearest once, to A^ = N units with N integer, so by Weyl's
+    inequality A's sorted eigenvalues are within ||A - A^||_2 <= n/2 units of
+    A^'s.  _tridiagonalize reduces N to T = tridiag(e, d, e) units and Q (for
+    2^-P Q).  mpmath's tridiag_eigen(z=False) guesses T's eigenvalues by
+    implicit QL at p bits (RuntimeError when it does not converge); rounded
+    to units they are the centres c_i, which are returned.  QL's rounding is
+    not analysed: the Sturm counts below certify the centres.
 
     A^ against T.  R = A^ Q - Q T and G = Q^T Q - I are integer matrices
     times 2^(k-2P) and 2^-2P, formed exactly; ||R||_F and delta = ||G||_F
@@ -179,37 +196,21 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     By Weyl's inequality that bounds |lambda_i(A^) - lambda_i(T)|, both
     sorted.
 
-    T against lam~.  The count of negative q_i in q_0 = d_0 - sigma,
-    q_i = d_i - sigma - e_(i-1)^2/q_(i-1) is #{lambda(T) < sigma}, by the
-    inertia of T - sigma I = L diag(q) L^T.  Rounded to nearest, with e^2
-    formed once, q_i = ((d_i - sigma)(1 + a_i) - e_(i-1)^2 (1 + b)(1 + c)/
-    q_(i-1))(1 + f_i), every |a|, |b|, |c|, |f| <= u.  q^_i = q_i/((1 + a_i)
-    (1 + f_i)) has q_i's sign and runs the exact recurrence with e_(i-1)^2
-    scaled by (1 + b)(1 + c)/((1 + a_i)(1 + a_(i-1))(1 + f_(i-1))): the
-    computed count is exact for a T' whose off-diagonals are within
-    2.5 u + O(u^2) <= 3u of T's, relatively.  A zero pivot is replaced by
-    -theta, theta = u t with t >= max |T entry| (rounded up to p bits); that
-    is exact for d_i moved by theta/(1 + a_i) <= 2 theta.  So ||T' - T|| <=
-    2 (3u max|e|) + 2 theta <= eta = 8 u t, whatever sigma is.  The radius
-    rho climbs a ladder, x 9/8 per rung, from u t (u when T = 0) until, for
-    each i in turn,
+    T against c.  For an integer sigma, _sturm_count's floor moves q_i by
+    less than one unit, and setting a zero pivot to -1 by at most one more:
+    its pivots are exactly those of T' - sigma I = L diag(q) L^T, for T'
+    = T plus a diagonal with entries in [-1, 1) units, and none is zero.  By
+    inertia the count is #{lambda(T') < sigma}, and by Weyl's inequality
+    lambda_i(T') is within one unit of lambda_i(T).  The radius rho climbs a
+    ladder, x 9/8 per rung, from max(t >> p, 1) units (t = max |T entry|)
+    until, for each i in turn, the count at c_i - rho is at most i and the
+    count at c_i + rho above i.  Each count is exact for its own T', so
+    lambda_i(T) is within rho + 1 units of c_i, and ||T|| <= max|c| + rho + 1
+    units.
 
-        #{lambda(T) < lam~_i - rho} <= i < #{lambda(T) < lam~_i + rho},
-
-    with sigma = lam~_i -+ rho formed exactly.  Each count is exact for its
-    own T' within eta of T, so lambda_i(T) is within rho + eta of lam~_i, and
-    ||T|| <= max|lam~| + rho + eta.
-
-    Rounding of the certificate.  ||R||_F, delta, u t and the input term
-    n 2^(k-P-1) enter as exact upper bounds, and rho is exact whatever
-    value the ladder gives it.  The bound is a formula of positive terms
-    with at most 9 roundings to nearest on any path from an input (1 - delta
-    and the final product included), each within u of its exact result, so
-    the product with 1 + 16u (exact) is at least its exact value:
-    (1 - u)^9 (1 + 16u) >= 1.
-
-    The residual bounds every sorted eigenvalue, not only the smallest.
-    defect is delta.
+    The bound, the Weyl term plus rho + 1 + n/2 units, is formed exactly in
+    Fractions and rounded up to an mpf once.  It bounds every sorted
+    eigenvalue, not only the smallest.  defect is delta.
     """
     n, prec = m.dim, m.precision_bits
     if n == 0:
@@ -217,29 +218,21 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     p, P = prec + _GUARD, prec + _GUARD + 8
     k = max((x.exp + x.bc for r in m.rows for x in r if x), default=0)
     N = [[_fixed(x, P - k) for x in r] for r in m.rows]
-    di, ei, qc = _tridiagonalize(N, P)
-    qp, ep = [(0,) * n, *qc, (0,) * n], [0, *ei, 0]  # qp[j + 1] = qc[j], ep[j + 1] = e_j
-    r2 = sum((sum(map(mul, row, qc[j])) - qp[j][i] * ep[j] - qc[j][i] * di[j]
+    d, e, qc = _tridiagonalize(N, P)
+    qp, ep = [(0,) * n, *qc, (0,) * n], [0, *e, 0]  # qp[j + 1] = qc[j], ep[j + 1] = e_j
+    r2 = sum((sum(map(mul, row, qc[j])) - qp[j][i] * ep[j] - qc[j][i] * d[j]
               - qp[j + 2][i] * ep[j + 1]) ** 2 for j in range(n) for i, row in enumerate(N))
     g2 = sum((2 if i != j else 1) * (sum(map(mul, qc[i], qc[j])) - ((i == j) << 2 * P)) ** 2
              for j in range(n) for i in range(j + 1))
-    u = mpf(2) ** -p
     with mp.workprec(p):
-        delta = _sqrt_up(g2, -2 * P)
-        if delta >= 0.5:
-            raise ArithmeticError(f"tridiagonalising Q is not orthonormal: defect {delta}")
-        diag, off = ([mpf((x, k - P), prec=0) for x in y] for y in (di, ei))
-        lam = list(diag)
-        tridiag_eigen(mp, lam, off + [mpf(0)], False)
-        t = mpf((max(map(abs, di + ei)), k - P), rounding="c")
-        off2 = [mpf(0)] + [x * x for x in off]
-        top = max(abs(x) for x in lam)
-        rho = u * (t or 1)
-        for i, x in enumerate(lam):
-            while (_sturm_count(diag, off2, mp.fsub(x, rho, exact=True), u * t) > i
-                   or _sturm_count(diag, off2, mp.fadd(x, rho, exact=True), u * t) <= i):
-                rho += rho / 8
-        eig_t = rho + 8 * u * t  # |lambda_i(T) - lam~_i|
-        weyl = ((1 + delta) * _sqrt_up(r2, k - 2 * P) + 2 * delta * (top + eig_t)) / (1 - delta)
-        bound = (weyl + eig_t + mpf((n, k - P - 1))) * (1 + 16 * u)
-    return EigenResult(lam, delta, [bound] * n, 0, prec)
+        lam, off = ([mpf((x, 0), prec=0) for x in y] for y in (d, e + [0]))
+        tridiag_eigen(mp, lam, off, False)
+    c, e2 = [_fixed(x, 0) for x in lam], [0] + [x * x for x in e]
+    rho = max(max(map(abs, d + e)) >> p, 1)
+    for i, x in enumerate(c):
+        while _sturm_count(d, e2, x - rho) > i or _sturm_count(d, e2, x + rho) <= i:
+            rho += (rho + 7) // 8
+    bound = _bound(r2, g2, P, max(map(abs, c)) + rho + 1, rho + 1 + Fraction(n, 2))
+    bound = _round_up(bound * Fraction(2) ** (k - P), p)
+    return EigenResult([mpf((x, k - P), prec=0) for x in c], mpf((_isqrt_up(g2), -2 * P), prec=0),
+                       [bound] * n, 0, prec)

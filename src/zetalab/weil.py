@@ -40,15 +40,16 @@ constraint per block, projected out by one Householder reflector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
-from itertools import count, islice
+from itertools import count
 from math import ceil, lgamma, log, log2, pi, sqrt
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, to_rational
 
 from zetalab.bandfn import LogBandFunction, band_frame
-from zetalab.precision import HPMatrix, _fixed, jacobi_eigensystem
+from zetalab.precision import HPMatrix, _fixed, _round_up, jacobi_eigensystem
 from zetalab.zerotable import ZeroTable
 
 # Working bits above precision_bits for every weil (and semilocal) evaluation.
@@ -56,8 +57,8 @@ from zetalab.zerotable import ZeroTable
 # to about lambda in size, and with 48 bits the entry-error bound
 # (_gram_entry_error, about 2^-(bits+33) at the benchmark's settings) times the
 # block dimension, and the reflector's rounding (_projection_error, about
-# 2^-(bits+27)) when the poles are projected, stay 16 to 18 bits below the
-# eigensolver's residual, which is between 2^-(bits+10.4) and 2^-(bits+11.2)
+# 2^-(bits+27)) when the poles are projected, stay 14 to 17 bits below the
+# eigensolver's residual, which is between 2^-(bits+11.3) and 2^-(bits+12.8)
 # there, so the certified bits are the solver's.
 _GUARD = 48
 
@@ -231,23 +232,11 @@ def explicit_formula_residual(
     f, zeros: ZeroTable, precision_bits: int = 256
 ) -> ExplicitFormulaCheck:
     """lhs = f^(i/2) + f^(-i/2) - sum over table zeros (both signs);
-    rhs = W_R(f) + sum_p W_p(f); residual = lhs - rhs."""
-    profile = explicit_formula_profile(f, zeros, [len(zeros)], precision_bits)
-    return profile[0]
-
-
-def explicit_formula_profile(
-    f, zeros: ZeroTable, table_sizes, precision_bits: int = 256
-) -> list[ExplicitFormulaCheck]:
-    """Explicit-formula checks at several nested table prefixes, reusing the
-    partial zero sums (table_sizes must be nonempty, increasing and within
-    the table).  f must be a LogBandFunction: its zero sum costs one sine per
-    zero (LogBandFunction.mellin_pair_sum) and its W_R is a closed form."""
+    rhs = W_R(f) + sum_p W_p(f); residual = lhs - rhs.  f must be a
+    LogBandFunction: its zero sum costs one sine per zero
+    (LogBandFunction.mellin_pair_sum) and its W_R is a closed form."""
     if not isinstance(f, LogBandFunction):
         raise TypeError(f"the explicit formula takes a LogBandFunction, not {type(f).__name__}")
-    sizes = list(table_sizes)
-    if not sizes or sizes != sorted(sizes) or sizes[0] < 0 or sizes[-1] > len(zeros):
-        raise ValueError("table_sizes must be nonempty, increasing and within the table")
     with mp.workprec(precision_bits + _GUARD):
         # f^(i/2) + f^(-i/2) = 2 Pe(even part), whose cos_k coordinate is e_k/sqrt2
         e = f.even_coefficients()
@@ -258,15 +247,8 @@ def explicit_formula_profile(
         for p in primes_up_to(int(mp.exp(S)) + 1):
             if mp.log(p) <= S:
                 rhs += w_prime(p, f, precision_bits)
-        out = []
-        zsum = mpf(0)
-        done = 0
-        for size in sizes:
-            zsum += f.mellin_pair_sum(islice(zeros.ordinates, done, size))
-            done = size
-            lhs = pole - zsum
-            out.append(ExplicitFormulaCheck(+lhs, +rhs, +(lhs - rhs), size))
-        return out
+        lhs = pole - f.mellin_pair_sum(zeros.ordinates)
+        return ExplicitFormulaCheck(+lhs, +rhs, +(lhs - rhs), len(zeros))
 
 
 # -- Gram matrix of the truncated Weil form ------------------------------------
@@ -596,7 +578,8 @@ def weil_gram_spectrum(
     the larger block's dimension.  Projection compresses E to a principal
     submatrix of H E H (_project_out's reflector H), whose 2-norm is no
     larger, and adds its own rounding, _projection_error.  Both bounds scale
-    with the same _gram_scale, formed once here.
+    with the same _gram_scale, formed once here.  The three terms are added
+    exactly and the sum rounded up once.
     """
     eigenvalues = []
     residual = mpf(0)
@@ -604,11 +587,12 @@ def weil_gram_spectrum(
         res = jacobi_eigensystem(block)
         eigenvalues.extend(res.eigenvalues)
         residual = max(residual, res.max_residual())
-    with mp.workprec(precision_bits + _GUARD):
-        S = _gram_scale(lam2, half_width, precision_bits)
-        residual += (half_width + 1) * _gram_entry_error(S, precision_bits)
-        if project_poles:
-            residual += _projection_error(lam2, half_width, precision_bits, S)
+    S = _gram_scale(lam2, half_width, precision_bits)
+    parts = [(1, residual), (half_width + 1, _gram_entry_error(S, precision_bits))]
+    if project_poles:
+        parts.append((1, _projection_error(lam2, half_width, precision_bits, S)))
+    residual = _round_up(sum(m * Fraction(*to_rational(x._mpf_)) for m, x in parts),
+                         precision_bits + _GUARD)
     eigenvalues.sort()
     smallest_pos = next((lam for lam in eigenvalues if lam > residual), None)
     return GramSpectrum(

@@ -78,6 +78,18 @@ def test_reduction_runs_on_integers():
         assert calls == [], f"{path.name} calls {calls}"
 
 
+def test_certificate_runs_on_integers():
+    # the Sturm counts and the residual bound are exact, on integers and
+    # Fractions: nothing in them comes from mpmath
+    tree = ast.parse((PACKAGE / "precision.py").read_text())
+    from_mpmath = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                   and node.module.startswith("mpmath") for a in node.names}
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_sturm_count", "_bound", "_isqrt_up"):
+        used = {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
+        assert not used & from_mpmath, f"{name} uses {sorted(used & from_mpmath)}"
+
+
 # Public names that only the tests reach, kept because each checks a
 # north-star identity: semilocal's checks, and EvenGaussHermite's methods,
 # which no bench workload runs yet.

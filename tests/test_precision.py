@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from zetalab.precision import _GUARD, HPMatrix, jacobi_eigensystem
+from zetalab.precision import _GUARD, HPMatrix, _sturm_count, jacobi_eigensystem
 
 
 def reflected(lam):
@@ -47,7 +50,7 @@ def graded():
 def tridiagonal_ones(n=36):
     """tridiag(1, 1, 1), eigenvalues 1 + 2 cos(k pi/(n + 1)).  It is already
     tridiagonal, so the reduction is exact (Q = I, R = 0, delta = 0) and the
-    residual is the Sturm radius plus the input term (0.14 u), which QL's
+    residual is the Sturm radius rho plus 1 + n/2 units (0.14 u), which QL's
     error here exceeds without rho."""
     entries = [[int(abs(i - j) <= 1) for j in range(n)] for i in range(n)]
     with mp.workprec(800):
@@ -56,9 +59,10 @@ def tridiagonal_ones(n=36):
 
 def zero_pivot(bits=128):
     """[[3 - 3u, u, 0], [u, 0, 0], [0, 0, 3]], u = 2^-(bits + _GUARD), is its
-    own T.  The Sturm radius starts at u max|T entry| = 3u, so lambda~ -+ rho
-    lands on T's diagonal entries 3 - 3u (before a nonzero off-diagonal) and
-    3."""
+    own T, with u = 64 units.  The Sturm radius starts at t >> p = 192 units
+    = 3u, so c_i -+ rho lands on T's diagonal entries 3 - 3u and 3, and the
+    counts reach a zero pivot: q_0 = 0 at c_2 - rho = 3 - 3u, q_2 = 0 at
+    c_1 + rho = 3."""
     u = mpf(2) ** -(bits + _GUARD)
     with mp.workprec(800):
         a = 3 - 3 * u
@@ -188,3 +192,31 @@ class TestJacobi:
     def test_empty(self):
         res = jacobi_eigensystem(HPMatrix([], 128))
         assert res.eigenvalues == []
+
+
+def exact_count(d, e, tau):
+    """#{lambda(T) < tau} for T = tridiag(e, d, e) with integer entries and an
+    integer tau, by the Fraction recurrence at tau - 2^-64.  A rational that
+    is not an integer is no root of the monic integer characteristic
+    polynomial of T or of a leading block, so no pivot is zero.  Removing
+    the factors x - tau from T's polynomial leaves a monic integer one,
+    nonzero at tau, so for these T (|lambda|, |tau| <= 10, n <= 6) every
+    other eigenvalue is at least 20^-5 from tau."""
+    sigma, count, q = tau - Fraction(1, 2**64), 0, Fraction(1)
+    for di, e2 in zip(d, [0] + [x * x for x in e]):
+        q = di - sigma - e2 / q
+        count += q < 0
+    return count
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1),
+    st.integers(-9, 9))))
+def test_sturm_count_within_one_unit(case):
+    # the integer count is exact for a T' within one unit of T: it lies
+    # between T's exact counts one unit either side of sigma
+    d, e, sigma = case
+    got = _sturm_count(d, [0] + [x * x for x in e], sigma)
+    assert exact_count(d, e, sigma - 1) <= got <= exact_count(d, e, sigma + 1)

@@ -2,15 +2,14 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import to_rational
 
 from arch_quadrature import quad_checked, w_arch_quadrature
 from convolved_band import star_convolve
 from zetalab.bandfn import LogBandFunction, band_frame
-from zetalab.precision import HPMatrix
 from zetalab.semilocal import arch_phase_derivative, arch_trace_check
 from zetalab.weil import (
     _pole_functionals,
-    explicit_formula_profile,
     explicit_formula_residual,
     primes_up_to,
     w_arch,
@@ -43,9 +42,9 @@ def spectrum_5_8_192():
 
 @pytest.fixture(scope="module")
 def bump_profile(zeros):
-    # one pass over the 10^4 zeros serves both explicit-formula tests below
+    # the first 10 zeros and the whole table, shared by the tests below
     f = LogBandFunction.cosine_power(4, 4, modulation=1)
-    return explicit_formula_profile(f, zeros, [10, 10000], 256)
+    return [explicit_formula_residual(f, z, 256) for z in (zeros.truncated(10), zeros)]
 
 
 class TestMellinHat:
@@ -183,13 +182,6 @@ class TestExplicitFormula:
     def test_rejects_non_band_function(self, zeros, make):
         with pytest.raises(TypeError):
             explicit_formula_residual(make(), zeros.truncated(10), 128)
-        with pytest.raises(TypeError):
-            explicit_formula_profile(make(), zeros, [10], 128)
-
-    def test_rejects_bad_sizes(self, zeros):
-        f = LogBandFunction.cosine_power(4, 4)
-        with pytest.raises(ValueError):
-            explicit_formula_profile(f, zeros, [100, 50], 128)
 
 
 @pytest.mark.parametrize(
@@ -199,14 +191,8 @@ class TestExplicitFormula:
         lambda zeros: weil_gram_spectrum(1, 3, 128),
         lambda zeros: weil_gram_spectrum(2, -1, 128),
         lambda zeros: weil_gram(1, 3, 128, project_poles=True),
-        lambda zeros: explicit_formula_profile(
-            LogBandFunction.cosine_power(4, 4), zeros.truncated(20), [], 128
-        ),
-        lambda zeros: explicit_formula_profile(
-            LogBandFunction.cosine_power(4, 4), zeros.truncated(20), [-5], 128
-        ),
     ],
-    ids=["lam2-below-1", "lam2-1", "negative-K", "poles-lam2-1", "no-sizes", "negative-size"],
+    ids=["lam2-below-1", "lam2-1", "negative-K", "poles-lam2-1"],
 )
 def test_bad_input_raises_value_error(call, zeros):
     with pytest.raises(ValueError):
@@ -408,12 +394,32 @@ class TestWeilGram:
     @pytest.mark.parametrize("project", [False, True])
     def test_solver_residual_pinned(self, project):
         # jacobi_eigensystem's residual on the (5, 8) blocks at 128 bits
-        # measured 2^-(bits+11.3) to 2^-(bits+11.8) (rho + eta >= 9 u t puts
-        # its floor near 2^-(bits+11.6)); the pin leaves 0.8 bit of margin
+        # measured 2^-(bits+12.2) to 2^-(bits+13.9) (the Sturm radius, which
+        # starts at u t, puts its floor near 2^-(bits+14)); the pin leaves
+        # 0.7 bit of margin
         from zetalab.precision import jacobi_eigensystem
 
         for block in weil_gram(5, 8, 128, project_poles=project):
-            assert jacobi_eigensystem(block).max_residual() < mpf(2) ** -(128 + 10.5)
+            assert jacobi_eigensystem(block).max_residual() < mpf(2) ** -(128 + 11.5)
+
+    @pytest.mark.parametrize("project, bits", [(False, 192), (True, 128)])
+    def test_residual_covers_its_parts_exactly(self, project, bits, spectrum_5_8_192):
+        # the returned residual is at least the exact sum of the larger
+        # solver residual, K + 1 entry errors and the projection's error
+        from zetalab.precision import jacobi_eigensystem
+        from zetalab.weil import _gram_entry_error, _gram_scale, _projection_error
+
+        def exact(x):
+            return Fraction(*to_rational(x._mpf_))
+
+        S = _gram_scale(5, 8, bits)
+        parts = max(exact(jacobi_eigensystem(b).max_residual())
+                    for b in weil_gram(5, 8, bits, project))
+        parts += 9 * exact(_gram_entry_error(S, bits))
+        if project:
+            parts += exact(_projection_error(5, 8, bits, S))
+        spectrum = weil_gram_spectrum(5, 8, bits, project) if project else spectrum_5_8_192
+        assert exact(spectrum.residuals[0]) >= parts
 
     @pytest.mark.parametrize(
         "lam2, K, bits",

@@ -80,10 +80,7 @@ class TestCompose:
     def test_associativity(self):
         rng = random.Random(1)
         for _ in range(20):
-            n = rng.randint(1, 5)
-            a, b, c = (random_matrix(rng, max_n=1) for _ in range(3))
             a = random_matrix(rng, max_n=5)
-            b = MonoidMatrix(a.n, random_matrix(rng, max_n=a.n).cols if False else {})
             # build b, c with matching dimension
             def rand_same(nn):
                 cols = {}

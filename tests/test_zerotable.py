@@ -2,7 +2,6 @@ import pytest
 from mpmath import mpf
 
 from zetalab.zerotable import (
-    ZeroTable,
     ZeroTableError,
     bundled_zero_table,
     parse_zero_table,
