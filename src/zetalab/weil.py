@@ -39,6 +39,7 @@ constraint per block, projected out by one Householder reflector.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -49,7 +50,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, to_rational
 
 from zetalab.bandfn import LogBandFunction, band_frame
-from zetalab.precision import HPMatrix, _fixed, _round_up, jacobi_eigensystem
+from zetalab.precision import HPMatrix, _fixed, _reflect, jacobi_eigensystem
 from zetalab.zerotable import ZeroTable
 
 # Working bits above precision_bits for every weil (and semilocal) evaluation.
@@ -58,7 +59,7 @@ from zetalab.zerotable import ZeroTable
 # (_gram_entry_error, about 2^-(bits+33) at the benchmark's settings) times the
 # block dimension, and the reflector's rounding (_projection_error, about
 # 2^-(bits+27)) when the poles are projected, stay 14 to 17 bits below the
-# eigensolver's residual, which is between 2^-(bits+11.3) and 2^-(bits+12.8)
+# eigensolver's residual, which is between 2^-(bits+11.2) and 2^-(bits+12.7)
 # there, so the certified bits are the solver's.
 _GUARD = 48
 
@@ -326,12 +327,13 @@ def _prime_powers(lam2):
 
 def _check_gram_args(lam2, half_width):
     """The band must be nondegenerate (finite lam2 > 1) and K a nonnegative
-    integer; anything else would fail deep inside the assembly."""
+    integer (operator.index, so 3.0 is refused); anything else would fail
+    deep inside the assembly."""
     x = mp.mpmathify(lam2)
     if not (isinstance(x, mpf) and mp.isfinite(x) and x > 1):
         raise ValueError(f"lam2 must be a finite number above 1, got {lam2}")
-    if not (half_width >= 0 and half_width == int(half_width)):
-        raise ValueError(f"half_width must be a nonnegative integer, got {half_width}")
+    if not hasattr(half_width, "__index__") or operator.index(half_width) < 0:
+        raise ValueError(f"half_width must be a nonnegative integer, got {half_width!r}")
 
 
 def _parity_blocks(lam2, K, precision_bits):
@@ -421,33 +423,25 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
         return [[entry(j, k) for k in range(-K, K + 1)] for j in range(-K, K + 1)]
 
 
-def _project_out(rows, c):
+def _project_out(rows, c, p):
     """Compress the symmetric matrix A onto the orthocomplement of the
-    vector c by one Householder reflector.
+    vector c by one Householder reflector, in fixed point.
 
-    With u = c + sgn(c_0) |c| e_0 and tau = 2/(u.u) = 1/(|c| (|c| + |c_0|)),
-    H = I - tau u u^T is symmetric and orthogonal with H c = -sgn(c_0) |c| e_0,
-    so its columns 1..n-1 are an orthonormal basis of the complement and the
-    compression is H A H without row and column 0.  With p = tau A u and
-    w = p - (tau/2)(u.p) u, H A H = A - u w^T - w u^T.  _projection_error
-    bounds the rounding.
+    A is rounded to N units of 2^(k-p-8), 2^k > max|A_ij|, and c to the
+    integer vector x = round(c 2^(p+8-kc)), 2^kc > max|c_i|, so |x| >=
+    2^(p+7).  precision._reflect gives H N H, rounded, for an exactly
+    orthogonal H with H x = -a e_0 + r; the columns 1..n-1 of H are an
+    orthonormal basis of the complement of H e_0, and the compression is
+    H N H without row and column 0, returned as exact mpfs.
+    _projection_error bounds the rounding.
     """
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return []
-    nrm = mp.sqrt(mp.fsum(x * x for x in c))
-    u = list(c)
-    u[0] += nrm if c[0] >= 0 else -nrm
-    tau = 1 / (nrm * (nrm + abs(c[0])))
-    p = [tau * mp.fdot(row, u) for row in rows]
-    h = tau / 2 * mp.fdot(u, p)
-    w = [x - h * y for x, y in zip(p, u)]
-    # the upper triangle, mirrored: the compression is exactly symmetric
-    out = [[None] * (n - 1) for _ in range(n - 1)]
-    for a in range(1, n):
-        for b in range(a, n):
-            out[a - 1][b - 1] = out[b - 1][a - 1] = rows[a][b] - u[a] * w[b] - w[a] * u[b]
-    return out
+    k = max((x.exp + x.bc for r in rows for x in r if x), default=0)
+    kc = max(x.exp + x.bc for x in c if x)
+    out, _ = _reflect([[_fixed(x, p + 8 - k) for x in r] for r in rows],
+                      [_fixed(x, p + 8 - kc) for x in c])
+    return [[mpf((x, k - p - 8), prec=0) for x in r[1:]] for r in out[1:]]
 
 
 def _gram_scale(lam2, K, precision_bits):
@@ -502,11 +496,10 @@ def _gram_entry_error(S, precision_bits):
 
 
 def _projection_error(lam2, K, precision_bits, S):
-    """Bound on how far the eigenvalues of _project_out(A, c), as computed
-    at p = precision_bits + _GUARD bits (unit eps = 2^-p), lie from those of
-    the exact compression of the stored block A onto the complement of the
-    exact pole functional; 2-norms, with n = K + 1 at least the block's
-    dimension.
+    """Bound on how far the eigenvalues of _project_out(A, c, p), p =
+    precision_bits + _GUARD (eps = 2^-p), lie from those of the exact
+    compression of the stored block A onto the complement of the exact pole
+    functional; 2-norms, with n = K + 1 at least the block's dimension.
 
     The stored c: each entry of _pole_functionals is a chain of fewer than
     2^4 roundings, each within 4 eps; L's error reaches alpha = pi/L with
@@ -517,21 +510,20 @@ def _projection_error(lam2, K, precision_bits, S):
     other, so the two compressions have eigenvalues within
     ||U^T A U - A|| <= 2 theta ||A||.
 
-    The reflector, for the stored c: let u*, tau* = 2/|u*|^2, p*, h*, w* be
-    _project_out's quantities in exact arithmetic, so |p*| <= 2 ||A||/|u*|,
-    |h*| <= tau* ||A|| and |w*| <= 4 ||A||/|u*|.  |c| is formed within
-    2.1 eps and u_0 within 3.2 eps, relatively (c_0 and sgn(c_0) |c| share a
-    sign); tau within 7.3 eps; p, one fdot and one product per entry, within
-    25.4 eps ||A||/|u*|; h within 25.5 tau* eps ||A||; and w, outside entry 0
-    (u_a = c_a exactly there), within 83 eps ||A||/|u*|.  The output entries
-    A_ab - u_a w_b - w_a u_b are then off by 2 |u*| |w - w*| <= 166 eps ||A||
-    in Frobenius norm, plus their own four roundings, 3 eps (|A_ab| +
-    |u_a| |w_b| + |w_a| |u_b|) each, at most 27 eps ||A||_F in all.  With the
-    O(eps^2) terms that is below 2^8 eps ||A||_F.
+    The reflector, for the stored c (precision._reflect's lemma): rounding c
+    to x, each entry within 2^-(p+8) of max|c_i| <= |c|, turns it by an angle
+    below sqrt(n) 2^-8 eps, and H e_0 = (H r - x)/a with |a| >= 2^(p+7) and
+    ||r|| <= 1/sqrt2 lies within an angle 2^-(p+7) = eps/128 of x; both
+    add to theta.  The compression by H's orthonormal columns 1..n-1 is
+    then exact up to its two roundings: A to N, within n/2 units of
+    2^(k-p-8), and H N H, entries within 9/16 units, 9n/16 in 2-norm.  With
+    2^(k-1) <= max|A_ij| <= 2S a unit is at most S eps/64, so the two come
+    to at most (17/16) n S eps/64 < n S eps/32.
 
-    Together, below 2^9 (2 + L) eps ||A||_F, and every entry of A is at most
-    2S (S = _gram_scale(lam2, K, precision_bits)), so ||A||_F <= 2 n S and
-    the bound is 2^10 (2 + L) n S eps.
+    Together, with ||A|| <= ||A||_F <= 2 n S (every entry of A is at most 2S,
+    S = _gram_scale(lam2, K, precision_bits)), the bound is 4 n S theta +
+    n S eps/32 <= n S eps (518 (1 + L) + sqrt(n)/64 + 1/16), below
+    2^10 (2 + L) n S eps for every n below 2^33.
     """
     with mp.workprec(precision_bits + _GUARD):
         L = band_frame(lam2)[0]
@@ -550,8 +542,14 @@ def weil_gram(
     with mp.workprec(precision_bits + _GUARD):
         blocks, poles = _parity_blocks(lam2, half_width, precision_bits)
         if project_poles:
-            blocks = [_project_out(b, c) for b, c in zip(blocks, poles)]
+            blocks = [_project_out(b, c, precision_bits + _GUARD) for b, c in zip(blocks, poles)]
     return tuple(HPMatrix(b, precision_bits) for b in blocks)
+
+
+def _round_up(x, bits):
+    """An mpf of about `bits` bits at least the Fraction x >= 0."""
+    s = bits + x.denominator.bit_length() - x.numerator.bit_length()
+    return mpf((ceil(x * Fraction(2) ** s), -s), prec=0)
 
 
 @dataclass
@@ -570,23 +568,24 @@ def weil_gram_spectrum(
     eigenvectors; the spectrum is their union, ascending.
 
     Every eigenvalue carries one residual: the larger of the two blocks'
-    eigensolver residuals (each bounds its block's eigenvalues in sorted
-    order, and the larger one bounds the merged, sorted spectrum the same
-    way) plus the Gram's own error.  Each stored entry is within
-    e = _gram_entry_error of its exact value; by Weyl's inequality
+    eigensolver residuals (each an exact mpf that bounds its block's
+    eigenvalues in sorted order, and the larger one bounds the merged, sorted
+    spectrum the same way) plus the Gram's own error.  Each stored entry is
+    within e = _gram_entry_error of its exact value; by Weyl's inequality
     the sorted eigenvalues then move by at most ||E||_2 <= n e, with n = K + 1
     the larger block's dimension.  Projection compresses E to a principal
-    submatrix of H E H (_project_out's reflector H), whose 2-norm is no
-    larger, and adds its own rounding, _projection_error.  Both bounds scale
-    with the same _gram_scale, formed once here.  The three terms are added
-    exactly and the sum rounded up once.
+    submatrix of H E H (_project_out's reflector H, exactly orthogonal),
+    whose 2-norm is no larger, and adds its own rounding, _projection_error.
+    Both bounds scale with the same _gram_scale, formed once here.  The
+    three terms are added exactly and the sum rounded up once; at the
+    benchmark's settings the last two are 14 to 17 bits below the first.
     """
     eigenvalues = []
     residual = mpf(0)
     for block in weil_gram(lam2, half_width, precision_bits, project_poles):
         res = jacobi_eigensystem(block)
         eigenvalues.extend(res.eigenvalues)
-        residual = max(residual, res.max_residual())
+        residual = max(residual, res.residual)
     S = _gram_scale(lam2, half_width, precision_bits)
     parts = [(1, residual), (half_width + 1, _gram_entry_error(S, precision_bits))]
     if project_poles:

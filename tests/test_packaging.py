@@ -79,13 +79,13 @@ def test_reduction_runs_on_integers():
 
 
 def test_certificate_runs_on_integers():
-    # the Sturm counts and the residual bound are exact, on integers and
-    # Fractions: nothing in them comes from mpmath
+    # the reduction and the Sturm counts run on Python integers, and the
+    # residual is an integer count of units: nothing in them comes from mpmath
     tree = ast.parse((PACKAGE / "precision.py").read_text())
     from_mpmath = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
                    and node.module.startswith("mpmath") for a in node.names}
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("_sturm_count", "_bound", "_isqrt_up"):
+    for name in ("_reflect", "_tridiagonalize", "_sturm_count"):
         used = {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
         assert not used & from_mpmath, f"{name} uses {sorted(used & from_mpmath)}"
 
@@ -106,10 +106,13 @@ NORTH_STAR_CHECKS = (
 
 
 def _referenced_names(paths):
-    # every identifier used as a name, an attribute, an import, or a dotted
-    # string such as the bench's span targets; docstrings do not count
+    # (names, attributes): every identifier used as a name, an attribute, an
+    # import, or a part of a dotted string such as the bench's span targets;
+    # and the identifiers that can reach a method, an attribute (obj.name) or
+    # a part after the first dot of a dotted string ("Class.method").
+    # Docstrings do not count.
     dotted = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
-    names = set()
+    names, attrs = set(), set()
     for path in paths:
         tree = ast.parse(path.read_text())
         docs = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
@@ -118,32 +121,37 @@ def _referenced_names(paths):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rpartition(".")[2])
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and id(node) not in docs and dotted.fullmatch(node.value)):
-                names.update(node.value.split("."))
-    return names
+                parts = node.value.split(".")
+                names.update(parts)
+                attrs.update(parts[1:])
+    return names, attrs
 
 
 def test_every_public_name_has_a_caller():
     # a public function, class or method that no package module and no bench
-    # file reaches is dead surface: delete it, or move it to tests/ as a helper
+    # file reaches is dead surface: delete it, or move it to tests/ as a
+    # helper.  A method counts as reached only through an attribute or a
+    # dotted string, so a local variable of the same name does not hide it
     import zetalab
 
     modules = sorted(PACKAGE.glob("*.py"))
-    used = _referenced_names([*modules, *sorted((ROOT / "perfbench").glob("*.py"))])
+    names, attrs = _referenced_names([*modules, *sorted((ROOT / "perfbench").glob("*.py"))])
     dead = []
     for path in modules:
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            members = [(node.name, node.name)]
+            members = [(node.name, node.name, names)]
             if isinstance(node, ast.ClassDef):
-                members += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                members += [(f"{node.name}.{m.name}", m.name, attrs) for m in node.body
                             if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
-            dead += [f"{path.stem}.{qual}" for qual, name in members
-                     if name not in used and qual not in zetalab.__all__
+            dead += [f"{path.stem}.{qual}" for qual, name, seen in members
+                     if name not in seen and qual not in zetalab.__all__
                      and qual not in NORTH_STAR_CHECKS]
     assert dead == [], f"public names with no caller in src or perfbench: {dead}"
 

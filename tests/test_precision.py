@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from math import ceil
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from zetalab.precision import _GUARD, HPMatrix, _sturm_count, jacobi_eigensystem
+from zetalab.precision import (_GUARD, HPMatrix, _reflect, _sturm_count, _tridiagonalize,
+                               jacobi_eigensystem)
 
 
 def reflected(lam):
@@ -49,9 +52,9 @@ def graded():
 
 def tridiagonal_ones(n=36):
     """tridiag(1, 1, 1), eigenvalues 1 + 2 cos(k pi/(n + 1)).  It is already
-    tridiagonal, so the reduction is exact (Q = I, R = 0, delta = 0) and the
-    residual is the Sturm radius rho plus 1 + n/2 units (0.14 u), which QL's
-    error here exceeds without rho."""
+    tridiagonal, so no reflector runs, and the residual is the Sturm radius
+    rho plus 1 + n/2 units and the a-priori reduction count, 395 units (3.2 u
+    in all), which QL's error here (about 1,650 units) exceeds without rho."""
     entries = [[int(abs(i - j) <= 1) for j in range(n)] for i in range(n)]
     with mp.workprec(800):
         return entries, [1 + 2 * mp.cos(k * mp.pi / (n + 1)) for k in range(1, n + 1)]
@@ -129,7 +132,7 @@ class TestJacobi:
     def test_swap(self):
         res = jacobi_eigensystem(HPMatrix([[0, 1], [1, 0]], 128))
         assert [float(x) for x in res.eigenvalues] == [-1.0, 1.0]
-        assert float(res.max_residual()) < 1e-30
+        assert float(res.residual) < 1e-30
 
     def test_trace_identity_12x12_256bits(self):
         rng = random.Random(5)
@@ -140,7 +143,7 @@ class TestJacobi:
             trace = mp.fsum(m[i, i] for i in range(12))
             diff = abs(mp.fsum(res.eigenvalues) - trace)
         assert diff < mpf(10) ** -70
-        assert float(res.max_residual()) < 1e-70
+        assert float(res.residual) < 1e-70
 
     @pytest.mark.parametrize("seed", [7, 8, 9, 10])
     def test_matches_numpy(self, seed):
@@ -149,12 +152,6 @@ class TestJacobi:
         ref = np.linalg.eigvalsh(np.array([[float(x) for x in r] for r in m.rows]))
         got = np.array([float(x) for x in res.eigenvalues])
         assert np.allclose(got, ref, atol=1e-12)
-
-    def test_orthogonality_defect(self):
-        rng = random.Random(11)
-        m = HPMatrix(random_symmetric(rng, 8), 192)
-        res = jacobi_eigensystem(m)
-        assert res.defect < mpf(2) ** -150
 
     def test_tiny_eigenvalue_resolved(self):
         # 2x2 with eigenvalues ~ {1, 1e-60}: certified at 256 bits
@@ -170,7 +167,7 @@ class TestJacobi:
         res = jacobi_eigensystem(m)
         small = res.eigenvalues[0]
         assert abs(small - mpf(10) ** -60) < mpf(10) ** -70
-        assert res.max_residual() < mpf(2) ** -200
+        assert res.residual < mpf(2) ** -200
 
     @pytest.mark.parametrize("case", sorted(SPECTRA))
     def test_certificate_covers_every_eigenvalue(self, case):
@@ -178,7 +175,7 @@ class TestJacobi:
         res = jacobi_eigensystem(HPMatrix(entries, 128))
         with mp.workprec(800):
             for got, want in zip(res.eigenvalues, sorted(exact)):
-                assert abs(got - want) <= res.max_residual()
+                assert abs(got - want) <= res.residual
 
     def test_residual_scales_with_the_matrix(self):
         # no absolute floor: 2^-300 A gets 2^-300 times A's residual
@@ -187,11 +184,87 @@ class TestJacobi:
             scaled = [[mpf(x) * mpf(2) ** -300 for x in row] for row in entries]
         a, b = (jacobi_eigensystem(HPMatrix(x, 128)) for x in (entries, scaled))
         with mp.workprec(400):
-            assert b.max_residual() == a.max_residual() * mpf(2) ** -300
+            assert b.residual == a.residual * mpf(2) ** -300
+
+    def test_residual_is_the_a_priori_count(self):
+        # diag(1..8): no reflector runs, QL is exact and every eigenvalue is
+        # 2^148 units from the next, so rho stays on its first rung, t >> p
+        # = 2^151 >> 144, and the residual is exactly rho + 1 + ceil(n/2) +
+        # the reduction's sum, in units of 2^(k - P) = 2^(4 - 152)
+        n = 8
+        res = jacobi_eigensystem(HPMatrix([[(i + 1) * (i == j) for j in range(n)]
+                                           for i in range(n)], 128))
+        units = 2**7 + 1 + ceil(n / 2) + reduction_units(n)
+        assert res.residual == units * mpf(2) ** -148
 
     def test_empty(self):
         res = jacobi_eigensystem(HPMatrix([], 128))
         assert res.eigenvalues == []
+
+
+def reduction_units(n):
+    """sum_{m=2}^{n-1} ceil((9m + 12)/16): _tridiagonalize's bound in units."""
+    return sum(ceil(Fraction(9 * m + 12, 16)) for m in range(2, n))
+
+
+def sorted_eigenvalues(rows):
+    """The eigenvalues of the symmetric integer matrix rows by mpmath's dense
+    solver at 800 bits, far below a unit for entries of a few hundred bits."""
+    with mp.workprec(800):
+        return sorted(mp.eigsy(mp.matrix(rows), eigvals_only=True))
+
+
+def matmul(a, b):
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
+def symmetric_ints(draws):
+    """The symmetric matrix whose lower triangle, row by row, is draws."""
+    m = int((2 * len(draws)) ** 0.5)
+    c = [[0] * m for _ in range(m)]
+    it = iter(draws)
+    for i in range(m):
+        for j in range(i + 1):
+            c[i][j] = c[j][i] = next(it)
+    return c
+
+
+ENTRY = st.integers(-(2**40), 2**40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(
+    st.lists(ENTRY, min_size=m * (m + 1) // 2, max_size=m * (m + 1) // 2),
+    st.lists(st.one_of(st.integers(-1, 1), ENTRY), min_size=m, max_size=m))))
+@example(([0, 5, 7], [0, 1]))  # a = 1
+@example(([3, -2, 9], [-1, 1]))  # a = -1
+def test_reflect_within_its_lemma(case):
+    # against H c H in Fractions, H = I - 2 v v^T/h for the returned a:
+    # every entry within 9/16, and ||H x + a e_1||^2 <= 1/2
+    c, x = symmetric_ints(case[0]), case[1]
+    got, a = _reflect(c, x)
+    v = [x[0] + a, *x[1:]] if any(x[1:]) else [0] * len(x)
+    h = sum(t * t for t in v) or 1
+    H = [[int(i == j) - Fraction(2 * vi * vj, h) for j, vj in enumerate(v)]
+         for i, vi in enumerate(v)]
+    want = matmul(matmul(H, c), H)
+    assert all(abs(g - w) <= Fraction(9, 16) for gr, wr in zip(got, want) for g, w in zip(gr, wr))
+    r = [hx + a * (i == 0) for i, (hx,) in enumerate(matmul(H, [[t] for t in x]))]
+    assert sum(t * t for t in r) <= Fraction(1, 2)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 1), (6, 2), (10, 3), (12, 4)])
+def test_tridiagonal_within_the_reduction_sum(n, seed):
+    # T's sorted eigenvalues against N's, both from the 800-bit oracle, for a
+    # random symmetric N with entries up to 2^160
+    rng = random.Random(seed)
+    N = symmetric_ints([rng.randint(-(2**160), 2**160) for _ in range(n * (n + 1) // 2)])
+    d, e = _tridiagonalize(N)
+    T = [[d[i] if i == j else e[min(i, j)] if abs(i - j) == 1 else 0 for j in range(n)]
+         for i in range(n)]
+    with mp.workprec(800):
+        gap = max(abs(x - y) for x, y in zip(sorted_eigenvalues(N), sorted_eigenvalues(T)))
+        assert gap <= reduction_units(n)
 
 
 def exact_count(d, e, tau):

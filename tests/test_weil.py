@@ -190,9 +190,10 @@ class TestExplicitFormula:
         lambda zeros: weil_gram_spectrum(0.5, 3, 128),
         lambda zeros: weil_gram_spectrum(1, 3, 128),
         lambda zeros: weil_gram_spectrum(2, -1, 128),
+        lambda zeros: weil_gram_spectrum(5, 3.0, 128),
         lambda zeros: weil_gram(1, 3, 128, project_poles=True),
     ],
-    ids=["lam2-below-1", "lam2-1", "negative-K", "poles-lam2-1"],
+    ids=["lam2-below-1", "lam2-1", "negative-K", "float-K", "poles-lam2-1"],
 )
 def test_bad_input_raises_value_error(call, zeros):
     with pytest.raises(ValueError):
@@ -393,14 +394,15 @@ class TestWeilGram:
 
     @pytest.mark.parametrize("project", [False, True])
     def test_solver_residual_pinned(self, project):
-        # jacobi_eigensystem's residual on the (5, 8) blocks at 128 bits
-        # measured 2^-(bits+12.2) to 2^-(bits+13.9) (the Sturm radius, which
-        # starts at u t, puts its floor near 2^-(bits+14)); the pin leaves
-        # 0.7 bit of margin
+        # jacobi_eigensystem's residual on the (5, 8) blocks at 128 bits, the
+        # Sturm radius plus the a-priori reduction and input counts, measured
+        # 2^-(bits+12.2) to 2^-(bits+13.9) (the Sturm radius, which starts at
+        # u t, puts its floor near 2^-(bits+14)); the pin leaves 0.7 bit of
+        # margin
         from zetalab.precision import jacobi_eigensystem
 
         for block in weil_gram(5, 8, 128, project_poles=project):
-            assert jacobi_eigensystem(block).max_residual() < mpf(2) ** -(128 + 11.5)
+            assert jacobi_eigensystem(block).residual < mpf(2) ** -(128 + 11.5)
 
     @pytest.mark.parametrize("project, bits", [(False, 192), (True, 128)])
     def test_residual_covers_its_parts_exactly(self, project, bits, spectrum_5_8_192):
@@ -413,7 +415,7 @@ class TestWeilGram:
             return Fraction(*to_rational(x._mpf_))
 
         S = _gram_scale(5, 8, bits)
-        parts = max(exact(jacobi_eigensystem(b).max_residual())
+        parts = max(exact(jacobi_eigensystem(b).residual)
                     for b in weil_gram(5, 8, bits, project))
         parts += 9 * exact(_gram_entry_error(S, bits))
         if project:
@@ -461,7 +463,8 @@ class TestWeilGram:
         lam2, K, bits = 5, 16, 128
         with mp.workprec(bits + _GUARD):
             blocks, poles = _parity_blocks(lam2, K, bits)
-            for rows in (*blocks, *map(_project_out, blocks, poles)):
+            projected = [_project_out(b, c, bits + _GUARD) for b, c in zip(blocks, poles)]
+            for rows in (*blocks, *projected):
                 n = len(rows)
                 assert sum(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)) == 0
 
@@ -474,12 +477,12 @@ class TestWeilGram:
         lam2, K, bits = 5, 16, 128
         with mp.workprec(bits + _GUARD):
             blocks, poles = _parity_blocks(lam2, K, bits)
-            low = list(map(_project_out, blocks, poles))
+            low = [_project_out(b, c, bits + _GUARD) for b, c in zip(blocks, poles)]
         bound = _projection_error(lam2, K, bits, _gram_scale(lam2, K, bits))
         with mp.workprec(512):
             fine = _pole_functionals(K, *band_frame(lam2))
             for a, b, c in zip(low, blocks, fine):
-                gap = mp.sqrt(mp.fsum((x - y) ** 2 for r, s in zip(a, _project_out(b, c))
+                gap = mp.sqrt(mp.fsum((x - y) ** 2 for r, s in zip(a, _project_out(b, c, 512))
                                       for x, y in zip(r, s)))
                 assert gap <= bound
 
