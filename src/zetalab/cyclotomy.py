@@ -10,7 +10,7 @@ root by n, rho_tilde_n sums over its n preimages under scaling.
 Divisor's constructor is the one accumulator of Z[Q/Z]: it sums the
 coefficients of a stream of (Root, int) pairs per root and drops the zeros.
 Sums, products and the images under sigma_n, rho_tilde_n and witt's tau and
-matrix product only hand it their unsummed pairs.
+monoid actions only hand it their unsummed pairs.
 
 Everything here is immutable and exact (Python integers only).
 """
@@ -152,14 +152,9 @@ class Divisor(Immutable):
         return " ".join(parts) or "0"
 
 
-def _products(x: Divisor, y: Divisor) -> Iterator[tuple[Root, int]]:
-    """The unsummed pairs (rx + ry, cx cy) of the convolution x y."""
-    return ((rx + ry, cx * cy) for rx, cx in x._terms.items() for ry, cy in y._terms.items())
-
-
 def divisor_mul(x: Divisor, y: Divisor) -> Divisor:
     """Convolution product in Z[Q/Z]: exponents add, coefficients multiply."""
-    return Divisor(_products(x, y))
+    return Divisor((rx + ry, cx * cy) for rx, cx in x.items() for ry, cy in y.items())
 
 
 def sigma(n: int, x: Divisor) -> Divisor:

@@ -28,11 +28,12 @@ from mpmath.matrices.eigen_symmetric import tridiag_eigen
 from zetalab.immutable import Immutable
 
 # Working bits above precision_bits for averaging, solving and hermitefn's
-# closed-form projection.  They set the certificate's level: with 16, the
-# Sturm radius rho + 1 unit (3.7 to 8.6 u t, u = 2^-(bits+16), t the largest
-# tridiagonal entry), the reduction's a-priori count (0.3 to 1.2 u t) and
-# the input rounding (below u t/10) come to between 2^-(bits+11.2) and
-# 2^-(bits+12.7) on the Weil blocks of the benchmark (dimension up to 25).
+# closed-form projection.  They set the certificate's level: with 16 the
+# eigensolve works at P = bits + 24, and on the Weil blocks of the benchmark
+# (dimension up to 25) the reduction's a-priori count (83 to 286 u t, u =
+# 2^-P, t the largest tridiagonal entry), the input rounding (10 to 19 u t)
+# and the Sturm radius rho + 1 unit (6 to 11 u t) come to between
+# 2^-(bits+14.2) and 2^-(bits+16.2).
 _GUARD = 16
 
 
@@ -78,7 +79,6 @@ class EigenResult:
     eigenvalues: list  # ascending mpf
     residual: object  # certified |lambda_i - lambda_i(A)|, one bound for every i
     sweeps: int  # always 0: no Jacobi sweep runs
-    precision_bits: int
 
 
 def _sturm_count(diag, off2, sigma):
@@ -153,16 +153,16 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     """Ascending eigenvalues of A and one certified residual, without
     eigenvectors.
 
-    Fixed point.  Let p = precision_bits + _GUARD, P = p + 8, 2^k > max|A_ij|
-    (k read off the entries' exponents) and a unit 2^(k-P).  Each entry of A
-    is rounded to nearest once, to A^ = N units with N integer, so by Weyl's
-    inequality A's sorted eigenvalues are within ||A - A^||_F <= n/2 units of
-    A^'s.  _tridiagonalize reduces N to T = tridiag(e, d, e) units, whose
+    Fixed point.  Let P = precision_bits + _GUARD + 8, the one working
+    precision, 2^k > max|A_ij| (k read off the entries' exponents) and a unit
+    2^(k-P).  Each entry of A is rounded to nearest once, to A^ = N units with
+    N integer, so by Weyl's inequality A's sorted eigenvalues are within
+    ||A - A^||_F <= n/2 units of A^'s.  _tridiagonalize reduces N to T = tridiag(e, d, e) units, whose
     sorted eigenvalues are within sum_{m=2}^{n-1} (9m + 12)/16 units of N's.
     mpmath's tridiag_eigen(z=False) guesses T's eigenvalues by implicit QL at
-    p bits (RuntimeError when it does not converge); rounded to units they
-    are the centres c_i, which are returned.  QL's rounding is not analysed:
-    the Sturm counts below certify the centres.
+    P bits too (RuntimeError when it does not converge); rounded to units
+    they are the centres c_i, which are returned.  QL's rounding is not
+    analysed: the Sturm counts below certify the centres.
 
     T against c.  For an integer sigma, _sturm_count's floor moves q_i by
     less than one unit, and setting a zero pivot to -1 by at most one more:
@@ -170,7 +170,7 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     = T plus a diagonal with entries in [-1, 1) units, and none is zero.  By
     inertia the count is #{lambda(T') < sigma}, and by Weyl's inequality
     lambda_i(T') is within one unit of lambda_i(T).  The radius rho climbs a
-    ladder, x 9/8 per rung, from max(t >> p, 1) units (t = max |T entry|)
+    ladder, x 9/8 per rung, from max(t >> P, 1) units (t = max |T entry|)
     until, for each i in turn, the count at c_i - rho is at most i and the
     count at c_i + rho above i.  Each count is exact for its own T', so
     lambda_i(T) is within rho + 1 units of c_i.
@@ -179,19 +179,18 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     units, is an integer times 2^(k-P), formed exactly.  It bounds every
     sorted eigenvalue, not only the smallest.
     """
-    n, prec = m.dim, m.precision_bits
+    n, P = m.dim, m.precision_bits + _GUARD + 8
     if n == 0:
-        return EigenResult([], mpf(0), 0, prec)
-    p, P = prec + _GUARD, prec + _GUARD + 8
+        return EigenResult([], mpf(0), 0)
     k = max((x.exp + x.bc for r in m.rows for x in r if x), default=0)
     d, e = _tridiagonalize([[_fixed(x, P - k) for x in r] for r in m.rows])
-    with mp.workprec(p):
+    with mp.workprec(P):
         lam, off = ([mpf((x, 0), prec=0) for x in y] for y in (d, e + [0]))
         tridiag_eigen(mp, lam, off, False)
     c, e2 = [_fixed(x, 0) for x in lam], [0] + [x * x for x in e]
-    rho = max(max(map(abs, d + e)) >> p, 1)
+    rho = max(max(map(abs, d + e)) >> P, 1)
     for i, x in enumerate(c):
         while _sturm_count(d, e2, x - rho) > i or _sturm_count(d, e2, x + rho) <= i:
             rho += (rho + 7) // 8
     units = rho + 1 + (n + 1) // 2 + sum((9 * j + 27) // 16 for j in range(2, n))
-    return EigenResult([mpf((x, k - P), prec=0) for x in c], mpf((units, k - P), prec=0), 0, prec)
+    return EigenResult([mpf((x, k - P), prec=0) for x in c], mpf((units, k - P), prec=0), 0)

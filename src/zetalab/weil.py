@@ -58,9 +58,9 @@ from zetalab.zerotable import ZeroTable
 # to about lambda in size, and with 48 bits the entry-error bound
 # (_gram_entry_error, about 2^-(bits+33) at the benchmark's settings) times the
 # block dimension, and the reflector's rounding (_projection_error, about
-# 2^-(bits+27)) when the poles are projected, stay 14 to 17 bits below the
-# eigensolver's residual, which is between 2^-(bits+11.2) and 2^-(bits+12.7)
-# there, so the certified bits are the solver's.
+# 2^-(bits+27)) when the poles are projected, stay 11.7 to 13.9 bits below
+# the eigensolver's residual, which is between 2^-(bits+14.2) and
+# 2^-(bits+16.2) there, so the certified bits are the solver's.
 _GUARD = 48
 
 
@@ -557,7 +557,6 @@ class GramSpectrum:
     eigenvalues: list
     residuals: list
     smallest_positive: object
-    precision_bits: int
 
 
 def weil_gram_spectrum(
@@ -578,7 +577,7 @@ def weil_gram_spectrum(
     whose 2-norm is no larger, and adds its own rounding, _projection_error.
     Both bounds scale with the same _gram_scale, formed once here.  The
     three terms are added exactly and the sum rounded up once; at the
-    benchmark's settings the last two are 14 to 17 bits below the first.
+    benchmark's settings the last two are 11.7 to 13.9 bits below the first.
     """
     eigenvalues = []
     residual = mpf(0)
@@ -594,6 +593,4 @@ def weil_gram_spectrum(
                          precision_bits + _GUARD)
     eigenvalues.sort()
     smallest_pos = next((lam for lam in eigenvalues if lam > residual), None)
-    return GramSpectrum(
-        eigenvalues, [residual] * len(eigenvalues), smallest_pos, precision_bits
-    )
+    return GramSpectrum(eigenvalues, [residual] * len(eigenvalues), smallest_pos)

@@ -10,22 +10,22 @@ the m preimages of e(r).  Frobenius raises a matrix to a power, Verschiebung
 spreads it over cyclically permuted copies; under tau they implement sigma_n
 and rho_tilde_n on divisors.
 
-DivisorMatrix carries matrices over the full group ring Z[Q/Z]; it hosts the
-Fourier matrices V, W and the exact relations Delta(n) V = V C(n),
-C(n) W = W Delta(n).
+DivisorMatrix carries matrices over the full group ring Z[Q/Z], the Fourier
+matrices V, W among them; a MonoidMatrix acts on one from either side by root
+shifts, all that Delta(n) V = V C(n) and C(n) W = W Delta(n) ask for.
 
 As in cyclotomy, everything here is exact and runs on Python integers alone,
-with no floating point.  The complex embedding, which checks tau against
-numerically computed eigenvalues, is the tests' oracle.
+with no floating point.  The tests' oracle holds the rest: the complex
+embedding, which checks tau against numerically computed eigenvalues, and
+the dense product of two group-ring matrices.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from functools import reduce
-from itertools import chain
 
-from zetalab.cyclotomy import Divisor, Root, ZERO_ROOT, _products, rho_tilde
+from zetalab.cyclotomy import Divisor, Root, ZERO_ROOT, rho_tilde
 from zetalab.immutable import Immutable
 
 Entry = tuple[int, Root]
@@ -150,9 +150,18 @@ def tau(t: MonoidMatrix) -> Divisor:
     return Divisor(pairs)
 
 
+def _shifted_sum(line: tuple[Divisor, ...], binds: list[tuple[int, Root]]) -> Divisor:
+    """The sum over (j, r) in binds of line[j] with every root shifted by r."""
+    return Divisor((s + r, c) for j, r in binds for s, c in line[j].items())
+
+
 class DivisorMatrix(Immutable):
-    """Dense n x n matrix over Z[Q/Z], rows a tuple of tuples; rows/columns
-    are 0-based."""
+    """n x n matrix over Z[Q/Z], rows a tuple of tuples of Divisors;
+    rows/columns are 0-based.  A MonoidMatrix M acts on it from either side
+    by n^2 root shifts.  A @ M: column k is column j of A shifted by r, where
+    M binds k to (j, r), and 0 where k is unbound.  M @ A: row i sums row j of
+    A shifted by r over every column j that M binds to (i, r).  Two
+    DivisorMatrix factors have no product."""
 
     __slots__ = ("n", "rows")
 
@@ -160,43 +169,39 @@ class DivisorMatrix(Immutable):
         rows = tuple(map(tuple, rows))
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("shape mismatch")
+        if not all(isinstance(x, Divisor) for r in rows for x in r):
+            raise TypeError("entries must be Divisor")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def from_monoid(cls, t: MonoidMatrix) -> "DivisorMatrix":
-        rows = [[Divisor() for _ in range(t.n)] for _ in range(t.n)]
-        for j, (i, root) in t.cols.items():
-            rows[i - 1][j - 1] = Divisor.of(root)
-        return cls(t.n, rows)
 
     def __getitem__(self, ij: tuple[int, int]) -> Divisor:
         return self.rows[ij[0]][ij[1]]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DivisorMatrix)
-            and self.n == other.n
-            and self.rows == other.rows
-        )
+        return isinstance(other, DivisorMatrix) and self.rows == other.rows
+
+    def _binds(self, m: MonoidMatrix, left: bool) -> list[list[tuple[int, Root]]]:
+        """binds[x]: the (j, r) such that output line x sums line j of A shifted
+        by r; a line is a column for A @ M and a row for M @ A (left)."""
+        if self.n != m.n:
+            raise ValueError(f"dimension mismatch: {self.n} vs {m.n}")
+        binds: list[list[tuple[int, Root]]] = [[] for _ in range(self.n)]
+        for j, (i, root) in m.cols.items():
+            x, y = (i, j) if left else (j, i)
+            binds[x - 1].append((y - 1, root))
+        return binds
 
     def __matmul__(self, other) -> "DivisorMatrix":
-        if isinstance(other, MonoidMatrix):
-            other = DivisorMatrix.from_monoid(other)
-        if not isinstance(other, DivisorMatrix):
+        if not isinstance(other, MonoidMatrix):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        cols = list(zip(*other.rows))
-        # empty entries are skipped: a MonoidMatrix factor is all but n of them
-        rows = [[Divisor(chain.from_iterable(_products(a, b) for a, b in zip(row, col) if a and b))
-                 for col in cols] for row in self.rows]
-        return DivisorMatrix(self.n, rows)
+        binds = self._binds(other, left=False)
+        return DivisorMatrix(self.n, [[_shifted_sum(row, b) for b in binds] for row in self.rows])
 
     def __rmatmul__(self, other) -> "DivisorMatrix":
-        if isinstance(other, MonoidMatrix):
-            return DivisorMatrix.from_monoid(other) @ self
-        return NotImplemented
+        if not isinstance(other, MonoidMatrix):
+            return NotImplemented
+        binds, cols = self._binds(other, left=True), list(zip(*self.rows))
+        return DivisorMatrix(self.n, [[_shifted_sum(col, b) for col in cols] for b in binds])
 
     def __repr__(self) -> str:
         return f"DivisorMatrix({self.n})"
@@ -206,9 +211,10 @@ def fourier_pair(n: int) -> tuple[DivisorMatrix, DivisorMatrix, MonoidMatrix, Mo
     """The Fourier matrix V_ij = e(ij/n), its transform-inverse W_ij = e(-ij/n),
     the cyclic permutation C(n), and the diagonal Delta(n) of n-th roots.
 
-    Delta(n) V = V C(n) and C(n) W = W Delta(n) hold exactly in DivisorMatrix
-    arithmetic; V W = n I only after embedding into a field (the group ring
-    does not collapse the full root-of-unity sums on the diagonal).
+    Delta(n) V = V C(n) and C(n) W = W Delta(n) hold exactly, a monoid factor
+    acting on each side.  V W = n I holds only in a field (the group ring does
+    not collapse the root-of-unity sums on the diagonal); the tests check it
+    with their dense reference product.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")

@@ -1,10 +1,15 @@
-"""The standard complex embedding of zetalab.witt's matrices, the tests'
-independent oracle for tau and for the group-ring matrix product.
+"""The tests' independent oracles for zetalab.witt: the standard complex
+embedding, for tau, and the dense group-ring product, for the monoid actions.
 
 zetalab.witt is exact: a Root is an abstract root of unity and tau reads the
 eigenvalue divisor off the cycles of a pointed map.  Here a Root becomes
 exp(2 pi i num/den) in mpmath, and eigenvalue_divisor computes the complex
 eigenvalues of the embedded matrix and snaps them back to Roots.
+
+witt applies a MonoidMatrix factor by shifting entries.  dense_product is
+the textbook product instead: it writes a MonoidMatrix out as a
+DivisorMatrix (from_monoid) and sums the n^3 convolutions a_ij b_jk.  It
+also multiplies two DivisorMatrix factors, which witt does not.
 """
 
 from __future__ import annotations
@@ -14,8 +19,27 @@ from math import lcm
 
 from mpmath import mp, mpc
 
-from zetalab.cyclotomy import Divisor, Root
+from zetalab.cyclotomy import Divisor, Root, divisor_mul
 from zetalab.witt import DivisorMatrix, MonoidMatrix
+
+
+def from_monoid(t: MonoidMatrix) -> DivisorMatrix:
+    """t as a DivisorMatrix: e(r) at (i - 1, j - 1) where t binds column j to
+    (i, r), and the empty divisor elsewhere."""
+    rows = [[Divisor() for _ in range(t.n)] for _ in range(t.n)]
+    for j, (i, root) in t.cols.items():
+        rows[i - 1][j - 1] = Divisor.of(root)
+    return DivisorMatrix(t.n, rows)
+
+
+def dense_product(a: MonoidMatrix | DivisorMatrix, b: MonoidMatrix | DivisorMatrix) -> DivisorMatrix:
+    """a b, entry (i, k) the Divisor sum of a_ij b_jk over all j."""
+    a, b = (from_monoid(m) if isinstance(m, MonoidMatrix) else m for m in (a, b))
+    if a.n != b.n:
+        raise ValueError("dimension mismatch")
+    cols = list(zip(*b.rows))
+    return DivisorMatrix(a.n, [[sum(map(divisor_mul, row, col), Divisor()) for col in cols]
+                               for row in a.rows])
 
 
 def root_to_complex(r: Root) -> mpc:

@@ -188,13 +188,14 @@ class TestJacobi:
 
     def test_residual_is_the_a_priori_count(self):
         # diag(1..8): no reflector runs, QL is exact and every eigenvalue is
-        # 2^148 units from the next, so rho stays on its first rung, t >> p
-        # = 2^151 >> 144, and the residual is exactly rho + 1 + ceil(n/2) +
-        # the reduction's sum, in units of 2^(k - P) = 2^(4 - 152)
+        # 2^148 units from the next, so rho stays on its first rung,
+        # max(t >> P, 1) = max(2^151 >> 152, 1) = 1, and the residual is
+        # exactly rho + 1 + ceil(n/2) + the reduction's sum, in units of
+        # 2^(k - P) = 2^(4 - 152)
         n = 8
         res = jacobi_eigensystem(HPMatrix([[(i + 1) * (i == j) for j in range(n)]
                                            for i in range(n)], 128))
-        units = 2**7 + 1 + ceil(n / 2) + reduction_units(n)
+        units = 1 + 1 + ceil(n / 2) + reduction_units(n)
         assert res.residual == units * mpf(2) ** -148
 
     def test_empty(self):

@@ -396,9 +396,8 @@ class TestWeilGram:
     def test_solver_residual_pinned(self, project):
         # jacobi_eigensystem's residual on the (5, 8) blocks at 128 bits, the
         # Sturm radius plus the a-priori reduction and input counts, measured
-        # 2^-(bits+12.2) to 2^-(bits+13.9) (the Sturm radius, which starts at
-        # u t, puts its floor near 2^-(bits+14)); the pin leaves 0.7 bit of
-        # margin
+        # 2^-(bits+16.8) to 2^-(bits+17.4), most of it the reduction's count;
+        # the pin leaves over 5 bits of margin
         from zetalab.precision import jacobi_eigensystem
 
         for block in weil_gram(5, 8, 128, project_poles=project):

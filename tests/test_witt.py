@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from divisor_text import parse_divisor
-from tau_oracle import eigenvalue_divisor, embed_complex
+from tau_oracle import dense_product, eigenvalue_divisor, embed_complex
 from zetalab.cyclotomy import Divisor, Root, rho_tilde, sigma
 from zetalab.witt import (
     DivisorMatrix,
@@ -46,6 +46,20 @@ def cancelling_factors(draw):
         row[1] = row[0]
     b[1] = [-x for x in b[0]]
     return DivisorMatrix(n, a), DivisorMatrix(n, b)
+
+
+@st.composite
+def monoid_and_divisor(draw):
+    """(M, A) of one size: M's columns are unbound or bound to any row, so
+    some rows collect several columns; A's entries are signed divisors."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.none() | st.integers(1, n), min_size=n, max_size=n))
+    m = MonoidMatrix(n, {j: (i, draw(roots)) for j, i in enumerate(rows, 1) if i})
+    return m, DivisorMatrix(n, [[draw(signed) for _ in range(n)] for _ in range(n)])
+
+
+# column 2 unbound, columns 1 and 3 both bound to row 2
+SHARED_ROW = MonoidMatrix(3, {1: (2, Root(1, 3)), 3: (2, Root(1, 4))})
 
 
 TWO_CYCLE = MonoidMatrix(2, {1: (2, Root(1, 4)), 2: (1, Root(1, 3))})
@@ -196,15 +210,15 @@ class TestFourier:
     @pytest.mark.parametrize("n", [2, 3, 6, 12])
     def test_exact_relations(self, n):
         v, w, c, d = fourier_pair(n)
-        assert d @ v == v @ c
-        assert c @ w == w @ d
+        assert d @ v == v @ c == dense_product(v, c)
+        assert c @ w == w @ d == dense_product(c, w)
 
     @given(cancelling_factors())
     @settings(max_examples=40, deadline=None)
     def test_signed_products_match_complex_model(self, ab):
         a, b = ab
         n = a.n
-        prod = a @ b
+        prod = dense_product(a, b)
         rest = [[sum((a[i, j] * b[j, k] for j in range(2, n)), Divisor()) for k in range(n)]
                 for i in range(n)]
         assert prod == DivisorMatrix(n, rest)
@@ -215,7 +229,7 @@ class TestFourier:
     @pytest.mark.parametrize("n", [2, 6])
     def test_vw_equals_n_in_complex_model(self, n):
         v, w, _, _ = fourier_pair(n)
-        prod = v @ w
+        prod = dense_product(v, w)
         with mp.workprec(256):
             num = embed_complex(prod)
             tol = mp.mpf(2) ** -200
@@ -223,6 +237,39 @@ class TestFourier:
                 for j in range(n):
                     want = n if i == j else 0
                     assert abs(num[i, j] - want) < tol
+
+
+class TestDivisorMatrix:
+    @given(monoid_and_divisor())
+    @example((SHARED_ROW, DivisorMatrix(3, [[Divisor.of(Root(i + j, 5), i - j) for j in range(3)]
+                                            for i in range(3)])))
+    @settings(max_examples=60, deadline=None)
+    def test_both_sides_match_dense_and_complex(self, ma):
+        m, a = ma
+        right, left = a @ m, m @ a
+        assert right == dense_product(a, m)
+        assert left == dense_product(m, a)
+        with mp.workprec(128):
+            em, ea = embed_complex(m), embed_complex(a)
+            for exact, num in ((right, ea * em), (left, em * ea)):
+                assert mp.mnorm(embed_complex(exact) - num, 1) < mp.mpf(2) ** -100
+
+    def test_dimension_mismatch(self):
+        a = fourier_pair(3)[0]
+        for m in (MonoidMatrix(2), MonoidMatrix(4)):
+            with pytest.raises(ValueError):
+                a @ m
+            with pytest.raises(ValueError):
+                m @ a
+
+    def test_no_product_of_two_divisor_matrices(self):
+        v, w, _, _ = fourier_pair(3)
+        with pytest.raises(TypeError):
+            v @ w
+
+    def test_rejects_non_divisor_entries(self):
+        with pytest.raises(TypeError):
+            DivisorMatrix(2, [[1, 0], [0, 1]])
 
 
 class TestOracle:
