@@ -48,15 +48,20 @@ def hermite_phi_zero(j: int):
 
 
 class EvenGaussHermite(Immutable):
-    """Real combination sum_m c_m phi_{2m}(x/a)/sqrt(a); even by construction."""
+    """Real combination sum_m c_m phi_{2m}(x/a)/sqrt(a); even by construction.
+    The scale a must be finite and positive and every c_m finite, else
+    ValueError."""
 
     __slots__ = ("scale", "coeffs")
 
     def __init__(self, scale, coeffs):
-        if not (scale > 0):
-            raise ValueError("scale must be positive")
+        coeffs = list(coeffs)
+        if not (scale > 0 and mp.isfinite(scale)):
+            raise ValueError(f"scale must be finite and positive, not {scale}")
+        if not all(mp.isfinite(c) for c in coeffs):
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "coeffs", list(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
@@ -68,9 +73,6 @@ class EvenGaussHermite(Immutable):
         return mp.fsum(
             mp.mpmathify(c) * phis[2 * m] for m, c in enumerate(self.coeffs)
         ) / mp.sqrt(a)
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
     def fourier(self) -> "EvenGaussHermite":
         """Closed-form transform: coefficients pick up (-1)^m, scale inverts."""

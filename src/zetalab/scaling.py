@@ -1,13 +1,14 @@
-"""Scaling-space constructions: the averaging map E, the prolate frame it
-yields on the circle, and the prolate-compressed Dirac operator D(lambda, k)
-of Connes-Consani ("Spectral triples and zeta-cycles", arXiv:2106.01715).
+"""The prolate frame on the circle and the prolate-compressed Dirac operator
+D(lambda, k) of Connes-Consani ("Spectral triples and zeta-cycles",
+arXiv:2106.01715).
 
-E(f)(x) = x^(1/2) sum_{n>0} f(nx) sends even functions with f(0) = f^(0) = 0
-into the near-radical of the Weil form.  Prolate spheroidal wave functions
-(computed by the classical Legendre tridiagonalization of the commuting
-differential operator) supply the f's: the first even prolates at bandwidth
-c = 2 pi lambda^2 are nearly invariant under time/band truncation, which is
-exactly what makes their E-images almost lie in the radical.
+The averaging map E(f)(x) = x^(1/2) sum_{n>0} f(nx) sends even functions with
+f(0) = f^(0) = 0 into the near-radical of the Weil form (semilocal evaluates
+it pointwise).  Prolate spheroidal wave functions (computed by the classical
+Legendre tridiagonalization of the commuting differential operator) supply
+the f's: the first even prolates at bandwidth c = 2 pi lambda^2 are nearly
+invariant under time/band truncation, which is exactly what makes their
+E-images almost lie in the radical.
 
 On the circle R+*/lambda^(2Z), with L = log lambda and alpha = pi/L, the
 periodization sum_k E(g)(lambda^(2k) u) has the coefficient Mellin(E(g))(alpha m)/sqrt(2L) at
@@ -21,14 +22,16 @@ the periodization diverges, and the right side is a continuation, the
 coefficient of no function.  The right side is linear in g, so it is taken
 per prolate and is exact on the constrained span that prolate_vectors keeps,
 where g(0) = 0 only removes E(g)'s term -u^(1/2) g(0)/2 at 0, speeding the
-decay of the periodization's levels.  Both factors are closed forms: no quadrature.
+decay of the periodization's levels.  Both factors are closed forms: no
+quadrature, and each mode's coefficient does not depend on the mode cut.
 
 The Dirac operator D0 = -i u d/du on the circle is diagonal in the log-Fourier
 basis with eigenvalues pi m / log(lambda); D(lambda, k) compresses it to the
-orthocomplement of the k-dimensional prolate-vector subspace, a rank-2k
-update.  The zeta-cycle check reads one spectrum per ordinate: at the circle
-length resonant_lambda(m, gamma) an eigenvalue reproduces a zero gamma, while
-a fake ordinate finds no eigenvalue that close.
+orthocomplement of the k-dimensional prolate frame, a rank-2k update.  The
+frame is built at the operator's own modes -M..M and made orthonormal once.
+The zeta-cycle check reads one spectrum per ordinate: at the circle length
+resonant_lambda(m, gamma) an eigenvalue reproduces a zero gamma, while a fake
+ordinate finds no eigenvalue that close.
 """
 
 from __future__ import annotations
@@ -38,14 +41,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import mp
 
-from zetalab.weil import _GUARD
 from zetalab.zerotable import ZeroTable
 
 _EXTRA = 2  # prolates beyond k: the constraints f(0) = f^(0) = 0 use up two
 _RANK_TOL = 1e-8  # least singular-value ratio of the constrained E-images
-_MODE_CUT = 256  # least mode cut M of the prolate frame
 _MAX_ZETA_HEAD = 2**21  # most Euler-Maclaurin head terms _zeta_critical builds
 # B_2j/(2j)!, j = 1..16: the Euler-Maclaurin corrections of _zeta_critical
 _EM_COEFFS = [float(Fraction(*mp.bernfrac(2 * j)) / math.factorial(2 * j)) for j in range(1, 17)]
@@ -53,22 +54,6 @@ _EM_COEFFS = [float(Fraction(*mp.bernfrac(2 * j)) / math.factorial(2 * j)) for j
 
 class ProlateRankError(RuntimeError):
     """The prolate-vector family lost rank after constraint projection."""
-
-
-# -- map E ---------------------------------------------------------------------
-
-
-def map_E(f, x, support_radius, precision_bits: int = 53):
-    """x^(1/2) sum_{n>=1} f(n x) for f vanishing beyond support_radius, so
-    the sum stops at n = support_radius / x; computed with guard bits."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    with mp.workprec(precision_bits + _GUARD):
-        x = mp.mpmathify(x)
-        nmax = int(mp.floor(support_radius / x))
-        if nmax < 1:
-            return mpf(0)
-        return mp.sqrt(x) * mp.fsum(f(n * x) for n in range(1, nmax + 1))
 
 
 # -- even prolate spheroidal wave functions ------------------------------------
@@ -209,7 +194,7 @@ def prolate_vectors(lam: float, k: int, mode_cut: int) -> np.ndarray:
     finite, above 1 and far enough from 1 that _zeta_critical's head, N =
     floor(pi mode_cut/(2 log lambda)) + 30 terms, stays within 2^21 (else
     ValueError, raised before the head is built); the resonant lambda of the
-    bundled table's last zero at m = 1, mode cut 256, needs N = 1,264,386.
+    bundled table's last zero at m = 1, mode cut 150, needs N = 740,863.
     Rank loss beyond _RANK_TOL is an error (reported, never silently repaired)."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -239,47 +224,36 @@ class SpectralReport:
     zero_errors: np.ndarray
 
 
-def dirac_matrix(lam: float, frame: np.ndarray, basis_size: int) -> np.ndarray:
-    """(1 - Pi) D0 (1 - Pi) in the log-Fourier basis; D0 = diag(pi m / L) and
-    Pi = Q Q^H projects on the prolate frame truncated to modes -M..M and
-    made orthonormal again (Q is n x k, n = basis_size).
+def dirac_matrix(lam: float, frame: np.ndarray) -> np.ndarray:
+    """(1 - Pi) D0 (1 - Pi) in the log-Fourier basis, modes -M..M with
+    2M + 1 = n the frame's row count; D0 = diag(pi m / L) and Pi = Q Q^H
+    projects on the frame Q, n x k with orthonormal columns as
+    prolate_vectors returns it.
 
     Expanded, (1 - Pi) D0 (1 - Pi) = D0 - (W Q^H + Q W^H) with
     W = D0 Q - Q C/2 and C = Q^H D0 Q: a rank-2k update of O(n^2 k) in place
     of two dense n^3 products, exactly Hermitian, and within a few
     eps max|d0| of the dense product entrywise."""
-    if basis_size % 2 == 0:
-        raise ValueError("basis_size must be odd (modes -M..M)")
-    M = (basis_size - 1) // 2
-    mid = (frame.shape[0] - 1) // 2
-    if mid < M:
-        raise ValueError("prolate frame has fewer modes than basis_size")
-    L = np.log(float(lam))
-    d0 = np.pi * np.arange(-M, M + 1) / L
-    # orthonormal again after mode truncation
-    q, s, _ = np.linalg.svd(frame[mid - M : mid + M + 1, :], full_matrices=False)
-    if s[-1] < 0.5:
-        raise ValueError(
-            f"basis_size {basis_size} too small for the projection rank "
-            f"(singular value {s[-1]:.2e} after truncation)"
-        )
-    dq = d0[:, None] * q
-    x = (dq - q @ (q.conj().T @ dq) / 2) @ q.conj().T  # W Q^H
+    n = frame.shape[0]
+    d0 = np.pi * np.arange(-(n // 2), n // 2 + 1) / np.log(float(lam))
+    dq = d0[:, None] * frame
+    x = (dq - frame @ (frame.conj().T @ dq) / 2) @ frame.conj().T  # W Q^H
     out = -(x + x.conj().T)
-    out[np.diag_indices(basis_size)] += d0
+    out[np.diag_indices(n)] += d0
     return out
 
 
 def dirac_spectrum(lam: float, k: int, basis_size: int, zeros: ZeroTable) -> SpectralReport:
-    """Spectrum of D(lambda, k) against the ordinates of a ZeroTable, read
-    from the table's cached float64 view."""
+    """Spectrum of D(lambda, k) on basis_size modes -M..M (odd, at least
+    2k + 8), the prolate frame built at those modes, against the ordinates of
+    a ZeroTable, read from the table's cached float64 view."""
     if not isinstance(zeros, ZeroTable):
         raise TypeError(f"dirac_spectrum takes a ZeroTable, not {type(zeros).__name__}")
+    if basis_size % 2 == 0:
+        raise ValueError("basis_size must be odd (modes -M..M)")
     if basis_size < 2 * k + 8:
         raise ValueError("basis_size must be at least 2k + 8")
-    M = (basis_size - 1) // 2
-    frame = prolate_vectors(lam, k, max(M, _MODE_CUT))
-    eigs = np.linalg.eigvalsh(dirac_matrix(lam, frame, basis_size))
+    eigs = np.linalg.eigvalsh(dirac_matrix(lam, prolate_vectors(lam, k, basis_size // 2)))
     table = zeros.float_ordinates()
     ords = table[: np.searchsorted(table, eigs[-1], side="right")]
     i = np.clip(np.searchsorted(eigs, ords), 1, len(eigs) - 1)

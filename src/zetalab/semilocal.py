@@ -3,9 +3,10 @@
 The functional-equation unitary on the critical line is the unimodular ratio
 u(s) = zeta(1/2-is)/zeta(1/2+is) = gamma_R(1/2+is)/gamma_R(1/2-is) with
 gamma_R(z) = pi^(-z/2) Gamma(z/2).  Tate's archimedean functional equation,
-the adelic lift of finite orbit sums to the map E, and the trace-formula form
-of the archimedean explicit-formula distribution are all checked numerically
-here at arbitrary precision.
+the adelic lift of finite orbit sums to the averaging map
+E(f)(x) = x^(1/2) sum_{n>0} f(nx), evaluated here pointwise, and the
+trace-formula form of the archimedean explicit-formula distribution are all
+checked numerically here at arbitrary precision.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from mpmath import mp, mpf
 
 from zetalab.bandfn import LogBandFunction
-from zetalab.scaling import map_E
 from zetalab.weil import _GUARD, is_prime, w_arch
 
 
@@ -106,6 +106,19 @@ def _gamma_orbit_integers(mu: float) -> list[int]:
     if top == mu and is_prime(top):
         out.pop()
     return out
+
+
+def map_E(f, x, support_radius, precision_bits: int = 53):
+    """x^(1/2) sum_{n>=1} f(n x) for f vanishing beyond support_radius, so
+    the sum stops at n = support_radius / x; computed with guard bits."""
+    if x <= 0:
+        raise ValueError("x must be positive")
+    with mp.workprec(precision_bits + _GUARD):
+        x = mp.mpmathify(x)
+        nmax = int(mp.floor(support_radius / x))
+        if nmax < 1:
+            return mpf(0)
+        return mp.sqrt(x) * mp.fsum(f(n * x) for n in range(1, nmax + 1))
 
 
 def semilocal_lift_check(f, mu, u, precision_bits: int = 256):

@@ -218,8 +218,9 @@ def fourier_pair(n: int) -> tuple[DivisorMatrix, DivisorMatrix, MonoidMatrix, Mo
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    v_rows = [[Divisor.of(Root(i * j, n)) for j in range(n)] for i in range(n)]
-    w_rows = [[Divisor.of(Root(-i * j, n)) for j in range(n)] for i in range(n)]
+    roots = [Divisor.of(Root(k, n)) for k in range(n)]  # immutable, so shared
+    v_rows = [[roots[i * j % n] for j in range(n)] for i in range(n)]
+    w_rows = [[roots[-i * j % n] for j in range(n)] for i in range(n)]
     cyc = MonoidMatrix(n, {j + 1: (((j + 1) % n) + 1, ZERO_ROOT) for j in range(n)})
     delta = MonoidMatrix(n, {j + 1: (j + 1, Root(j, n)) for j in range(n)})
     return DivisorMatrix(n, v_rows), DivisorMatrix(n, w_rows), cyc, delta

@@ -1,3 +1,4 @@
+import pytest
 from mpmath import mp, mpf
 
 from zetalab.hermitefn import EvenGaussHermite
@@ -32,3 +33,13 @@ def test_project_even_schwartz_zero():
             rest = [mp.mpmathify(a) - b for a, b in zip(f.coeffs, g.coeffs)]
             assert abs(mp.fdot(rest, g.coeffs)) < mpf(2) ** -100
             assert abs(g.norm_sq() + mp.fsum(x * x for x in rest) - f.norm_sq()) < mpf(2) ** -100
+
+
+@pytest.mark.parametrize("scale, coeffs", [
+    (mpf("inf"), [1]), (mpf("nan"), [1]), (float("inf"), [1]), (0, [1]), (mpf(-1), [1]),
+    (1, [mpf("nan")]), (1, [1, mpf("-inf")]), (mpf("1.3"), [1, float("inf")]),
+], ids=["inf-scale", "nan-scale", "float-inf-scale", "zero-scale", "negative-scale",
+        "nan-coeff", "minus-inf-coeff", "float-inf-coeff"])
+def test_rejects_non_finite_or_non_positive_input(scale, coeffs):
+    with pytest.raises(ValueError):
+        EvenGaussHermite(scale, coeffs)

@@ -169,3 +169,15 @@ def test_weil_computes_its_own_digamma():
         and node.func.value.id == "mp"
     ]
     assert calls == [], f"weil.py calls mp.digamma or mp.psi at lines {calls}"
+
+
+def test_scaling_stands_alone():
+    # the zeta-cycle check needs only the zero table from the package: the
+    # pointwise map E and the guard bits it uses live in semilocal
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "scaling.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {m for m in imported if m.split(".")[0] == "zetalab"} == {"zetalab.zerotable"}

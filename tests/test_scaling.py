@@ -8,7 +8,6 @@ from mpmath import mp, mpf
 from e_image_quadrature import e_image_coefficients
 from zetalab.scaling import (
     _EXTRA,
-    _MODE_CUT,
     _constrained_span,
     _prolate_E_coefficients,
     _zeta_critical,
@@ -22,6 +21,9 @@ from zetalab.zerotable import bundled_zero_table
 
 # the zeta-cycle protocol: circle length resonant_lambda(4, ordinate), k = 2
 M_CYCLE, K, BASIS = 4, 2, 301
+# a mode cut wider than the protocol's BASIS // 2 = 150, so the checks of
+# _zeta_critical and prolate_vectors cover more modes than it uses
+WIDE_CUT = 256
 ZEROS = bundled_zero_table()
 # the null model's fakes: a few fixed ordinates and the midpoint of every gap
 # between the first 31 zeros
@@ -70,7 +72,7 @@ def test_prolate_vectors_near_one_fails_fast():
     # lambda = 1 + 1e-6 would need a zeta head of 4e8 terms (gigabytes)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="zeta head"):
-        prolate_vectors(1 + 1e-6, K, _MODE_CUT)
+        prolate_vectors(1 + 1e-6, K, WIDE_CUT)
     assert time.perf_counter() - start < 0.5
 
 
@@ -97,7 +99,7 @@ def test_dirac_spectrum_takes_a_zero_table(zeros):
 def test_zeta_on_the_critical_line(zeros, index):
     # _zeta_critical against mp.zeta at 80 bits, within its docstring's bound
     lam = resonant_lambda(M_CYCLE, float(zeros[index - 1]))
-    alpha, M = math.pi / math.log(lam), _MODE_CUT
+    alpha, M = math.pi / math.log(lam), WIDE_CUT
     got = _zeta_critical(alpha, M)
     N, u = int(alpha * M / 2) + 30, 2.0**-53
     m = np.arange(M + 1)
@@ -114,19 +116,30 @@ def test_closed_form_frame_matches_quadrature(zeros):
     lam = resonant_lambda(M_CYCLE, float(zeros[0]))
     coeffs = pswf_basis(lam, K + _EXTRA)
     span = _constrained_span(coeffs, lam)
-    closed = _prolate_E_coefficients(coeffs, lam, _MODE_CUT) @ span
-    depth1, depth2 = (e_image_coefficients(coeffs, lam, _MODE_CUT, d) @ span for d in (1, 2))
+    closed = _prolate_E_coefficients(coeffs, lam, WIDE_CUT) @ span
+    depth1, depth2 = (e_image_coefficients(coeffs, lam, WIDE_CUT, d) @ span for d in (1, 2))
     assert np.abs(closed - depth2).max() <= np.abs(depth2 - depth1).max()
 
 
+@pytest.mark.parametrize("ordinate", [float(ZEROS[0]), float(ZEROS[9]), float(ZEROS[30]), 27.5])
+def test_frame_at_the_operators_modes_spans_the_truncated_frame(ordinate):
+    # each mode's coefficient is a closed form that does not depend on the
+    # cut, so the frame built at modes -150..150 spans what the wider frame,
+    # cut to those modes and made orthonormal again, spans
+    lam, M = resonant_lambda(M_CYCLE, ordinate), BASIS // 2
+    wide = prolate_vectors(lam, K, WIDE_CUT)[WIDE_CUT - M : WIDE_CUT + M + 1]
+    old = np.linalg.svd(wide, full_matrices=False)[0]
+    new = prolate_vectors(lam, K, M)
+    assert np.abs(new @ new.conj().T - old @ old.conj().T).max() <= 1e-12
+
+
 def test_rank_2k_dirac_matrix_matches_dense():
-    # a random orthonormal complex frame with exactly basis_size modes, so the
-    # truncation keeps it whole and its SVD gives the Q that dirac_matrix uses
+    # a random complex frame made orthonormal by QR, as prolate_vectors
+    # returns its frame, against the dense compression by 1 - Q Q^H
     lam, n, k = 1.3, 61, 4
     rng = np.random.default_rng(7)
-    frame, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
-    got = dirac_matrix(lam, frame, n)
-    q, _, _ = np.linalg.svd(frame, full_matrices=False)
+    q, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+    got = dirac_matrix(lam, q)
     d0 = np.pi * np.arange(-(n // 2), n // 2 + 1) / np.log(lam)
     comp = np.eye(n) - q @ q.conj().T
     dense = comp @ np.diag(d0) @ comp
