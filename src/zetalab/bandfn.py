@@ -18,6 +18,7 @@ the tests build it as their own oracle for the closed forms.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -102,7 +103,8 @@ class LogBandFunction(Immutable):
         if not all(mp.isfinite(_num(v)) for v in coeffs.values()):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "lam2", lam2)
-        object.__setattr__(self, "coeffs", {int(k): v for k, v in coeffs.items() if v != 0})
+        keys = map(operator.index, coeffs)  # every key, so 1.5 raises TypeError
+        object.__setattr__(self, "coeffs", {k: v for k, v in zip(keys, coeffs.values()) if v != 0})
 
     @classmethod
     def cosine_power(cls, lam2, q: int, modulation: int = 0) -> "LogBandFunction":

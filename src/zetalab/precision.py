@@ -1,19 +1,17 @@
 """Arbitrary-precision real symmetric matrices and a certified eigensolver.
 
 HPMatrix stores a real symmetric matrix, as a tuple of row tuples, with its
-working precision in bits.  Symmetry is checked on construction and made
-exact by averaging, _GUARD bits above that precision, the pairs of entries
-that differ; every other entry is kept as given.  jacobi_eigensystem (the
-name is kept; no Jacobi sweep runs) rounds the stored matrix once to fixed
+working precision in bits.  Its entries must be exactly symmetric; each is
+kept as given.  jacobi_eigensystem rounds the stored matrix once to fixed
 point, reduces it to tridiagonal form by Householder reflectors on Python
 integers (_reflect, each exactly orthogonal, with its rounding bounded a
-priori), guesses the tridiagonal's eigenvalues by mpmath's values-only
-implicit QL, and certifies them without eigenvectors and without
-floating-point rounding: the input rounding, the reduction's a-priori
-bound and Sturm counts on the tridiagonal's integers for every eigenvalue,
-added as one integer count of units.  It returns one residual that bounds
-every eigenvalue's error, in sorted order, for the eigenproblem of the
-stored matrix; the error of the entries is the caller's.
+priori), and finds every eigenvalue by bisection on integer Sturm counts
+(_sturm_count), the same counts that certify it: no eigenvectors, no
+floating-point rounding and no iteration that may fail to converge.  The
+input rounding, the reduction's a-priori bound and the final bracket add up
+to one integer count of units.  It returns one residual that bounds every
+eigenvalue's error, in sorted order, for the eigenproblem of the stored
+matrix; the error of the entries is the caller's.
 """
 
 from __future__ import annotations
@@ -23,17 +21,16 @@ from math import isqrt
 from operator import mul
 
 from mpmath import mp, mpf
-from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from zetalab.immutable import Immutable
 
-# Working bits above precision_bits for averaging, solving and hermitefn's
-# closed-form projection.  They set the certificate's level: with 16 the
-# eigensolve works at P = bits + 24, and on the Weil blocks of the benchmark
-# (dimension up to 25) the reduction's a-priori count (83 to 286 u t, u =
-# 2^-P, t the largest tridiagonal entry), the input rounding (10 to 19 u t)
-# and the Sturm radius rho + 1 unit (6 to 11 u t) come to between
-# 2^-(bits+14.2) and 2^-(bits+16.2).
+# Working bits above precision_bits for reading HPMatrix entries, the
+# eigensolve and hermitefn's closed-form projection.  They set the
+# certificate's level: with 16 the eigensolve works at P = bits + 24, and on
+# the Weil blocks of the benchmark (dimension 12 to 25) the reduction's
+# a-priori count (48 to 196 units of 2^(k-P), 2^k just above the largest
+# entry), the input rounding (6 to 13 units) and the bisection's 2 units come
+# to 56 to 211 units, between 2^-(bits+14.3) and 2^-(bits+16.2).
 _GUARD = 16
 
 
@@ -50,19 +47,12 @@ class HPMatrix(Immutable):
             raise ValueError("matrix must be square")
         with mp.workprec(precision_bits + _GUARD):
             rows = [[mp.mpmathify(x) for x in r] for r in entries]
-            if not all(isinstance(x, mpf) for r in rows for x in r):
-                raise ValueError("matrix entries must be real")
-            if not all(mp.isfinite(x) for r in rows for x in r):
-                raise ValueError("matrix entries must be finite")
-            scale = max((abs(x) for r in rows for x in r), default=mpf(0)) or mpf(1)
-            resid = max((abs(rows[i][j] - rows[j][i]) for i in range(n) for j in range(i)),
-                        default=mpf(0))
-            if resid > scale * mpf(2) ** (-(precision_bits // 2)):
-                raise ValueError(f"matrix is not symmetric: residual {resid}")
-            for i in range(n):
-                for j in range(i):
-                    if rows[i][j] != rows[j][i]:
-                        rows[i][j] = rows[j][i] = (rows[i][j] + rows[j][i]) / 2
+        if not all(isinstance(x, mpf) for r in rows for x in r):
+            raise ValueError("matrix entries must be real")
+        if not all(mp.isfinite(x) for r in rows for x in r):
+            raise ValueError("matrix entries must be finite")
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("matrix is not exactly symmetric")
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "precision_bits", precision_bits)
         object.__setattr__(self, "rows", tuple(map(tuple, rows)))
@@ -151,46 +141,48 @@ def _fixed(x, s):
 
 def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     """Ascending eigenvalues of A and one certified residual, without
-    eigenvectors.
+    eigenvectors, by Sturm bisection.  The name is kept, though no Jacobi
+    sweep runs, because the benchmark's span map names it.
 
     Fixed point.  Let P = precision_bits + _GUARD + 8, the one working
     precision, 2^k > max|A_ij| (k read off the entries' exponents) and a unit
     2^(k-P).  Each entry of A is rounded to nearest once, to A^ = N units with
     N integer, so by Weyl's inequality A's sorted eigenvalues are within
-    ||A - A^||_F <= n/2 units of A^'s.  _tridiagonalize reduces N to T = tridiag(e, d, e) units, whose
-    sorted eigenvalues are within sum_{m=2}^{n-1} (9m + 12)/16 units of N's.
-    mpmath's tridiag_eigen(z=False) guesses T's eigenvalues by implicit QL at
-    P bits too (RuntimeError when it does not converge); rounded to units
-    they are the centres c_i, which are returned.  QL's rounding is not
-    analysed: the Sturm counts below certify the centres.
+    ||A - A^||_F <= n/2 units of A^'s.  _tridiagonalize reduces N to T =
+    tridiag(e, d, e) units, whose sorted eigenvalues are within
+    sum_{m=2}^{n-1} (9m + 12)/16 units of N's.
 
-    T against c.  For an integer sigma, _sturm_count's floor moves q_i by
-    less than one unit, and setting a zero pivot to -1 by at most one more:
-    its pivots are exactly those of T' - sigma I = L diag(q) L^T, for T'
-    = T plus a diagonal with entries in [-1, 1) units, and none is zero.  By
-    inertia the count is #{lambda(T') < sigma}, and by Weyl's inequality
-    lambda_i(T') is within one unit of lambda_i(T).  The radius rho climbs a
-    ladder, x 9/8 per rung, from max(t >> P, 1) units (t = max |T entry|)
-    until, for each i in turn, the count at c_i - rho is at most i and the
-    count at c_i + rho above i.  Each count is exact for its own T', so
-    lambda_i(T) is within rho + 1 units of c_i.
+    Counts.  For an integer sigma, _sturm_count's floor moves q_i by less
+    than one unit and a zero pivot's -1 by at most one more, so its pivots
+    are those of T' - sigma I = L diag(q) L^T for T' = T plus a diagonal in
+    [-1, 1) units.  By inertia it counts lambda(T') < sigma, and by Weyl's
+    inequality lambda_i(T') is within one unit of lambda_i(T).  With t =
+    max |T entry| and b = 3t + 1, Gershgorin puts the spectrum of every such
+    T' in [-b, b): the count is 0 at -b and n at b.
 
-    The residual, rho + 1 + ceil(n/2) + sum_{m=2}^{n-1} ceil((9m + 12)/16)
-    units, is an integer times 2^(k-P), formed exactly.  It bounds every
-    sorted eigenvalue, not only the smallest.
+    Bisection.  For each i, (lo, hi) = (-b, b) halves at (lo + hi) // 2,
+    keeping count(lo) <= i < count(hi), until hi = lo + 1: ceil(log2 2b)
+    counts, a fixed number.  Then lambda_i(T'_lo) >= lo and lambda_i(T'_hi)
+    < hi, so lambda_i(T) lies in [lo - 1, hi + 1), within 2 units of the
+    returned centre c_i = hi.  Each count is exact only for its own T', so
+    counts need not be monotone in sigma; brackets shared between
+    eigenvalues could lose or double one, so each keeps its own.
+
+    The residual, 2 + ceil(n/2) + sum_{m=2}^{n-1} ceil((9m + 12)/16) units,
+    is an integer times 2^(k-P), formed exactly.  It bounds every sorted
+    eigenvalue, not only the smallest.
     """
     n, P = m.dim, m.precision_bits + _GUARD + 8
     if n == 0:
         return EigenResult([], mpf(0), 0)
     k = max((x.exp + x.bc for r in m.rows for x in r if x), default=0)
     d, e = _tridiagonalize([[_fixed(x, P - k) for x in r] for r in m.rows])
-    with mp.workprec(P):
-        lam, off = ([mpf((x, 0), prec=0) for x in y] for y in (d, e + [0]))
-        tridiag_eigen(mp, lam, off, False)
-    c, e2 = [_fixed(x, 0) for x in lam], [0] + [x * x for x in e]
-    rho = max(max(map(abs, d + e)) >> P, 1)
-    for i, x in enumerate(c):
-        while _sturm_count(d, e2, x - rho) > i or _sturm_count(d, e2, x + rho) <= i:
-            rho += (rho + 7) // 8
-    units = rho + 1 + (n + 1) // 2 + sum((9 * j + 27) // 16 for j in range(2, n))
+    e2, b, c = [0] + [x * x for x in e], 3 * max(map(abs, d + e)) + 1, []
+    for i in range(n):
+        lo, hi = -b, b
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _sturm_count(d, e2, mid) > i else (mid, hi)
+        c.append(hi)
+    units = 2 + (n + 1) // 2 + sum((9 * j + 27) // 16 for j in range(2, n))
     return EigenResult([mpf((x, k - P), prec=0) for x in c], mpf((units, k - P), prec=0), 0)

@@ -58,8 +58,8 @@ from zetalab.zerotable import ZeroTable
 # to about lambda in size, and with 48 bits the entry-error bound
 # (_gram_entry_error, about 2^-(bits+33) at the benchmark's settings) times the
 # block dimension, and the reflector's rounding (_projection_error, about
-# 2^-(bits+27)) when the poles are projected, stay 11.7 to 13.9 bits below
-# the eigensolver's residual, which is between 2^-(bits+14.2) and
+# 2^-(bits+27)) when the poles are projected, stay 11.2 to 13.8 bits below
+# the eigensolver's residual, which is between 2^-(bits+14.3) and
 # 2^-(bits+16.2) there, so the certified bits are the solver's.
 _GUARD = 48
 
@@ -373,9 +373,11 @@ def _parity_blocks(lam2, K, precision_bits):
     I, J = _arch_integrals(K, L, alpha, c2, precision_bits)
     pp = _prime_powers(mp.mpmathify(lam2))
     arch_const = mp.log(4 * mp.pi) + mp.euler + mp.log(mp.tanh(L))
-    D = [I[m] + 2 * mp.fsum(w * mp.sin(alpha * m * t) for t, w in pp) for m in range(K + 1)]
-    T = [arch_const + J[m] + 2 * c2 * mp.fsum(w * (2 * L - t) * mp.cos(alpha * m * t) for t, w in pp)
-         for m in range(K + 1)]
+    cs = [[mp.cos_sin(alpha * m * t) for t, _ in pp] for m in range(K + 1)]
+    tw = [w * (2 * L - t) for t, w in pp]
+    D = [I[m] + 2 * mp.fsum(w * s for (_, w), (_, s) in zip(pp, row)) for m, row in enumerate(cs)]
+    T = [arch_const + J[m] + 2 * c2 * mp.fsum(v * c for v, (c, _) in zip(tw, row))
+         for m, row in enumerate(cs)]
     even = [[None] * (K + 1) for _ in range(K + 1)]
     odd = [[None] * K for _ in range(K)]
     even[0][0] = 2 * Pe[0] ** 2 - T[0]
@@ -577,7 +579,7 @@ def weil_gram_spectrum(
     whose 2-norm is no larger, and adds its own rounding, _projection_error.
     Both bounds scale with the same _gram_scale, formed once here.  The
     three terms are added exactly and the sum rounded up once; at the
-    benchmark's settings the last two are 11.7 to 13.9 bits below the first.
+    benchmark's settings the last two are 11.2 to 13.8 bits below the first.
     """
     eigenvalues = []
     residual = mpf(0)

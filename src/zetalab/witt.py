@@ -22,6 +22,7 @@ the dense product of two group-ring matrices.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Mapping
 from functools import reduce
 
@@ -37,10 +38,12 @@ class MonoidMatrix(Immutable):
     __slots__ = ("n", "cols")
 
     def __init__(self, n: int, cols: Mapping[int, Entry] | Iterable[tuple[int, Entry]] = ()):
+        n = operator.index(n)
         if n < 0:
             raise ValueError("dimension must be nonnegative")
         clean: dict[int, Entry] = {}
         for j, (i, root) in cols.items() if isinstance(cols, Mapping) else cols:
+            j, i = operator.index(j), operator.index(i)
             if not (1 <= j <= n and 1 <= i <= n):
                 raise ValueError(f"index out of range: column {j} -> row {i} with n={n}")
             if j in clean:

@@ -41,6 +41,11 @@ class TestLogBandFunction:
         with pytest.raises(ValueError):
             LogBandFunction(lam2, coeffs)
 
+    def test_rejects_non_integer_keys(self):
+        # truncated, both keys would be 1 and one coefficient lost
+        with pytest.raises(TypeError):
+            LogBandFunction(5, {1.5: 1, 1.2: 2})
+
     def test_orthonormality_via_quadrature(self):
         f = band({3: 1})
         g = band({3: 1})

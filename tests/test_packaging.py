@@ -50,16 +50,18 @@ def test_quadrature_only_in_semilocal():
             assert calls == [], f"{path.name} calls mp.quad at lines {calls}"
 
 
-def test_mpmath_provides_the_eigensolver_halves():
-    # precision.jacobi_eigensystem calls tridiag_eigen by name, so an mpmath
-    # that moves or renames it fails here, not in every Weil test
-    import inspect
-
-    from mpmath.matrices import eigen_symmetric
-
-    fn = getattr(eigen_symmetric, "tridiag_eigen", None)
-    assert callable(fn), "mpmath.matrices.eigen_symmetric has no tridiag_eigen"
-    assert list(inspect.signature(fn).parameters) == ["ctx", "d", "e", "z"]
+def test_no_module_imports_mpmath_matrices():
+    # the eigensolve is the package's own, on Python integers: no module
+    # imports from mpmath.matrices (tridiag_eigen, eigsy and the rest)
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names.extend(f"{node.module}.{a.name}" for a in node.names)
+            elif isinstance(node, ast.Import):
+                names.extend(a.name for a in node.names)
+        bad = [m for m in names if (m + ".").startswith("mpmath.matrices.")]
+        assert bad == [], f"{path.name} imports {bad}"
 
 
 def test_reduction_runs_on_integers():

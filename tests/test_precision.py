@@ -52,9 +52,10 @@ def graded():
 
 def tridiagonal_ones(n=36):
     """tridiag(1, 1, 1), eigenvalues 1 + 2 cos(k pi/(n + 1)).  It is already
-    tridiagonal, so no reflector runs, and the residual is the Sturm radius
-    rho plus 1 + n/2 units and the a-priori reduction count, 395 units (3.2 u
-    in all), which QL's error here (about 1,650 units) exceeds without rho."""
+    tridiagonal, so no reflector runs, yet the residual counts the bisection's
+    2 units, ceil(n/2) = 18 for the input rounding and the a-priori reduction
+    count, 395: 415 units of 2^-151 in all.  The centres lie within 1.6 units
+    of the eigenvalues."""
     entries = [[int(abs(i - j) <= 1) for j in range(n)] for i in range(n)]
     with mp.workprec(800):
         return entries, [1 + 2 * mp.cos(k * mp.pi / (n + 1)) for k in range(1, n + 1)]
@@ -62,10 +63,13 @@ def tridiagonal_ones(n=36):
 
 def zero_pivot(bits=128):
     """[[3 - 3u, u, 0], [u, 0, 0], [0, 0, 3]], u = 2^-(bits + _GUARD), is its
-    own T, with u = 64 units.  The Sturm radius starts at t >> p = 192 units
-    = 3u, so c_i -+ rho lands on T's diagonal entries 3 - 3u and 3, and the
-    counts reach a zero pivot: q_0 = 0 at c_2 - rho = 3 - 3u, q_2 = 0 at
-    c_1 + rho = 3."""
+    own T, with u = 64 units, and the bisection reaches a zero pivot three
+    ways: every bracket's first midpoint is 0, where q_1 = 0 - 64^2 // q_0 =
+    0, and later midpoints land on T's diagonal entries 3 - 3u and 3, where
+    q_0 = 0 and q_2 = 0.  An instrumented count finds zero pivots in other
+    tests too: test_swap's first midpoint, 0, equals d_0, and diagonal,
+    clustered and tridiagonal matrices and the Weil blocks meet them where a
+    midpoint hits an entry."""
     u = mpf(2) ** -(bits + _GUARD)
     with mp.workprec(800):
         a = 3 - 3 * u
@@ -109,9 +113,11 @@ class TestHPMatrix:
         assert m[0, 1] == third and m[1, 0] == third
 
     def test_enforces_exact_symmetry(self):
-        eps = 1e-25
-        m = HPMatrix([[1, 0.5 + eps], [0.5, 2]], 64)
-        assert m[0, 1] == m[1, 0]
+        # a mirror pair 2^-100 apart is refused, not averaged
+        with mp.workprec(128):
+            half, off = mpf(1) / 2, mpf(1) / 2 + mpf(2) ** -100
+        with pytest.raises(ValueError, match="symmetric"):
+            HPMatrix([[1, off], [half, 2]], 64)
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
@@ -187,16 +193,15 @@ class TestJacobi:
             assert b.residual == a.residual * mpf(2) ** -300
 
     def test_residual_is_the_a_priori_count(self):
-        # diag(1..8): no reflector runs, QL is exact and every eigenvalue is
-        # 2^148 units from the next, so rho stays on its first rung,
-        # max(t >> P, 1) = max(2^151 >> 152, 1) = 1, and the residual is
-        # exactly rho + 1 + ceil(n/2) + the reduction's sum, in units of
-        # 2^(k - P) = 2^(4 - 152)
+        # diag(1..8): no reflector runs, the brackets end on the exact
+        # eigenvalues, and the residual is exactly the bisection's 2 units +
+        # ceil(n/2) + the reduction's sum, in units of 2^(k - P) = 2^(4 - 152)
         n = 8
         res = jacobi_eigensystem(HPMatrix([[(i + 1) * (i == j) for j in range(n)]
                                            for i in range(n)], 128))
-        units = 1 + 1 + ceil(n / 2) + reduction_units(n)
+        units = 2 + ceil(n / 2) + reduction_units(n)
         assert res.residual == units * mpf(2) ** -148
+        assert res.eigenvalues == list(range(1, n + 1))
 
     def test_empty(self):
         res = jacobi_eigensystem(HPMatrix([], 128))
@@ -266,6 +271,50 @@ def test_tridiagonal_within_the_reduction_sum(n, seed):
     with mp.workprec(800):
         gap = max(abs(x - y) for x, y in zip(sorted_eigenvalues(N), sorted_eigenvalues(T)))
         assert gap <= reduction_units(n)
+
+
+def direct_sum(a, b):
+    return [r + [0] * len(b) for r in a] + [[0] * len(a) + r for r in b]
+
+
+@st.composite
+def integer_symmetric(draw):
+    """A symmetric integer matrix of dimension up to 8, with entries small
+    (exact ties) or up to 2^40: a block B, whose diagonal may be zeroed,
+    alone, beside a second such block (T splits: a zero off-diagonal) or
+    beside itself (every eigenvalue doubled); or a I + v v^T, whose
+    eigenvalue a is repeated n - 1 times."""
+    entry = st.one_of(st.integers(-3, 3), ENTRY)
+
+    def block():
+        m = draw(st.integers(1, 4))
+        b = symmetric_ints(draw(st.lists(entry, min_size=m * (m + 1) // 2,
+                                         max_size=m * (m + 1) // 2)))
+        if draw(st.booleans()):
+            for i in range(m):
+                b[i][i] = 0
+        return b
+
+    kind = draw(st.sampled_from(["block", "split", "doubled", "rank-one"]))
+    if kind == "rank-one":
+        a, v = draw(entry), draw(st.lists(st.integers(-3, 3), min_size=1, max_size=8))
+        return [[a * (i == j) + x * y for j, y in enumerate(v)] for i, x in enumerate(v)]
+    b = block()
+    if kind == "split":
+        return direct_sum(b, block())
+    return direct_sum(b, b) if kind == "doubled" else b
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_symmetric(), st.sampled_from([8, 64, 128]))
+@example([[0, 0], [0, 0]], 64)  # t = 0: the bracket starts at (-1, 1)
+@example([[0, 1, 0], [1, 0, 1], [0, 1, 0]], 8)  # zero diagonal, eigenvalue 0
+def test_bisection_within_the_residual(rows, bits):
+    # every centre against the 800-bit oracle, one residual for all of them
+    res = jacobi_eigensystem(HPMatrix(rows, bits))
+    with mp.workprec(800):
+        for got, want in zip(res.eigenvalues, sorted_eigenvalues(rows), strict=True):
+            assert abs(got - want) <= res.residual
 
 
 def exact_count(d, e, tau):

@@ -91,6 +91,13 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose(identity(2), identity(3))
 
+    @pytest.mark.parametrize("n, cols", [(2.5, {}), (2, {1.5: (1, Root(0))}), (2, {1: (1.0, Root(0))})],
+                             ids=["n", "column", "row"])
+    def test_rejects_non_integer_indices(self, n, cols):
+        # a float index fails at construction; truncated, 1.5 would bind column 1
+        with pytest.raises(TypeError):
+            MonoidMatrix(n, cols)
+
     def test_associativity(self):
         rng = random.Random(1)
         for _ in range(20):
