@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from operator import mul
+from operator import index, mul
 
 from mpmath import mp, mpf
 
@@ -40,7 +40,7 @@ class HPMatrix(Immutable):
     __slots__ = ("dim", "precision_bits", "rows")
 
     def __init__(self, entries, precision_bits: int):
-        if precision_bits < 8:
+        if index(precision_bits) < 8:
             raise ValueError("precision_bits too small")
         n = len(entries)
         if any(len(r) != n for r in entries):

@@ -37,6 +37,7 @@ ordinate finds no eigenvalue that close.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -166,9 +167,9 @@ def _prolate_E_coefficients(coeffs: np.ndarray, lam: float, M: int) -> np.ndarra
 def resonant_lambda(m: int, ordinate: float) -> float:
     """Circle parameter with log-circumference m * 2pi / ordinate: the m-th
     zeta-cycle length for a zero at that ordinate (the compressed Dirac then
-    locks onto it instead of carrying the generic seam error).  Needs m >= 1
-    and a finite positive ordinate, else raises ValueError."""
-    if not (m >= 1 and math.isfinite(ordinate) and ordinate > 0):
+    locks onto it instead of carrying the generic seam error).  Needs an
+    integer m >= 1 (else TypeError) and a finite positive ordinate, else ValueError."""
+    if not (operator.index(m) >= 1 and math.isfinite(ordinate) and ordinate > 0):
         raise ValueError(f"need m >= 1 and a finite positive ordinate, not {m}, {ordinate}")
     return float(np.exp(m * np.pi / ordinate))
 
@@ -249,10 +250,10 @@ def dirac_spectrum(lam: float, k: int, basis_size: int, zeros: ZeroTable) -> Spe
     a ZeroTable, read from the table's cached float64 view."""
     if not isinstance(zeros, ZeroTable):
         raise TypeError(f"dirac_spectrum takes a ZeroTable, not {type(zeros).__name__}")
+    if operator.index(basis_size) < 2 * operator.index(k) + 8:
+        raise ValueError("basis_size must be at least 2k + 8")
     if basis_size % 2 == 0:
         raise ValueError("basis_size must be odd (modes -M..M)")
-    if basis_size < 2 * k + 8:
-        raise ValueError("basis_size must be at least 2k + 8")
     eigs = np.linalg.eigvalsh(dirac_matrix(lam, prolate_vectors(lam, k, basis_size // 2)))
     table = zeros.float_ordinates()
     ords = table[: np.searchsorted(table, eigs[-1], side="right")]

@@ -9,16 +9,16 @@ f (bandfn.LogBandFunction, supported in [lambda^-1, lambda]) every term is a
 closed form: the zero sum costs one sine per zero
 (LogBandFunction.mellin_pair_sum), W_R(f) is one integer pass for K+1 digamma
 values and a geometric series (_psi_pass), and the prime side is a finite
-sum over prime powers below lambda, so the explicit formula runs no
-quadrature.  w_arch and the explicit formula take a LogBandFunction only;
-nothing in this module integrates numerically.  The same finiteness makes
-the quadratic form
+sum over the prime powers in the band, the edge p^m = lambda at half weight
+(_prime_powers), so the explicit formula runs no quadrature.  w_arch and
+the explicit formula take a LogBandFunction only; nothing in this module
+integrates numerically.  The same finiteness makes the quadratic form
 
     QW(f, g) = sum_{zeros} conj(f^) g^
 
 computable without any zero table: QW(f, g) = h^(i/2) + h^(-i/2) - W_R(h)
-- sum_p W_p(h) with h = f * g~, whose prime sum runs over prime powers below
-lambda^2.
+- sum_p W_p(h) with h = f * g~, whose prime sum runs over the prime powers
+of its band [lambda^-2, lambda^2].
 
 weil_gram assembles the Gram matrix of QW over the orthonormal log-Fourier
 basis.  In that basis everything collapses: pole and prime terms are closed
@@ -44,12 +44,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import ceil, lgamma, log, log2, pi, sqrt
+from math import ceil, isqrt, lgamma, log, log2, pi, sqrt
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, to_rational
 
-from zetalab.bandfn import LogBandFunction, band_frame
+from zetalab.bandfn import LogBandFunction, _num, band_frame
 from zetalab.precision import HPMatrix, _fixed, _reflect, jacobi_eigensystem
 from zetalab.zerotable import ZeroTable
 
@@ -75,28 +75,40 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if is_prime(p)]
+def _exact(x) -> Fraction:
+    """x as a Fraction, without rounding for an int, Fraction, float or mpf."""
+    return x if isinstance(x, Fraction) else Fraction(*to_rational(mp.mpmathify(x)._mpf_))
+
+
+def _prime_powers(lam2):
+    """(p, t, w) for each prime power p^m of the band [1/lambda, lambda],
+    lambda^2 = lam2: t = log p^m and w = log p p^(-m/2) for p^(2m) < lam2,
+    and w/2 for p^(2m) = lam2, where f is cut off and counts at the mean of
+    its one-sided values, as psi_0 does in von Mangoldt's formula.  The
+    comparison is exact (_exact), and the edge's t is formed as
+    LogBandFunction.log_halfwidth forms it, so evaluate_log keeps the term.
+    """
+    q = _exact(lam2)
+    out = []
+    for p in filter(is_prime, range(2, isqrt(int(q)) + 1)):
+        logp, m = mp.log(p), 1
+        while p ** (2 * m) <= q:
+            w = logp * mp.power(p, -mpf(m) / 2)
+            out.append((p, m * logp, w) if p ** (2 * m) < q else (p, mp.log(_num(lam2)) / 2, w / 2))
+            m += 1
+    return out
 
 
 def w_prime(p: int, f, precision_bits: int = 256):
-    """(log p) sum_m p^(-m/2) (f(p^m) + f(p^-m)); exact finite truncation.
-
-    Terms with p^m outside the support band vanish identically, so no tail
-    estimate is involved.
-    """
+    """(log p) sum_m p^(-m/2) (f(p^m) + f(p^-m)) over the prime powers of p
+    in f's band, read from _prime_powers(f.lam2): an exact finite sum, with
+    the edge p^m = lambda at half weight."""
+    p, precision_bits = operator.index(p), operator.index(precision_bits)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     with mp.workprec(precision_bits + _GUARD):
-        logp = mp.log(p)
-        S = f.log_halfwidth()
-        acc = mpf(0)
-        m = 1
-        while m * logp <= S:
-            t = m * logp
-            acc += mp.power(p, -mpf(m) / 2) * (f.evaluate_log(t) + f.evaluate_log(-t))
-            m += 1
-        return +(logp * acc)
+        return +mp.fsum(w * (f.evaluate_log(t) + f.evaluate_log(-t))
+                        for q, t, w in _prime_powers(f.lam2) if q == p)
 
 
 _bernfrac = cache(mp.bernfrac)  # exact B_n, the same at every precision
@@ -217,7 +229,7 @@ def w_arch(f: LogBandFunction, precision_bits: int = 256):
     series, with no quadrature.  Any other input raises TypeError."""
     if not isinstance(f, LogBandFunction):
         raise TypeError(f"w_arch takes a LogBandFunction, not {type(f).__name__}")
-    with mp.workprec(precision_bits + _GUARD):
+    with mp.workprec(operator.index(precision_bits) + _GUARD):
         return +_w_arch_band(f, precision_bits)
 
 
@@ -232,22 +244,22 @@ class ExplicitFormulaCheck:
 def explicit_formula_residual(
     f, zeros: ZeroTable, precision_bits: int = 256
 ) -> ExplicitFormulaCheck:
-    """lhs = f^(i/2) + f^(-i/2) - sum over table zeros (both signs);
-    rhs = W_R(f) + sum_p W_p(f); residual = lhs - rhs.  f must be a
-    LogBandFunction: its zero sum costs one sine per zero
+    """lhs = f^(i/2) + f^(-i/2) - sum over the ZeroTable's zeros (both signs);
+    rhs = W_R(f) + w_prime over the primes of f's band; residual = lhs - rhs.
+    f must be a LogBandFunction: its zero sum costs one sine per zero
     (LogBandFunction.mellin_pair_sum) and its W_R is a closed form."""
     if not isinstance(f, LogBandFunction):
         raise TypeError(f"the explicit formula takes a LogBandFunction, not {type(f).__name__}")
-    with mp.workprec(precision_bits + _GUARD):
+    if not isinstance(zeros, ZeroTable):
+        raise TypeError(f"the explicit formula takes a ZeroTable, not {type(zeros).__name__}")
+    with mp.workprec(operator.index(precision_bits) + _GUARD):
         # f^(i/2) + f^(-i/2) = 2 Pe(even part), whose cos_k coordinate is e_k/sqrt2
         e = f.even_coefficients()
         Pe, _ = _pole_functionals(len(e) - 1, *band_frame(f.lam2))
         pole = 2 * (Pe[0] * e[0] + mp.fdot(Pe[1:], e[1:]) / mp.sqrt(2))
         rhs = w_arch(f, precision_bits)
-        S = f.log_halfwidth()
-        for p in primes_up_to(int(mp.exp(S)) + 1):
-            if mp.log(p) <= S:
-                rhs += w_prime(p, f, precision_bits)
+        for p in dict.fromkeys(p for p, _, _ in _prime_powers(f.lam2)):
+            rhs += w_prime(p, f, precision_bits)
         lhs = pole - f.mellin_pair_sum(zeros.ordinates)
         return ExplicitFormulaCheck(+lhs, +rhs, +(lhs - rhs), len(zeros))
 
@@ -309,26 +321,11 @@ def _arch_integrals(K, L, alpha, c2, precision_bits):
     return I, J
 
 
-def _prime_powers(lam2):
-    """(t, weight) for prime powers p^m strictly inside the double band."""
-    out = []
-    limit = int(mp.floor(lam2)) + 1
-    for p in primes_up_to(limit):
-        logp = mp.log(p)
-        m = 1
-        while True:
-            t = m * logp
-            if not (mp.power(p, m) < lam2):
-                break
-            out.append((t, logp * mp.power(p, -mpf(m) / 2)))
-            m += 1
-    return out
-
-
-def _check_gram_args(lam2, half_width):
+def _check_gram_args(lam2, half_width, precision_bits):
     """The band must be nondegenerate (finite lam2 > 1) and K a nonnegative
-    integer (operator.index, so 3.0 is refused); anything else would fail
-    deep inside the assembly."""
+    integer (3.0 is refused), else ValueError, and precision_bits pass
+    operator.index, else TypeError: either would fail deep in the assembly."""
+    operator.index(precision_bits)
     x = mp.mpmathify(lam2)
     if not (isinstance(x, mpf) and mp.isfinite(x) and x > 1):
         raise ValueError(f"lam2 must be a finite number above 1, got {lam2}")
@@ -343,7 +340,8 @@ def _parity_blocks(lam2, K, precision_bits):
 
     Entry (j, k) of the Gram over psi_-K..psi_K is QW(psi_j, psi_k) = h^(i/2)
     + h^(-i/2) - W_R(h) - sum_p W_p(h) with h = psi_k * psi_j~.  With r =
-    c2/alpha, sigma = (-1)^(j+k), the prime-power weights w at t = log p^m,
+    c2/alpha, sigma = (-1)^(j+k) and the weights w at t = log p^m of
+    _prime_powers(lam2^2), h's band [lambda^-2, lambda^2] (p^m = lam2 at half weight),
 
         D(m) = I(m) + 2 sum w sin(alpha m t)                       (odd in m),
         T(m) = log 4pi + gamma + log tanh L + J(m) + 2 c2 sum w (2L - t) cos(alpha m t),
@@ -371,11 +369,11 @@ def _parity_blocks(lam2, K, precision_bits):
     r = c2 / alpha
     Pe, Po = _pole_functionals(K, L, alpha, c0)
     I, J = _arch_integrals(K, L, alpha, c2, precision_bits)
-    pp = _prime_powers(mp.mpmathify(lam2))
+    pp = _prime_powers(_exact(lam2) ** 2)  # h = psi_k * psi_j~ lives on [lambda^-2, lambda^2]
     arch_const = mp.log(4 * mp.pi) + mp.euler + mp.log(mp.tanh(L))
-    cs = [[mp.cos_sin(alpha * m * t) for t, _ in pp] for m in range(K + 1)]
-    tw = [w * (2 * L - t) for t, w in pp]
-    D = [I[m] + 2 * mp.fsum(w * s for (_, w), (_, s) in zip(pp, row)) for m, row in enumerate(cs)]
+    cs = [[mp.cos_sin(alpha * m * t) for _, t, _ in pp] for m in range(K + 1)]
+    tw = [w * (2 * L - t) for _, t, w in pp]
+    D = [I[m] + 2 * mp.fsum(w * s for (_, _, w), (_, s) in zip(pp, row)) for m, row in enumerate(cs)]
     T = [arch_const + J[m] + 2 * c2 * mp.fsum(v * c for v, (c, _) in zip(tw, row))
          for m, row in enumerate(cs)]
     even = [[None] * (K + 1) for _ in range(K + 1)]
@@ -409,7 +407,7 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
     Only tests read it; it stays while the benchmark's span map names it, as
     deleting it is a benchmark change.
     """
-    _check_gram_args(lam2, half_width)
+    _check_gram_args(lam2, half_width, precision_bits)
     K = half_width
     with mp.workprec(precision_bits + _GUARD):
         (even, odd), _ = _parity_blocks(lam2, K, precision_bits)
@@ -454,8 +452,9 @@ def _gram_scale(lam2, K, precision_bits):
         4 sqrt2 c0 sinh(L/2) and |Po_k| <= 2 sqrt2 c0 sinh(L/2) since
         alpha^2 k^2 + 1/4 >= max(1/4, alpha k); so 2 |P_j P_k| <= 2 (32 c2
         sinh(L/2)^2);
-      - prime: 2W, with W the sum of the prime-power weights; T's prime sum
-        is at most 2 c2 (2L) W = 2W, and so is D's;
+      - prime: 2W, with W the sum of the weights of _prime_powers over h's
+        band, the edge's half weight included; T's prime sum is at most
+        2 c2 (2L) W = 2W, and so is D's;
       - arch: log 4pi + gamma, psi(1/2) and Im psi(w) are each below 4 in
         absolute value (|Im psi(1/4 + iy)| <= 2 + pi/2); log tanh L enters
         twice, in T and as J's 2 artanh(lambda^-2); |Re psi(w)| is at most
@@ -471,7 +470,7 @@ def _gram_scale(lam2, K, precision_bits):
     with mp.workprec(precision_bits + _GUARD):
         L = band_frame(lam2)[0]
         lam, c2 = mp.exp(L), 1 / (2 * L)
-        weights = mp.fsum(w for _, w in _prime_powers(mp.mpmathify(lam2)))
+        weights = mp.fsum(w for _, _, w in _prime_powers(_exact(lam2) ** 2))
         psi_top = abs(mp.re(next(_psi_pass([mp.pi * K / (2 * L)], precision_bits + _GUARD))[0]))
         psi_quarter = -mp.euler - mp.pi / 2 - 3 * mp.log(2)
         return (32 * c2 * mp.sinh(L / 2) ** 2 + 2 * weights + 12 - 2 * mp.log(mp.tanh(L))
@@ -540,7 +539,7 @@ def weil_gram(
     odd over [sin_1..sin_K].  With project_poles=True each block is first
     compressed onto the kernel of its pole functional, which together cut out
     the codimension-2 subspace f^(+-i/2) = 0."""
-    _check_gram_args(lam2, half_width)
+    _check_gram_args(lam2, half_width, precision_bits)
     with mp.workprec(precision_bits + _GUARD):
         blocks, poles = _parity_blocks(lam2, half_width, precision_bits)
         if project_poles:
@@ -591,8 +590,7 @@ def weil_gram_spectrum(
     parts = [(1, residual), (half_width + 1, _gram_entry_error(S, precision_bits))]
     if project_poles:
         parts.append((1, _projection_error(lam2, half_width, precision_bits, S)))
-    residual = _round_up(sum(m * Fraction(*to_rational(x._mpf_)) for m, x in parts),
-                         precision_bits + _GUARD)
+    residual = _round_up(sum(m * _exact(x) for m, x in parts), precision_bits + _GUARD)
     eigenvalues.sort()
     smallest_pos = next((lam for lam in eigenvalues if lam > residual), None)
     return GramSpectrum(eigenvalues, [residual] * len(eigenvalues), smallest_pos)

@@ -23,7 +23,10 @@ class ConvolvedBandFunction(Immutable):
     """Exact form of f * g~ for two LogBandFunctions on the same band.
 
     On each side of t = 0 the value is sum_m (p_m + t q_m) e^(i alpha m t),
-    with alpha the input band's frequency step; support is |t| <= 2L.
+    with alpha the input band's frequency step; support is |t| <= 2L, the
+    band [lambda^-2, lambda^2], so lam2 stores its own lambda^2, the square
+    of the inputs' (exact for int or Fraction inputs), and log_halfwidth
+    halves its log as LogBandFunction does: w_prime decides its edge exactly.
     """
 
     __slots__ = ("lam2", "f", "g", "_pieces_at")
@@ -31,13 +34,13 @@ class ConvolvedBandFunction(Immutable):
     def __init__(self, f: LogBandFunction, g: LogBandFunction):
         if f.lam2 != g.lam2:
             raise ValueError("convolution inputs must share the support band")
-        object.__setattr__(self, "lam2", f.lam2)
+        object.__setattr__(self, "lam2", f.lam2 ** 2)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "_pieces_at", {})
 
     def log_halfwidth(self):
-        return mp.log(_num(self.lam2))  # 2L of the inputs
+        return mp.log(_num(self.lam2)) / 2  # 2L of the inputs
 
     def _pieces(self):
         """The pieces under the ambient precision, built once per precision."""

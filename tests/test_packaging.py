@@ -158,6 +158,15 @@ def test_every_public_name_has_a_caller():
     assert dead == [], f"public names with no caller in src or perfbench: {dead}"
 
 
+def test_one_prime_helper():
+    # one function decides which prime powers lie in a band: in weil.py only
+    # _prime_powers, and w_prime's check of its input, reach is_prime
+    tree = ast.parse((PACKAGE / "weil.py").read_text())
+    users = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+             and any(isinstance(n, ast.Name) and n.id == "is_prime" for n in ast.walk(node))}
+    assert users == {"_prime_powers", "w_prime"}, f"is_prime reached from {sorted(users)}"
+
+
 def test_weil_computes_its_own_digamma():
     # weil's psi and psi' come from its fixed-point pass on integers, not from
     # mpmath's digamma or polygamma; semilocal keeps mp.digamma as the

@@ -7,11 +7,15 @@ from mpmath.libmp import to_rational
 from arch_quadrature import quad_checked, w_arch_quadrature
 from convolved_band import star_convolve
 from zetalab.bandfn import LogBandFunction, band_frame
+from zetalab.precision import HPMatrix
+from zetalab.scaling import dirac_spectrum, resonant_lambda
 from zetalab.semilocal import arch_phase_derivative, arch_trace_check
 from zetalab.weil import (
+    _exact,
     _pole_functionals,
+    _prime_powers,
     explicit_formula_residual,
-    primes_up_to,
+    is_prime,
     w_arch,
     w_prime,
     weil_gram,
@@ -91,6 +95,55 @@ class TestWPrime:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             w_prime(6, LogBandFunction(4, {0: 1}))
+
+    def test_edge_at_half_weight_at_every_precision(self):
+        # 27 = 3^3 sits on the edge of lambda^2 = 729: f = c0 on the band, so
+        # w_prime = 2 c0 log 3 (3^(-1/2) + 3^(-1) + 3^(-3/2)/2) at every precision
+        f = LogBandFunction(729, {0: 1})
+        with mp.workprec(400):
+            c0 = 1 / mp.sqrt(2 * mp.log(27))
+            want = 2 * c0 * mp.log(3) * (3 ** -mpf(0.5) + mpf(1) / 3 + 3 ** -mpf(1.5) / 2)
+        for bits in (16, 80, 144, 256, 288):
+            assert abs(w_prime(3, f, bits) - want) < mpf(2) ** -bits, bits
+
+
+def _brute_prime_powers(q):
+    # (p, m, weight factor) for every prime power n = p^m with n^2 <= q, the
+    # factor 1/2 where n^2 = q; primes from is_prime, n up to 200
+    out = []
+    for n in range(2, 200):
+        ps = [d for d in range(2, n + 1) if n % d == 0 and is_prime(d)]
+        if len(ps) == 1 and n * n <= q:
+            m = round(mp.log(n) / mp.log(ps[0]))
+            assert ps[0] ** m == n
+            out.append((ps[0], m, Fraction(1, 2) if n * n == q else 1))
+    return sorted(out)
+
+
+EDGES = (4, 9, 16, 64, 729)
+# exact edges, 2^-200 off them, non-integer lambda^2, and the Gram's (lam2)^2
+BANDS = {
+    **{str(e): e for e in EDGES},
+    **{f"{e}{'-+'[d > 0]}2^-200": Fraction(e) + d * Fraction(1, 2**200) for e in EDGES for d in (-1, 1)},
+    "11/2": Fraction(11, 2), "mpf-7.25": mpf("7.25"), "float-64": 64.0,
+    **{f"gram-{x}": _exact(x) ** 2 for x in (2, 3, 5, 7, 11)},
+}
+
+
+@pytest.mark.parametrize("lam2", BANDS.values(), ids=BANDS.keys())
+def test_prime_powers_match_brute_force(lam2):
+    # membership and weight decided exactly, against a table built from
+    # is_prime; an edge's t is the band's own log_halfwidth, bit for bit
+    with mp.workprec(128):
+        got = _prime_powers(lam2)
+        want = _brute_prime_powers(_exact(lam2))
+        assert len(got) == len(want)
+        for (p, t, w), (q, m, half) in zip(got, want):
+            assert p == q
+            assert abs(t - m * mp.log(p)) < mpf(2) ** -120
+            assert abs(w - half * mp.log(p) * mpf(p) ** (-mpf(m) / 2)) < mpf(2) ** -120
+            if half != 1:
+                assert t == LogBandFunction(lam2, {}).log_halfwidth()
 
 
 class TestWArch:
@@ -183,6 +236,26 @@ class TestExplicitFormula:
         with pytest.raises(TypeError):
             explicit_formula_residual(make(), zeros.truncated(10), 128)
 
+    def test_rejects_non_zero_table(self, monkeypatch):
+        # before W_R or the prime side is computed
+        from zetalab import weil
+
+        monkeypatch.setattr(weil, "w_arch", lambda *args: pytest.fail("W_R computed"))
+        with pytest.raises(TypeError):
+            explicit_formula_residual(LogBandFunction(4, {0: 1}), [14.13, 21.02])
+
+    @pytest.mark.parametrize("lam2, p", [(4, 2), (9, 3)])
+    def test_edge_prime_at_half_weight(self, zeros, lam2, p):
+        # f = c0 on its band jumps to 0 at p = lambda.  Counting the edge at
+        # full weight leaves about -w f(lambda^-) in the residual, dropping it
+        # about +w f(lambda^-), w = log p/sqrt(p); half weight, the mean of
+        # the one-sided values, leaves only the table's truncation
+        f = LogBandFunction(lam2, {0: 1})
+        chk = explicit_formula_residual(f, zeros, 64)
+        with mp.workprec(64):
+            edge = mp.log(p) / mp.sqrt(p) * f.value_at_one()
+        assert abs(chk.residual) < edge / 2
+
 
 @pytest.mark.parametrize(
     "call",
@@ -197,6 +270,38 @@ class TestExplicitFormula:
 )
 def test_bad_input_raises_value_error(call, zeros):
     with pytest.raises(ValueError):
+        call(zeros)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda zeros: HPMatrix([[1, 0], [0, 2]], 64.5),
+        lambda zeros: w_arch(LogBandFunction(4, {0: 1}), 128.0),
+        lambda zeros: w_prime(2, LogBandFunction(9, {0: 1}), 128.0),
+        lambda zeros: w_prime(2.0, LogBandFunction(9, {0: 1})),
+        lambda zeros: explicit_formula_residual(LogBandFunction(4, {0: 1}), zeros, 128.0),
+        lambda zeros: weil_gram_spectrum(5, 4, 128.0),
+        lambda zeros: weil_gram(5, 4, 128.0, project_poles=True),
+        lambda zeros: weil_gram_complex(5, 4, 128.0),
+        lambda zeros: resonant_lambda(1.5, 14.13),
+        lambda zeros: dirac_spectrum(resonant_lambda(4, 14.13), 2, 301.0, zeros),
+        lambda zeros: dirac_spectrum(resonant_lambda(4, 14.13), 2.0, 301, zeros),
+    ],
+    ids=["hpmatrix-bits", "w_arch-bits", "w_prime-bits", "w_prime-p", "explicit-bits",
+         "spectrum-bits", "gram-bits", "complex-bits", "resonant-m", "dirac-basis", "dirac-k"],
+)
+def test_non_integer_arguments_raise_type_error_first(call, zeros, monkeypatch):
+    # operator.index at entry: TypeError before any work is reached
+    from zetalab import scaling, weil
+
+    def reached(*args):
+        pytest.fail("the work started before the argument check")
+
+    for name in ("_parity_blocks", "_pole_functionals", "_w_arch_band", "_prime_powers"):
+        monkeypatch.setattr(weil, name, reached)
+    monkeypatch.setattr(scaling, "prolate_vectors", reached)
+    with pytest.raises(TypeError):
         call(zeros)
 
 
@@ -280,11 +385,13 @@ class TestWeilGram:
         assert all(isinstance(x, mpf) for r in G for x in r)
 
     def test_no_prime_terms_below_sqrt2(self):
-        from zetalab.weil import _prime_powers
-
+        # the Gram reads h's band [lambda^-2, lambda^2], lambda^2 = lam2^2:
+        # empty below lam2 = 2, 2 on its edge at lam2 = 2, and 2, 4, 3 at 4.1
         with mp.workprec(128):
-            assert _prime_powers(mpf(1.9)) == []
-            assert len(_prime_powers(mpf(4.1))) == 3  # 2, 3, 4
+            assert _prime_powers(_exact(mpf(1.9)) ** 2) == []
+            [(p, _, w)] = _prime_powers(_exact(2) ** 2)
+            assert p == 2 and abs(w - mp.log(2) / mp.sqrt(8)) < mpf(2) ** -120
+            assert [p for p, _, _ in _prime_powers(_exact(mpf(4.1)) ** 2)] == [2, 2, 3]
 
     def test_closed_form_matches_generic_route(self):
         # dual route: poles - W_R(h) - sum W_p(h) with h built by star_convolve
@@ -298,21 +405,19 @@ class TestWeilGram:
                 )
                 val = h.mellin(mpc(0, 0.5)) + h.mellin(mpc(0, -0.5))
                 val -= w_arch_quadrature(h, prec)
-                S = h.log_halfwidth()
-                for p in primes_up_to(int(mp.exp(S)) + 1):
-                    if mp.log(p) <= S:
-                        val -= w_prime(p, h, prec)
+                for p in dict.fromkeys(p for p, _, _ in _prime_powers(h.lam2)):
+                    val -= w_prime(p, h, prec)
                 assert abs(val - G[j + K][k + K]) < mpf(10) ** -40
 
     def test_primes_above_band_never_contribute(self):
-        # assembling with a larger sieve bound cannot change the matrix:
-        # the support truncation is exact
-        from zetalab.weil import _prime_powers
-
+        # the support truncation is exact: at lam2 = 11 the Gram's table holds
+        # the prime powers below 11 at full weight, 11 on h's edge at half
+        # weight, and nothing above the band
         with mp.workprec(128):
-            pp = _prime_powers(mpf(11))
-            assert max(int(round(float(mp.exp(t)))) for t, _ in pp) < 11
-            assert {int(round(float(mp.exp(t)))) for t, _ in pp} == {2, 3, 4, 5, 7, 8, 9}
+            pp = _prime_powers(_exact(11) ** 2)
+            powers = [int(round(float(mp.exp(t)))) for _, t, _ in pp]
+            assert powers == [2, 4, 8, 3, 9, 5, 7, 11]
+            assert abs(pp[-1][2] - mp.log(11) / mp.sqrt(11) / 2) < mpf(2) ** -120
 
     def test_positivity_at_small_lambda(self):
         spec = weil_gram_spectrum(2, 8, 160, project_poles=True)
