@@ -132,6 +132,12 @@ def _tridiagonalize(N):
     return d, e
 
 
+def _top_exponent(rows):
+    """The least k with 2^k > |x| for every mpf x in the rows, read off the
+    exponents (0 if every x is 0)."""
+    return max((x.exp + x.bc for r in rows for x in r if x), default=0)
+
+
 def _fixed(x, s):
     """round(x 2^s) for an mpf x, to nearest."""
     sign, man, exp, _ = x._mpf_
@@ -175,7 +181,7 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     n, P = m.dim, m.precision_bits + _GUARD + 8
     if n == 0:
         return EigenResult([], mpf(0), 0)
-    k = max((x.exp + x.bc for r in m.rows for x in r if x), default=0)
+    k = _top_exponent(m.rows)
     d, e = _tridiagonalize([[_fixed(x, P - k) for x in r] for r in m.rows])
     e2, b, c = [0] + [x * x for x in e], 3 * max(map(abs, d + e)) + 1, []
     for i in range(n):

@@ -7,18 +7,46 @@ the adelic lift of finite orbit sums to the averaging map
 E(f)(x) = x^(1/2) sum_{n>0} f(nx), evaluated here pointwise, and the
 trace-formula form of the archimedean explicit-formula distribution are all
 checked numerically here at arbitrary precision.
+
+Every numerical integral in the package is one quad_checked: tanh-sinh 80
+bits above the target, refused with QuadratureError when its error estimate
+exceeds 2^-(precision_bits + 8) (1 + |value|).  No integrand is left
+oscillating without decay: Tate's check takes the x^(is) singularity at x = 0
+out in closed form, and the trace side rotates its oscillatory tail onto
+rays where the Mellin transform decays like e^(-yL).
 """
 
 from __future__ import annotations
 
 from mpmath import mp, mpf
 
-from zetalab.bandfn import LogBandFunction
+from zetalab.bandfn import LogBandFunction, _sinc, band_frame
 from zetalab.weil import _GUARD, is_prime, w_arch
 
 
 class QuadratureError(ArithmeticError):
     """A quadrature's error estimate exceeds the tolerance its check states."""
+
+
+def quad_checked(integrand, interval, precision_bits):
+    """mp.quad of integrand over interval (a list of breakpoints), the
+    package's one quadrature: QuadratureError unless the error estimate is
+    at most 2^-(precision_bits+8) (1 + |value|).
+
+    The rule and the integrand run 80 bits above precision_bits, 32 above
+    weil's _GUARD: tanh-sinh estimates its error from the gap between
+    successive levels, which certifies the tolerance only once the rule has
+    converged well past it.
+    """
+    with mp.workprec(precision_bits + 80):
+        val, err = mp.quad(integrand, interval, error=True)
+    tol = mpf(2) ** (-precision_bits - 8) * (1 + abs(val))
+    if err > tol:
+        raise QuadratureError(
+            f"quadrature error estimate {mp.nstr(err, 5)} exceeds tolerance "
+            f"{mp.nstr(tol, 5)} at {precision_bits} bits"
+        )
+    return +val
 
 
 def gamma_factor(z, precision_bits: int = 256):
@@ -60,14 +88,15 @@ def tate_arch_check(f, s, precision_bits: int = 256):
     that is the orientation Tate's equation itself forces, cf. the self-dual
     Gaussian).  Returns (lhs, rhs, residual).
 
-    Each side is one raw mp.quad over the half-line whose error estimate must
-    stay below 2^-(precision_bits // 2) (else QuadratureError).  Doubled for
-    the two half-lines, each side is certified to 2^(1 - precision_bits // 2)
-    and, for real s where |rho(s)| = 1, the residual to twice that: about
-    half the working bits, not 2^-precision_bits.  A 2^-(bits+8) tolerance
-    would refuse here:
-    x^(is) oscillates without end at x = 0, and tanh-sinh's estimate there
-    stays far above that (at 128 bits, 1.0e-33 against 1.6e-41).
+    Each side is twice (f is even) int_0^R g(x) x^(b-1) dx, b = 1/2 +- is,
+    with R the larger decay radius of f and F(f), where |g| < 2^-(bits+32).
+    x^(is) oscillates without end at x = 0, where tanh-sinh's estimate for
+    the raw integrand stalls near 2^-(working bits/2).  So g(0) x^(b-1) is
+    integrated in closed form, g(0) R^b/b, and quad_checked takes the rest,
+    (g(x) - g(0)) x^(b-1) = O(x^(3/2)): each side is within
+    2^-(precision_bits + 7) (1 + |its integral|) plus the Gaussian tail
+    beyond R, else QuadratureError, and for real s, where |rho(s)| = 1, the
+    residual is within the sum of the two sides' bounds.
     """
     with mp.workprec(precision_bits + _GUARD):
         s = mp.mpmathify(s)
@@ -76,13 +105,11 @@ def tate_arch_check(f, s, precision_bits: int = 256):
                      fhat.decay_radius(precision_bits + 32))
 
         def mellin_like(g, sign):
-            def integrand(x):
-                return g.evaluate(x) * mp.power(x, sign * 1j * s) * mp.sqrt(x) / x
-
-            val, err = mp.quad(integrand, [0, 1, radius], error=True)
-            if err > mpf(2) ** (-precision_bits // 2):
-                raise QuadratureError(f"tate integral did not converge: err={err}")
-            return 2 * val  # even functions: both half-lines
+            b = 0.5 + sign * 1j * s
+            g0 = g.value_at_zero()
+            val = quad_checked(lambda x: (g.evaluate(x) - g0) * mp.power(x, b - 1),
+                               [0, 1, radius], precision_bits)
+            return 2 * (val + g0 * mp.power(radius, b) / b)  # even functions: both half-lines
 
         lhs = mellin_like(fhat, -1)
         rho = gamma_factor(0.5 - 1j * s, precision_bits) / gamma_factor(
@@ -141,36 +168,76 @@ def semilocal_lift_check(f, mu, u, precision_bits: int = 256):
 # -- the archimedean trace-formula cross-check ------------------------------------
 
 
-def arch_phase_derivative(s, precision_bits: int = 256):
-    """theta'(s) for u_arch = e^(i theta): -log pi + Re psi(1/4 + is/2)."""
-    with mp.workprec(precision_bits + _GUARD):
-        z = 0.25 + 0.5j * mp.mpmathify(s)
-        return +(-mp.log(mp.pi) + mp.re(mp.digamma(z)))
+def _theta_prime(s):
+    """theta'(s) = -log pi + (psi(1/4 + is/2) + psi(1/4 - is/2))/2, the
+    derivative of the phase of u_arch = e^(i theta) on the line, continued to
+    complex s; by reflection and duplication it is -log 2pi + psi(1/2 - is)
+    - (pi/2) cot(pi (1/4 + is/2)): one digamma.  Ambient precision."""
+    return (mp.digamma(0.5 - 1j * s) - mp.pi / 2 * mp.cot(mp.pi * (0.25 + 0.5j * s))
+            - mp.log(2 * mp.pi))
 
 
 def trace_side_integral(f, precision_bits: int = 256):
-    """-(1/2pi) integral f^(s) theta'(s) ds over the line, for a real even
-    band function (so f^ is real even and the integrand decays)."""
+    """-(1/2pi) integral f^(s) theta'(s) ds over the line for a band function
+    f, read only through f.even_coefficients(), as W_R reads it: real,
+    odd-part and complex coefficients all work.
+
+    theta' is even, so the integral is -(1/pi) int_0^inf h theta' ds with
+    h(s) = (f^(s) + f^(-s))/2 = 2 c0 sin(sL) R(s), R(s) = e_0/s + s sum_k
+    (-1)^k e_k/(s^2 - alpha^2 k^2) (mellin_pair_sum's pair form).  With
+    a = alpha (K+1):
+      - the head int_0^a runs on the line, h in the term-by-term sinc form,
+        which does not cancel at the removable poles s = alpha k;
+      - the tail int_a^inf is rotated onto the rays s = a +- iy, y >= 0:
+        R's poles 0, +-alpha k lie left of a, and those of theta', at
+        s = +-i(2n + 1/2), on the imaginary axis.  Each exponential of
+        sin(sL) closes in the half-plane where it decays, and e^(+-iaL) =
+        (-1)^(K+1) since alpha L = pi, so the tail is
+
+            (-1)^(K+1) c0 int_0^inf e^(-yL) [g(a+iy) + g(a-iy)] dy,  g = R theta',
+
+        which decays instead of oscillating.  theta'(a - iy) = conj
+        theta'(a + iy), so a node costs one digamma (_theta_prime).
+    The head and the ray (split at 4^j/L, j = 0..5) are one quad_checked
+    each, within 2^-(precision_bits + 8) (1 + |piece|) else QuadratureError;
+    the result is within c0/pi times twice the head's bound plus the ray's.
+    """
     with mp.workprec(precision_bits + _GUARD):
-        L = f.log_halfwidth()
+        L, alpha, c0 = band_frame(f.lam2)
+        e = f.even_coefficients()
+        K = len(e) - 1
+        a = alpha * (K + 1)
 
-        def integrand(s):
-            return f.mellin(s) * arch_phase_derivative(s, precision_bits)
+        def head(s):
+            h = e[0] * _sinc(s, L) + mp.fsum(
+                e[k] * (_sinc(s - alpha * k, L) + _sinc(s + alpha * k, L)) / 2
+                for k in range(1, K + 1))
+            return h * mp.re(_theta_prime(s))
 
-        # split a smooth head from the oscillatory tail (f^ oscillates at
-        # frequency L; quadosc handles the tail against the slow digamma)
-        a = 8 * mp.pi / L
-        head, err = mp.quad(integrand, [0, a], error=True)
-        if err > mpf(2) ** (-precision_bits // 2) * (1 + abs(head)):
-            raise QuadratureError(f"trace-side head integral: err={err}")
-        tail = mp.quadosc(integrand, [a, mp.inf], period=2 * mp.pi / L)
-        return +(-(head + tail) / mp.pi)
+        def R(s):
+            s2 = s * s
+            return e[0] / s + s * mp.fsum((-1) ** k * e[k] / (s2 - (alpha * k) ** 2)
+                                          for k in range(1, K + 1))
+
+        def tail(y):
+            s = mp.mpc(a, y)
+            theta = _theta_prime(s)
+            return mp.exp(-y * L) * (R(s) * theta + R(mp.conj(s)) * mp.conj(theta))
+
+        rays = [0] + [mpf(4) ** j / L for j in range(6)] + [mp.inf]
+        total = 2 * c0 * quad_checked(head, [0, a], precision_bits) + (
+            (-1) ** (K + 1) * c0 * quad_checked(tail, rays, precision_bits))
+        return +(-total / mp.pi)
 
 
 def arch_trace_check(f: LogBandFunction, precision_bits: int = 256):
-    """w_inf = W_R(f) against the trace side; returns the triple
-    (w_inf, trace_side, residual).  f must be a LogBandFunction (else
-    TypeError, raised before any quadrature starts)."""
+    """w_inf = W_R(f) in closed form (weil.w_arch) against the trace side
+    (trace_side_integral, two checked quadratures); returns the triple
+    (w_inf, trace_side, residual).  The residual is within the trace side's
+    quadrature bound, about c0 2^-(precision_bits + 6) (1 + |head| + |ray|)
+    / pi, plus w_arch's 2^-(precision_bits + _GUARD)-level error: far inside
+    2^-(precision_bits - 8) for the bands the tests use.  f must be a
+    LogBandFunction (else TypeError, raised before any quadrature starts)."""
     if not isinstance(f, LogBandFunction):
         raise TypeError(f"arch_trace_check takes a LogBandFunction, not {type(f).__name__}")
     with mp.workprec(precision_bits + _GUARD):

@@ -50,7 +50,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, to_rational
 
 from zetalab.bandfn import LogBandFunction, _num, band_frame
-from zetalab.precision import HPMatrix, _fixed, _reflect, jacobi_eigensystem
+from zetalab.precision import HPMatrix, _fixed, _reflect, _top_exponent, jacobi_eigensystem
 from zetalab.zerotable import ZeroTable
 
 # Working bits above precision_bits for every weil (and semilocal) evaluation.
@@ -322,15 +322,15 @@ def _arch_integrals(K, L, alpha, c2, precision_bits):
 
 
 def _check_gram_args(lam2, half_width, precision_bits):
-    """The band must be nondegenerate (finite lam2 > 1) and K a nonnegative
-    integer (3.0 is refused), else ValueError, and precision_bits pass
-    operator.index, else TypeError: either would fail deep in the assembly."""
+    """K and precision_bits must pass operator.index (3.0 is refused), else
+    TypeError; the band must be nondegenerate (finite lam2 > 1) and K
+    nonnegative, else ValueError: either would fail deep in the assembly."""
     operator.index(precision_bits)
+    if operator.index(half_width) < 0:
+        raise ValueError(f"half_width must be a nonnegative integer, got {half_width!r}")
     x = mp.mpmathify(lam2)
     if not (isinstance(x, mpf) and mp.isfinite(x) and x > 1):
         raise ValueError(f"lam2 must be a finite number above 1, got {lam2}")
-    if not hasattr(half_width, "__index__") or operator.index(half_width) < 0:
-        raise ValueError(f"half_width must be a nonnegative integer, got {half_width!r}")
 
 
 def _parity_blocks(lam2, K, precision_bits):
@@ -437,8 +437,7 @@ def _project_out(rows, c, p):
     """
     if not rows:
         return []
-    k = max((x.exp + x.bc for r in rows for x in r if x), default=0)
-    kc = max(x.exp + x.bc for x in c if x)
+    k, kc = _top_exponent(rows), _top_exponent([c])
     out, _ = _reflect([[_fixed(x, p + 8 - k) for x in r] for r in rows],
                       [_fixed(x, p + 8 - kc) for x in c])
     return [[mpf((x, k - p - 8), prec=0) for x in r[1:]] for r in out[1:]]

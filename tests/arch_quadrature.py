@@ -5,31 +5,16 @@ weil.w_arch evaluates W_R(f) = (log 4pi + gamma) f(1) + the archimedean
 principal-value integral in closed form for a LogBandFunction, and
 weil._arch_integrals does the same for the Weil Gram's one-dimensional
 integrals.  The routes here integrate the defining integrands with tanh-sinh
-instead, under an error-estimate check, so agreement checks the closed forms.
+instead, under semilocal.quad_checked's error-estimate check, so agreement
+checks the closed forms.
 """
 
 from __future__ import annotations
 
 from mpmath import mp, mpf
 
-from zetalab.semilocal import QuadratureError
+from zetalab.semilocal import quad_checked
 from zetalab.weil import _GUARD
-
-
-def quad_checked(integrand, interval, precision_bits):
-    # The rule runs 80 bits above precision_bits, 32 above weil's _GUARD:
-    # tanh-sinh estimates its error from the gap between successive levels,
-    # which certifies the 2^-(bits+8) tolerance only once the rule has
-    # converged well past it.
-    with mp.workprec(precision_bits + 80):
-        val, err = mp.quad(integrand, interval, error=True)
-    tol = mpf(2) ** (-precision_bits - 8) * (1 + abs(val))
-    if err > tol:
-        raise QuadratureError(
-            f"quadrature error estimate {mp.nstr(err, 5)} exceeds tolerance "
-            f"{mp.nstr(tol, 5)} at {precision_bits} bits"
-        )
-    return +val
 
 
 def w_arch_quadrature(f, precision_bits: int = 256, breakpoints=()):

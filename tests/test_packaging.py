@@ -35,19 +35,25 @@ def test_exact_half_imports_no_numerics():
 
 
 def test_quadrature_only_in_semilocal():
-    # the package computes in closed form; semilocal's checks are quadratures
-    # by design, and the tests keep the other quadrature references
+    # the package computes in closed form; its one quadrature is
+    # semilocal.quad_checked, which checks mp.quad's error estimate, and no
+    # module calls the unchecked mp.quadosc
+    def mp_quad_calls(tree):
+        return [(node.lineno, node.func.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("quad", "quadosc")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "mp"]
+
+    outside = []
     for path in sorted(PACKAGE.glob("*.py")):
-        calls = [
-            node.lineno for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("quad", "quadosc")
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "mp"
-        ]
-        if path.stem != "semilocal":
-            assert calls == [], f"{path.name} calls mp.quad at lines {calls}"
+        tree = ast.parse(path.read_text())
+        inside = [call for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and path.stem == "semilocal" and node.name == "quad_checked"
+                  for call in mp_quad_calls(node)]
+        if path.stem == "semilocal":
+            assert [attr for _, attr in inside] == ["quad"]
+        outside += [(path.name, *call) for call in mp_quad_calls(tree) if call not in inside]
+    assert outside == [], f"mp.quad or mp.quadosc outside semilocal.quad_checked: {outside}"
 
 
 def test_no_module_imports_mpmath_matrices():

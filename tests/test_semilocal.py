@@ -1,15 +1,22 @@
+from fractions import Fraction
+
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpc, mpf
 
 from zetalab.bandfn import LogBandFunction
 from zetalab.hermitefn import EvenGaussHermite
 from zetalab.semilocal import (
+    QuadratureError,
     _gamma_orbit_integers,
+    arch_trace_check,
+    quad_checked,
     semilocal_lift_check,
     tate_arch_check,
     u_arch,
     zeta_ratio,
 )
+
+GAUSS_HERMITE = EvenGaussHermite(mpf("1.3"), [1, mpf("0.5"), mpf(-2) / 3, mpf("0.25")])
 
 
 @pytest.mark.parametrize(
@@ -32,10 +39,40 @@ def test_u_arch_is_zeta_ratio():
 
 
 def test_tate_functional_equation():
-    f = EvenGaussHermite(mpf("1.3"), [1, mpf("0.5"), mpf(-2) / 3, mpf("0.25")])
-    lhs, rhs, residual = tate_arch_check(f, mpf("0.7"), 96)
-    # each side is certified to 2^-(bits/2) by its quadrature error estimate
-    assert abs(residual) < mpf(2) ** -48
+    bits = 96
+    lhs, rhs, residual = tate_arch_check(GAUSS_HERMITE, mpf("0.7"), bits)
+    # each side is certified to 2^-(bits+7) (1 + |side|) by quad_checked
+    assert abs(lhs) > mpf("0.1")
+    assert abs(residual) < mpf(2) ** -(bits - 8)
+
+
+def test_quadrature_refuses_an_unconverged_estimate():
+    # the raw x^(is) integrand, without tate_arch_check's closed-form g(0)
+    # term: tanh-sinh's estimate stalls near 1e-33 at 128 bits, above the
+    # 2^-136 (1 + |value|) tolerance
+    bits, s = 128, mpf("0.7")
+    with mp.workprec(bits):
+        radius = GAUSS_HERMITE.decay_radius(bits + 32)
+    with pytest.raises(QuadratureError):
+        quad_checked(lambda x: GAUSS_HERMITE.evaluate(x) * mp.power(x, 1j * s - mpf(1) / 2),
+                     [0, 1, radius], bits)
+
+
+@pytest.mark.parametrize(
+    "coeffs, bits",
+    [
+        (LogBandFunction.cosine_power(4, 3, 2).coeffs, 128),
+        # an odd part and complex coefficients: f^ is neither even nor real
+        ({0: mpc(1, 0.5), 1: Fraction(1, 3), -1: mpc(-0.25, 2), 2: 1j, -3: Fraction(2, 7)}, 64),
+    ],
+    ids=["cosine-power-128", "complex-odd-64"],
+)
+def test_arch_trace_matches_closed_form(coeffs, bits):
+    # W_R(f) in closed form against -(1/2pi) int f^ theta', head on the line
+    # and the tail on the rays a +- iy
+    w_inf, trace, residual = arch_trace_check(LogBandFunction(4, coeffs), bits)
+    assert abs(w_inf) > mpf("0.1")
+    assert abs(residual) <= mpf(2) ** -(bits - 8)
 
 
 @pytest.mark.parametrize("u", [mpf("0.5"), mpf("1.3")])

@@ -4,12 +4,12 @@ import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_rational
 
-from arch_quadrature import quad_checked, w_arch_quadrature
+from arch_quadrature import w_arch_quadrature
 from convolved_band import star_convolve
 from zetalab.bandfn import LogBandFunction, band_frame
 from zetalab.precision import HPMatrix
 from zetalab.scaling import dirac_spectrum, resonant_lambda
-from zetalab.semilocal import arch_phase_derivative, arch_trace_check
+from zetalab.semilocal import _theta_prime, arch_trace_check, quad_checked
 from zetalab.weil import (
     _exact,
     _pole_functionals,
@@ -157,9 +157,9 @@ class TestWArch:
 
         got = w_arch_quadrature(gauss, 120)
         with mp.workprec(168):
-            trace = -mp.quad(
-                lambda s: mp.sqrt(mp.pi) * mp.exp(-s * s / 4) * arch_phase_derivative(s, 120),
-                [0, 10, 20, 40, 80],
+            trace = -quad_checked(
+                lambda s: mp.sqrt(mp.pi) * mp.exp(-s * s / 4) * mp.re(_theta_prime(s)),
+                [0, 10, 20, 40, 80], 120,
             ) / mp.pi
         assert abs(got - trace) < mpf(2) ** -120
 
@@ -197,7 +197,7 @@ class TestWArch:
     @NON_BAND
     @pytest.mark.parametrize("check", [w_arch, arch_trace_check], ids=["w_arch", "arch-trace"])
     def test_rejects_non_band_function(self, check, make):
-        # before any work: arch_trace_check's quadosc alone would run for minutes
+        # before any work: w_arch's digamma pass or arch_trace_check's quadratures
         with pytest.raises(TypeError):
             check(make(), 128)
 
@@ -263,10 +263,9 @@ class TestExplicitFormula:
         lambda zeros: weil_gram_spectrum(0.5, 3, 128),
         lambda zeros: weil_gram_spectrum(1, 3, 128),
         lambda zeros: weil_gram_spectrum(2, -1, 128),
-        lambda zeros: weil_gram_spectrum(5, 3.0, 128),
         lambda zeros: weil_gram(1, 3, 128, project_poles=True),
     ],
-    ids=["lam2-below-1", "lam2-1", "negative-K", "float-K", "poles-lam2-1"],
+    ids=["lam2-below-1", "lam2-1", "negative-K", "poles-lam2-1"],
 )
 def test_bad_input_raises_value_error(call, zeros):
     with pytest.raises(ValueError):
@@ -282,6 +281,7 @@ def test_bad_input_raises_value_error(call, zeros):
         lambda zeros: w_prime(2.0, LogBandFunction(9, {0: 1})),
         lambda zeros: explicit_formula_residual(LogBandFunction(4, {0: 1}), zeros, 128.0),
         lambda zeros: weil_gram_spectrum(5, 4, 128.0),
+        lambda zeros: weil_gram_spectrum(5, 3.0, 128),
         lambda zeros: weil_gram(5, 4, 128.0, project_poles=True),
         lambda zeros: weil_gram_complex(5, 4, 128.0),
         lambda zeros: resonant_lambda(1.5, 14.13),
@@ -289,7 +289,8 @@ def test_bad_input_raises_value_error(call, zeros):
         lambda zeros: dirac_spectrum(resonant_lambda(4, 14.13), 2.0, 301, zeros),
     ],
     ids=["hpmatrix-bits", "w_arch-bits", "w_prime-bits", "w_prime-p", "explicit-bits",
-         "spectrum-bits", "gram-bits", "complex-bits", "resonant-m", "dirac-basis", "dirac-k"],
+         "spectrum-bits", "spectrum-float-K", "gram-bits", "complex-bits", "resonant-m",
+         "dirac-basis", "dirac-k"],
 )
 def test_non_integer_arguments_raise_type_error_first(call, zeros, monkeypatch):
     # operator.index at entry: TypeError before any work is reached
