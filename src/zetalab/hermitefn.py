@@ -67,26 +67,36 @@ class EvenGaussHermite(Immutable):
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate(self, x):
-        a = mp.mpmathify(self.scale)
-        phis = hermite_phi(2 * self.order, mp.mpmathify(x) / a)
-        return mp.fsum(
-            mp.mpmathify(c) * phis[2 * m] for m, c in enumerate(self.coeffs)
-        ) / mp.sqrt(a)
+    def evaluate(self, x, precision_bits: int):
+        """f(x), computed _GUARD bits above precision_bits."""
+        with mp.workprec(precision_bits + _GUARD):
+            a = mp.mpmathify(self.scale)
+            phis = hermite_phi(2 * self.order, mp.mpmathify(x) / a)
+            return mp.fsum(
+                mp.mpmathify(c) * phis[2 * m] for m, c in enumerate(self.coeffs)
+            ) / mp.sqrt(a)
 
-    def fourier(self) -> "EvenGaussHermite":
-        """Closed-form transform: coefficients pick up (-1)^m, scale inverts."""
-        inv = 1 / mp.mpmathify(self.scale)
-        return EvenGaussHermite(inv, [(-1) ** m * mp.mpmathify(c) for m, c in enumerate(self.coeffs)])
+    def fourier(self, precision_bits: int) -> "EvenGaussHermite":
+        """Closed-form transform: coefficients pick up (-1)^m, scale inverts;
+        computed _GUARD bits above precision_bits."""
+        with mp.workprec(precision_bits + _GUARD):
+            inv = 1 / mp.mpmathify(self.scale)
+            coeffs = [(-1) ** m * mp.mpmathify(c) for m, c in enumerate(self.coeffs)]
+        return EvenGaussHermite(inv, coeffs)
 
-    def value_at_zero(self):
-        a = mp.mpmathify(self.scale)
-        return mp.fsum(
-            mp.mpmathify(c) * hermite_phi_zero(2 * m) for m, c in enumerate(self.coeffs)
-        ) / mp.sqrt(a)
+    def value_at_zero(self, precision_bits: int):
+        """f(0) from the closed-form phi_2m(0), _GUARD bits above precision_bits."""
+        with mp.workprec(precision_bits + _GUARD):
+            a = mp.mpmathify(self.scale)
+            return mp.fsum(
+                mp.mpmathify(c) * hermite_phi_zero(2 * m) for m, c in enumerate(self.coeffs)
+            ) / mp.sqrt(a)
 
-    def norm_sq(self):
-        return mp.fsum(abs(mp.mpmathify(c)) ** 2 for c in self.coeffs)
+    def norm_sq(self, precision_bits: int):
+        """||f||^2 = sum_m |c_m|^2 (the basis is orthonormal), _GUARD bits
+        above precision_bits."""
+        with mp.workprec(precision_bits + _GUARD):
+            return mp.fsum(abs(mp.mpmathify(c)) ** 2 for c in self.coeffs)
 
     def decay_radius(self, precision_bits: int):
         """|f(x)| is below 2^-(precision_bits) outside [-r, r] (Gaussian tail,

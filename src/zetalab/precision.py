@@ -5,13 +5,16 @@ working precision in bits.  Its entries must be exactly symmetric; each is
 kept as given.  jacobi_eigensystem rounds the stored matrix once to fixed
 point, reduces it to tridiagonal form by Householder reflectors on Python
 integers (_reflect, each exactly orthogonal, with its rounding bounded a
-priori), and finds every eigenvalue by bisection on integer Sturm counts
-(_sturm_count), the same counts that certify it: no eigenvectors, no
-floating-point rounding and no iteration that may fail to converge.  The
-input rounding, the reduction's a-priori bound and the final bracket add up
-to one integer count of units.  It returns one residual that bounds every
-eigenvalue's error, in sorted order, for the eigenproblem of the stored
-matrix; the error of the entries is the caller's.
+priori), and certifies every eigenvalue by bisection on integer Sturm counts
+(_sturm_count).  A values-only QL on the same integers (_ql_centres) seeds
+each bracket, and a seed is used only when two counts confirm it, so a
+wrong or missing seed costs counts, never certified bits.  The certificate
+itself has no eigenvectors, no floating-point rounding and no iteration that
+may fail to converge; only the seeding iterates, and it gives up after a
+fixed number of sweeps.  The input rounding, the reduction's a-priori bound
+and the final bracket add up to one integer count of units.  It returns one
+residual that bounds every eigenvalue's error, in sorted order, for the
+eigenproblem of the stored matrix; the error of the entries is the caller's.
 """
 
 from __future__ import annotations
@@ -145,6 +148,84 @@ def _fixed(x, s):
     return -man if sign else man
 
 
+def _ql_centres(d, e, P):
+    """Sorted guesses, in units, for the eigenvalues of T = tridiag(e, d, e),
+    or None: the values-only implicit QL with a Wilkinson shift (the tqli
+    loop; Parlett, The Symmetric Eigenvalue Problem, ch. 8) on integers.
+    Nothing certified rests on a guess (_centres checks each one).
+
+    Values are held at 2^P per unit and the rotations (s, c) at C = bitlen(t)
+    + P + 8 fractional bits, t = max|T entry|, with r = isqrt((f^2 + g^2)
+    2^2C), so s^2 + c^2 = 1 to 2^-C.  An off-diagonal below one unit
+    deflates.  With 2^(P/2) per unit the loop stalls on graded blocks, an
+    off-diagonal stuck above one unit beside far larger diagonal entries
+    (2^11 units beside 2^141 and 2^155 on a 216-bit Weil block at 2^96 per
+    unit; an 8 x 8 test matrix with eigenvalues 1 down to 2^-150, at 128
+    bits, did not converge in 500 sweeps at 2^80 per unit); the cause was
+    not analysed.  An eigenvalue that needs more than 30 sweeps returns None
+    (the most seen is 16).
+    """
+    n, one = len(d), 1 << P
+    C = max(map(abs, d + e)).bit_length() + P + 8
+    D, E = [x << P for x in d], [x << P for x in e] + [0]
+    for l in range(n):
+        for _ in range(31):
+            m = l
+            while m < n - 1 and abs(E[m]) >= one:
+                m += 1
+            if m == l:
+                break
+            # Wilkinson shift from the leading 2 x 2, as g = D_m - shift
+            d2, el = D[l + 1] - D[l], E[l]
+            r = isqrt(d2 * d2 + 4 * el * el)
+            g = D[m] - D[l] + 2 * el * el // (d2 + (r if d2 >= 0 else -r))
+            s = c = 1 << C
+            p = 0
+            for i in range(m - 1, l - 1, -1):
+                f, b = s * E[i] >> C, c * E[i] >> C
+                r = isqrt((f * f + g * g) << 2 * C)
+                E[i + 1] = r >> C
+                if r == 0:  # a zero rotation splits the block: look again
+                    D[i + 1] -= p
+                    E[m] = 0
+                    break
+                s, c = (f << 2 * C) // r, (g << 2 * C) // r
+                g = D[i + 1] - p
+                r = ((D[i] - g) * s + 2 * c * b) >> C
+                p = s * r >> C
+                D[i + 1] = g + p
+                g = (c * r >> C) - b
+            else:
+                D[l] -= p
+                E[l], E[m] = g, 0
+        else:
+            return None
+    return sorted((x + (one >> 1)) >> P for x in D)
+
+
+# Half-width, in units, of the bracket around a guessed centre.
+_WINDOW = 8
+
+
+def _centres(d, e, seeds):
+    """The bisection's centre c_i, in units, of every eigenvalue of T =
+    tridiag(e, d, e), i ascending (jacobi_eigensystem).  Seed g_i's bracket
+    [g_i - 8, g_i + 8) is used when two counts confirm it; with no seeds, or
+    when they do not, the bracket is [-b, b)."""
+    e2, b, c = [0] + [x * x for x in e], 3 * max(map(abs, d + e)) + 1, []
+    for i in range(len(d)):
+        lo, hi = -b, b
+        if seeds:
+            g = seeds[i]
+            if _sturm_count(d, e2, g - _WINDOW) <= i < _sturm_count(d, e2, g + _WINDOW):
+                lo, hi = g - _WINDOW, g + _WINDOW
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _sturm_count(d, e2, mid) > i else (mid, hi)
+        c.append(hi)
+    return c
+
+
 def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     """Ascending eigenvalues of A and one certified residual, without
     eigenvectors, by Sturm bisection.  The name is kept, though no Jacobi
@@ -166,11 +247,14 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     max |T entry| and b = 3t + 1, Gershgorin puts the spectrum of every such
     T' in [-b, b): the count is 0 at -b and n at b.
 
-    Bisection.  For each i, (lo, hi) = (-b, b) halves at (lo + hi) // 2,
-    keeping count(lo) <= i < count(hi), until hi = lo + 1: ceil(log2 2b)
-    counts, a fixed number.  Then lambda_i(T'_lo) >= lo and lambda_i(T'_hi)
-    < hi, so lambda_i(T) lies in [lo - 1, hi + 1), within 2 units of the
-    returned centre c_i = hi.  Each count is exact only for its own T', so
+    Bisection.  For each i a bracket [lo, hi) with count(lo) <= i <
+    count(hi) halves at (lo + hi) // 2, keeping that, until hi = lo + 1.  It
+    starts at [g_i - 8, g_i + 8) when _ql_centres gives a seed g_i and two
+    counts confirm it, so 6 counts in all; when the QL gives up or a check
+    fails, at [-b, b), ceil(log2 2b) counts.  Either way lambda_i(T'_lo) >=
+    lo and lambda_i(T'_hi) < hi, so lambda_i(T) lies in [lo - 1, hi + 1),
+    within 2 units of the returned centre c_i = hi: a seed sets how many
+    counts run, not the bound.  Each count is exact only for its own T', so
     counts need not be monotone in sigma; brackets shared between
     eigenvalues could lose or double one, so each keeps its own.
 
@@ -183,12 +267,6 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
         return EigenResult([], mpf(0), 0)
     k = _top_exponent(m.rows)
     d, e = _tridiagonalize([[_fixed(x, P - k) for x in r] for r in m.rows])
-    e2, b, c = [0] + [x * x for x in e], 3 * max(map(abs, d + e)) + 1, []
-    for i in range(n):
-        lo, hi = -b, b
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if _sturm_count(d, e2, mid) > i else (mid, hi)
-        c.append(hi)
+    c = _centres(d, e, _ql_centres(d, e, P))
     units = 2 + (n + 1) // 2 + sum((9 * j + 27) // 16 for j in range(2, n))
     return EigenResult([mpf((x, k - P), prec=0) for x in c], mpf((units, k - P), prec=0), 0)

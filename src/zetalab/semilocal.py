@@ -98,16 +98,17 @@ def tate_arch_check(f, s, precision_bits: int = 256):
     beyond R, else QuadratureError, and for real s, where |rho(s)| = 1, the
     residual is within the sum of the two sides' bounds.
     """
-    with mp.workprec(precision_bits + _GUARD):
+    work = precision_bits + _GUARD  # the working precision, and the one asked of f
+    with mp.workprec(work):
         s = mp.mpmathify(s)
-        fhat = f.fourier()
+        fhat = f.fourier(work)
         radius = max(f.decay_radius(precision_bits + 32),
                      fhat.decay_radius(precision_bits + 32))
 
         def mellin_like(g, sign):
             b = 0.5 + sign * 1j * s
-            g0 = g.value_at_zero()
-            val = quad_checked(lambda x: (g.evaluate(x) - g0) * mp.power(x, b - 1),
+            g0 = g.value_at_zero(work)
+            val = quad_checked(lambda x: (g.evaluate(x, work) - g0) * mp.power(x, b - 1),
                                [0, 1, radius], precision_bits)
             return 2 * (val + g0 * mp.power(radius, b) / b)  # even functions: both half-lines
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -87,15 +88,35 @@ def test_reduction_runs_on_integers():
 
 
 def test_certificate_runs_on_integers():
-    # the reduction and the Sturm counts run on Python integers, and the
-    # residual is an integer count of units: nothing in them comes from mpmath
+    # the reduction, the seeding QL, the seeded bisection and the Sturm counts
+    # run on Python integers, and the residual is an integer count of units:
+    # nothing in them comes from mpmath
     tree = ast.parse((PACKAGE / "precision.py").read_text())
     from_mpmath = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
                    and node.module.startswith("mpmath") for a in node.names}
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("_reflect", "_tridiagonalize", "_sturm_count"):
+    for name in ("_reflect", "_tridiagonalize", "_ql_centres", "_centres", "_sturm_count"):
         used = {n.id for n in ast.walk(funcs[name]) if isinstance(n, ast.Name)}
         assert not used & from_mpmath, f"{name} uses {sorted(used & from_mpmath)}"
+
+
+def test_eigensolve_has_no_knob():
+    # the seeding adds no option: the eigensolve takes the matrix alone, and
+    # precision.py reads no environment variable
+    from zetalab.precision import jacobi_eigensystem
+
+    assert list(inspect.signature(jacobi_eigensystem).parameters) == ["m"]
+    tree = ast.parse((PACKAGE / "precision.py").read_text())
+    seen = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            seen.update(a.name.partition(".")[0] for a in node.names)
+            seen.add((getattr(node, "module", None) or "").partition(".")[0])
+    assert not seen & {"os", "environ", "getenv"}, sorted(seen & {"os", "environ", "getenv"})
 
 
 # Public names that only the tests reach, kept because each checks a

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from zetalab.precision import (_GUARD, HPMatrix, _reflect, _sturm_count, _tridiagonalize,
-                               jacobi_eigensystem)
+from zetalab import precision
+from zetalab.precision import (_GUARD, _WINDOW, HPMatrix, _centres, _ql_centres, _reflect,
+                               _sturm_count, _tridiagonalize, jacobi_eigensystem)
+from zetalab.weil import weil_gram
 
 
 def reflected(lam):
@@ -315,6 +317,75 @@ def test_bisection_within_the_residual(rows, bits):
     with mp.workprec(800):
         for got, want in zip(res.eigenvalues, sorted_eigenvalues(rows), strict=True):
             assert abs(got - want) <= res.residual
+
+
+def shifted_seeds(k):
+    def guess(d, e, P):
+        seeds = _ql_centres(d, e, P)
+        return seeds and [g + k for g in seeds]
+    return guess
+
+
+# Guessers that are wrong in every way _centres must survive: none at all,
+# every seed a unit past the window either side, and every seed at zero.
+WRONG_SEEDS = {
+    "none": lambda d, e, P: None,
+    "plus-9": shifted_seeds(_WINDOW + 1),
+    "minus-9": shifted_seeds(-_WINDOW - 1),
+    "zero": lambda d, e, P: [0] * len(d),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_symmetric(), st.sampled_from([8, 64, 128]))
+def test_wrong_seeds_stay_certified(rows, bits):
+    # a wrong seed costs counts, never certified bits: every centre stays
+    # within the residual of the 800-bit oracle, and the residual is the
+    # unseeded one
+    m, exact, residuals = HPMatrix(rows, bits), sorted_eigenvalues(rows), []
+    for guess in WRONG_SEEDS.values():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(precision, "_ql_centres", guess)
+            res = jacobi_eigensystem(m)
+        residuals.append(res.residual)
+        with mp.workprec(800):
+            for got, want in zip(res.eigenvalues, exact, strict=True):
+                assert abs(got - want) <= res.residual
+    assert len(set(residuals)) == 1
+
+
+FAST_PATH = {
+    "clustered": lambda: HPMatrix(clustered_blocks()[0], 128),
+    "graded": lambda: HPMatrix(graded()[0], 128),
+    "tridiagonal": lambda: HPMatrix(tridiagonal_ones()[0], 128),
+    "weil-11-24-192-even": lambda: weil_gram(11, 24, 192)[0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAST_PATH))
+def test_seeds_take_the_fast_path(case, monkeypatch):
+    # the integer QL converges, each seed is within the window of the full
+    # bracket's centre, and so each eigenvalue costs exactly 6 counts: the
+    # two that confirm its seed and log2(2 _WINDOW) = 4 halvings.  A guesser
+    # that breaks would only fall back and lose speed; this catches it.
+    m, seen, counts = FAST_PATH[case](), [], []
+
+    def spy(d, e, P):
+        seen.append((d, e, _ql_centres(d, e, P)))
+        return seen[-1][2]
+
+    def counted(*args):
+        counts.append(1)
+        return _sturm_count(*args)
+
+    monkeypatch.setattr(precision, "_ql_centres", spy)
+    monkeypatch.setattr(precision, "_sturm_count", counted)
+    jacobi_eigensystem(m)
+    monkeypatch.undo()
+    [(d, e, seeds)] = seen
+    assert seeds is not None
+    assert max(abs(g - c) for g, c in zip(seeds, _centres(d, e, None), strict=True)) <= _WINDOW
+    assert len(counts) == 6 * m.dim
 
 
 def exact_count(d, e, tau):

@@ -54,7 +54,9 @@ def test_quadrature_refuses_an_unconverged_estimate():
     with mp.workprec(bits):
         radius = GAUSS_HERMITE.decay_radius(bits + 32)
     with pytest.raises(QuadratureError):
-        quad_checked(lambda x: GAUSS_HERMITE.evaluate(x) * mp.power(x, 1j * s - mpf(1) / 2),
+        # f at the rule's bits + 80: evaluate adds its 16 guard bits
+        quad_checked(lambda x: GAUSS_HERMITE.evaluate(x, bits + 64)
+                     * mp.power(x, 1j * s - mpf(1) / 2),
                      [0, 1, radius], bits)
 
 
