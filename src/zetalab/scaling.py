@@ -3,12 +3,11 @@ D(lambda, k) of Connes-Consani ("Spectral triples and zeta-cycles",
 arXiv:2106.01715).
 
 The averaging map E(f)(x) = x^(1/2) sum_{n>0} f(nx) sends even functions with
-f(0) = f^(0) = 0 into the near-radical of the Weil form (semilocal evaluates
-it pointwise).  Prolate spheroidal wave functions (computed by the classical
-Legendre tridiagonalization of the commuting differential operator) supply
-the f's: the first even prolates at bandwidth c = 2 pi lambda^2 are nearly
-invariant under time/band truncation, which is exactly what makes their
-E-images almost lie in the radical.
+f(0) = f^(0) = 0 into the near-radical of the Weil form.  Prolate spheroidal
+wave functions (computed by the classical Legendre tridiagonalization of the
+commuting differential operator) supply the f's: the first even prolates at
+bandwidth c = 2 pi lambda^2 are nearly invariant under time/band truncation,
+which is exactly what makes their E-images almost lie in the radical.
 
 On the circle R+*/lambda^(2Z), with L = log lambda and alpha = pi/L, the
 periodization sum_k E(g)(lambda^(2k) u) has the coefficient Mellin(E(g))(alpha m)/sqrt(2L) at
@@ -26,9 +25,16 @@ decay of the periodization's levels.  Both factors are closed forms: no
 quadrature, and each mode's coefficient does not depend on the mode cut.
 
 The Dirac operator D0 = -i u d/du on the circle is diagonal in the log-Fourier
-basis with eigenvalues pi m / log(lambda); D(lambda, k) compresses it to the
-orthocomplement of the k-dimensional prolate frame, a rank-2k update.  The
-frame is built at the operator's own modes -M..M and made orthonormal once.
+basis e_m, with eigenvalues d_m = pi m / log(lambda).  The prolates are real,
+so their E-images are real functions: the frame is invariant under the real
+structure J: a_m -> conj(a_-m), and J D0 J = -D0 (Connes, "Noncommutative
+geometry and reality", J. Math. Phys. 36, 1995).  So everything runs in the
+real basis e_0, c_m = (e_m + e_-m)/sqrt(2), s_m = (e_m - e_-m)/(i sqrt(2)),
+m = 1..M, in that order, where D0 = i S0 with the real skew S0 c_m = d_m s_m,
+S0 s_m = -d_m c_m.  D(lambda, k) compresses D0 to the orthocomplement of the
+k-dimensional prolate frame, a rank-2k update, and is i S for a real skew S,
+whose eigenvalues +-sigma are read off the singular values of S.  The frame
+is built at the operator's own modes -M..M and made orthonormal once.
 The zeta-cycle check reads one spectrum per ordinate: at the circle length
 resonant_lambda(m, gamma) an eigenvalue reproduces a zero gamma, while a fake
 ordinate finds no eigenvalue that close.
@@ -145,13 +151,15 @@ def _zeta_critical(alpha: float, M: int) -> np.ndarray:
 
 
 def _prolate_E_coefficients(coeffs: np.ndarray, lam: float, M: int) -> np.ndarray:
-    """Circle coefficients zeta(1/2 - i alpha m) g^(alpha m)/sqrt(2L), m = -M..M,
-    of the prolates g_i(x) = psi_i(x/lambda)/sqrt(lambda); shape (2M+1, count).
+    """The E-images of the prolates g_i(x) = psi_i(x/lambda)/sqrt(lambda) on
+    the circle in the real basis e_0, c_1..c_M, s_1..s_M; shape (2M+1, count).
 
+    Their coefficient at e_m is a_m = zeta(1/2 - i alpha m) g^(alpha m)/sqrt(2L).
     With psi = sum_k c_k P~_2k, g^(s) = lambda^(-is) sum_k c_k P~_2k(1) M_2k(z),
     z = 1/2 - is, whose Legendre moments M_n(z) = int_0^1 x^(z-1) P_n(x) dx obey
-    M_0 = 1/z and M_{n+2} = M_n (z-n-1)/(z+n+2); lambda^(-i alpha m) = (-1)^m,
-    and m -> -m conjugates both factors."""
+    M_0 = 1/z and M_{n+2} = M_n (z-n-1)/(z+n+2); lambda^(-i alpha m) = (-1)^m.
+    m -> -m conjugates both factors, a_-m = conj(a_m), so the real
+    coordinates are a_0, sqrt(2) Re a_m and -sqrt(2) Im a_m, m = 1..M."""
     L = math.log(lam)
     alpha = math.pi / L
     zeta = _zeta_critical(alpha, M)
@@ -161,7 +169,7 @@ def _prolate_E_coefficients(coeffs: np.ndarray, lam: float, M: int) -> np.ndarra
     sign = np.where(np.arange(M + 1) % 2, -1.0, 1.0)  # lambda^(-i alpha m)
     half = moments @ (_legendre_at_one(coeffs.shape[0])[:, None] * coeffs)
     half *= (sign * zeta / math.sqrt(2 * L))[:, None]
-    return np.vstack([half[:0:-1].conj(), half])
+    return np.vstack([half[:1].real, math.sqrt(2) * half[1:].real, -math.sqrt(2) * half[1:].imag])
 
 
 def resonant_lambda(m: int, ordinate: float) -> float:
@@ -185,9 +193,10 @@ def _constrained_span(coeffs: np.ndarray, lam: float) -> np.ndarray:
 
 
 def prolate_vectors(lam: float, k: int, mode_cut: int) -> np.ndarray:
-    """The k-dimensional prolate-vector frame on the circle: orthonormal
-    columns in the log-Fourier basis e_m(t) = exp(i pi m t / L)/sqrt(2L),
-    modes -mode_cut..mode_cut, so of shape (2 mode_cut + 1, k).
+    """The k-dimensional prolate-vector frame on the circle: real orthonormal
+    columns in the real basis e_0, c_1..c_M, s_1..s_M, M = mode_cut, of the
+    log-Fourier modes e_m(t) = exp(i pi m t / L)/sqrt(2L), m = -M..M, so of
+    shape (2 mode_cut + 1, k).
 
     Takes the first k + _EXTRA even prolates, restricts their span to the
     codimension-2 subspace f(0) = 0, f^(0) = 0, applies E to a basis of it,
@@ -226,35 +235,52 @@ class SpectralReport:
 
 
 def dirac_matrix(lam: float, frame: np.ndarray) -> np.ndarray:
-    """(1 - Pi) D0 (1 - Pi) in the log-Fourier basis, modes -M..M with
-    2M + 1 = n the frame's row count; D0 = diag(pi m / L) and Pi = Q Q^H
-    projects on the frame Q, n x k with orthonormal columns as
+    """The real skew S with (1 - Pi) D0 (1 - Pi) = i S in the real basis
+    e_0, c_1..c_M, s_1..s_M, 2M + 1 = n the frame's row count; D0 = i S0 with
+    S0 c_m = d_m s_m, S0 s_m = -d_m c_m, d_m = pi m / L, and Pi = Q Q^T
+    projects on the frame Q, n x k with real orthonormal columns as
     prolate_vectors returns it.
 
-    Expanded, (1 - Pi) D0 (1 - Pi) = D0 - (W Q^H + Q W^H) with
-    W = D0 Q - Q C/2 and C = Q^H D0 Q: a rank-2k update of O(n^2 k) in place
-    of two dense n^3 products, exactly Hermitian, and within a few
-    eps max|d0| of the dense product entrywise."""
-    n = frame.shape[0]
-    d0 = np.pi * np.arange(-(n // 2), n // 2 + 1) / np.log(float(lam))
-    dq = d0[:, None] * frame
-    x = (dq - frame @ (frame.conj().T @ dq) / 2) @ frame.conj().T  # W Q^H
-    out = -(x + x.conj().T)
-    out[np.diag_indices(n)] += d0
+    Expanded, S = S0 - W Q^T + Q W^T with W = S0 Q - Q C/2 and C = Q^T S0 Q:
+    a rank-2k update of O(n^2 k) in place of two dense n^3 products, exactly
+    skew (S = -S^T bit for bit), and within a few eps max|d| of the dense
+    product entrywise."""
+    M = frame.shape[0] // 2
+    d = np.pi * np.arange(1, M + 1) / np.log(float(lam))
+    c, s = np.arange(1, M + 1), np.arange(M + 1, 2 * M + 1)
+    sq = np.zeros_like(frame)  # S0 Q
+    sq[c] = -d[:, None] * frame[s]
+    sq[s] = d[:, None] * frame[c]
+    x = (sq - frame @ (frame.T @ sq) / 2) @ frame.T  # W Q^T
+    out = x.T - x
+    out[s, c] += d
+    out[c, s] -= d
     return out
 
 
 def dirac_spectrum(lam: float, k: int, basis_size: int, zeros: ZeroTable) -> SpectralReport:
     """Spectrum of D(lambda, k) on basis_size modes -M..M (odd, at least
     2k + 8), the prolate frame built at those modes, against the ordinates of
-    a ZeroTable, read from the table's cached float64 view."""
+    a ZeroTable, read from the table's cached float64 view.
+
+    D(lambda, k) = i S with S real skew (dirac_matrix), so its eigenvalues are
+    +-sigma over the singular values of S, which come in equal pairs in exact
+    arithmetic.  The h = (basis_size - k) // 2 leading pairs give h values
+    sigma, each the mean of its pair, and the spectrum is -sigma, the
+    basis_size - 2h trailing singular values as computed (the kernel, which
+    holds the frame), then +sigma: ascending, as each mean is at least every
+    trailing value."""
     if not isinstance(zeros, ZeroTable):
         raise TypeError(f"dirac_spectrum takes a ZeroTable, not {type(zeros).__name__}")
     if operator.index(basis_size) < 2 * operator.index(k) + 8:
         raise ValueError("basis_size must be at least 2k + 8")
     if basis_size % 2 == 0:
         raise ValueError("basis_size must be odd (modes -M..M)")
-    eigs = np.linalg.eigvalsh(dirac_matrix(lam, prolate_vectors(lam, k, basis_size // 2)))
+    skew = dirac_matrix(lam, prolate_vectors(lam, k, basis_size // 2))
+    sv = np.linalg.svd(skew, compute_uv=False)
+    h = (basis_size - k) // 2
+    sigma = (sv[: 2 * h : 2] + sv[1 : 2 * h : 2]) / 2
+    eigs = np.concatenate([-sigma, sv[2 * h :][::-1], sigma[::-1]])
     table = zeros.float_ordinates()
     ords = table[: np.searchsorted(table, eigs[-1], side="right")]
     i = np.clip(np.searchsorted(eigs, ords), 1, len(eigs) - 1)

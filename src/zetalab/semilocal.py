@@ -2,11 +2,9 @@
 
 The functional-equation unitary on the critical line is the unimodular ratio
 u(s) = zeta(1/2-is)/zeta(1/2+is) = gamma_R(1/2+is)/gamma_R(1/2-is) with
-gamma_R(z) = pi^(-z/2) Gamma(z/2).  Tate's archimedean functional equation,
-the adelic lift of finite orbit sums to the averaging map
-E(f)(x) = x^(1/2) sum_{n>0} f(nx), evaluated here pointwise, and the
-trace-formula form of the archimedean explicit-formula distribution are all
-checked numerically here at arbitrary precision.
+gamma_R(z) = pi^(-z/2) Gamma(z/2).  Tate's archimedean functional equation
+and the trace-formula form of the archimedean explicit-formula distribution
+are both checked numerically here at arbitrary precision.
 
 Every numerical integral in the package is one quad_checked: tanh-sinh 80
 bits above the target, refused with QuadratureError when its error estimate
@@ -21,7 +19,7 @@ from __future__ import annotations
 from mpmath import mp, mpf
 
 from zetalab.bandfn import LogBandFunction, _sinc, band_frame
-from zetalab.weil import _GUARD, is_prime, w_arch
+from zetalab.weil import _GUARD, w_arch
 
 
 class QuadratureError(ArithmeticError):
@@ -118,52 +116,6 @@ def tate_arch_check(f, s, precision_bits: int = 256):
         )
         rhs = rho * mellin_like(f, +1)
         return +lhs, +rhs, +(lhs - rhs)
-
-
-# -- the adelic lift of Prop-type orbit sums -------------------------------------
-
-
-def _gamma_orbit_integers(mu: float) -> list[int]:
-    """Positive integers n <= mu whose prime factors are all < mu (the
-    integer points of the S-unit group orbit intersected with [-mu, mu]).
-
-    A prime factor of n <= mu is at most mu, and equals mu only for n = mu
-    prime, so that is the one integer dropped."""
-    top = int(mp.floor(mu))
-    out = list(range(1, top + 1))
-    if top == mu and is_prime(top):
-        out.pop()
-    return out
-
-
-def map_E(f, x, support_radius, precision_bits: int = 53):
-    """x^(1/2) sum_{n>=1} f(n x) for f vanishing beyond support_radius, so
-    the sum stops at n = support_radius / x; computed with guard bits."""
-    if x <= 0:
-        raise ValueError("x must be positive")
-    with mp.workprec(precision_bits + _GUARD):
-        x = mp.mpmathify(x)
-        nmax = int(mp.floor(support_radius / x))
-        if nmax < 1:
-            return mpf(0)
-        return mp.sqrt(x) * mp.fsum(f(n * x) for n in range(1, nmax + 1))
-
-
-def semilocal_lift_check(f, mu, u, precision_bits: int = 256):
-    """lhs = u^(1/2) * sum over the orbit integers Y of f(g u) versus
-    rhs = 2 E(f)(u), valid for u > 1/lambda with lambda = sqrt(mu).
-
-    f must be even with support (numerically) inside [-lambda, lambda]."""
-    with mp.workprec(precision_bits + _GUARD):
-        mu = mp.mpmathify(mu)
-        u = mp.mpmathify(u)
-        lam = mp.sqrt(mu)
-        if not (u > 1 / lam):
-            raise ValueError("the lift identity is only asserted for u > 1/lambda")
-        ys = _gamma_orbit_integers(mu)
-        lhs = mp.sqrt(u) * mp.fsum(2 * f.evaluate(n * u) for n in ys)
-        rhs = 2 * map_E(f.evaluate, u, lam, precision_bits)
-        return +lhs, +rhs
 
 
 # -- the archimedean trace-formula cross-check ------------------------------------

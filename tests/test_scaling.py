@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from complex_dirac import complex_coordinates, complex_dirac_matrix, real_coordinates
 from e_image_quadrature import e_image_coefficients
 from zetalab.scaling import (
     _EXTRA,
@@ -117,7 +118,8 @@ def test_closed_form_frame_matches_quadrature(zeros):
     coeffs = pswf_basis(lam, K + _EXTRA)
     span = _constrained_span(coeffs, lam)
     closed = _prolate_E_coefficients(coeffs, lam, WIDE_CUT) @ span
-    depth1, depth2 = (e_image_coefficients(coeffs, lam, WIDE_CUT, d) @ span for d in (1, 2))
+    depth1, depth2 = (real_coordinates(e_image_coefficients(coeffs, lam, WIDE_CUT, d)) @ span
+                      for d in (1, 2))
     assert np.abs(closed - depth2).max() <= np.abs(depth2 - depth1).max()
 
 
@@ -125,25 +127,68 @@ def test_closed_form_frame_matches_quadrature(zeros):
 def test_frame_at_the_operators_modes_spans_the_truncated_frame(ordinate):
     # each mode's coefficient is a closed form that does not depend on the
     # cut, so the frame built at modes -150..150 spans what the wider frame,
-    # cut to those modes and made orthonormal again, spans
+    # cut to those modes (e_0, c_1..c_M, s_1..s_M) and made orthonormal
+    # again, spans
     lam, M = resonant_lambda(M_CYCLE, ordinate), BASIS // 2
-    wide = prolate_vectors(lam, K, WIDE_CUT)[WIDE_CUT - M : WIDE_CUT + M + 1]
+    wide = prolate_vectors(lam, K, WIDE_CUT)[np.r_[0 : M + 1, WIDE_CUT + 1 : WIDE_CUT + M + 1]]
     old = np.linalg.svd(wide, full_matrices=False)[0]
     new = prolate_vectors(lam, K, M)
-    assert np.abs(new @ new.conj().T - old @ old.conj().T).max() <= 1e-12
+    assert np.abs(new @ new.T - old @ old.T).max() <= 1e-12
 
 
 def test_rank_2k_dirac_matrix_matches_dense():
-    # a random complex frame made orthonormal by QR, as prolate_vectors
-    # returns its frame, against the dense compression by 1 - Q Q^H
+    # a random real frame made orthonormal by QR, as prolate_vectors returns
+    # its frame, against the dense compression of S0 by 1 - Q Q^T
     lam, n, k = 1.3, 61, 4
     rng = np.random.default_rng(7)
-    q, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
     got = dirac_matrix(lam, q)
-    d0 = np.pi * np.arange(-(n // 2), n // 2 + 1) / np.log(lam)
-    comp = np.eye(n) - q @ q.conj().T
-    dense = comp @ np.diag(d0) @ comp
-    tol = 64 * np.finfo(float).eps * np.abs(d0).max()
-    assert np.array_equal(got, got.conj().T)
+    # S0 in the real basis e_0, c_1..c_M, s_1..s_M: S0 c_m = d_m s_m, S0 s_m = -d_m c_m
+    M = n // 2
+    d = np.pi * np.arange(1, M + 1) / np.log(lam)
+    s0 = np.zeros((n, n))
+    s0[M + 1 :, 1 : M + 1] = np.diag(d)
+    s0[1 : M + 1, M + 1 :] = -np.diag(d)
+    comp = np.eye(n) - q @ q.T
+    dense = comp @ s0 @ comp
+    tol = 64 * np.finfo(float).eps * np.abs(d).max()
+    assert np.array_equal(got, -got.T)
     assert np.abs(got - dense).max() <= tol
-    assert np.abs(np.linalg.eigvalsh(got) - np.linalg.eigvalsh(dense)).max() <= tol
+    svd = [np.linalg.svd(a, compute_uv=False) for a in (got, dense)]
+    assert np.abs(svd[0] - svd[1]).max() <= tol
+
+
+@pytest.mark.parametrize("ordinate", [float(ZEROS[0]), float(ZEROS[9]), float(ZEROS[30]), 27.5])
+def test_prolate_frame_is_real_and_orthonormal(ordinate):
+    q = prolate_vectors(resonant_lambda(M_CYCLE, ordinate), K, BASIS // 2)
+    assert q.dtype == np.float64 and q.shape == (BASIS, K)
+    assert np.abs(q.T @ q - np.eye(K)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("ordinate", [float(ZEROS[0]), float(ZEROS[30]), 27.5])
+def test_dirac_spectrum_reads_the_real_skew_matrix(zeros, ordinate):
+    # dirac_matrix is exactly skew; the spectrum is exactly +-symmetric
+    # outside its kernel, and the kernel is the trailing singular values of S
+    # as computed, at least k of them below 1e-8 (the frame)
+    lam = resonant_lambda(M_CYCLE, ordinate)
+    s = dirac_matrix(lam, prolate_vectors(lam, K, BASIS // 2))
+    assert s.dtype == np.float64 and np.array_equal(s, -s.T)
+    eigs = _spectrum(ordinate, zeros).eigenvalues
+    h = (BASIS - K) // 2
+    assert np.array_equal(eigs[:h], -eigs[: -h - 1 : -1])
+    kernel = eigs[h : BASIS - h]
+    assert np.array_equal(kernel, np.linalg.svd(s, compute_uv=False)[2 * h :][::-1])
+    assert np.count_nonzero(np.abs(kernel) < 1e-8) >= K
+
+
+@pytest.mark.parametrize("ordinate", [float(ZEROS[0]), float(ZEROS[1]), float(ZEROS[2]), 27.5])
+def test_real_route_matches_complex_route(zeros, ordinate):
+    # the frame's real coordinates mapped to the modes -M..M by the unitary
+    # change of basis, compressed as a complex Hermitian matrix: its eigvalsh
+    # spectrum is the real route's
+    lam = resonant_lambda(M_CYCLE, ordinate)
+    frame = complex_coordinates(prolate_vectors(lam, K, BASIS // 2))
+    assert np.abs(frame.conj().T @ frame - np.eye(K)).max() <= 1e-14
+    want = np.linalg.eigvalsh(complex_dirac_matrix(lam, frame))
+    tol = 64 * np.finfo(float).eps * np.pi * (BASIS // 2) / np.log(lam)
+    assert np.abs(_spectrum(ordinate, zeros).eigenvalues - want).max() <= tol
