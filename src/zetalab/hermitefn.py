@@ -4,9 +4,8 @@ The basis is the L^2-orthonormal Hermite family phi_j adapted to the Fourier
 transform F(xi)(y) = integral xi(x) exp(-2 pi i x y) dx, i.e. phi_j built on
 exp(-pi x^2) so that F phi_j = (-i)^j phi_j.  An EvenGaussHermite is a real
 combination of even-index phi_{2m}(x/a)/sqrt(a); its Fourier transform is the
-closed form with alternating signs and reciprocal scale, so membership in the
-codimension-2 space {f(0) = 0, f^(0) = 0} is two linear constraints on the
-coefficients.
+closed form with alternating signs and reciprocal scale: the test function
+of Tate's archimedean check (semilocal.tate_arch_check).
 """
 
 from __future__ import annotations
@@ -92,40 +91,12 @@ class EvenGaussHermite(Immutable):
                 mp.mpmathify(c) * hermite_phi_zero(2 * m) for m, c in enumerate(self.coeffs)
             ) / mp.sqrt(a)
 
-    def norm_sq(self, precision_bits: int):
-        """||f||^2 = sum_m |c_m|^2 (the basis is orthonormal), _GUARD bits
-        above precision_bits."""
-        with mp.workprec(precision_bits + _GUARD):
-            return mp.fsum(abs(mp.mpmathify(c)) ** 2 for c in self.coeffs)
-
     def decay_radius(self, precision_bits: int):
         """|f(x)| is below 2^-(precision_bits) outside [-r, r] (Gaussian tail,
         polynomial factors absorbed by the slack term)."""
         a = mp.mpmathify(self.scale)
         slack = 4 * (self.order + 2)
         return a * mp.sqrt((precision_bits + slack) * mp.log(2) / mp.pi)
-
-    def project_even_schwartz_zero(self, precision_bits: int) -> "EvenGaussHermite":
-        """Orthogonal projection onto {f(0) = 0, f^(0) = 0} in coefficient
-        space (the basis is orthonormal, so this is the L^2 projection),
-        computed _GUARD bits above precision_bits.
-
-        With u_m = phi_2m(0), f(0) sqrt(a) = sum_m c_m u_m and f^(0)/sqrt(a)
-        = sum_m (-1)^m c_m u_m, so the two constraints are equivalently
-        e.c = 0 and o.c = 0 for the even-m and odd-m halves e, o of u.  Their
-        supports are disjoint, so they are orthogonal, and the projection
-        removes c's component along each nonzero half.  Every u_m is nonzero,
-        so a half is zero only when it is empty: o at order 0, where f^(0) =
-        f(0) a and the space is one constraint.
-        """
-        with mp.workprec(precision_bits + _GUARD):
-            c = [mp.mpmathify(x) for x in self.coeffs]
-            u = [hermite_phi_zero(2 * m) for m in range(len(c))]
-            for half in (slice(0, None, 2), slice(1, None, 2)):
-                if u[half]:
-                    k = mp.fdot(u[half], c[half]) / mp.fdot(u[half], u[half])
-                    c[half] = [x - k * y for x, y in zip(c[half], u[half])]
-        return EvenGaussHermite(self.scale, c)
 
     def __repr__(self):
         return f"EvenGaussHermite(scale={self.scale}, order={self.order})"

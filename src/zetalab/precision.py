@@ -6,7 +6,7 @@ kept as given.  jacobi_eigensystem rounds the stored matrix once to fixed
 point, reduces it to tridiagonal form by Householder reflectors on Python
 integers (_reflect, each exactly orthogonal, with its rounding bounded a
 priori), and certifies every eigenvalue by bisection on integer Sturm counts
-(_sturm_count).  A values-only QL on the same integers (_ql_centres) seeds
+(_sturm_count).  A root-free QL on the same integers (_ql_centres) seeds
 each bracket, and a seed is used only when two counts confirm it, so a
 wrong or missing seed costs counts, never certified bits.  The certificate
 itself has no eigenvectors, no floating-point rounding and no iteration that
@@ -15,6 +15,7 @@ fixed number of sweeps.  The input rounding, the reduction's a-priori bound
 and the final bracket add up to one integer count of units.  It returns one
 residual that bounds every eigenvalue's error, in sorted order, for the
 eigenproblem of the stored matrix; the error of the entries is the caller's.
+The fixed-point helpers below are also the Weil Gram's (weil).
 """
 
 from __future__ import annotations
@@ -24,16 +25,17 @@ from math import isqrt
 from operator import index, mul
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from zetalab.immutable import Immutable
 
 # Working bits above precision_bits for reading HPMatrix entries, the
-# eigensolve and hermitefn's closed-form projection.  They set the
-# certificate's level: with 16 the eigensolve works at P = bits + 24, and on
-# the Weil blocks of the benchmark (dimension 12 to 25) the reduction's
-# a-priori count (48 to 196 units of 2^(k-P), 2^k just above the largest
-# entry), the input rounding (6 to 13 units) and the bisection's 2 units come
-# to 56 to 211 units, between 2^-(bits+14.3) and 2^-(bits+16.2).
+# eigensolve and hermitefn's evaluations.  They set the certificate's level:
+# with 16 the eigensolve works at P = bits + 24, and on the Weil blocks of the
+# benchmark (dimension 12 to 25) the reduction's a-priori count (48 to 196
+# units of 2^(k-P), 2^k just above the largest entry), the input rounding (6
+# to 13 units) and the bisection's 2 units come to 56 to 211 units, between
+# 2^-(bits+14.3) and 2^-(bits+16.2).
 _GUARD = 16
 
 
@@ -136,68 +138,86 @@ def _tridiagonalize(N):
 
 
 def _top_exponent(rows):
-    """The least k with 2^k > |x| for every mpf x in the rows, read off the
-    exponents (0 if every x is 0)."""
-    return max((x.exp + x.bc for r in rows for x in r if x), default=0)
+    """The least k with 2^k > |x| for every int or mpf x in the rows, or 0."""
+    return max((x.bit_length() if isinstance(x, int) else x.exp + x.bc
+                for r in rows for x in r if x), default=0)
 
+
+# The package's one fixed-point idiom: x as the integer round(x 2^s) (_fixed),
+# integer division to nearest (_div), exact mpfs back (_to_mpf), bounds up.
 
 def _fixed(x, s):
-    """round(x 2^s) for an mpf x, to nearest."""
-    sign, man, exp, _ = x._mpf_
+    """round(x 2^s), to nearest, for an int or an mpf x."""
+    sign, man, exp = (x < 0, abs(x), 0) if isinstance(x, int) else x._mpf_[:3]
     man = man << (exp + s) if exp + s >= 0 else (man + (1 << (-exp - s - 1))) >> (-exp - s)
     return -man if sign else man
 
 
+def _div(a, b):
+    """round(a/b), to nearest, for integers a and b > 0."""
+    return (2 * a + b) // (2 * b)
+
+
+def _to_mpf(x, e):
+    """The mpf x 2^e, exactly, for an integer x."""
+    return mp.make_mpf(from_man_exp(x, e))
+
+
+def _round_up(x, bits):
+    """An mpf of about `bits` bits at least the Fraction x >= 0."""
+    s = bits + x.denominator.bit_length() - x.numerator.bit_length()
+    num, den = x.numerator << max(s, 0), x.denominator << max(-s, 0)
+    return _to_mpf(-(-num // den), -s)
+
+
 def _ql_centres(d, e, P):
     """Sorted guesses, in units, for the eigenvalues of T = tridiag(e, d, e),
-    or None: the values-only implicit QL with a Wilkinson shift (the tqli
-    loop; Parlett, The Symmetric Eigenvalue Problem, ch. 8) on integers.
-    Nothing certified rests on a guess (_centres checks each one).
+    or None: the Pal-Walker-Kahan root-free QL with a Wilkinson shift
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 8; LAPACK's dsterf) on
+    integers.  Nothing certified rests on a guess (_centres checks each one).
 
-    Values are held at 2^P per unit and the rotations (s, c) at C = bitlen(t)
-    + P + 8 fractional bits, t = max|T entry|, with r = isqrt((f^2 + g^2)
-    2^2C), so s^2 + c^2 = 1 to 2^-C.  An off-diagonal below one unit
-    deflates.  With 2^(P/2) per unit the loop stalls on graded blocks, an
-    off-diagonal stuck above one unit beside far larger diagonal entries
-    (2^11 units beside 2^141 and 2^155 on a 216-bit Weil block at 2^96 per
-    unit; an 8 x 8 test matrix with eigenvalues 1 down to 2^-150, at 128
-    bits, did not converge in 500 sweeps at 2^80 per unit); the cause was
-    not analysed.  An eigenvalue that needs more than 30 sweeps returns None
-    (the most seen is 16).
+    It works on the squared off-diagonals E2, as _sturm_count does: values
+    at 2^P per unit, squares at 2^2P, and the squared cosine c = p/(p + E2_i)
+    at C = bitlen(t) + P + 8 fractional bits, t = max|T entry|, s = 1 - c.
+    An E2 below one unit (2^2P) deflates.  The shift takes one isqrt per
+    sweep, a rotation one division.  dsterf's p = gamma^2/c has no relative
+    accuracy left in fixed point once gamma and c are a few units, so p is
+    formed from gamma_old^2 = p_old c_old as c delta^2 - 2 s delta gamma_old
+    + s^2 c_old (p_old + E2_i), delta = d_i - shift, with no division and
+    exact in dsterf's limit c = 0.  At 2^(P/2) per unit the seeds of graded
+    and clustered blocks come out far off.  An eigenvalue that needs more
+    than 30 sweeps returns None.
     """
     n, one = len(d), 1 << P
     C = max(map(abs, d + e)).bit_length() + P + 8
-    D, E = [x << P for x in d], [x << P for x in e] + [0]
+    unit, one2 = 1 << C, one * one
+    D, E2 = [x << P for x in d], [x * x << 2 * P for x in e] + [0]
     for l in range(n):
         for _ in range(31):
             m = l
-            while m < n - 1 and abs(E[m]) >= one:
+            while m < n - 1 and E2[m] >= one2:
                 m += 1
             if m == l:
                 break
-            # Wilkinson shift from the leading 2 x 2, as g = D_m - shift
-            d2, el = D[l + 1] - D[l], E[l]
-            r = isqrt(d2 * d2 + 4 * el * el)
-            g = D[m] - D[l] + 2 * el * el // (d2 + (r if d2 >= 0 else -r))
-            s = c = 1 << C
-            p = 0
+            # Wilkinson shift from the leading 2 x 2
+            d2, e2 = D[l + 1] - D[l], E2[l]
+            r = isqrt(d2 * d2 + 4 * e2)
+            shift = D[l] - 2 * e2 // (d2 + (r if d2 >= 0 else -r))
+            c, s, g = unit, 0, D[m] - shift
+            p = g * g
             for i in range(m - 1, l - 1, -1):
-                f, b = s * E[i] >> C, c * E[i] >> C
-                r = isqrt((f * f + g * g) << 2 * C)
-                E[i + 1] = r >> C
-                if r == 0:  # a zero rotation splits the block: look again
-                    D[i + 1] -= p
-                    E[m] = 0
-                    break
-                s, c = (f << 2 * C) // r, (g << 2 * C) // r
-                g = D[i + 1] - p
-                r = ((D[i] - g) * s + 2 * c * b) >> C
-                p = s * r >> C
-                D[i + 1] = g + p
-                g = (c * r >> C) - b
-            else:
-                D[l] -= p
-                E[l], E[m] = g, 0
+                r = p + E2[i]  # E2[i] >= 2^2P, so r > 0
+                if i != m - 1:
+                    E2[i + 1] = s * r >> C
+                oldc, c = c, (p << C) // r
+                s, delta = unit - c, D[i] - shift
+                sg = s * g
+                t = c * delta - sg
+                D[i + 1] = g + D[i] - (t >> C)
+                g = t >> C
+                p = max(0, (delta * (t - sg) >> C) + (((s * s >> C) * oldc >> C) * r >> C))
+            E2[l] = s * p >> C
+            D[l] = shift + g
         else:
             return None
     return sorted((x + (one >> 1)) >> P for x in D)
@@ -269,4 +289,4 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     d, e = _tridiagonalize([[_fixed(x, P - k) for x in r] for r in m.rows])
     c = _centres(d, e, _ql_centres(d, e, P))
     units = 2 + (n + 1) // 2 + sum((9 * j + 27) // 16 for j in range(2, n))
-    return EigenResult([mpf((x, k - P), prec=0) for x in c], mpf((units, k - P), prec=0), 0)
+    return EigenResult([_to_mpf(x, k - P) for x in c], _to_mpf(units, k - P), 0)

@@ -57,21 +57,6 @@ def gamma_factor(z, precision_bits: int = 256):
         return +(mp.power(mp.pi, -half) * mp.gamma(half))
 
 
-def u_arch(s, precision_bits: int = 256):
-    """u(s) = gamma_R(1/2+is)/gamma_R(1/2-is); modulus 1 for real s."""
-    with mp.workprec(precision_bits + _GUARD):
-        s = mp.mpmathify(s)
-        return +(gamma_factor(0.5 + 1j * s, precision_bits)
-                 / gamma_factor(0.5 - 1j * s, precision_bits))
-
-
-def zeta_ratio(s, precision_bits: int = 256):
-    """zeta(1/2-is)/zeta(1/2+is): the other face of the same unitary."""
-    with mp.workprec(precision_bits + _GUARD):
-        s = mp.mpmathify(s)
-        return +(mp.zeta(0.5 - 1j * s) / mp.zeta(0.5 + 1j * s))
-
-
 # -- Tate's archimedean functional equation -------------------------------------
 
 
@@ -82,7 +67,7 @@ def tate_arch_check(f, s, precision_bits: int = 256):
         int F(f)(x) |x|^(-is) |x|^(1/2) d*x
             = rho(s) * int f(x) |x|^(is) |x|^(1/2) d*x
 
-    with rho(s) = gamma_R(1/2-is)/gamma_R(1/2+is) (the reciprocal of u_arch:
+    with rho(s) = gamma_R(1/2-is)/gamma_R(1/2+is) (the reciprocal of u(s):
     that is the orientation Tate's equation itself forces, cf. the self-dual
     Gaussian).  Returns (lhs, rhs, residual).
 
@@ -123,7 +108,7 @@ def tate_arch_check(f, s, precision_bits: int = 256):
 
 def _theta_prime(s):
     """theta'(s) = -log pi + (psi(1/4 + is/2) + psi(1/4 - is/2))/2, the
-    derivative of the phase of u_arch = e^(i theta) on the line, continued to
+    derivative of the phase of u(s) = e^(i theta) on the line, continued to
     complex s; by reflection and duplication it is -log 2pi + psi(1/2 - is)
     - (pi/2) cot(pi (1/4 + is/2)): one digamma.  Ambient precision."""
     return (mp.digamma(0.5 - 1j * s) - mp.pi / 2 * mp.cot(mp.pi * (0.25 + 0.5j * s))

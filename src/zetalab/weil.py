@@ -29,12 +29,17 @@ series from the same pass, so the assembly runs no quadrature.
 QW commutes with the reflection x -> 1/x, which maps psi_k to psi_-k, and
 psi_-k^(i/2) = conj psi_k^(i/2), so over the real basis every entry is real
 and the Gram is block diagonal: an even block over [const, cos_1..cos_K] and
-an odd block over [sin_1..sin_K].  _parity_blocks forms the two blocks
-directly, in real arithmetic (weil_gram_complex, the Gram over psi_-K..psi_K,
-is a view of them).  The pole functionals split the same way,
+an odd block over [sin_1..sin_K] (weil_gram_complex, the Gram over
+psi_-K..psi_K, is a view of them).  The pole functionals split the same way,
 (f^(i/2) + f^(-i/2))/2 acting on the even block and (f^(i/2) - f^(-i/2))/2
 on the odd one, so the Weil-positivity subspace f^(+-i/2) = 0 is one
 constraint per block, projected out by one Householder reflector.
+
+The Gram runs on integers from lambda^2 to the certificate, in precision's
+fixed-point idiom: _parity_blocks rounds its O(K) scalars and the digamma
+pass (_psi_pass) once to p = precision_bits + _GUARD fractional bits, forms
+every entry by integer products and rounded divisions, whose error
+_gram_entry_error counts in units of 2^-p, and _project_out stays on them.
 """
 
 from __future__ import annotations
@@ -47,32 +52,24 @@ from itertools import count
 from math import ceil, isqrt, lgamma, log, log2, pi, sqrt
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, to_rational
+from mpmath.libmp import to_rational
 
 from zetalab.bandfn import LogBandFunction, _num, band_frame
-from zetalab.precision import HPMatrix, _fixed, _reflect, _top_exponent, jacobi_eigensystem
+from zetalab.precision import (HPMatrix, _div, _fixed, _reflect, _round_up, _to_mpf, _top_exponent,
+                              jacobi_eigensystem)
 from zetalab.zerotable import ZeroTable
 
 # Working bits above precision_bits for every weil (and semilocal) evaluation.
-# They buy the Weil Gram its certificate: its entries are formed from terms up
-# to about lambda in size, and with 48 bits the entry-error bound
-# (_gram_entry_error, about 2^-(bits+33) at the benchmark's settings) times the
-# block dimension, and the reflector's rounding (_projection_error, about
-# 2^-(bits+27)) when the poles are projected, stay 11.2 to 13.8 bits below
-# the eigensolver's residual, which is between 2^-(bits+14.3) and
-# 2^-(bits+16.2) there, so the certified bits are the solver's.
+# They buy the Weil Gram its certificate: at the benchmark's settings the
+# entry count (_gram_entry_error, 62 to 77 units of 2^-(bits+48)) times the
+# block dimension is 22 to 23 bits, and the reflector's rounding
+# (_projection_error) 11 to 12 bits, below the eigensolver's residual,
+# 2^-(bits+14.3) to 2^-(bits+16.0), so the certified bits are the solver's.
 _GUARD = 48
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 def _exact(x) -> Fraction:
@@ -117,12 +114,12 @@ _bernfrac = cache(mp.bernfrac)  # exact B_n, the same at every precision
 def _psi_pass(ys, p, x=None, term_bound=None):
     """For each y in ys, w = 1/4 + iy: psi(w), psi'(w) and the series
     S_i = sum_{n<M} g_n (w+n)^-i, i = 1, 2, g_n = x^-(4n+1) (none if x is
-    None), as exact mpc from one pass on integers at s = p + G fractional
-    bits and one mp.log: psi and psi' within 2^-p of their values at y taken
-    to s bits (exact for y = 0 or a p-bit y >= 1), S_i within 2^-p sum_n g_n.
-    The g_n fall by x^-4, so the terms n >= M of any sum_n g_n t_n, |t_n| <=
-    term_bound(a_n) nonincreasing (a_n = 2n + 1/2), sum to at most g_M
-    term_bound(a_M)/(1 - x^-4), and M is the first index where that < 2^-p.
+    None), as integer pairs (real, imaginary) at p fractional bits, from one
+    pass on integers at s = p + G fractional bits and one mp.log: psi and
+    psi' within 2^-p, S_i within 2^-p (1 + sum_n g_n)/2.  The g_n fall by
+    x^-4, so the terms n >= M of any sum_n g_n t_n, |t_n| <= term_bound(a_n)
+    nonincreasing (a_n = 2n + 1/2), sum to at most g_M term_bound(a_M)/(1 -
+    x^-4), and M is the first index where that < 2^-p.
 
     With z = w + N, psi(w) = psi(z) - sum_{j<N} 1/(w+j), psi'(w) = psi'(z) +
     sum_{j<N} 1/(w+j)^2, psi(z) = log z - 1/(2z) - sum_{0<j<J} B_2j/(2j z^2j)
@@ -137,18 +134,19 @@ def _psi_pass(ys, p, x=None, term_bound=None):
     and |R'| <= |B_2J|/(m |z|^(2J+1)).  N is the least with |z| >= p/6 and J
     the least for which that bound on |B_2J| puts both below 2^-(p+2), which
     J near pi |z|/2 does (about 2^(-7.7 |z|)/m).  Rounding, in units of 2^-s:
-    1/(w+j) is within 1 and its square within 7; log z, 1/z, u, their halves
-    and the Horner sums within 2 (|u| <= 36/p^2 damps earlier roundings).  So
-    psi and psi' are within 7N + 6 < 2^(G-1) units, and S_1, S_2, formed
-    exactly from g_n good to about 2s bits, within 2 and 8 units per unit
-    weight.
+    1/(w+j) = (X - iY) q 2^-2s with q = floor(2^4s/(X^2 + Y^2)), one
+    division, is within 1 and its square within 7; log z, 1/z, u, their
+    halves and the Horner sums within 2 (|u| <= 36/p^2 damps earlier
+    roundings).  y itself is rounded to s bits, which moves psi by at most
+    psi'(1/4)/2 < 9 units, psi' by |psi''(1/4)|/2 < 65 and (w+n)^-i by 8i^3
+    per unit weight.  So psi and psi' are within 7N + 71 < 2^(G-1) units,
+    S_1, S_2, formed exactly from g_n good to about 2s bits, within 10 and
+    72 units per unit weight, less than 2^G/7 as 2^G > 512; rounding to p
+    bits adds half a unit of 2^-p.
     """
     R = p / 6
-    s = p + (14 * ceil(R) + 12).bit_length()
-    h = 1 << (s - 1)
-
-    def div(a, b):  # round(a/b) for b > 0
-        return (2 * a + b) // (2 * b)
+    s = p + (14 * ceil(R) + 160).bit_length()
+    h, h2 = 1 << (s - 1), 1 << (2 * s - 1)
 
     def mul(a, b):  # a b 2^-s, rounded, for integer pairs standing for complex numbers
         return (a[0] * b[0] - a[1] * b[1] + h) >> s, (a[0] * b[1] + a[1] * b[0] + h) >> s
@@ -162,17 +160,16 @@ def _psi_pass(ys, p, x=None, term_bound=None):
     for y in ys:
         Y, yf = _fixed(y, s), abs(float(y))
         N = ceil(sqrt(max(R * R - yf * yf, 0)) - 0.25)
-        sh = wt = [0] * 4  # 1/(w+j), 1/(w+j)^2 summed over j < N, and weighted at 2^-3s
+        terms = []  # 1/(w+j) and 1/(w+j)^2, j = 0..max(N, M - 1)
         for j in range(max(N + 1, len(gs))):
             X = (4 * j + 1) << (s - 2)
-            r = (div(X << 2 * s, X * X + Y * Y), div(-Y << 2 * s, X * X + Y * Y))
-            terms = (*r, *mul(r, r))
-            if j < N:
-                sh = [a + b for a, b in zip(sh, terms)]
-            elif j == N:
-                rz, u = r, terms[2:]  # 1/z and u
-            if j < len(gs):
-                wt = [a + gs[j] * b for a, b in zip(wt, terms)]
+            q = (1 << 4 * s) // (X * X + Y * Y)
+            r = ((X * q + h2) >> 2 * s, (h2 - Y * q) >> 2 * s)
+            terms.append((*r, *mul(r, r)))
+        cols = list(zip(*terms))
+        sh = [sum(col[:N]) for col in cols]  # summed over j < N, and weighted at 2^-3s:
+        wt = [sum(map(operator.mul, gs, col)) for col in cols]
+        rz, u = terms[N][:2], terms[N][2:]  # 1/z and u
         lz = log2((N + 0.25) ** 2 + yf * yf) / 2  # log2 |z|, and log2 m:
         lm = 0 if yf <= N + 0.25 else log2((2 * N + 0.5) * yf) - 2 * lz
         J = next(k for k in count(1) if lgamma(2 * k + 1) / log(2) - 2 * k * (lz + log2(2 * pi))
@@ -180,14 +177,14 @@ def _psi_pass(ys, p, x=None, term_bound=None):
         a = c = (0, 0)
         for j in range(J - 1, 0, -1):  # coefficients round(2^s B_2j/(2j)) and round(2^s B_2j)
             n, d = _bernfrac(2 * j)
-            a, c = mul((a[0] + div(n << s, 2 * j * d), a[1]), u), mul((c[0] + div(n << s, d), c[1]), u)
+            a, c = mul((a[0] + _div(n << s, 2 * j * d), a[1]), u), mul((c[0] + _div(n << s, d), c[1]), u)
         c = mul(rz, c)
         with mp.workprec(s + 8):
             lg = mp.log(mp.mpc(N + 0.25, y))
-        psi = [_fixed(v, s) - div(b, 2) - e - f for v, b, e, f in zip((lg.real, lg.imag), rz, a, sh)]
-        dpsi = [b + div(v, 2) + e + f for b, v, e, f in zip(rz, u, c, sh[2:])]
-        yield [mp.make_mpc((from_man_exp(v[0], e), from_man_exp(v[1], e)))
-               for v, e in ((psi, -s), (dpsi, -s), (wt[:2], -3 * s), (wt[2:], -3 * s))]
+        psi = [_fixed(v, s) - _div(b, 2) - e - f for v, b, e, f in zip((lg.real, lg.imag), rz, a, sh)]
+        dpsi = [b + _div(v, 2) + e + f for b, v, e, f in zip(rz, u, c, sh[2:])]
+        yield [tuple(_fixed(v, -e) for v in pair)
+               for pair, e in ((psi, s - p), (dpsi, s - p), (wt[:2], 3 * s - p), (wt[2:], 3 * s - p))]
 
 
 def _w_arch_band(f: LogBandFunction, precision_bits):
@@ -206,8 +203,9 @@ def _w_arch_band(f: LogBandFunction, precision_bits):
     int_L^inf dt/sinh t = 2 artanh(1/lambda), cancels exactly against the
     -f(1) log coth(L/2) = -2 f(1) artanh(1/lambda) of the truncated support.
     Tail: |Re 1/(w+n)| <= 2/a_n, so one _psi_pass with x = lambda^(1/2)
-    gives every psi(w) and series within 2^-(precision_bits + _GUARD), and
-    W_R(f) is within c0 sum_k |e_k| times twice that, plus rounding.
+    gives every psi(w) and series within 2^-(precision_bits + _GUARD) times
+    1 + sum_n g_n, and W_R(f) is within c0 sum_k |e_k| times twice that,
+    plus rounding.
     """
     L = f.log_halfwidth()
     alpha = mp.pi / L
@@ -215,10 +213,10 @@ def _w_arch_band(f: LogBandFunction, precision_bits):
     ks = [k for k in range(len(e)) if e[k]]
     log_pi = mp.log(mp.pi)
     acc = mpf(0)
-    psis = _psi_pass([alpha * k / 2 for k in ks], precision_bits + _GUARD, mp.exp(L / 2),
-                     lambda a: 2 / a)
+    p = precision_bits + _GUARD
+    psis = _psi_pass([alpha * k / 2 for k in ks], p, mp.exp(L / 2), lambda a: 2 / a)
     for k, (psi, _, series, _) in zip(ks, psis):
-        acc += e[k] * (log_pi - mp.re(psi) - (-1) ** k * mp.re(series))
+        acc += e[k] * (log_pi - _to_mpf(psi[0] + (-series[0] if k % 2 else series[0]), -p))
     return acc / mp.sqrt(2 * L)
 
 
@@ -293,7 +291,8 @@ def _pole_functionals(K, L, alpha, c0):
 def _arch_integrals(K, L, alpha, c2, precision_bits):
     """I(m) = int_0^2L sin(alpha m t) e^(t/2)/sinh t dt  (odd in m) and
     J(k) = int_0^2L [c2 (2L-t) cos(alpha k t) - e^(-t/2)] e^(t/2)/sinh t dt
-    for m = 0..K and k = 0..K, in closed form (c2 = 1/(2L), alpha = pi/L).
+    for m = 0..K and k = 0..K, in closed form (c2 = 1/(2L), alpha = pi/L),
+    as two lists of integers at p = precision_bits + _GUARD fractional bits.
 
     Expand e^(t/2)/sinh t = 2 sum_{n>=0} e^(-a_n t) with a_n = 2n + 1/2.  On
     T = 2L, e^(i beta T) = 1 for beta = alpha k, so with w = 1/4 + i beta/2
@@ -304,20 +303,19 @@ def _arch_integrals(K, L, alpha, c2, precision_bits):
             + 2 artanh(lambda^-2).
 
     Tail: |Im 1/(w+n)| <= 1/a_n and (c2/2) |(w+n)^-2| <= 2 c2/a_n^2, so one
-    _psi_pass with x = lambda stops both series within 2^-p, p = precision_bits
-    + _GUARD, and gives them, psi(w) and psi'(w) within 2^-p more: N shift
-    terms, the least with |w + N| >= p/6; J Stirling terms, the least with
-    remainder bound 4 (2J)! (2 pi |z|)^-2J max(1/(2J), 1/|z|)/m below
-    2^-(p+2); and 2^G > 14 ceil(p/6) + 12 guard bits.
+    _psi_pass with x = lambda stops both series within 2^-p and gives them,
+    psi(w) and psi'(w) within its own bounds; c2/2 and the constant are
+    taken at 2p bits, and the product with c2/2 is rounded once.
     """
+    p = precision_bits + _GUARD
     lam = mp.exp(L)
-    const = -mp.euler - 2 * mp.log(2) + 2 * mp.atanh(lam**-2)  # psi(1/2) + 2 artanh(lambda^-2)
-    I, J = {}, {}
-    psis = _psi_pass([alpha * k / 2 for k in range(K + 1)], precision_bits + _GUARD, lam,
-                     lambda a: max(1, 2 * c2 / a) / a)
-    for k, (psi, dpsi, s1, s2) in enumerate(psis):
-        I[k] = mp.im(psi) + mp.im(s1)
-        J[k] = const - mp.re(psi) - c2 / 2 * (mp.re(dpsi) - mp.re(s2))
+    const = _fixed(-mp.euler - 2 * mp.log(2) + 2 * mp.atanh(lam**-2), p)  # psi(1/2) + 2 artanh(lambda^-2)
+    half_c2 = _fixed(c2 / 2, 2 * p)
+    I, J = [], []
+    for psi, dpsi, s1, s2 in _psi_pass([alpha * k / 2 for k in range(K + 1)], p, lam,
+                                       lambda a: max(1, 2 * c2 / a) / a):
+        I.append(psi[1] + s1[1])
+        J.append(const - psi[0] - _fixed(half_c2 * (dpsi[0] - s2[0]), -2 * p))
     return I, J
 
 
@@ -336,12 +334,13 @@ def _check_gram_args(lam2, half_width, precision_bits):
 def _parity_blocks(lam2, K, precision_bits):
     """The even block over [const, cos_1..cos_K] and the odd block over
     [sin_1..sin_K] of QW's Gram, as lists of rows, and the pole functionals
-    (Pe, Po); run under workprec(precision_bits + _GUARD).
+    (Pe, Po), all integers at p = precision_bits + _GUARD fractional bits.
 
     Entry (j, k) of the Gram over psi_-K..psi_K is QW(psi_j, psi_k) = h^(i/2)
     + h^(-i/2) - W_R(h) - sum_p W_p(h) with h = psi_k * psi_j~.  With r =
-    c2/alpha, sigma = (-1)^(j+k) and the weights w at t = log p^m of
-    _prime_powers(lam2^2), h's band [lambda^-2, lambda^2] (p^m = lam2 at half weight),
+    c2/alpha = 1/(2 pi), sigma = (-1)^(j+k) and the weights w at t = log p^m
+    of _prime_powers(lam2^2), h's band [lambda^-2, lambda^2] (p^m = lam2 at
+    half weight),
 
         D(m) = I(m) + 2 sum w sin(alpha m t)                       (odd in m),
         T(m) = log 4pi + gamma + log tanh L + J(m) + 2 c2 sum w (2L - t) cos(alpha m t),
@@ -350,8 +349,9 @@ def _parity_blocks(lam2, K, precision_bits):
     (D(k) - D(j))/(j - k) off it, and its pole part psi_k^(i/2)
     conj(psi_j^(-i/2)) + psi_k^(-i/2) conj(psi_j^(i/2)).  In the real basis
     the pole part is 2 Pe_j Pe_k on the even block and -2 Po_j Po_k on the
-    odd one, and with a = (D(k) - D(j))/(j - k), b = (D(k) + D(j))/(j + k)
-    for j != k >= 1:
+    odd one, and with a = (D(k) - D(j))/(j - k), b = (D(k) + D(j))/(j + k),
+    a - b = 2 (k D(k) - j D(j))/(j^2 - k^2) and a + b = 2 (j D(k) - k
+    D(j))/(j^2 - k^2) for j != k >= 1:
 
         even[0][0] = 2 Pe_0^2 - T(0),
         even[0][k] = 2 Pe_0 Pe_k + sqrt2 r (-1)^k D(k)/k,
@@ -363,33 +363,49 @@ def _parity_blocks(lam2, K, precision_bits):
     Every term is real and the cos-sin cross block is 0 term by term, as QW
     commutes with x -> 1/x, which maps psi_k to psi_-k.  Each entry is formed
     once and mirrored, so both blocks are exactly symmetric.
+
+    Fixed point, at p = precision_bits + _GUARD bits: the O(K) scalars are
+    mpfs at 2p bits rounded once, I and J come from _arch_integrals, and the
+    prime sums run at q = p + g bits, 2^g >= 2^8 (K + 1)(#prime powers + 1),
+    each step (c, s) -> (c c_1 - s s_1, s c_1 + c s_1) rounded, so the error
+    grows linearly in the order.  An entry is integer products, each rounded
+    once, and at most one rounded division; _gram_entry_error counts units.
     """
-    L, alpha, c0 = band_frame(lam2)
-    c2 = c0 * c0
-    r = c2 / alpha
-    Pe, Po = _pole_functionals(K, L, alpha, c0)
-    I, J = _arch_integrals(K, L, alpha, c2, precision_bits)
-    pp = _prime_powers(_exact(lam2) ** 2)  # h = psi_k * psi_j~ lives on [lambda^-2, lambda^2]
-    arch_const = mp.log(4 * mp.pi) + mp.euler + mp.log(mp.tanh(L))
-    cs = [[mp.cos_sin(alpha * m * t) for _, t, _ in pp] for m in range(K + 1)]
-    tw = [w * (2 * L - t) for _, t, w in pp]
-    D = [I[m] + 2 * mp.fsum(w * s for (_, _, w), (_, s) in zip(pp, row)) for m, row in enumerate(cs)]
-    T = [arch_const + J[m] + 2 * c2 * mp.fsum(v * c for v, (c, _) in zip(tw, row))
-         for m, row in enumerate(cs)]
-    even = [[None] * (K + 1) for _ in range(K + 1)]
-    odd = [[None] * K for _ in range(K)]
-    even[0][0] = 2 * Pe[0] ** 2 - T[0]
+    p = precision_bits + _GUARD
+    with mp.workprec(2 * p):
+        L, alpha, c0 = band_frame(lam2)
+        c2 = c0 * c0
+        Pe, Po = ([_fixed(x, p) for x in v] for v in _pole_functionals(K, L, alpha, c0))
+        I, J = _arch_integrals(K, L, alpha, c2, precision_bits)
+        pp = _prime_powers(_exact(lam2) ** 2)  # h = psi_k * psi_j~ lives on [lambda^-2, lambda^2]
+        q = p + ((K + 1) * (len(pp) + 1)).bit_length() + 8
+        rotations = [(*(_fixed(x, q) for x in mp.cos_sin(alpha * t)), _fixed(2 * w, q),
+                      _fixed(w * (2 * L - t) / L, q)) for _, t, w in pp]
+        arch_const = _fixed(mp.log(4 * mp.pi) + mp.euler + mp.log(mp.tanh(L)), p)
+        r, rt2 = _fixed(1 / (2 * mp.pi), 2 * p), _fixed(mp.sqrt(2), 2 * p)
+    Ds, Ts, hq = [0] * (K + 1), [0] * (K + 1), 1 << (q - 1)
+    for c1, s1, w2, v in rotations:
+        c, s = 1 << q, 0
+        for m in range(K + 1):
+            Ds[m] += w2 * s
+            Ts[m] += v * c
+            c, s = (c * c1 - s * s1 + hq) >> q, (s * c1 + c * s1 + hq) >> q
+    T = [arch_const + j + _fixed(x, p - 2 * q) for j, x in zip(J, Ts)]
+    D = [_fixed(r * (i + _fixed(x, p - 2 * q)), -2 * p) for i, x in zip(I, Ds)]  # r D(m)
+    half = 1 << (p - 1)
+    even, odd = [[0] * (K + 1) for _ in range(K + 1)], [[0] * K for _ in range(K)]
+    even[0][0] = (2 * Pe[0] * Pe[0] + half >> p) - T[0]
     for k in range(1, K + 1):
-        q = r * D[k] / k
-        even[0][k] = even[k][0] = 2 * Pe[0] * Pe[k] + mp.sqrt(2) * (-q if k % 2 else q)
-        even[k][k] = 2 * Pe[k] ** 2 - T[k] + q
-        odd[k - 1][k - 1] = -2 * Po[k - 1] ** 2 - T[k] - q
-        for j in range(1, k):
-            s = -r if (j + k) % 2 else r
-            a = (D[k] - D[j]) / (j - k)
-            b = (D[k] + D[j]) / (j + k)
-            even[j][k] = even[k][j] = 2 * Pe[j] * Pe[k] - s * (a - b)
-            odd[j - 1][k - 1] = odd[k - 1][j - 1] = -2 * Po[j - 1] * Po[k - 1] - s * (a + b)
+        dk, rdk = _div(D[k], k), _div(rt2 * D[k], k << 2 * p)
+        even[0][k] = even[k][0] = (2 * Pe[0] * Pe[k] + half >> p) + (-rdk if k % 2 else rdk)
+        even[k][k] = (2 * Pe[k] * Pe[k] + half >> p) - T[k] + dk
+        odd[k - 1][k - 1] = -(2 * Po[k - 1] * Po[k - 1] + half >> p) - T[k] - dk
+        for j in range(1, k):  # sigma r (a - b) and sigma r (a + b), D being r D
+            n, sigma = k * k - j * j, (-1) ** (j + k)
+            a_b = _div(2 * sigma * (j * D[j] - k * D[k]), n)
+            ab = _div(2 * sigma * (k * D[j] - j * D[k]), n)
+            even[j][k] = even[k][j] = (2 * Pe[j] * Pe[k] + half >> p) - a_b
+            odd[j - 1][k - 1] = odd[k - 1][j - 1] = -(2 * Po[j - 1] * Po[k - 1] + half >> p) - ab
     return (even, odd), (Pe, Po)
 
 
@@ -408,9 +424,10 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
     deleting it is a benchmark change.
     """
     _check_gram_args(lam2, half_width, precision_bits)
-    K = half_width
-    with mp.workprec(precision_bits + _GUARD):
-        (even, odd), _ = _parity_blocks(lam2, K, precision_bits)
+    K, p = half_width, precision_bits + _GUARD
+    even, odd = ([[_to_mpf(x, -p) for x in r] for r in b]
+                 for b in _parity_blocks(lam2, K, precision_bits)[0])
+    with mp.workprec(p):
         rt2 = mp.sqrt(2)
 
         def entry(j, k):
@@ -424,8 +441,9 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
 
 
 def _project_out(rows, c, p):
-    """Compress the symmetric matrix A onto the orthocomplement of the
-    vector c by one Householder reflector, in fixed point.
+    """Compress the symmetric matrix A = rows 2^-p, integer rows, onto the
+    orthocomplement of the vector c (ints or mpfs, any common scale) by one
+    Householder reflector, in fixed point.
 
     A is rounded to N units of 2^(k-p-8), 2^k > max|A_ij|, and c to the
     integer vector x = round(c 2^(p+8-kc)), 2^kc > max|c_i|, so |x| >=
@@ -437,16 +455,15 @@ def _project_out(rows, c, p):
     """
     if not rows:
         return []
-    k, kc = _top_exponent(rows), _top_exponent([c])
-    out, _ = _reflect([[_fixed(x, p + 8 - k) for x in r] for r in rows],
+    k, kc = _top_exponent(rows) - p, _top_exponent([c])
+    out, _ = _reflect([[_fixed(x, 8 - k) for x in r] for r in rows],
                       [_fixed(x, p + 8 - kc) for x in c])
-    return [[mpf((x, k - p - 8), prec=0) for x in r[1:]] for r in out[1:]]
+    return [[_to_mpf(x, k - p - 8) for x in r[1:]] for r in out[1:]]
 
 
 def _gram_scale(lam2, K, precision_bits):
-    """S, with every entry of either parity block formed at p = precision_bits
-    + _GUARD bits from terms whose absolute values add up to at most 2S.  S is
-    the sum of these bounds:
+    """S, the magnitude that _gram_entry_error's count scales with: each
+    entry's terms add up to at most 2S in absolute value.  S is the sum of:
       - pole: 32 c2 sinh(L/2)^2.  |Pe_0| = 4 c0 sinh(L/2), and |Pe_k| <=
         4 sqrt2 c0 sinh(L/2) and |Po_k| <= 2 sqrt2 c0 sinh(L/2) since
         alpha^2 k^2 + 1/4 >= max(1/4, alpha k); so 2 |P_j P_k| <= 2 (32 c2
@@ -466,11 +483,12 @@ def _gram_scale(lam2, K, precision_bits):
     the terms of T and D add up to at most S - 32 c2 sinh(L/2)^2 + W, and
     with the pole terms an entry's add up to at most 2S.
     """
-    with mp.workprec(precision_bits + _GUARD):
+    p = precision_bits + _GUARD
+    with mp.workprec(p):
         L = band_frame(lam2)[0]
         lam, c2 = mp.exp(L), 1 / (2 * L)
         weights = mp.fsum(w for _, _, w in _prime_powers(_exact(lam2) ** 2))
-        psi_top = abs(mp.re(next(_psi_pass([mp.pi * K / (2 * L)], precision_bits + _GUARD))[0]))
+        psi_top = _to_mpf(abs(next(_psi_pass([mp.pi * K / (2 * L)], p))[0][0]) + 1, -p)  # and its unit
         psi_quarter = -mp.euler - mp.pi / 2 - 3 * mp.log(2)
         return (32 * c2 * mp.sinh(L / 2) ** 2 + 2 * weights + 12 - 2 * mp.log(mp.tanh(L))
                 + max(-psi_quarter, psi_top) + 9 * c2 + (2 + 32 * c2) / (lam - lam**-3))
@@ -478,21 +496,31 @@ def _gram_scale(lam2, K, precision_bits):
 
 def _gram_entry_error(S, precision_bits):
     """Bound on |stored - exact| for every entry of either parity block,
-    given S = _gram_scale(lam2, K, precision_bits).
+    given S = _gram_scale(lam2, K, precision_bits): 14 + ceil(5S/4) units of
+    2^-p, p = precision_bits + _GUARD, an exact integer count.
 
-    Rounding: every product, quotient, sum and elementary-function value is
-    within 4 units of 2^-p of itself, p = precision_bits + _GUARD, and every
-    _psi_pass value within 4 units of 2^-p of what _gram_scale charges for
-    it (psi, psi' within 2^-p, charged at least 4 and 9 c2 for (c2/2) psi';
-    the series within 2^-p sum_n lambda^-(4n+1), charged at least twice
-    that); no chain from an input to an entry has more than 2^7 such steps,
-    and the absolute values along any sum add up to at most 2S, so the
-    rounding of an entry is below 2^10 2^-p S.  The series tails of I and J
-    add less than 2^-p each (weight at most 1), so each block entry is within
-    2^-p (2 + 2^10 S) of exact.
-    """
-    with mp.workprec(precision_bits + _GUARD):
-        return mpf(2) ** -(precision_bits + _GUARD) * (2 + 2**10 * S)
+    In units of 2^-p: each scalar rounded from a 2p-bit mpf is within 1 (half
+    for the rounding, less than half for the mpf while S, K alpha and (K +
+    1)^2 (#prime powers + 1) are below 2^(p-20)).  _psi_pass gives psi and
+    psi' within 1 and S_1, S_2 within (1 + G)/2, G = 1/(lambda - lambda^-3)
+    >= sum_n lambda^-(4n+1), and each series tail is below 1.  So:
+      - I = Im psi + Im S_1 is within 5/2 + G/2;
+      - a prime sum within 1/2 + 1/64: (c_m, s_m) is within 3m/2 + 1 units
+        of 2^-q (1/sqrt2 from (c_1, s_1) and 1/sqrt2 of rounding per step,
+        1 for alpha t's own error), and its weights (2w, w (2L - t)/L <= 2w
+        <= 4/e) over m <= K and every prime power keep that below 2^(q-p-6);
+      - r D within 1 + (7/2 + G/2)/(2 pi) <= 2 + G/12;
+      - T within 6 + 3 c2/4 + c2 G/4: the constants 1 + 1, Re psi 1, the
+        product (c2/2)(psi' - S_2) within (c2/2)(3/2 + G/2) + 1, the tail 1
+        and the prime sum 1;
+      - a pole product round(2 P_j P_k) within 4 sqrt(S) + 1, as every pole
+        functional has P^2 <= 32 c2 sinh(L/2)^2 <= S.
+    An off-diagonal entry adds one division, within 1/2, of numerators whose
+    errors |j^2 - k^2| >= j + k damps to 2 (2 + G/12); even[0][k] adds sqrt2
+    (2 + G/12) + 1; a diagonal one, the largest, comes to 4 sqrt(S) + 19/2 +
+    3 c2/4 + c2 G/4 + G/12.  S >= 9 c2, S >= (2 + 32 c2) G and 4 sqrt(S) <= S
+    + 4 put every entry below 13.5 + 1.14 S."""
+    return _to_mpf(14 + ceil(Fraction(5, 4) * _exact(S)), -(precision_bits + _GUARD))
 
 
 def _projection_error(lam2, K, precision_bits, S):
@@ -539,17 +567,13 @@ def weil_gram(
     compressed onto the kernel of its pole functional, which together cut out
     the codimension-2 subspace f^(+-i/2) = 0."""
     _check_gram_args(lam2, half_width, precision_bits)
-    with mp.workprec(precision_bits + _GUARD):
-        blocks, poles = _parity_blocks(lam2, half_width, precision_bits)
-        if project_poles:
-            blocks = [_project_out(b, c, precision_bits + _GUARD) for b, c in zip(blocks, poles)]
+    p = precision_bits + _GUARD
+    blocks, poles = _parity_blocks(lam2, half_width, precision_bits)
+    if project_poles:
+        blocks = [_project_out(b, c, p) for b, c in zip(blocks, poles)]
+    else:
+        blocks = [[[_to_mpf(x, -p) for x in r] for r in b] for b in blocks]
     return tuple(HPMatrix(b, precision_bits) for b in blocks)
-
-
-def _round_up(x, bits):
-    """An mpf of about `bits` bits at least the Fraction x >= 0."""
-    s = bits + x.denominator.bit_length() - x.numerator.bit_length()
-    return mpf((ceil(x * Fraction(2) ** s), -s), prec=0)
 
 
 @dataclass
@@ -577,7 +601,7 @@ def weil_gram_spectrum(
     whose 2-norm is no larger, and adds its own rounding, _projection_error.
     Both bounds scale with the same _gram_scale, formed once here.  The
     three terms are added exactly and the sum rounded up once; at the
-    benchmark's settings the last two are 11.2 to 13.8 bits below the first.
+    benchmark's settings the second is 22 bits below the first, the third 11.
     """
     eigenvalues = []
     residual = mpf(0)

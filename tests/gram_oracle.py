@@ -1,0 +1,59 @@
+"""The Weil Gram's parity blocks assembled in mpf arithmetic: the oracle for
+weil._parity_blocks, which assembles them on integers.
+
+It forms the same entries in mpf arithmetic at the ambient precision: a
+cos_sin table over every order and prime power, the prime sums by fsum, and
+an mpf entry loop.  I(m) and J(k) come from weil._arch_integrals, read as
+mpfs.
+"""
+
+from mpmath import mp, mpf
+
+from zetalab.bandfn import band_frame
+from zetalab.weil import _GUARD, _arch_integrals, _exact, _pole_functionals, _prime_powers
+
+# The benchmark's Weil grid (perfbench/workloads.py), copied:
+# (lam2, K, bits, project_poles).
+WEIL_GRID = (
+    (5, 24, 128, False),
+    (7, 20, 160, False),
+    (11, 24, 192, False),
+    (5, 16, 128, True),
+    (11, 20, 192, True),
+    (3, 12, 192, False),
+)
+
+
+def mpf_parity_blocks(lam2, K, precision_bits):
+    """The even and odd blocks of weil._parity_blocks as mpf rows, formed in
+    mpf arithmetic at the ambient precision, the formulas of its docstring
+    term by term."""
+    L, alpha, c0 = band_frame(lam2)
+    c2 = c0 * c0
+    r = c2 / alpha
+    Pe, Po = _pole_functionals(K, L, alpha, c0)
+    p = precision_bits + _GUARD
+    I, J = ([mpf((x, -p), prec=0) for x in v]
+            for v in _arch_integrals(K, L, alpha, c2, precision_bits))
+    pp = _prime_powers(_exact(lam2) ** 2)
+    arch_const = mp.log(4 * mp.pi) + mp.euler + mp.log(mp.tanh(L))
+    cs = [[mp.cos_sin(alpha * m * t) for _, t, _ in pp] for m in range(K + 1)]
+    tw = [w * (2 * L - t) for _, t, w in pp]
+    D = [I[m] + 2 * mp.fsum(w * s for (_, _, w), (_, s) in zip(pp, row)) for m, row in enumerate(cs)]
+    T = [arch_const + J[m] + 2 * c2 * mp.fsum(v * c for v, (c, _) in zip(tw, row))
+         for m, row in enumerate(cs)]
+    even = [[None] * (K + 1) for _ in range(K + 1)]
+    odd = [[None] * K for _ in range(K)]
+    even[0][0] = 2 * Pe[0] ** 2 - T[0]
+    for k in range(1, K + 1):
+        q = r * D[k] / k
+        even[0][k] = even[k][0] = 2 * Pe[0] * Pe[k] + mp.sqrt(2) * (-q if k % 2 else q)
+        even[k][k] = 2 * Pe[k] ** 2 - T[k] + q
+        odd[k - 1][k - 1] = -2 * Po[k - 1] ** 2 - T[k] - q
+        for j in range(1, k):
+            s = -r if (j + k) % 2 else r
+            a = (D[k] - D[j]) / (j - k)
+            b = (D[k] + D[j]) / (j + k)
+            even[j][k] = even[k][j] = 2 * Pe[j] * Pe[k] - s * (a - b)
+            odd[j - 1][k - 1] = odd[k - 1][j - 1] = -2 * Po[j - 1] * Po[k - 1] - s * (a + b)
+    return even, odd

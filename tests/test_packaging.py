@@ -100,6 +100,43 @@ def test_certificate_runs_on_integers():
         assert not used & from_mpmath, f"{name} uses {sorted(used & from_mpmath)}"
 
 
+def _function(module, name):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    [func] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return tree, func
+
+
+def test_gram_assembly_runs_on_integers():
+    # _parity_blocks rounds its O(K) scalars to integers in its one workprec
+    # block; past it, the prime recurrence and the entry loop read no mpmath
+    # name and none of the block's mpf values (the band's L, alpha, c0, c2
+    # and the prime-power table)
+    tree, func = _function("weil", "_parity_blocks")
+    from_mpmath = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                   and node.module.startswith("mpmath") for a in node.names}
+    [at] = [i for i, node in enumerate(func.body) if isinstance(node, ast.With)]
+    rest = func.body[at + 1:]
+    assert sum(isinstance(node, ast.For) for node in rest) >= 2  # the recurrence and the entries
+    used = {n.id for node in rest for n in ast.walk(node) if isinstance(n, ast.Name)}
+    banned = from_mpmath | {"_to_mpf", "L", "alpha", "c0", "c2", "pp"}
+    assert not used & banned, f"the integer assembly uses {sorted(used & banned)}"
+
+
+def test_ql_rotations_take_no_square_root():
+    # the root-free QL: its one isqrt is the Wilkinson shift, once per sweep,
+    # and the rotation loop, the innermost, calls none
+    _, func = _function("precision", "_ql_centres")
+
+    def isqrts(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", getattr(n.func, "attr", None)) == "isqrt"]
+
+    loops = [n for n in ast.walk(func) if isinstance(n, ast.For)]
+    innermost = [n for n in loops if not any(isinstance(m, ast.For) for m in ast.walk(n) if m is not n)]
+    assert innermost and not any(isqrts(n) for n in innermost)
+    assert len(isqrts(func)) == 1
+
+
 def test_eigensolve_has_no_knob():
     # the seeding adds no option: the eigensolve takes the matrix alone, and
     # precision.py reads no environment variable
@@ -119,17 +156,13 @@ def test_eigensolve_has_no_knob():
     assert not seen & {"os", "environ", "getenv"}, sorted(seen & {"os", "environ", "getenv"})
 
 
-# Public names that only the tests reach, kept because each checks a
-# north-star identity: semilocal's checks, and EvenGaussHermite's methods,
-# which no bench workload runs yet.
+# Public names that only the tests reach, kept because each compares two
+# independent routes to a north-star identity, which no bench workload runs
+# yet: Tate's archimedean functional equation and the archimedean trace
+# formula.
 NORTH_STAR_CHECKS = (
-    "u_arch",
-    "zeta_ratio",
     "tate_arch_check",
     "arch_trace_check",
-    "EvenGaussHermite.value_at_zero",
-    "EvenGaussHermite.norm_sq",
-    "EvenGaussHermite.project_even_schwartz_zero",
 )
 
 

@@ -12,6 +12,7 @@ from mpmath import mp, mpf
 from zetalab import precision
 from zetalab.precision import (_GUARD, _WINDOW, HPMatrix, _centres, _ql_centres, _reflect,
                                _sturm_count, _tridiagonalize, jacobi_eigensystem)
+from gram_oracle import WEIL_GRID
 from zetalab.weil import weil_gram
 
 
@@ -336,8 +337,21 @@ WRONG_SEEDS = {
 }
 
 
+def doubled_signs(seed, n=16):
+    """Q diag(+-1) Q^T beside itself, Q a seeded random orthogonal matrix in
+    float64: a 2n x 2n matrix whose eigenvalues near +1 and -1 each have
+    even multiplicity, one of them n or more."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = q @ np.diag(rng.choice([-1.0, 1.0], n)) @ q.T
+    b = ((a + a.T) / 2).tolist()  # exactly symmetric
+    return direct_sum(b, b)
+
+
 @settings(max_examples=100, deadline=None)
 @given(integer_symmetric(), st.sampled_from([8, 64, 128]))
+@example(doubled_signs(1), 64)  # eigenvalues of multiplicity n/2 or more,
+@example(doubled_signs(2), 64)  # where a QL's off-diagonals may stall
 def test_wrong_seeds_stay_certified(rows, bits):
     # a wrong seed costs counts, never certified bits: every centre stays
     # within the residual of the 800-bit oracle, and the residual is the
@@ -354,11 +368,18 @@ def test_wrong_seeds_stay_certified(rows, bits):
     assert len(set(residuals)) == 1
 
 
+def weil_block(setting, parity):
+    return lambda: weil_gram(*setting)[parity]
+
+
 FAST_PATH = {
     "clustered": lambda: HPMatrix(clustered_blocks()[0], 128),
     "graded": lambda: HPMatrix(graded()[0], 128),
     "tridiagonal": lambda: HPMatrix(tridiagonal_ones()[0], 128),
-    "weil-11-24-192-even": lambda: weil_gram(11, 24, 192)[0],
+    # both parity blocks of every setting of the benchmark's Weil grid
+    **{"-".join(["weil", *map(str, setting[:3])] + ["projected"] * setting[3] + [name]):
+       weil_block(setting, parity)
+       for setting in WEIL_GRID for parity, name in enumerate(("even", "odd"))},
 }
 
 

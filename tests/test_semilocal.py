@@ -7,19 +7,32 @@ from zetalab.bandfn import LogBandFunction
 from zetalab.hermitefn import EvenGaussHermite
 from zetalab.semilocal import (
     QuadratureError,
+    _theta_prime,
     arch_trace_check,
+    gamma_factor,
     quad_checked,
     tate_arch_check,
-    u_arch,
-    zeta_ratio,
 )
 
 GAUSS_HERMITE = EvenGaussHermite(mpf("1.3"), [1, mpf("0.5"), mpf(-2) / 3, mpf("0.25")])
 
 
-def test_u_arch_is_zeta_ratio():
-    for s in (mpf("3.7"), mpf(-11) / 3):
-        assert abs(u_arch(s, 128) - zeta_ratio(s, 128)) < mpf(2) ** -120
+def u_arch(s, precision_bits):
+    """u(s) = gamma_R(1/2+is)/gamma_R(1/2-is), modulus 1 for real s: the
+    functional-equation unitary on the critical line, from mpmath's gamma."""
+    return gamma_factor(0.5 + 1j * s, precision_bits) / gamma_factor(0.5 - 1j * s, precision_bits)
+
+
+@pytest.mark.parametrize("s", ["0.7", "3.7", "-11/3"])
+def test_theta_prime_is_the_phase_derivative(s):
+    # theta' (one digamma, by reflection and duplication) against d/ds arg
+    # u(s) = Im u'(s)/u(s), u from two gamma values, differentiated by mp.diff;
+    # u is asked for 512 bits, as mp.diff's differences cancel most of them
+    with mp.workprec(128):
+        s = Fraction(s)
+        s = mpf(s.numerator) / s.denominator
+        phase = mp.im(mp.diff(lambda x: u_arch(x, 512), s) / u_arch(s, 512))
+        assert abs(_theta_prime(s) - phase) < mpf(2) ** -100
 
 
 def test_tate_functional_equation():

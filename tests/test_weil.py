@@ -6,6 +6,7 @@ from mpmath.libmp import to_rational
 
 from arch_quadrature import w_arch_quadrature
 from convolved_band import star_convolve
+from gram_oracle import WEIL_GRID, mpf_parity_blocks
 from zetalab.bandfn import LogBandFunction, band_frame
 from zetalab.precision import HPMatrix
 from zetalab.scaling import dirac_spectrum, resonant_lambda
@@ -314,6 +315,14 @@ PSI_SETTINGS = (
 )
 
 
+def unfixed(x, p):
+    """The integer x, or the integer pair x (real, imaginary), at p fractional
+    bits, as an exact mpf or mpc."""
+    if isinstance(x, tuple):
+        return mpc(*(unfixed(v, p) for v in x))
+    return mpf((x, -p), prec=0)
+
+
 def _psi_arguments(lam2, K, p):
     # y = alpha k/2 for k = 0..K, as _arch_integrals forms them; k = 0 is beta = 0
     with mp.workprec(p):
@@ -336,8 +345,8 @@ def test_psi_pass_matches_mpmath():
         with mp.workprec(p + 64):
             for y, (psi, dpsi, _, _) in zip(ys, _psi_pass(ys, p)):
                 w = mpc(mpf(1) / 4, y)
-                assert abs(psi - mp.digamma(w)) < mpf(2) ** -p, (lam2, K, bits, y)
-                assert abs(dpsi - mp.psi(1, w)) < mpf(2) ** -p, (lam2, K, bits, y)
+                assert abs(unfixed(psi, p) - mp.digamma(w)) < mpf(2) ** -p, (lam2, K, bits, y)
+                assert abs(unfixed(dpsi, p) - mp.psi(1, w)) < mpf(2) ** -p, (lam2, K, bits, y)
 
 
 @pytest.mark.parametrize("lam2", ["3", "1.2"])
@@ -360,7 +369,7 @@ def test_psi_pass_series_match_direct_sums(lam2):
         allowance = mpf(2) ** -p * (1 + 1 / (lam - lam**-3))
         for y, (_, _, s1, s2) in zip(ys, out):
             w = mpc(mpf(1) / 4, y)
-            for i, got in ((1, s1), (2, s2)):
+            for i, got in ((1, unfixed(s1, p)), (2, unfixed(s2, p))):
                 assert abs(got - mp.fsum(gn / (w + n) ** i for n, gn in enumerate(g))) < allowance, (y, i)
 
 
@@ -556,7 +565,8 @@ class TestWeilGram:
             assert I[0] == 0
             for k in range(K + 1):
                 b = alpha * k
-                for got, f in ((I[k], i_integrand), (J[k], j_integrand)):
+                for got, f in ((unfixed(I[k], bits + _GUARD), i_integrand),
+                               (unfixed(J[k], bits + _GUARD), j_integrand)):
                     want = quad_checked(lambda t: f(t, b), [0, 2 * L], bits)
                     assert abs(got - want) < mpf(2) ** -(bits + 8)
 
@@ -587,6 +597,7 @@ class TestWeilGram:
         with mp.workprec(512):
             fine = _pole_functionals(K, *band_frame(lam2))
             for a, b, c in zip(low, blocks, fine):
+                b = [[x << (512 - bits - _GUARD) for x in r] for r in b]  # the same block at 2^-512
                 gap = mp.sqrt(mp.fsum((x - y) ** 2 for r, s in zip(a, _project_out(b, c, 512))
                                       for x, y in zip(r, s)))
                 assert gap <= bound
@@ -614,6 +625,29 @@ class TestWeilGram:
                 gap = max(abs(x - y) for r, s in zip(a.rows, b.rows) for x, y in zip(r, s))
                 assert gap <= allowance
 
+    @pytest.mark.parametrize(
+        "lam2, K, bits",
+        [(lam2, K, bits) for lam2, K, bits, _ in WEIL_GRID]
+        + [("1.2", 6, 192), (2, 8, 128), ("1.2", 0, 128), (2, 1, 160)],
+    )
+    def test_integer_blocks_within_the_entry_count(self, lam2, K, bits):
+        # every entry of the integer assembly against the mpf assembly 64
+        # bits higher (tests/gram_oracle.py): within the exact entry count,
+        # plus the oracle's own error there, the mpf assembly's hand count
+        # 2^-(p+64) (2 + 2^10 S)
+        from zetalab.weil import _GUARD, _gram_entry_error, _gram_scale, _parity_blocks
+
+        p = bits + _GUARD
+        blocks, _ = _parity_blocks(lam2, K, bits)
+        S = _gram_scale(lam2, K, bits)
+        with mp.workprec(p + 64):
+            oracle = mpf_parity_blocks(lam2, K, bits + 64)
+            allowance = _gram_entry_error(S, bits) + mpf(2) ** -(p + 64) * (2 + 2**10 * S)
+            for block, want in zip(blocks, oracle, strict=True):
+                for row, ref in zip(block, want, strict=True):
+                    for x, y in zip(row, ref, strict=True):
+                        assert abs(unfixed(x, p) - y) <= allowance
+
     def test_high_order_arch_integrals_pinned(self):
         # I(m), J(m) at lambda^2 = 5, 128 bits, to 40 digits, from an independent
         # route: a rectangle contour on a Gauss-Legendre rule, good to ~5e-52
@@ -634,5 +668,5 @@ class TestWeilGram:
             c2 = 1 / (2 * L)
             I, J = _arch_integrals(24, L, mp.pi / L, c2, 128)
             for m, (i_ref, j_ref) in ref.items():
-                assert abs(I[m] - mpf(i_ref)) < mpf(2) ** -120
-                assert abs(J[m] - mpf(j_ref)) < mpf(2) ** -120
+                assert abs(unfixed(I[m], 128 + _GUARD) - mpf(i_ref)) < mpf(2) ** -120
+                assert abs(unfixed(J[m], 128 + _GUARD) - mpf(j_ref)) < mpf(2) ** -120
