@@ -1,21 +1,21 @@
 """Arbitrary-precision real symmetric matrices and a certified eigensolver.
 
-HPMatrix stores a real symmetric matrix, as a tuple of row tuples, with its
-working precision in bits.  Its entries must be exactly symmetric; each is
-kept as given.  jacobi_eigensystem rounds the stored matrix once to fixed
-point, reduces it to tridiagonal form by Householder reflectors on Python
-integers (_reflect, each exactly orthogonal, with its rounding bounded a
-priori), and certifies every eigenvalue by bisection on integer Sturm counts
-(_sturm_count).  A root-free QL on the same integers (_ql_centres) seeds
-each bracket, and a seed is used only when two counts confirm it, so a
-wrong or missing seed costs counts, never certified bits.  The certificate
-itself has no eigenvectors, no floating-point rounding and no iteration that
-may fail to converge; only the seeding iterates, and it gives up after a
-fixed number of sweeps.  The input rounding, the reduction's a-priori bound
-and the final bracket add up to one integer count of units.  It returns one
-residual that bounds every eigenvalue's error, in sorted order, for the
-eigenproblem of the stored matrix; the error of the entries is the caller's.
-The fixed-point helpers below are also the Weil Gram's (weil).
+HPMatrix stores a real symmetric matrix N 2^e in fixed point, exactly
+symmetric integer rows N and their binary exponent e, with its working
+precision in bits.  jacobi_eigensystem rounds N once, by a shift, reduces it
+to tridiagonal form by Householder reflectors on Python integers (_reflect,
+each exactly orthogonal, with its rounding bounded a priori), and certifies
+every eigenvalue by bisection on integer Sturm counts (_sturm_count).  A
+root-free QL on the same integers (_ql_centres) seeds each bracket, and a
+seed is used only when two counts confirm it, so a wrong or missing seed
+costs counts, never certified bits.  The certificate itself has no
+eigenvectors, no floating-point rounding and no iteration that may fail to
+converge; only the seeding iterates, and it gives up after a fixed number of
+sweeps.  The input rounding, the reduction's a-priori bound and the final
+bracket add up to one integer count of units.  It returns one residual that
+bounds every eigenvalue's error, in sorted order, for the eigenproblem of the
+stored matrix; the error of the entries is the caller's.  The fixed-point
+helpers below are also the Weil Gram's (weil).
 """
 
 from __future__ import annotations
@@ -29,44 +29,42 @@ from mpmath.libmp import from_man_exp
 
 from zetalab.immutable import Immutable
 
-# Working bits above precision_bits for reading HPMatrix entries, the
-# eigensolve and hermitefn's evaluations.  They set the certificate's level:
-# with 16 the eigensolve works at P = bits + 24, and on the Weil blocks of the
-# benchmark (dimension 12 to 25) the reduction's a-priori count (48 to 196
-# units of 2^(k-P), 2^k just above the largest entry), the input rounding (6
-# to 13 units) and the bisection's 2 units come to 56 to 211 units, between
-# 2^-(bits+14.3) and 2^-(bits+16.2).
+# Working bits above precision_bits for the eigensolve and hermitefn's
+# evaluations.  They set the certificate's level: with 16 the eigensolve works
+# at P = bits + 24, and on the Weil blocks of the benchmark (dimension 12 to
+# 25) the reduction's a-priori count (48 to 196 units of 2^(k-P), 2^k just
+# above the largest entry), the input rounding (6 to 13 units) and the
+# bisection's 2 units come to 56 to 211 units, between 2^-(bits+14.3) and
+# 2^-(bits+16.2).
 _GUARD = 16
 
 
 class HPMatrix(Immutable):
-    """Dense real symmetric matrix with explicit precision-in-bits, rows a tuple of tuples."""
+    """Dense real symmetric matrix N 2^exponent, rows the exact integers N as a
+    tuple of tuples, with explicit precision-in-bits; m[i, j] an exact mpf."""
 
-    __slots__ = ("dim", "precision_bits", "rows")
+    __slots__ = ("dim", "exponent", "precision_bits", "rows")
 
-    def __init__(self, entries, precision_bits: int):
+    def __init__(self, rows, exponent: int, precision_bits: int):
         if index(precision_bits) < 8:
             raise ValueError("precision_bits too small")
-        n = len(entries)
-        if any(len(r) != n for r in entries):
+        n = len(rows)
+        if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        with mp.workprec(precision_bits + _GUARD):
-            rows = [[mp.mpmathify(x) for x in r] for r in entries]
-        if not all(isinstance(x, mpf) for r in rows for x in r):
-            raise ValueError("matrix entries must be real")
-        if not all(mp.isfinite(x) for r in rows for x in r):
-            raise ValueError("matrix entries must be finite")
+        if not all(type(x) is int for r in rows for x in r):
+            raise TypeError("matrix entries must be ints")
         if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
             raise ValueError("matrix is not exactly symmetric")
         object.__setattr__(self, "dim", n)
+        object.__setattr__(self, "exponent", index(exponent))
         object.__setattr__(self, "precision_bits", precision_bits)
         object.__setattr__(self, "rows", tuple(map(tuple, rows)))
 
     def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
+        return _to_mpf(self.rows[ij[0]][ij[1]], self.exponent)
 
     def __repr__(self):
-        return f"HPMatrix(dim={self.dim}, {self.precision_bits} bits)"
+        return f"HPMatrix(dim={self.dim}, 2^{self.exponent}, {self.precision_bits} bits)"
 
 
 @dataclass
@@ -138,9 +136,8 @@ def _tridiagonalize(N):
 
 
 def _top_exponent(rows):
-    """The least k with 2^k > |x| for every int or mpf x in the rows, or 0."""
-    return max((x.bit_length() if isinstance(x, int) else x.exp + x.bc
-                for r in rows for x in r if x), default=0)
+    """The least k >= 0 with 2^k > |x| for every int x in the rows."""
+    return max((x.bit_length() for r in rows for x in r), default=0)
 
 
 # The package's one fixed-point idiom: x as the integer round(x 2^s) (_fixed),
@@ -252,11 +249,11 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     sweep runs, because the benchmark's span map names it.
 
     Fixed point.  Let P = precision_bits + _GUARD + 8, the one working
-    precision, 2^k > max|A_ij| (k read off the entries' exponents) and a unit
-    2^(k-P).  Each entry of A is rounded to nearest once, to A^ = N units with
-    N integer, so by Weyl's inequality A's sorted eigenvalues are within
-    ||A - A^||_F <= n/2 units of A^'s.  _tridiagonalize reduces N to T =
-    tridiag(e, d, e) units, whose sorted eigenvalues are within
+    precision, 2^k > max|A_ij| (k = exponent + the rows' largest bit length)
+    and a unit 2^(k-P).  One shift rounds each entry of A to nearest, to A^ =
+    N units with N integer, so by Weyl's inequality A's sorted eigenvalues
+    are within ||A - A^||_F <= n/2 units of A^'s.  _tridiagonalize reduces N
+    to T = tridiag(e, d, e) units, whose sorted eigenvalues are within
     sum_{m=2}^{n-1} (9m + 12)/16 units of N's.
 
     Counts.  For an integer sigma, _sturm_count's floor moves q_i by less
@@ -285,8 +282,9 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
     n, P = m.dim, m.precision_bits + _GUARD + 8
     if n == 0:
         return EigenResult([], mpf(0), 0)
-    k = _top_exponent(m.rows)
-    d, e = _tridiagonalize([[_fixed(x, P - k) for x in r] for r in m.rows])
+    top = _top_exponent(m.rows)
+    d, e = _tridiagonalize([[_fixed(x, P - top) for x in r] for r in m.rows])
     c = _centres(d, e, _ql_centres(d, e, P))
     units = 2 + (n + 1) // 2 + sum((9 * j + 27) // 16 for j in range(2, n))
-    return EigenResult([_to_mpf(x, k - P) for x in c], _to_mpf(units, k - P), 0)
+    u = top + m.exponent - P  # the unit is 2^(k-P)
+    return EigenResult([_to_mpf(x, u) for x in c], _to_mpf(units, u), 0)

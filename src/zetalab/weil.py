@@ -37,9 +37,9 @@ constraint per block, projected out by one Householder reflector.
 
 The Gram runs on integers from lambda^2 to the certificate, in precision's
 fixed-point idiom: _parity_blocks rounds its O(K) scalars and the digamma
-pass (_psi_pass) once to p = precision_bits + _GUARD fractional bits, forms
-every entry by integer products and rounded divisions, whose error
-_gram_entry_error counts in units of 2^-p, and _project_out stays on them.
+pass (_psi_pass) once to p = precision_bits + _GUARD fractional bits and
+forms every entry by integer products and rounded divisions (_gram_entry_error
+counts their error in units of 2^-p); _project_out and HPMatrix keep them.
 """
 
 from __future__ import annotations
@@ -109,6 +109,8 @@ def w_prime(p: int, f, precision_bits: int = 256):
 
 
 _bernfrac = cache(mp.bernfrac)  # exact B_n, the same at every precision
+# The count grows like p/(4 log2 x) as the band narrows: 36,346 at lambda^2 = 1.001, 64 bits.
+_MAX_SERIES_TERMS = 2**14  # most terms of a _psi_pass series, 25 times the most a test needs
 
 
 def _psi_pass(ys, p, x=None, term_bound=None):
@@ -155,6 +157,8 @@ def _psi_pass(ys, p, x=None, term_bound=None):
     with mp.workprec(2 * s):
         ratio, g = (x**-4, 1 / x) if x else (0, 0)
         while g and g * term_bound(2 * len(gs) + mpf(1) / 2) / (1 - ratio) >= mpf(2) ** -p:
+            if len(gs) == _MAX_SERIES_TERMS:
+                raise ValueError(f"the band is too narrow: its series needs over {len(gs)} terms")
             gs.append(_fixed(g, 2 * s))
             g *= ratio
     for y in ys:
@@ -323,10 +327,10 @@ def _check_gram_args(lam2, half_width, precision_bits):
     """K and precision_bits must pass operator.index (3.0 is refused), else
     TypeError; the band must be nondegenerate (finite lam2 > 1) and K
     nonnegative, else ValueError: either would fail deep in the assembly."""
-    operator.index(precision_bits)
+    with mp.workprec(operator.index(precision_bits) + _GUARD):  # not the ambient precision
+        x = mp.mpmathify(lam2)
     if operator.index(half_width) < 0:
         raise ValueError(f"half_width must be a nonnegative integer, got {half_width!r}")
-    x = mp.mpmathify(lam2)
     if not (isinstance(x, mpf) and mp.isfinite(x) and x > 1):
         raise ValueError(f"lam2 must be a finite number above 1, got {lam2}")
 
@@ -411,7 +415,7 @@ def _parity_blocks(lam2, K, precision_bits):
 
 def weil_gram_complex(lam2, half_width: int, precision_bits: int):
     """Gram of QW over psi_-K..psi_K (list of rows), read off the parity
-    blocks E (even) and O (odd) of _parity_blocks.
+    blocks E (even) and O (odd) of weil_gram.
 
     Since psi_+-k = (cos_k +- i sin_k)/sqrt2 for k >= 1,
 
@@ -423,17 +427,14 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
     Only tests read it; it stays while the benchmark's span map names it, as
     deleting it is a benchmark change.
     """
-    _check_gram_args(lam2, half_width, precision_bits)
-    K, p = half_width, precision_bits + _GUARD
-    even, odd = ([[_to_mpf(x, -p) for x in r] for r in b]
-                 for b in _parity_blocks(lam2, K, precision_bits)[0])
-    with mp.workprec(p):
+    K, (even, odd) = half_width, weil_gram(lam2, half_width, precision_bits)
+    with mp.workprec(precision_bits + _GUARD):
         rt2 = mp.sqrt(2)
 
         def entry(j, k):
-            e = even[abs(j)][abs(k)]
+            e = even[abs(j), abs(k)]
             if j and k:
-                o = odd[abs(j) - 1][abs(k) - 1]
+                o = odd[abs(j) - 1, abs(k) - 1]
                 return (e + o if (j > 0) == (k > 0) else e - o) / 2
             return e / rt2 if j or k else e
 
@@ -442,23 +443,23 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
 
 def _project_out(rows, c, p):
     """Compress the symmetric matrix A = rows 2^-p, integer rows, onto the
-    orthocomplement of the vector c (ints or mpfs, any common scale) by one
-    Householder reflector, in fixed point.
+    orthocomplement of the integer vector c (any common scale) by one
+    Householder reflector, in fixed point: integer rows and their exponent.
 
     A is rounded to N units of 2^(k-p-8), 2^k > max|A_ij|, and c to the
     integer vector x = round(c 2^(p+8-kc)), 2^kc > max|c_i|, so |x| >=
     2^(p+7).  precision._reflect gives H N H, rounded, for an exactly
     orthogonal H with H x = -a e_0 + r; the columns 1..n-1 of H are an
     orthonormal basis of the complement of H e_0, and the compression is
-    H N H without row and column 0, returned as exact mpfs.
+    H N H without row and column 0, in the same units 2^(k-p-8).
     _projection_error bounds the rounding.
     """
     if not rows:
-        return []
+        return [], -p
     k, kc = _top_exponent(rows) - p, _top_exponent([c])
     out, _ = _reflect([[_fixed(x, 8 - k) for x in r] for r in rows],
                       [_fixed(x, p + 8 - kc) for x in c])
-    return [[_to_mpf(x, k - p - 8) for x in r[1:]] for r in out[1:]]
+    return [r[1:] for r in out[1:]], k - p - 8
 
 
 def _gram_scale(lam2, K, precision_bits):
@@ -529,14 +530,14 @@ def _projection_error(lam2, K, precision_bits, S):
     compression of the stored block A onto the complement of the exact pole
     functional; 2-norms, with n = K + 1 at least the block's dimension.
 
-    The stored c: each entry of _pole_functionals is a chain of fewer than
-    2^4 roundings, each within 4 eps; L's error reaches alpha = pi/L with
-    factor 1 and sinh(L/2) with factor (L/2) coth(L/2) <= 1 + L/2, so every
-    entry is within 2^7 (1 + L) eps of exact, relatively, and so is the angle
-    theta between c and its exact value (up to 1%).  A rotation U in their
-    plane, ||U - I|| = 2 sin(theta/2) <= theta, maps one complement onto the
-    other, so the two compressions have eigenvalues within
-    ||U^T A U - A|| <= 2 theta ||A||.
+    The stored c: each entry of _pole_functionals, formed at 2p bits within
+    2^7 (1 + L) 2^-2p of exact, relatively (fewer than 2^4 roundings, each
+    within 4 2^-2p, and L's error with factor at most 1 + L/2), is rounded to
+    an integer at 2^-p, within (1/2 + 2^-6) eps while 2^13 (1 + L) |c_i| <
+    2^p, so the angle theta between c and its exact value is below 0.53
+    sqrt(n) eps/|c|.  A rotation U in their plane, ||U - I|| = 2 sin(theta/2)
+    <= theta, maps one complement onto the other, so the two compressions
+    have eigenvalues within ||U^T A U - A|| <= 2 theta ||A||.
 
     The reflector, for the stored c (precision._reflect's lemma): rounding c
     to x, each entry within 2^-(p+8) of max|c_i| <= |c|, turns it by an angle
@@ -550,12 +551,16 @@ def _projection_error(lam2, K, precision_bits, S):
 
     Together, with ||A|| <= ||A||_F <= 2 n S (every entry of A is at most 2S,
     S = _gram_scale(lam2, K, precision_bits)), the bound is 4 n S theta +
-    n S eps/32 <= n S eps (518 (1 + L) + sqrt(n)/64 + 1/16), below
-    2^10 (2 + L) n S eps for every n below 2^33.
+    n S eps/32 <= n S eps ((2.12/|c| + 1/64) sqrt(n) + 1/16), formed with 3/m
+    for m the smaller |c| of the two blocks.  Returned is the larger of that
+    and 2^10 (2 + L) n S eps, the latter except on narrow bands, where |Po|
+    is near L^(3/2)/pi: lambda^2 below 1.07 at n = 2, below 1.14 at n = 25.
     """
     with mp.workprec(precision_bits + _GUARD):
-        L = band_frame(lam2)[0]
-        return mpf(2) ** -(precision_bits + _GUARD) * 2**10 * (2 + L) * (K + 1) * S
+        L, alpha, c0 = band_frame(lam2)
+        m = min(mp.norm(c) for c in _pole_functionals(K, L, alpha, c0) if c)
+        rounded = (3 / m + mpf(1) / 64) * mp.sqrt(K + 1) + mpf(1) / 16
+        return mpf(2) ** -(precision_bits + _GUARD) * max(2**10 * (2 + L), rounded) * (K + 1) * S
 
 
 def weil_gram(
@@ -570,10 +575,8 @@ def weil_gram(
     p = precision_bits + _GUARD
     blocks, poles = _parity_blocks(lam2, half_width, precision_bits)
     if project_poles:
-        blocks = [_project_out(b, c, p) for b, c in zip(blocks, poles)]
-    else:
-        blocks = [[[_to_mpf(x, -p) for x in r] for r in b] for b in blocks]
-    return tuple(HPMatrix(b, precision_bits) for b in blocks)
+        return tuple(HPMatrix(*_project_out(b, c, p), precision_bits) for b, c in zip(blocks, poles))
+    return tuple(HPMatrix(b, -p, precision_bits) for b in blocks)
 
 
 @dataclass
@@ -603,8 +606,7 @@ def weil_gram_spectrum(
     three terms are added exactly and the sum rounded up once; at the
     benchmark's settings the second is 22 bits below the first, the third 11.
     """
-    eigenvalues = []
-    residual = mpf(0)
+    eigenvalues, residual = [], mpf(0)
     for block in weil_gram(lam2, half_width, precision_bits, project_poles):
         res = jacobi_eigensystem(block)
         eigenvalues.extend(res.eigenvalues)

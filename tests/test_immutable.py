@@ -10,7 +10,7 @@ VALUES = {
     "Root": (lambda: Root(1, 3), "num"),
     "Divisor": (lambda: Divisor.of(Root(1, 3), 2), "_terms"),
     "LogBandFunction": (lambda: LogBandFunction(4, {0: 1, 1: 2}), "coeffs"),
-    "HPMatrix": (lambda: HPMatrix([[1, 0], [0, 2]], 64), "rows"),
+    "HPMatrix": (lambda: HPMatrix([[1, 0], [0, 2]], 0, 64), "rows"),
     "DivisorMatrix": (lambda: fourier_pair(3)[0], "rows"),
     "ZeroTable": (lambda: parse_zero_table("14.134725\n21.022040\n"), "ordinates"),
 }
@@ -39,7 +39,7 @@ def _assert_rows_frozen(m, entry):
 
 def test_hpmatrix_rows_cannot_be_assigned():
     # the symmetry HPMatrix checks is the Weyl bound's premise
-    _assert_rows_frozen(HPMatrix([[1, 0], [0, 2]], 64), 1)
+    _assert_rows_frozen(HPMatrix([[1, 0], [0, 2]], 0, 64), 1)
 
 
 def test_divisormatrix_rows_cannot_be_assigned():

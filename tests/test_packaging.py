@@ -122,6 +122,16 @@ def test_gram_assembly_runs_on_integers():
     assert not used & banned, f"the integer assembly uses {sorted(used & banned)}"
 
 
+def test_gram_reaches_the_eigensolve_as_integers():
+    # past _parity_blocks no Gram entry becomes an mpf: the projection and
+    # the hand-off to HPMatrix read no mpmath name and no _to_mpf
+    banned = {"mp", "mpf", "_to_mpf"}
+    for name in ("weil_gram", "_project_out"):
+        _, func = _function("weil", name)
+        used = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+        assert not used & banned, f"{name} uses {sorted(used & banned)}"
+
+
 def test_ql_rotations_take_no_square_root():
     # the root-free QL: its one isqrt is the Wilkinson shift, once per sweep,
     # and the rotation loop, the innermost, calls none
@@ -138,11 +148,15 @@ def test_ql_rotations_take_no_square_root():
 
 
 def test_eigensolve_has_no_knob():
-    # the seeding adds no option: the eigensolve takes the matrix alone, and
-    # precision.py reads no environment variable
-    from zetalab.precision import jacobi_eigensystem
+    # the seeding adds no option: the eigensolve takes the matrix alone, its
+    # matrix the integers, their exponent and the precision, none defaulted,
+    # and precision.py reads no environment variable
+    from zetalab.precision import HPMatrix, jacobi_eigensystem
 
     assert list(inspect.signature(jacobi_eigensystem).parameters) == ["m"]
+    params = inspect.signature(HPMatrix).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        (name, inspect.Parameter.empty) for name in ("rows", "exponent", "precision_bits")]
     tree = ast.parse((PACKAGE / "precision.py").read_text())
     seen = set()
     for node in ast.walk(tree):

@@ -12,6 +12,7 @@ from mpmath import mp, mpf
 from zetalab import precision
 from zetalab.precision import (_GUARD, _WINDOW, HPMatrix, _centres, _ql_centres, _reflect,
                                _sturm_count, _tridiagonalize, jacobi_eigensystem)
+from dyadic import from_numbers
 from gram_oracle import WEIL_GRID
 from zetalab.weil import weil_gram
 
@@ -101,52 +102,59 @@ def random_symmetric(rng, n):
 class TestHPMatrix:
     def test_rejects_nonhermitian(self):
         with pytest.raises(ValueError):
-            HPMatrix([[1, 2], [3, 1]], 128)
+            HPMatrix([[1, 2], [3, 1]], 0, 128)
 
     @pytest.mark.parametrize("entries", [[[1j, 0], [0, 1]], [[1, 1j], [-1j, 1]]])
     def test_rejects_complex_entries(self, entries):
-        with pytest.raises(ValueError, match="real"):
-            HPMatrix(entries, 128)
+        with pytest.raises(TypeError, match="int"):
+            HPMatrix(entries, 0, 128)
+
+    @pytest.mark.parametrize("entry", [mpf(1) / 2, 0.5, True], ids=["mpf", "float", "bool"])
+    def test_rejects_non_int_entries(self, entry):
+        # the entries are the fixed-point integers themselves: HPMatrix
+        # parses no number, so an mpf, a float or a bool is refused
+        with pytest.raises(TypeError, match="int"):
+            HPMatrix([[1, entry], [entry, 2]], 0, 128)
 
     def test_keeps_symmetric_entries_exactly(self):
-        # an entry already equal to its mirror is not rounded to 128 bits
-        with mp.workprec(256):
-            third = mpf(1) / 3
-        m = HPMatrix([[1, third], [third, 2]], 128)
-        assert m[0, 1] == third and m[1, 0] == third
+        # an entry of more bits than the working precision is kept, and
+        # m[i, j] is N_ij 2^exponent exactly
+        big = 2**300 + 1
+        m = HPMatrix([[1, big], [big, 2]], -400, 64)
+        with mp.workprec(400):
+            assert m[0, 1] == m[1, 0] == mpf(big) * mpf(2) ** -400
+        assert m.rows[0][1] is big
 
     def test_enforces_exact_symmetry(self):
-        # a mirror pair 2^-100 apart is refused, not averaged
-        with mp.workprec(128):
-            half, off = mpf(1) / 2, mpf(1) / 2 + mpf(2) ** -100
+        # a mirror pair one unit apart is refused, not averaged
         with pytest.raises(ValueError, match="symmetric"):
-            HPMatrix([[1, off], [half, 2]], 64)
+            HPMatrix([[1, 2**100 + 1], [2**100, 2]], -101, 64)
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
-            HPMatrix([[1, 0]], 128)
+            HPMatrix([[1, 0]], 0, 128)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_nonfinite(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            HPMatrix([[1, 0, bad], [0, 2, 0], [bad, 0, 3]], 128)
+        with pytest.raises(TypeError, match="int"):
+            HPMatrix([[1, 0, bad], [0, 2, 0], [bad, 0, 3]], 0, 128)
 
 
 class TestJacobi:
     def test_diagonal(self):
-        m = HPMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]], 128)
+        m = from_numbers([[1, 0, 0], [0, 2, 0], [0, 0, 3]], 128)
         res = jacobi_eigensystem(m)
         assert [float(x) for x in res.eigenvalues] == [1.0, 2.0, 3.0]
 
     def test_swap(self):
-        res = jacobi_eigensystem(HPMatrix([[0, 1], [1, 0]], 128))
+        res = jacobi_eigensystem(from_numbers([[0, 1], [1, 0]], 128))
         assert [float(x) for x in res.eigenvalues] == [-1.0, 1.0]
         assert float(res.residual) < 1e-30
 
     def test_trace_identity_12x12_256bits(self):
         rng = random.Random(5)
         a = random_symmetric(rng, 12)
-        m = HPMatrix(a, 256)
+        m = from_numbers(a, 256)
         res = jacobi_eigensystem(m)
         with mp.workprec(300):
             trace = mp.fsum(m[i, i] for i in range(12))
@@ -156,9 +164,9 @@ class TestJacobi:
 
     @pytest.mark.parametrize("seed", [7, 8, 9, 10])
     def test_matches_numpy(self, seed):
-        m = HPMatrix(random_symmetric(random.Random(seed), 9), 192)
+        m = from_numbers(random_symmetric(random.Random(seed), 9), 192)
         res = jacobi_eigensystem(m)
-        ref = np.linalg.eigvalsh(np.array([[float(x) for x in r] for r in m.rows]))
+        ref = np.linalg.eigvalsh([[float(m[i, j]) for j in range(m.dim)] for i in range(m.dim)])
         got = np.array([float(x) for x in res.eigenvalues])
         assert np.allclose(got, ref, atol=1e-12)
 
@@ -172,7 +180,7 @@ class TestJacobi:
                 [c * c + e * s * s, (1 - e) * c * s],
                 [(1 - e) * c * s, s * s + e * c * c],
             ]
-        m = HPMatrix(a, 256)
+        m = from_numbers(a, 256)
         res = jacobi_eigensystem(m)
         small = res.eigenvalues[0]
         assert abs(small - mpf(10) ** -60) < mpf(10) ** -70
@@ -181,7 +189,7 @@ class TestJacobi:
     @pytest.mark.parametrize("case", sorted(SPECTRA))
     def test_certificate_covers_every_eigenvalue(self, case):
         entries, exact = SPECTRA[case]()
-        res = jacobi_eigensystem(HPMatrix(entries, 128))
+        res = jacobi_eigensystem(from_numbers(entries, 128))
         with mp.workprec(800):
             for got, want in zip(res.eigenvalues, sorted(exact)):
                 assert abs(got - want) <= res.residual
@@ -191,7 +199,7 @@ class TestJacobi:
         entries, _ = clustered_blocks()
         with mp.workprec(400):
             scaled = [[mpf(x) * mpf(2) ** -300 for x in row] for row in entries]
-        a, b = (jacobi_eigensystem(HPMatrix(x, 128)) for x in (entries, scaled))
+        a, b = (jacobi_eigensystem(from_numbers(x, 128)) for x in (entries, scaled))
         with mp.workprec(400):
             assert b.residual == a.residual * mpf(2) ** -300
 
@@ -200,14 +208,14 @@ class TestJacobi:
         # eigenvalues, and the residual is exactly the bisection's 2 units +
         # ceil(n/2) + the reduction's sum, in units of 2^(k - P) = 2^(4 - 152)
         n = 8
-        res = jacobi_eigensystem(HPMatrix([[(i + 1) * (i == j) for j in range(n)]
+        res = jacobi_eigensystem(from_numbers([[(i + 1) * (i == j) for j in range(n)]
                                            for i in range(n)], 128))
         units = 2 + ceil(n / 2) + reduction_units(n)
         assert res.residual == units * mpf(2) ** -148
         assert res.eigenvalues == list(range(1, n + 1))
 
     def test_empty(self):
-        res = jacobi_eigensystem(HPMatrix([], 128))
+        res = jacobi_eigensystem(from_numbers([], 128))
         assert res.eigenvalues == []
 
 
@@ -314,7 +322,7 @@ def integer_symmetric(draw):
 @example([[0, 1, 0], [1, 0, 1], [0, 1, 0]], 8)  # zero diagonal, eigenvalue 0
 def test_bisection_within_the_residual(rows, bits):
     # every centre against the 800-bit oracle, one residual for all of them
-    res = jacobi_eigensystem(HPMatrix(rows, bits))
+    res = jacobi_eigensystem(from_numbers(rows, bits))
     with mp.workprec(800):
         for got, want in zip(res.eigenvalues, sorted_eigenvalues(rows), strict=True):
             assert abs(got - want) <= res.residual
@@ -356,7 +364,7 @@ def test_wrong_seeds_stay_certified(rows, bits):
     # a wrong seed costs counts, never certified bits: every centre stays
     # within the residual of the 800-bit oracle, and the residual is the
     # unseeded one
-    m, exact, residuals = HPMatrix(rows, bits), sorted_eigenvalues(rows), []
+    m, exact, residuals = from_numbers(rows, bits), sorted_eigenvalues(rows), []
     for guess in WRONG_SEEDS.values():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(precision, "_ql_centres", guess)
@@ -373,9 +381,9 @@ def weil_block(setting, parity):
 
 
 FAST_PATH = {
-    "clustered": lambda: HPMatrix(clustered_blocks()[0], 128),
-    "graded": lambda: HPMatrix(graded()[0], 128),
-    "tridiagonal": lambda: HPMatrix(tridiagonal_ones()[0], 128),
+    "clustered": lambda: from_numbers(clustered_blocks()[0], 128),
+    "graded": lambda: from_numbers(graded()[0], 128),
+    "tridiagonal": lambda: from_numbers(tridiagonal_ones()[0], 128),
     # both parity blocks of every setting of the benchmark's Weil grid
     **{"-".join(["weil", *map(str, setting[:3])] + ["projected"] * setting[3] + [name]):
        weil_block(setting, parity)

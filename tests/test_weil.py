@@ -276,7 +276,8 @@ def test_bad_input_raises_value_error(call, zeros):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda zeros: HPMatrix([[1, 0], [0, 2]], 64.5),
+        lambda zeros: HPMatrix([[1, 0], [0, 2]], 0, 64.5),
+        lambda zeros: HPMatrix([[1, 0], [0, 2]], -64.0, 64),
         lambda zeros: w_arch(LogBandFunction(4, {0: 1}), 128.0),
         lambda zeros: w_prime(2, LogBandFunction(9, {0: 1}), 128.0),
         lambda zeros: w_prime(2.0, LogBandFunction(9, {0: 1})),
@@ -289,9 +290,9 @@ def test_bad_input_raises_value_error(call, zeros):
         lambda zeros: dirac_spectrum(resonant_lambda(4, 14.13), 2, 301.0, zeros),
         lambda zeros: dirac_spectrum(resonant_lambda(4, 14.13), 2.0, 301, zeros),
     ],
-    ids=["hpmatrix-bits", "w_arch-bits", "w_prime-bits", "w_prime-p", "explicit-bits",
-         "spectrum-bits", "spectrum-float-K", "gram-bits", "complex-bits", "resonant-m",
-         "dirac-basis", "dirac-k"],
+    ids=["hpmatrix-bits", "hpmatrix-exponent", "w_arch-bits", "w_prime-bits", "w_prime-p",
+         "explicit-bits", "spectrum-bits", "spectrum-float-K", "gram-bits", "complex-bits",
+         "resonant-m", "dirac-basis", "dirac-k"],
 )
 def test_non_integer_arguments_raise_type_error_first(call, zeros, monkeypatch):
     # operator.index at entry: TypeError before any work is reached
@@ -313,6 +314,23 @@ PSI_SETTINGS = (
     (5, 24, 128), (7, 20, 160), (11, 24, 192), (5, 16, 128), (11, 20, 192), (3, 12, 192),
     ("1.2", 6, 192), ("1.05", 40, 192),
 )
+
+
+@pytest.mark.parametrize("ambient", [30, 53, 2000])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: weil_gram_spectrum("1.0000000001", 2, 64),
+        lambda: w_arch(LogBandFunction(Fraction(10001, 10000), {0: 1}), 64),
+    ],
+    ids=["gram", "w_arch"],
+)
+def test_narrow_band_refused_by_the_series_cap(call, ambient):
+    # near lambda^2 = 1 the series would take some 7 10^5 (w_arch) and 10^11
+    # (gram) terms: the cap refuses the band in about half a second, and lam2
+    # is read at the call's precision, so 30 ambient bits do not round it to 1
+    with mp.workprec(ambient), pytest.raises(ValueError, match="too narrow"):
+        call()
 
 
 def unfixed(x, p):
@@ -572,35 +590,52 @@ class TestWeilGram:
 
     def test_projected_blocks_exactly_symmetric(self):
         # the assembly and the projection each form one triangle and mirror
-        # it, so HPMatrix has no unequal pair to average
+        # it, so HPMatrix has no unequal pair to refuse
         from zetalab.weil import _GUARD, _parity_blocks, _project_out
 
         lam2, K, bits = 5, 16, 128
         with mp.workprec(bits + _GUARD):
             blocks, poles = _parity_blocks(lam2, K, bits)
-            projected = [_project_out(b, c, bits + _GUARD) for b, c in zip(blocks, poles)]
+            projected = [_project_out(b, c, bits + _GUARD)[0] for b, c in zip(blocks, poles)]
             for rows in (*blocks, *projected):
                 n = len(rows)
                 assert sum(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)) == 0
 
-    def test_projection_error_covers_reflector(self):
-        # the compression at bits + _GUARD against the same stored blocks
-        # compressed at 512 bits onto the pole functionals formed at 512 bits
+    @staticmethod
+    def projection_gaps(lam2, K, bits=128):
+        """The compression at bits + _GUARD against the same stored blocks
+        compressed at 512 bits onto the pole functionals formed at 512 bits:
+        the two Frobenius gaps, _projection_error and 2^10 (2 + L) n S eps."""
+        from zetalab.precision import _fixed
         from zetalab.weil import (_GUARD, _gram_scale, _parity_blocks, _project_out,
                                   _projection_error)
 
-        lam2, K, bits = 5, 16, 128
         with mp.workprec(bits + _GUARD):
             blocks, poles = _parity_blocks(lam2, K, bits)
-            low = [_project_out(b, c, bits + _GUARD) for b, c in zip(blocks, poles)]
-        bound = _projection_error(lam2, K, bits, _gram_scale(lam2, K, bits))
+            low = [HPMatrix(*_project_out(b, c, bits + _GUARD), bits)
+                   for b, c in zip(blocks, poles)]
+            S, L = _gram_scale(lam2, K, bits), band_frame(lam2)[0]
+            flat = 2**10 * (2 + L) * (K + 1) * S * mpf(2) ** -(bits + _GUARD)
+        gaps = []
         with mp.workprec(512):
             fine = _pole_functionals(K, *band_frame(lam2))
             for a, b, c in zip(low, blocks, fine):
                 b = [[x << (512 - bits - _GUARD) for x in r] for r in b]  # the same block at 2^-512
-                gap = mp.sqrt(mp.fsum((x - y) ** 2 for r, s in zip(a, _project_out(b, c, 512))
-                                      for x, y in zip(r, s)))
-                assert gap <= bound
+                high = HPMatrix(*_project_out(b, [_fixed(x, 512) for x in c], 512), 512)
+                gaps.append(mp.sqrt(mp.fsum((a[i, j] - high[i, j]) ** 2
+                                            for i in range(a.dim) for j in range(a.dim))))
+        return gaps, _projection_error(lam2, K, bits, S), flat
+
+    def test_projection_error_covers_reflector(self):
+        gaps, bound, flat = self.projection_gaps(5, 16)
+        assert max(gaps) <= bound == flat
+
+    def test_projection_error_covers_narrow_band(self):
+        # at lambda^2 = 1.12 the odd pole functional is small, |Po| near
+        # L^(3/2)/pi, and its absolute rounding sets a bound above 2^10 (2 +
+        # L) n S eps
+        gaps, bound, flat = self.projection_gaps("1.12", 24)
+        assert max(gaps) <= bound and bound > flat
 
     def test_gram_scale_formed_once(self, monkeypatch):
         # both error bounds of a projected spectrum scale with one S
@@ -622,7 +657,7 @@ class TestWeilGram:
         allowance = sum(_gram_entry_error(_gram_scale(lam2, K, bits), bits) for bits in (128, 192))
         with mp.workprec(256):
             for a, b in zip(low, high):
-                gap = max(abs(x - y) for r, s in zip(a.rows, b.rows) for x, y in zip(r, s))
+                gap = max(abs(a[i, j] - b[i, j]) for i in range(a.dim) for j in range(a.dim))
                 assert gap <= allowance
 
     @pytest.mark.parametrize(
