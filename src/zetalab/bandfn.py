@@ -9,11 +9,12 @@ makes explicit-formula sums over thousands of zeros cheap: the zero sum
 integers in fixed point, 32 bits above the working precision, with the
 rounding bound stated there.
 
-Coefficients may be ints, Fractions, floats or mpmath numbers; they are
-converted under the ambient mpmath precision at evaluation time, so the same
-object can be used at any working precision.  The exact convolution f * g~ of
-two band functions is not kept here: nothing in the package evaluates it, and
-the tests build it as their own oracle for the closed forms.
+Coefficients may be ints, Fractions, floats or mpmath numbers.  Each method
+that computes takes precision_bits and converts them under
+mp.workprec(precision_bits), so its value depends on its arguments alone;
+lambda^2 is read exactly (_exact).  The exact convolution f * g~ of two band
+functions is not kept here: nothing in the package evaluates it, and the
+tests build it as their own oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_mul, mpf_sin, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, mpf_mul, mpf_sin, round_nearest, to_fixed, to_rational
 
 from zetalab.immutable import Immutable
 
@@ -39,9 +40,20 @@ def _num(v):
     return mp.mpmathify(v)
 
 
-def band_frame(lam2):
+def _exact(x) -> Fraction:
+    """x as a Fraction, without rounding: an int, Fraction, float, mpf or a
+    decimal string ("1.2" is 6/5); ValueError unless it is a finite number."""
+    if isinstance(x, mpf):  # a non-finite one goes on as a float, which Fraction refuses
+        x = Fraction(*to_rational(x._mpf_)) if mp.isfinite(x) else float(x)
+    try:
+        return Fraction(x)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{x!r} is not a finite number") from None
+
+
+def _band_frame(lam2):
     """L = log(lambda), alpha = pi/L and c0 = (2L)^(-1/2) of the band
-    [1/lambda, lambda], lambda^2 = lam2, under the ambient precision."""
+    [1/lambda, lambda], lambda^2 = lam2, at the caller's working precision."""
     L = mp.log(_num(lam2)) / 2
     return L, mp.pi / L, 1 / mp.sqrt(2 * L)
 
@@ -53,6 +65,13 @@ def _sinc(z, L):
     if abs(zL) < mpf(2) ** (-mp.prec // 2):
         return L * (1 - zL * zL / 6)
     return mp.sin(zL) / z
+
+
+def _pair_terms(e, L, alpha, s):
+    """e_0 S(s) + sum_k e_k (S(s - alpha k) + S(s + alpha k))/2, S(z) = sin(zL)/z:
+    (f^(s) + f^(-s))/(4 c0) term by term, which does not cancel at s = +-alpha k."""
+    return e[0] * _sinc(s, L) + mp.fsum(
+        e[k] * (_sinc(s - alpha * k, L) + _sinc(s + alpha * k, L)) / 2 for k in range(1, len(e)))
 
 
 def _real_pair_sum(e, L, alpha, ordinates, P):
@@ -74,10 +93,7 @@ def _real_pair_sum(e, L, alpha, ordinates, P):
             g = mpf(g)
         G = to_fixed(g._mpf_, P)
         if -near <= G <= near:
-            t = e[0] * _sinc(g, L) + mp.fsum(
-                e[k] * (_sinc(g - alpha * k, L) + _sinc(g + alpha * k, L)) / 2
-                for k in range(1, K + 1))
-            acc += fixed(t)
+            acc += fixed(_pair_terms(e, L, alpha, g))
             continue
         G2 = G * G >> P
         S = to_fixed(mpf_sin(mpf_mul(g._mpf_, Lm, P), P, round_nearest), P)
@@ -98,7 +114,7 @@ class LogBandFunction(Immutable):
     __slots__ = ("lam2", "coeffs")
 
     def __init__(self, lam2, coeffs: Mapping[int, object]):
-        if not (lam2 > 1 and mp.isfinite(_num(lam2))):
+        if not _exact(lam2) > 1:
             raise ValueError(f"lambda^2 must be finite and exceed 1, got {lam2}")
         if not all(mp.isfinite(_num(v)) for v in coeffs.values()):
             raise ValueError("coefficients must be finite")
@@ -116,33 +132,26 @@ class LogBandFunction(Immutable):
         """
         if q < 1:
             raise ValueError("q must be >= 1")
-        base = {-1: Fraction(1, 2), 0: Fraction(1), 1: Fraction(1, 2)}
-        acc = {0: Fraction(1)}
+
+        def times(a, b):  # the product of two log-Fourier series, exactly
+            out: dict[int, Fraction] = {}
+            for ka, va in a.items():
+                for kb, vb in b.items():
+                    out[ka + kb] = out.get(ka + kb, Fraction(0)) + va * vb
+            return out
+
+        half, acc = Fraction(1, 2), {0: Fraction(1)}
         for _ in range(q):
-            nxt: dict[int, Fraction] = {}
-            for ka, va in acc.items():
-                for kb, vb in base.items():
-                    nxt[ka + kb] = nxt.get(ka + kb, Fraction(0)) + va * vb
-            acc = nxt
+            acc = times(acc, {-1: half, 0: Fraction(1), 1: half})
         if modulation:
-            mod = {-modulation: Fraction(1, 2), modulation: Fraction(1, 2)}
-            nxt = {}
-            for ka, va in acc.items():
-                for kb, vb in mod.items():
-                    nxt[ka + kb] = nxt.get(ka + kb, Fraction(0)) + va * vb
-            acc = nxt
+            acc = times(acc, {-modulation: half, modulation: half})
         return cls(lam2, acc)
-
-    # -- geometry under the ambient precision --------------------------------
-
-    def log_halfwidth(self):
-        return mp.log(_num(self.lam2)) / 2
 
     @property
     def half_width_index(self) -> int:
         return max((abs(k) for k in self.coeffs), default=0)
 
-    def even_coefficients(self) -> list:
+    def _even_coefficients(self) -> list:
         """e_0 = v_0 and e_k = v_k + v_-k for k = 1..K: the coefficients of
         f(e^t) + f(e^-t) = 2 c0 sum_k e_k cos(alpha k t), all that the zero
         sum f^(g) + f^(-g) and the archimedean term W_R(f) see of f."""
@@ -150,59 +159,60 @@ class LogBandFunction(Immutable):
         K = self.half_width_index
         return [v.get(0, mpf(0))] + [v.get(k, 0) + v.get(-k, 0) for k in range(1, K + 1)]
 
-    # -- values ----------------------------------------------------------------
+    # -- values, each under mp.workprec(precision_bits) --------------------------
 
-    def evaluate_log(self, t):
+    def evaluate_log(self, t, precision_bits: int):
         """Value at u = e^t; zero outside the support band.  Pairing k with -k,
 
             f(e^t) = c0 [v_0 + sum_{k>=1} (e_k cos(alpha k t) + i o_k sin(alpha k t))],
 
         e_k = v_k + v_-k, o_k = v_k - v_-k; the sine term is left out where
         o_k = 0, so real symmetric coefficients give an mpf."""
-        L, alpha, c0 = band_frame(self.lam2)
-        if abs(t) > L:
-            return mpf(0)
-        v = {k: _num(x) for k, x in self.coeffs.items()}
-        acc = [v.get(0, mpf(0))]
-        for k in range(1, self.half_width_index + 1):
-            cos, sin = mp.cos_sin(alpha * k * t)
-            vp, vm = v.get(k, 0), v.get(-k, 0)
-            acc.append((vp + vm) * cos)
-            if vp != vm:
-                acc.append(1j * (vp - vm) * sin)
-        return c0 * mp.fsum(acc)
+        with mp.workprec(precision_bits):
+            t = _num(t)
+            L, alpha, c0 = _band_frame(self.lam2)
+            if abs(t) > L:
+                return mpf(0)
+            v = {k: _num(x) for k, x in self.coeffs.items()}
+            acc = [v.get(0, mpf(0))]
+            for k in range(1, self.half_width_index + 1):
+                cos, sin = mp.cos_sin(alpha * k * t)
+                vp, vm = v.get(k, 0), v.get(-k, 0)
+                acc.append((vp + vm) * cos)
+                if vp != vm:
+                    acc.append(1j * (vp - vm) * sin)
+            return c0 * mp.fsum(acc)
 
-    def evaluate(self, x):
-        if x <= 0:
-            raise ValueError("defined on the positive half-line")
-        return self.evaluate_log(mp.log(x))
+    def value_at_one(self, precision_bits: int):
+        with mp.workprec(precision_bits):
+            return _band_frame(self.lam2)[2] * mp.fsum(_num(v) for v in self.coeffs.values())
 
-    def value_at_one(self):
-        L, alpha, c0 = band_frame(self.lam2)
-        return c0 * mp.fsum(_num(v) for v in self.coeffs.values())
-
-    def evaluate_log_minus_center(self, t):
+    def evaluate_log_minus_center(self, t, precision_bits: int):
         """f(e^t) - f(1), computed without cancellation for small t.
 
         No package code calls it; it stays while the benchmark's span map
         names it, as deleting it is a benchmark change."""
-        L, alpha, c0 = band_frame(self.lam2)
-        if abs(t) > L:
-            return -self.value_at_one()
-        acc = []
-        for k, v in self.coeffs.items():
-            half = alpha * k * t / 2
-            acc.append(_num(v) * 2j * mp.sin(half) * mp.expj(half))
-        return c0 * mp.fsum(acc)
+        with mp.workprec(precision_bits):
+            t = _num(t)
+            L, alpha, c0 = _band_frame(self.lam2)
+            if abs(t) > L:
+                return -self.value_at_one(precision_bits)
+            acc = []
+            for k, v in self.coeffs.items():
+                half = alpha * k * t / 2
+                acc.append(_num(v) * 2j * mp.sin(half) * mp.expj(half))
+            return c0 * mp.fsum(acc)
 
     # -- Mellin transform -------------------------------------------------------
 
-    def mellin(self, s):
+    def mellin(self, s, precision_bits: int):
         """f^(s) = integral f(x) x^(-is) d*x; entire in s, closed form."""
-        L, alpha, c0 = band_frame(self.lam2)
-        return 2 * c0 * mp.fsum(_num(v) * _sinc(alpha * k - s, L) for k, v in self.coeffs.items())
+        with mp.workprec(precision_bits):
+            s = _num(s)
+            L, alpha, c0 = _band_frame(self.lam2)
+            return 2 * c0 * mp.fsum(_num(v) * _sinc(alpha * k - s, L) for k, v in self.coeffs.items())
 
-    def mellin_pair_sum(self, ordinates):
+    def mellin_pair_sum(self, ordinates, precision_bits: int):
         """Sum of f^(g) + f^(-g) over the real ordinates g, one sine per g.
 
         Since alpha L = pi, sin((alpha k - s) L) = (-1)^(k+1) sin(sL), so
@@ -215,7 +225,7 @@ class LogBandFunction(Immutable):
             d_k = (-1)^k (v_k + v_-k).
 
         d is even in k (the odd part of the coefficients cancels), so pairing
-        k with -k leaves, with e_k from even_coefficients and c_k = (-1)^k e_k,
+        k with -k leaves, with e_k from _even_coefficients and c_k = (-1)^k e_k,
 
             f^(g) + f^(-g) = 4 c0 sin(gL) [e_0/g + g sum_{k>=1} c_k/(g^2 - alpha^2 k^2)]:
 
@@ -223,15 +233,15 @@ class LogBandFunction(Immutable):
         there is no tail.  At g = alpha k, sin(gL) and g - alpha k both
         vanish, and near it their quotient loses about
         log2(alpha k/|g - alpha k|) bits.  So an ordinate with
-        |g| <= alpha K + 1 is summed term by term as mellin does, Taylor
-        branch included, with S(z) = sin(zL)/z:
+        |g| <= alpha K + 1 is summed term by term (_pair_terms) as mellin
+        does, Taylor branch included, with S(z) = sin(zL)/z:
 
             f^(g) + f^(-g) = 4 c0 [e_0 S(g) + sum_{k>=1} e_k (S(g - alpha k) + S(g + alpha k))/2].
 
         Every other ordinate is at least 1 from the grid, where
         g^2 - alpha^2 k^2 >= 2 alpha K + 1 (up to rounding): no quotient is
         ill-conditioned, and the pair form runs in fixed point on Python
-        integers.  With P = mp.prec + 32, a real x is held as
+        integers.  With P = precision_bits + 32, a real x is held as
         X = to_fixed(x, P) = floor(x 2^P): truncated, not rounded.  L, alpha,
         c0 and the e_k are computed at P bits and converted once per call.
         Per ordinate, with G = X(g), G2 = G G >> P and B_k = X(alpha^2 k^2),
@@ -241,7 +251,7 @@ class LogBandFunction(Immutable):
         the sine is mpf_sin of g L at P bits, and S term >> P is added to one
         integer.  A term-by-term ordinate is summed in mpf at P bits and added
         to the same integer, so the sum over ordinates is exact and is rounded
-        to mp.prec once, at the end.  Complex coefficients run as two real
+        to precision_bits once, at the end.  Complex coefficients run as two real
         passes, the sum over Re v plus i times the sum over Im v.
 
         Rounding.  Write u = 2^-P, V = sum_k |v_k|, and let mpmath's log,
@@ -252,7 +262,7 @@ class LogBandFunction(Immutable):
             beta(g) = K (|g| + 1) + V (3 L |g| + 15 alpha K + 30) + 4   (pair form),
             beta(g) = V L (4 pi K + L + 20) + 1                       (term by term),
 
-        prec = mp.prec; the first term is the final rounding.  In the pair
+        prec = precision_bits; the first term is the final rounding.  In the pair
         form |g|/(g^2 - alpha^2 k^2) <= 1 and
         |g|^3/(g^2 - alpha^2 k^2)^2 <= alpha K + 1.  Each floored quotient is
         off by at most one unit and G multiplies it: K |g|.  A denominator is
@@ -266,13 +276,12 @@ class LogBandFunction(Immutable):
         complex coefficients each part obeys the bound of its own pass.
         For cosine_power(5, 4, 1) over the 10^4 bundled zeros,
         sum_g beta(g) is about 2^31, which makes the second term 1.5 times
-        the first.  Both are far below the former statement's
-        len(ordinates) 2^-prec times the sum of the terms' sizes.
+        the first.
         """
-        P = mp.prec + _PAIR_GUARD
+        P = precision_bits + _PAIR_GUARD
         with mp.workprec(P):
-            L, alpha, c0 = band_frame(self.lam2)
-            e = self.even_coefficients()
+            L, alpha, c0 = _band_frame(self.lam2)
+            e = self._even_coefficients()
             if any(mp.im(x) for x in e):
                 ordinates = list(ordinates)
                 total = mp.mpc(_real_pair_sum([mp.re(x) for x in e], L, alpha, ordinates, P),
@@ -280,7 +289,8 @@ class LogBandFunction(Immutable):
             else:
                 total = _real_pair_sum([mp.re(x) for x in e], L, alpha, ordinates, P)
             total = 4 * c0 * total
-        return +total
+        with mp.workprec(precision_bits):
+            return +total
 
     def __repr__(self):
         return f"LogBandFunction(lam2={self.lam2}, K={self.half_width_index})"

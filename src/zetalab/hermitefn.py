@@ -16,26 +16,21 @@ from zetalab.immutable import Immutable
 from zetalab.precision import _GUARD
 
 
-def hermite_phi(nmax: int, x):
+def _hermite_phi(nmax: int, x):
     """[phi_0(x), ..., phi_nmax(x)] by the stable orthonormal recurrence.
 
     phi_j(x) = (2 pi)^(1/4) psi_j(sqrt(2 pi) x) with psi_j the unit-variance
-    Hermite functions; works for mpf or float input.
+    Hermite functions, at the caller's working precision.
     """
     t = mp.sqrt(2 * mp.pi) * x
     w = mp.exp(-t * t / 2)
     out = [mp.power(2 * mp.pi, mpf(1) / 4) / mp.power(mp.pi, mpf(1) / 4) * w]
-    if nmax >= 1:
-        out.append(mp.sqrt(2) * t * out[0])
-    for j in range(1, nmax):
-        out.append(
-            mp.sqrt(mpf(2) / (j + 1)) * t * out[j]
-            - mp.sqrt(mpf(j) / (j + 1)) * out[j - 1]
-        )
+    for j in range(nmax):  # at j = 0 the second term is sqrt(0) phi_0 = 0
+        out.append(mp.sqrt(mpf(2) / (j + 1)) * t * out[j] - mp.sqrt(mpf(j) / (j + 1)) * out[j - 1])
     return out
 
 
-def hermite_phi_zero(j: int):
+def _hermite_phi_zero(j: int):
     """phi_j(0) in closed form: 0 for odd j, alternating ratio for even j."""
     if j % 2:
         return mpf(0)
@@ -70,7 +65,7 @@ class EvenGaussHermite(Immutable):
         """f(x), computed _GUARD bits above precision_bits."""
         with mp.workprec(precision_bits + _GUARD):
             a = mp.mpmathify(self.scale)
-            phis = hermite_phi(2 * self.order, mp.mpmathify(x) / a)
+            phis = _hermite_phi(2 * self.order, mp.mpmathify(x) / a)
             return mp.fsum(
                 mp.mpmathify(c) * phis[2 * m] for m, c in enumerate(self.coeffs)
             ) / mp.sqrt(a)
@@ -88,15 +83,17 @@ class EvenGaussHermite(Immutable):
         with mp.workprec(precision_bits + _GUARD):
             a = mp.mpmathify(self.scale)
             return mp.fsum(
-                mp.mpmathify(c) * hermite_phi_zero(2 * m) for m, c in enumerate(self.coeffs)
+                mp.mpmathify(c) * _hermite_phi_zero(2 * m) for m, c in enumerate(self.coeffs)
             ) / mp.sqrt(a)
 
     def decay_radius(self, precision_bits: int):
-        """|f(x)| is below 2^-(precision_bits) outside [-r, r] (Gaussian tail,
-        polynomial factors absorbed by the slack term)."""
-        a = mp.mpmathify(self.scale)
-        slack = 4 * (self.order + 2)
-        return a * mp.sqrt((precision_bits + slack) * mp.log(2) / mp.pi)
+        """r with |f(x)| below 2^-(precision_bits) outside [-r, r] (Gaussian
+        tail, polynomial factors absorbed by the slack term), formed _GUARD
+        bits above precision_bits."""
+        with mp.workprec(precision_bits + _GUARD):
+            a = mp.mpmathify(self.scale)
+            slack = 4 * (self.order + 2)
+            return a * mp.sqrt((precision_bits + slack) * mp.log(2) / mp.pi)
 
     def __repr__(self):
         return f"EvenGaussHermite(scale={self.scale}, order={self.order})"

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
-from zetalab.bandfn import LogBandFunction, _sinc, band_frame
+from zetalab.bandfn import LogBandFunction, _band_frame, _pair_terms
+from zetalab.hermitefn import EvenGaussHermite
 from zetalab.weil import _GUARD, w_arch
 
 
@@ -34,17 +35,17 @@ def quad_checked(integrand, interval, precision_bits):
     The rule and the integrand run 80 bits above precision_bits, 32 above
     weil's _GUARD: tanh-sinh estimates its error from the gap between
     successive levels, which certifies the tolerance only once the rule has
-    converged well past it.
+    converged well past it.  The tolerance and the returned value are formed
+    at precision_bits + _GUARD.
     """
     with mp.workprec(precision_bits + 80):
         val, err = mp.quad(integrand, interval, error=True)
-    tol = mpf(2) ** (-precision_bits - 8) * (1 + abs(val))
-    if err > tol:
-        raise QuadratureError(
-            f"quadrature error estimate {mp.nstr(err, 5)} exceeds tolerance "
-            f"{mp.nstr(tol, 5)} at {precision_bits} bits"
-        )
-    return +val
+    with mp.workprec(precision_bits + _GUARD):
+        tol = mpf(2) ** (-precision_bits - 8) * (1 + abs(val))
+        if err > tol:
+            raise QuadratureError(f"quadrature error estimate {mp.nstr(err, 5)} exceeds tolerance "
+                                  f"{mp.nstr(tol, 5)} at {precision_bits} bits")
+        return +val
 
 
 def gamma_factor(z, precision_bits: int = 256):
@@ -79,8 +80,11 @@ def tate_arch_check(f, s, precision_bits: int = 256):
     (g(x) - g(0)) x^(b-1) = O(x^(3/2)): each side is within
     2^-(precision_bits + 7) (1 + |its integral|) plus the Gaussian tail
     beyond R, else QuadratureError, and for real s, where |rho(s)| = 1, the
-    residual is within the sum of the two sides' bounds.
+    residual is within the sum of the two sides' bounds.  f must be an
+    EvenGaussHermite, else TypeError.
     """
+    if not isinstance(f, EvenGaussHermite):
+        raise TypeError(f"tate_arch_check takes an EvenGaussHermite, not {type(f).__name__}")
     work = precision_bits + _GUARD  # the working precision, and the one asked of f
     with mp.workprec(work):
         s = mp.mpmathify(s)
@@ -110,15 +114,16 @@ def _theta_prime(s):
     """theta'(s) = -log pi + (psi(1/4 + is/2) + psi(1/4 - is/2))/2, the
     derivative of the phase of u(s) = e^(i theta) on the line, continued to
     complex s; by reflection and duplication it is -log 2pi + psi(1/2 - is)
-    - (pi/2) cot(pi (1/4 + is/2)): one digamma.  Ambient precision."""
+    - (pi/2) cot(pi (1/4 + is/2)): one digamma, at the caller's precision."""
     return (mp.digamma(0.5 - 1j * s) - mp.pi / 2 * mp.cot(mp.pi * (0.25 + 0.5j * s))
             - mp.log(2 * mp.pi))
 
 
 def trace_side_integral(f, precision_bits: int = 256):
     """-(1/2pi) integral f^(s) theta'(s) ds over the line for a band function
-    f, read only through f.even_coefficients(), as W_R reads it: real,
-    odd-part and complex coefficients all work.
+    f, read only through its even coefficients e_k = v_k + v_-k, as W_R
+    reads it: real, odd-part and complex coefficients all work.  f must be a
+    LogBandFunction, else TypeError.
 
     theta' is even, so the integral is -(1/pi) int_0^inf h theta' ds with
     h(s) = (f^(s) + f^(-s))/2 = 2 c0 sin(sL) R(s), R(s) = e_0/s + s sum_k
@@ -140,17 +145,16 @@ def trace_side_integral(f, precision_bits: int = 256):
     each, within 2^-(precision_bits + 8) (1 + |piece|) else QuadratureError;
     the result is within c0/pi times twice the head's bound plus the ray's.
     """
+    if not isinstance(f, LogBandFunction):
+        raise TypeError(f"trace_side_integral takes a LogBandFunction, not {type(f).__name__}")
     with mp.workprec(precision_bits + _GUARD):
-        L, alpha, c0 = band_frame(f.lam2)
-        e = f.even_coefficients()
+        L, alpha, c0 = _band_frame(f.lam2)
+        e = f._even_coefficients()
         K = len(e) - 1
         a = alpha * (K + 1)
 
         def head(s):
-            h = e[0] * _sinc(s, L) + mp.fsum(
-                e[k] * (_sinc(s - alpha * k, L) + _sinc(s + alpha * k, L)) / 2
-                for k in range(1, K + 1))
-            return h * mp.re(_theta_prime(s))
+            return _pair_terms(e, L, alpha, s) * mp.re(_theta_prime(s))
 
         def R(s):
             s2 = s * s

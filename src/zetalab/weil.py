@@ -52,9 +52,8 @@ from itertools import count
 from math import ceil, isqrt, lgamma, log, log2, pi, sqrt
 
 from mpmath import mp, mpf
-from mpmath.libmp import to_rational
 
-from zetalab.bandfn import LogBandFunction, _num, band_frame
+from zetalab.bandfn import LogBandFunction, _band_frame, _exact
 from zetalab.precision import (HPMatrix, _div, _fixed, _reflect, _round_up, _to_mpf, _top_exponent,
                               jacobi_eigensystem)
 from zetalab.zerotable import ZeroTable
@@ -72,18 +71,13 @@ def is_prime(n: int) -> bool:
     return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
-def _exact(x) -> Fraction:
-    """x as a Fraction, without rounding for an int, Fraction, float or mpf."""
-    return x if isinstance(x, Fraction) else Fraction(*to_rational(mp.mpmathify(x)._mpf_))
-
-
 def _prime_powers(lam2):
     """(p, t, w) for each prime power p^m of the band [1/lambda, lambda],
     lambda^2 = lam2: t = log p^m and w = log p p^(-m/2) for p^(2m) < lam2,
     and w/2 for p^(2m) = lam2, where f is cut off and counts at the mean of
     its one-sided values, as psi_0 does in von Mangoldt's formula.  The
-    comparison is exact (_exact), and the edge's t is formed as
-    LogBandFunction.log_halfwidth forms it, so evaluate_log keeps the term.
+    comparison is exact (_exact), and the edge's t is _band_frame's L, the
+    L of evaluate_log, so evaluate_log keeps the term.
     """
     q = _exact(lam2)
     out = []
@@ -91,7 +85,7 @@ def _prime_powers(lam2):
         logp, m = mp.log(p), 1
         while p ** (2 * m) <= q:
             w = logp * mp.power(p, -mpf(m) / 2)
-            out.append((p, m * logp, w) if p ** (2 * m) < q else (p, mp.log(_num(lam2)) / 2, w / 2))
+            out.append((p, m * logp, w) if p ** (2 * m) < q else (p, _band_frame(lam2)[0], w / 2))
             m += 1
     return out
 
@@ -99,12 +93,15 @@ def _prime_powers(lam2):
 def w_prime(p: int, f, precision_bits: int = 256):
     """(log p) sum_m p^(-m/2) (f(p^m) + f(p^-m)) over the prime powers of p
     in f's band, read from _prime_powers(f.lam2): an exact finite sum, with
-    the edge p^m = lambda at half weight."""
-    p, precision_bits = operator.index(p), operator.index(precision_bits)
+    the edge p^m = lambda at half weight.  f must be a LogBandFunction, else
+    TypeError."""
+    if not isinstance(f, LogBandFunction):
+        raise TypeError(f"w_prime takes a LogBandFunction, not {type(f).__name__}")
+    p, work = operator.index(p), operator.index(precision_bits) + _GUARD
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    with mp.workprec(precision_bits + _GUARD):
-        return +mp.fsum(w * (f.evaluate_log(t) + f.evaluate_log(-t))
+    with mp.workprec(work):
+        return +mp.fsum(w * (f.evaluate_log(t, work) + f.evaluate_log(-t, work))
                         for q, t, w in _prime_powers(f.lam2) if q == p)
 
 
@@ -191,12 +188,14 @@ def _psi_pass(ys, p, x=None, term_bound=None):
                for pair, e in ((psi, s - p), (dpsi, s - p), (wt[:2], 3 * s - p), (wt[2:], 3 * s - p))]
 
 
-def _w_arch_band(f: LogBandFunction, precision_bits):
-    """W_R(f) for a band function, in closed form:
+def w_arch(f: LogBandFunction, precision_bits: int = 256):
+    """W_R(f) = (log 4pi + gamma) f(1) + the archimedean principal-value
+    integral, for a LogBandFunction f (any other input raises TypeError), in
+    closed form with no quadrature:
 
         W_R(f) = c0 sum_{k>=0} e_k [log pi - Re psi(w) - (-1)^k sum_n lambda^(-a_n) Re 1/(w+n)],
 
-    with w = 1/4 + i alpha k/2, e_k = f.even_coefficients(), a_n = 2n + 1/2
+    with w = 1/4 + i alpha k/2, e_k = f._even_coefficients(), a_n = 2n + 1/2
     (Re 1/(w+n) = 2 a_n/(a_n^2 + alpha^2 k^2)) and lambda = e^L.  For
     one basis function, f(e^t) + f(e^-t) = 2 c0 cos(beta t) on |t| <= L with
     beta = alpha k, and W_R is (log 4pi + gamma) f(1) + int_0^inf [f(e^t) +
@@ -206,33 +205,23 @@ def _w_arch_band(f: LogBandFunction, precision_bits):
     (-1)^k, which gives the series, while the constant's share beyond L,
     int_L^inf dt/sinh t = 2 artanh(1/lambda), cancels exactly against the
     -f(1) log coth(L/2) = -2 f(1) artanh(1/lambda) of the truncated support.
-    Tail: |Re 1/(w+n)| <= 2/a_n, so one _psi_pass with x = lambda^(1/2)
-    gives every psi(w) and series within 2^-(precision_bits + _GUARD) times
-    1 + sum_n g_n, and W_R(f) is within c0 sum_k |e_k| times twice that,
-    plus rounding.
+    Tail: |Re 1/(w+n)| <= 2/a_n, so one fixed-point _psi_pass with x =
+    lambda^(1/2) gives its K+1 digamma values and series within
+    2^-(precision_bits + _GUARD) times 1 + sum_n g_n, and W_R(f) is within
+    c0 sum_k |e_k| times twice that, plus rounding.
     """
-    L = f.log_halfwidth()
-    alpha = mp.pi / L
-    e = f.even_coefficients()
-    ks = [k for k in range(len(e)) if e[k]]
-    log_pi = mp.log(mp.pi)
-    acc = mpf(0)
-    p = precision_bits + _GUARD
-    psis = _psi_pass([alpha * k / 2 for k in ks], p, mp.exp(L / 2), lambda a: 2 / a)
-    for k, (psi, _, series, _) in zip(ks, psis):
-        acc += e[k] * (log_pi - _to_mpf(psi[0] + (-series[0] if k % 2 else series[0]), -p))
-    return acc / mp.sqrt(2 * L)
-
-
-def w_arch(f: LogBandFunction, precision_bits: int = 256):
-    """W_R(f) = (log 4pi + gamma) f(1) + the archimedean principal-value
-    integral, for a LogBandFunction f, in the closed form of _w_arch_band:
-    one fixed-point _psi_pass gives its K+1 digamma values and geometric
-    series, with no quadrature.  Any other input raises TypeError."""
     if not isinstance(f, LogBandFunction):
         raise TypeError(f"w_arch takes a LogBandFunction, not {type(f).__name__}")
-    with mp.workprec(operator.index(precision_bits) + _GUARD):
-        return +_w_arch_band(f, precision_bits)
+    p = operator.index(precision_bits) + _GUARD
+    with mp.workprec(p):
+        L, alpha, _ = _band_frame(f.lam2)
+        e = f._even_coefficients()
+        ks = [k for k in range(len(e)) if e[k]]
+        log_pi, acc = mp.log(mp.pi), mpf(0)
+        psis = _psi_pass([alpha * k / 2 for k in ks], p, mp.exp(L / 2), lambda a: 2 / a)
+        for k, (psi, _, series, _) in zip(ks, psis):
+            acc += e[k] * (log_pi - _to_mpf(psi[0] + (-series[0] if k % 2 else series[0]), -p))
+        return acc / mp.sqrt(2 * L)
 
 
 @dataclass
@@ -254,15 +243,16 @@ def explicit_formula_residual(
         raise TypeError(f"the explicit formula takes a LogBandFunction, not {type(f).__name__}")
     if not isinstance(zeros, ZeroTable):
         raise TypeError(f"the explicit formula takes a ZeroTable, not {type(zeros).__name__}")
-    with mp.workprec(operator.index(precision_bits) + _GUARD):
+    work = operator.index(precision_bits) + _GUARD
+    with mp.workprec(work):
         # f^(i/2) + f^(-i/2) = 2 Pe(even part), whose cos_k coordinate is e_k/sqrt2
-        e = f.even_coefficients()
-        Pe, _ = _pole_functionals(len(e) - 1, *band_frame(f.lam2))
+        e = f._even_coefficients()
+        Pe, _ = _pole_functionals(len(e) - 1, *_band_frame(f.lam2))
         pole = 2 * (Pe[0] * e[0] + mp.fdot(Pe[1:], e[1:]) / mp.sqrt(2))
         rhs = w_arch(f, precision_bits)
         for p in dict.fromkeys(p for p, _, _ in _prime_powers(f.lam2)):
             rhs += w_prime(p, f, precision_bits)
-        lhs = pole - f.mellin_pair_sum(zeros.ordinates)
+        lhs = pole - f.mellin_pair_sum(zeros.ordinates, work)
         return ExplicitFormulaCheck(+lhs, +rhs, +(lhs - rhs), len(zeros))
 
 
@@ -325,13 +315,12 @@ def _arch_integrals(K, L, alpha, c2, precision_bits):
 
 def _check_gram_args(lam2, half_width, precision_bits):
     """K and precision_bits must pass operator.index (3.0 is refused), else
-    TypeError; the band must be nondegenerate (finite lam2 > 1) and K
-    nonnegative, else ValueError: either would fail deep in the assembly."""
-    with mp.workprec(operator.index(precision_bits) + _GUARD):  # not the ambient precision
-        x = mp.mpmathify(lam2)
+    TypeError; K must be nonnegative and lam2, read exactly, finite and above
+    1, else ValueError: either would fail deep in the assembly."""
+    operator.index(precision_bits)
     if operator.index(half_width) < 0:
         raise ValueError(f"half_width must be a nonnegative integer, got {half_width!r}")
-    if not (isinstance(x, mpf) and mp.isfinite(x) and x > 1):
+    if not _exact(lam2) > 1:
         raise ValueError(f"lam2 must be a finite number above 1, got {lam2}")
 
 
@@ -377,7 +366,7 @@ def _parity_blocks(lam2, K, precision_bits):
     """
     p = precision_bits + _GUARD
     with mp.workprec(2 * p):
-        L, alpha, c0 = band_frame(lam2)
+        L, alpha, c0 = _band_frame(lam2)
         c2 = c0 * c0
         Pe, Po = ([_fixed(x, p) for x in v] for v in _pole_functionals(K, L, alpha, c0))
         I, J = _arch_integrals(K, L, alpha, c2, precision_bits)
@@ -486,7 +475,7 @@ def _gram_scale(lam2, K, precision_bits):
     """
     p = precision_bits + _GUARD
     with mp.workprec(p):
-        L = band_frame(lam2)[0]
+        L = _band_frame(lam2)[0]
         lam, c2 = mp.exp(L), 1 / (2 * L)
         weights = mp.fsum(w for _, _, w in _prime_powers(_exact(lam2) ** 2))
         psi_top = _to_mpf(abs(next(_psi_pass([mp.pi * K / (2 * L)], p))[0][0]) + 1, -p)  # and its unit
@@ -557,7 +546,7 @@ def _projection_error(lam2, K, precision_bits, S):
     is near L^(3/2)/pi: lambda^2 below 1.07 at n = 2, below 1.14 at n = 25.
     """
     with mp.workprec(precision_bits + _GUARD):
-        L, alpha, c0 = band_frame(lam2)
+        L, alpha, c0 = _band_frame(lam2)
         m = min(mp.norm(c) for c in _pole_functionals(K, L, alpha, c0) if c)
         rounded = (3 / m + mpf(1) / 64) * mp.sqrt(K + 1) + mpf(1) / 16
         return mpf(2) ** -(precision_bits + _GUARD) * max(2**10 * (2 + L), rounded) * (K + 1) * S

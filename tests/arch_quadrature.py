@@ -21,18 +21,18 @@ def w_arch_quadrature(f, precision_bits: int = 256, breakpoints=()):
     """(log 4pi + gamma) f(1) + the archimedean principal-value integral.
 
     Two routes, by input:
-      - a band function (duck-typed: anything with log_halfwidth,
-        value_at_one and evaluate_log_minus_center, such as the exact
-        convolution f * g~ of convolved_band) is integrated over its support
-        with the exact cancellation-free integrand, plus a closed-form tail
-        beyond it;
+      - a band function that computes at the ambient precision (duck-typed:
+        anything with log_halfwidth, value_at_one and
+        evaluate_log_minus_center, such as the exact convolution f * g~ of
+        convolved_band) is integrated over its support with the exact
+        cancellation-free integrand, plus a closed-form tail beyond it;
       - a plain callable f(x) is integrated over [0, inf) in log coordinates
         with local precision boosts near the removable singularity at x = 1.
         Known kinks of f (in log coordinates) can be passed as breakpoints so
         the quadrature splits there.
     """
     with mp.workprec(precision_bits + _GUARD):
-        if hasattr(f, "evaluate_log_minus_center"):
+        if hasattr(f, "log_halfwidth"):
             S = f.log_halfwidth()
             f1 = f.value_at_one()
 

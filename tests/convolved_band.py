@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
-from zetalab.bandfn import LogBandFunction, _num
+from zetalab.bandfn import LogBandFunction, _band_frame, _num
 from zetalab.immutable import Immutable
 
 
@@ -25,8 +25,9 @@ class ConvolvedBandFunction(Immutable):
     On each side of t = 0 the value is sum_m (p_m + t q_m) e^(i alpha m t),
     with alpha the input band's frequency step; support is |t| <= 2L, the
     band [lambda^-2, lambda^2], so lam2 stores its own lambda^2, the square
-    of the inputs' (exact for int or Fraction inputs), and log_halfwidth
-    halves its log as LogBandFunction does: w_prime decides its edge exactly.
+    of the inputs' (exact for int or Fraction inputs), and log_halfwidth is
+    its _band_frame L, the t that weil._prime_powers gives its edge.  Unlike
+    LogBandFunction it computes at the ambient precision: it is an oracle.
     """
 
     __slots__ = ("lam2", "f", "g", "_pieces_at")
@@ -40,7 +41,7 @@ class ConvolvedBandFunction(Immutable):
         object.__setattr__(self, "_pieces_at", {})
 
     def log_halfwidth(self):
-        return mp.log(_num(self.lam2)) / 2  # 2L of the inputs
+        return _band_frame(self.lam2)[0]  # 2L of the inputs
 
     def _pieces(self):
         """The pieces under the ambient precision, built once per precision."""
@@ -52,8 +53,7 @@ class ConvolvedBandFunction(Immutable):
     def _build_pieces(self):
         """Coefficient arrays (p_pos, q_pos, p_neg, q_neg) as dicts over m,
         with alpha and L: O(K^2) mpmath sums."""
-        L = self.f.log_halfwidth()
-        alpha = mp.pi / L
+        L, alpha, _ = _band_frame(self.f.lam2)
         c2 = 1 / (2 * L)
         a = {k: _num(v) for k, v in self.f.coeffs.items()}
         bbar = {k: mp.conj(_num(v)) for k, v in self.g.coeffs.items()}
@@ -119,7 +119,7 @@ class ConvolvedBandFunction(Immutable):
 
     def mellin(self, s):
         """(f * g~)^(s) = f^(s) * conj(g^(conj(s))): Hermitian pairing form."""
-        return self.f.mellin(s) * mp.conj(self.g.mellin(mp.conj(s)))
+        return self.f.mellin(s, mp.prec) * mp.conj(self.g.mellin(mp.conj(s), mp.prec))
 
     def __repr__(self):
         return f"ConvolvedBandFunction(lam2={self.lam2})"

@@ -9,8 +9,8 @@ mpfs.
 
 from mpmath import mp, mpf
 
-from zetalab.bandfn import band_frame
-from zetalab.weil import _GUARD, _arch_integrals, _exact, _pole_functionals, _prime_powers
+from zetalab.bandfn import _band_frame, _exact
+from zetalab.weil import _GUARD, _arch_integrals, _pole_functionals, _prime_powers
 
 # The benchmark's Weil grid (perfbench/workloads.py), copied:
 # (lam2, K, bits, project_poles).
@@ -28,7 +28,7 @@ def mpf_parity_blocks(lam2, K, precision_bits):
     """The even and odd blocks of weil._parity_blocks as mpf rows, formed in
     mpf arithmetic at the ambient precision, the formulas of its docstring
     term by term."""
-    L, alpha, c0 = band_frame(lam2)
+    L, alpha, c0 = _band_frame(lam2)
     c2 = c0 * c0
     r = c2 / alpha
     Pe, Po = _pole_functionals(K, L, alpha, c0)

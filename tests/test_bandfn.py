@@ -4,13 +4,15 @@ import pytest
 from mpmath import mp, mpf
 
 from convolved_band import star_convolve
-from zetalab.bandfn import LogBandFunction
+from zetalab.bandfn import LogBandFunction, _band_frame
 from zetalab.zerotable import bundled_zero_table
+
+BITS = 240  # the precision asked of the band functions, and the tests' own
 
 
 @pytest.fixture(autouse=True)
 def _prec():
-    with mp.workprec(240):
+    with mp.workprec(BITS):
         yield
 
 
@@ -21,20 +23,25 @@ def band(coeffs, lam2=4):
 class TestLogBandFunction:
     def test_support(self):
         f = band({0: 1, 2: 1})
-        assert f.evaluate(3.0) == 0
-        assert f.evaluate(0.2) == 0
-        assert f.evaluate(1.0) != 0
-        with pytest.raises(ValueError):
-            f.evaluate(-1)
+        assert f.evaluate_log(mp.log(3), BITS) == 0
+        assert f.evaluate_log(mp.log(0.2), BITS) == 0
+        assert f.evaluate_log(0, BITS) != 0
+        # a Fraction t is read at the precision asked for
+        assert f.evaluate_log(Fraction(1, 3), BITS) == f.evaluate_log(mpf(1) / 3, BITS) != 0
 
     def test_rejects_bad_lambda(self):
-        with pytest.raises(ValueError):
-            LogBandFunction(1, {0: 1})
+        # lambda^2 is read exactly, so a decimal string is 6/5, not a float
+        assert LogBandFunction("1.2", {0: 1}).lam2 == "1.2"
+        for lam2 in (1, "1", "abc"):
+            with pytest.raises(ValueError):
+                LogBandFunction(lam2, {0: 1})
 
     @pytest.mark.parametrize(
         "lam2, coeffs",
-        [(mp.inf, {0: 1}), (5, {0: mp.nan}), (5, {1: mp.mpc(1, mp.inf)}), (5, {2: float("inf")})],
-        ids=["lam2-inf", "nan", "complex-inf", "float-inf"],
+        [(mp.inf, {0: 1}), (5, {0: mp.nan}), (5, {1: mp.mpc(1, mp.inf)}), (5, {2: float("inf")}),
+         (float("inf"), {0: 1}), ("inf", {0: 1}), ("nan", {0: 1})],
+        ids=["lam2-inf", "nan", "complex-inf", "float-inf", "lam2-float-inf", "lam2-str-inf",
+             "lam2-str-nan"],
     )
     def test_rejects_non_finite(self, lam2, coeffs):
         # mellin would return nan or inf
@@ -49,49 +56,49 @@ class TestLogBandFunction:
     def test_orthonormality_via_quadrature(self):
         f = band({3: 1})
         g = band({3: 1})
-        L = f.log_halfwidth()
-        ip = mp.quad(lambda t: f.evaluate_log(t) * mp.conj(g.evaluate_log(t)), [-L, L])
+        L = _band_frame(f.lam2)[0]
+        ip = mp.quad(lambda t: f.evaluate_log(t, BITS) * mp.conj(g.evaluate_log(t, BITS)), [-L, L])
         assert abs(ip - 1) < mpf(10) ** -40
         h = band({2: 1})
-        ip2 = mp.quad(lambda t: f.evaluate_log(t) * mp.conj(h.evaluate_log(t)), [-L, L])
+        ip2 = mp.quad(lambda t: f.evaluate_log(t, BITS) * mp.conj(h.evaluate_log(t, BITS)), [-L, L])
         assert abs(ip2) < mpf(10) ** -40
 
     def test_minus_center_matches_difference(self):
         f = band({0: 1, 1: Fraction(1, 2), -2: Fraction(1, 5)})
-        for t in (mpf(1) / 3, mpf(-1) / 7, mpf(2) ** -40):
-            direct = f.evaluate_log(t) - f.value_at_one()
-            stable = f.evaluate_log_minus_center(t)
+        for t in (mpf(1) / 3, mpf(-1) / 7, mpf(2) ** -40, Fraction(-2, 9)):
+            direct = f.evaluate_log(t, BITS) - f.value_at_one(BITS)
+            stable = f.evaluate_log_minus_center(t, BITS)
             assert abs(direct - stable) < mpf(2) ** -200
 
     def test_cosine_power_endpoint_flatness(self):
         f = LogBandFunction.cosine_power(4, 3)
-        L = f.log_halfwidth()
+        L = _band_frame(f.lam2)[0]
         # real and even: v_-k = v_k, exact Fractions
         assert all(type(v) is Fraction and f.coeffs[-k] == v for k, v in f.coeffs.items())
-        assert abs(f.evaluate_log(L)) < mpf(10) ** -60
+        assert abs(f.evaluate_log(L, BITS)) < mpf(10) ** -60
         h = mpf(10) ** -6
         # vanishing to high order: value at L-h is O(h^6)
-        assert abs(f.evaluate_log(L - h)) < mpf(10) ** -30
+        assert abs(f.evaluate_log(L - h, BITS)) < mpf(10) ** -30
 
     def test_mellin_vs_quadrature(self):
         f = band({2: 1, -1: Fraction(1, 3)})
-        L = f.log_halfwidth()
+        L = _band_frame(f.lam2)[0]
         for s in (mpf(0), mpf(3) / 2, mp.mpc(0, 0.5), mp.mpc(2, -0.5)):
-            closed = f.mellin(s)
-            quad = mp.quad(lambda t: f.evaluate_log(t) * mp.expj(-s * t), [-L, L])
+            closed = f.mellin(s, BITS)
+            quad = mp.quad(lambda t: f.evaluate_log(t, BITS) * mp.expj(-s * t), [-L, L])
             assert abs(closed - quad) < mpf(10) ** -40
 
     def test_mellin_real_for_real_even(self):
         f = LogBandFunction.cosine_power(4, 2, modulation=1)
         for s in (0.3, 5.0, 17.25):
-            v = f.mellin(mpf(s))
+            v = f.mellin(mpf(s), BITS)
             assert abs(mp.im(v)) < mpf(10) ** -60
 
     def test_mellin_removable_singularity(self):
         f = band({3: 1})
-        alpha = mp.pi / f.log_halfwidth()
-        on_grid = f.mellin(3 * alpha)
-        near = f.mellin(3 * alpha + mpf(10) ** -30)
+        alpha = _band_frame(f.lam2)[1]
+        on_grid = f.mellin(3 * alpha, BITS)
+        near = f.mellin(3 * alpha + mpf(10) ** -30, BITS)
         assert abs(on_grid - near) < mpf(10) ** -25
 
     @pytest.mark.parametrize("lam2", [3, 11])
@@ -102,10 +109,10 @@ class TestLogBandFunction:
         coeffs = {0: mp.mpc(1, 0.5), 1: Fraction(1, 3), -1: mp.mpc(-0.25, 2),
                   2: mp.mpc(0, 1), 3: mp.mpc(0.5, -0.5), -3: Fraction(2, 7)}
         f = band(coeffs, lam2=lam2)
-        p, L = mp.prec, f.log_halfwidth()
+        p, L = BITS, _band_frame(f.lam2)[0]
         alpha, c0 = mp.pi / L, 1 / mp.sqrt(2 * L)
         K = f.half_width_index
-        size = 4 * c0 * mp.fsum(abs(e) for e in f.even_coefficients())
+        size = 4 * c0 * mp.fsum(abs(e) for e in f._even_coefficients())
 
         def tolerance(ordinates):
             # per ordinate, sin(gL) carries an absolute error of about
@@ -118,18 +125,18 @@ class TestLogBandFunction:
 
         def reference(ordinates):
             with mp.workprec(p + 64):
-                return mp.fsum(f.mellin(g) + f.mellin(-g) for g in ordinates)
+                return mp.fsum(f.mellin(g, p + 64) + f.mellin(-g, p + 64) for g in ordinates)
 
         grid = [alpha * k + d for k in range(K + 1) for d in (0, mpf(10) ** -30, -mpf(10) ** -60)]
         for g in grid:
-            assert abs(f.mellin_pair_sum([g]) - reference([g])) <= tolerance([g])
+            assert abs(f.mellin_pair_sum([g], p) - reference([g])) <= tolerance([g])
         table = bundled_zero_table().ordinates[:300]
-        assert abs(f.mellin_pair_sum(table) - reference(table)) <= tolerance(table)
+        assert abs(f.mellin_pair_sum(table, p) - reference(table)) <= tolerance(table)
 
     def test_pair_sum_within_stated_bound(self, bump_prefix):
         f, table, want = bump_prefix
         with mp.workprec(256):
-            got = f.mellin_pair_sum(table)
+            got = f.mellin_pair_sum(table, 256)
             assert abs(got - want) <= pair_sum_bound(f, table, got)
 
     def test_pair_sum_follows_the_working_precision(self, bump_prefix):
@@ -137,10 +144,10 @@ class TestLogBandFunction:
         # the 128-bit one; the 256-bit sum is not a 128-bit number
         f, table, want = bump_prefix
         with mp.workprec(128):
-            low = f.mellin_pair_sum(table)
+            low = f.mellin_pair_sum(table, 128)
             low_bound = pair_sum_bound(f, table, low)
         with mp.workprec(256):
-            high = f.mellin_pair_sum(table)
+            high = f.mellin_pair_sum(table, 256)
             assert abs(high - want) <= pair_sum_bound(f, table, high)
         assert abs(low - want) <= low_bound
         assert abs(high - low) <= low_bound
@@ -157,7 +164,7 @@ def bump_prefix():
     f = LogBandFunction.cosine_power(5, 4, 1)
     table = bundled_zero_table().ordinates[:2000]
     with mp.workprec(256 + 64):
-        want = 2 * mp.fsum(f.mellin(g) for g in table)
+        want = 2 * mp.fsum(f.mellin(g, 256 + 64) for g in table)
     return f, table, want
 
 
@@ -166,7 +173,7 @@ def pair_sum_bound(f, ordinates, result):
     at the ambient precision p: 2^-p |result| + 4 c0 2^-(p+32) sum_g beta(g).
     The reference's own error is about 2^-64 of it."""
     p = mp.prec
-    L = f.log_halfwidth()
+    L = _band_frame(f.lam2)[0]
     alpha, c0 = mp.pi / L, 1 / mp.sqrt(2 * L)
     K = f.half_width_index
     V = mp.fsum(abs(mpf(v.numerator) / v.denominator) for v in f.coeffs.values())
@@ -194,18 +201,18 @@ class TestStarConvolve:
         h = star_convolve(g, g)
         assert h.evaluate(4.5) == 0
         assert h.evaluate(mpf(1) / 5) == 0
-        assert abs(h.log_halfwidth() - 2 * g.log_halfwidth()) < mpf(10) ** -60
+        assert abs(h.log_halfwidth() - 2 * _band_frame(g.lam2)[0]) < mpf(10) ** -60
 
     def test_matches_direct_convolution(self):
         g = band({0: Fraction(1, 3), 1: Fraction(-2, 7), -1: Fraction(1, 5)})
         f = band({0: Fraction(1, 2), 2: Fraction(1, 11)})
         h = star_convolve(f, g)
-        L = g.log_halfwidth()
+        L = _band_frame(g.lam2)[0]
         for t in (mpf(1) / 3, mpf(-2) / 3, mpf(11) / 10):
             # split at the indicator kinks so the oracle quadrature converges
             pts = sorted({max(-L, t - L), min(L, t + L), max(-L, min(L, t - L)), 0})
             direct = mp.quad(
-                lambda tau: f.evaluate_log(t - tau) * mp.conj(g.evaluate_log(-tau)),
+                lambda tau: f.evaluate_log(t - tau, BITS) * mp.conj(g.evaluate_log(-tau, BITS)),
                 [-L] + pts + [L],
             )
             assert abs(h.evaluate_log(t) - direct) < mpf(10) ** -40

@@ -55,6 +55,12 @@ def test_quadrature_refuses_an_unconverged_estimate():
         quad_checked(lambda x: GAUSS_HERMITE.evaluate(x, bits + 64)
                      * mp.power(x, 1j * s - mpf(1) / 2),
                      [0, 1, radius], bits)
+    # a converged call returns the same bits under any ambient precision
+    gauss = []
+    for ambient in (30, 2000):
+        with mp.workprec(ambient):
+            gauss.append(quad_checked(lambda x: mp.exp(-x * x), [0, 1], 64))
+    assert gauss[0]._mpf_ == gauss[1]._mpf_
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,12 @@ from mpmath.libmp import to_rational
 from arch_quadrature import w_arch_quadrature
 from convolved_band import star_convolve
 from gram_oracle import WEIL_GRID, mpf_parity_blocks
-from zetalab.bandfn import LogBandFunction, band_frame
+from zetalab.bandfn import LogBandFunction, _band_frame, _exact
 from zetalab.precision import HPMatrix
 from zetalab.scaling import dirac_spectrum, resonant_lambda
-from zetalab.semilocal import _theta_prime, arch_trace_check, quad_checked
+from zetalab.semilocal import (_theta_prime, arch_trace_check, quad_checked, tate_arch_check,
+                               trace_side_integral)
 from zetalab.weil import (
-    _exact,
     _pole_functionals,
     _prime_powers,
     explicit_formula_residual,
@@ -57,20 +57,20 @@ class TestMellinHat:
         f = LogBandFunction(4, {0: 1})
         with mp.workprec(256):
             want = mp.sqrt(2 * mp.log(2))
-            assert abs(f.mellin(0) - want) < mpf(10) ** -70
+            assert abs(f.mellin(0, 256) - want) < mpf(10) ** -70
 
     def test_spot_values_vs_quadrature(self):
         f = LogBandFunction(9, {3: 1, -1: Fraction(1, 7)})
         with mp.workprec(256):
-            L = f.log_halfwidth()
+            L = _band_frame(f.lam2)[0]
             for s in (mpf(2), mpf(-11) / 3):
-                quad = mp.quad(lambda t: f.evaluate_log(t) * mp.expj(-s * t), [-L, L])
-                assert abs(f.mellin(s) - quad) < mpf(10) ** -30
+                quad = mp.quad(lambda t: f.evaluate_log(t, 256) * mp.expj(-s * t), [-L, L])
+                assert abs(f.mellin(s, 256) - quad) < mpf(10) ** -30
 
     def test_real_for_symmetric(self):
         f = LogBandFunction.cosine_power(4, 2)
         with mp.workprec(200):
-            assert abs(mp.im(f.mellin(mpf(7) / 3))) < mpf(10) ** -50
+            assert abs(mp.im(f.mellin(mpf(7) / 3, 200))) < mpf(10) ** -50
 
 
 class TestWPrime:
@@ -83,7 +83,7 @@ class TestWPrime:
         # f(2) = f(1/2) = 1 with lambda in (2, 4): only m = 1 contributes
         with mp.workprec(300):
             f0 = LogBandFunction(9, {0: 1})
-            c0 = f0.evaluate(1)
+            c0 = f0.value_at_one(300)
             f = LogBandFunction(9, {0: 1 / c0})
             got = w_prime(2, f, 256)
             want = mp.sqrt(2) * mp.log(2)
@@ -134,7 +134,7 @@ BANDS = {
 @pytest.mark.parametrize("lam2", BANDS.values(), ids=BANDS.keys())
 def test_prime_powers_match_brute_force(lam2):
     # membership and weight decided exactly, against a table built from
-    # is_prime; an edge's t is the band's own log_halfwidth, bit for bit
+    # is_prime; an edge's t is the band's own L, bit for bit
     with mp.workprec(128):
         got = _prime_powers(lam2)
         want = _brute_prime_powers(_exact(lam2))
@@ -144,7 +144,7 @@ def test_prime_powers_match_brute_force(lam2):
             assert abs(t - m * mp.log(p)) < mpf(2) ** -120
             assert abs(w - half * mp.log(p) * mpf(p) ** (-mpf(m) / 2)) < mpf(2) ** -120
             if half != 1:
-                assert t == LogBandFunction(lam2, {}).log_halfwidth()
+                assert t == _band_frame(lam2)[0]
 
 
 class TestWArch:
@@ -168,8 +168,8 @@ class TestWArch:
         f = LogBandFunction.cosine_power(4, 2, modulation=1)
         band_val = w_arch(f, 192)
         with mp.workprec(240):
-            def generic(x):
-                return f.evaluate(x)
+            def generic(x):  # f at the precision the quadrature runs at
+                return f.evaluate_log(mp.log(x), mp.prec)
 
             # the support edge is a kink in log coordinates
             gen_val = w_arch_quadrature(generic, 160, breakpoints=[mp.log(2)])
@@ -191,14 +191,18 @@ class TestWArch:
         f = LogBandFunction(mpf(lam2), coeffs)
         closed = w_arch(f, bits)
         with mp.workprec(bits + 48):
-            generic = w_arch_quadrature(lambda x: f.evaluate(x), bits,
-                                        breakpoints=[f.log_halfwidth()])
+            generic = w_arch_quadrature(lambda x: f.evaluate_log(mp.log(x), mp.prec), bits,
+                                        breakpoints=[_band_frame(f.lam2)[0]])
         assert abs(closed - generic) < mpf(2) ** -(bits - 8)
 
     @NON_BAND
-    @pytest.mark.parametrize("check", [w_arch, arch_trace_check], ids=["w_arch", "arch-trace"])
+    @pytest.mark.parametrize("check", [
+        w_arch, arch_trace_check, trace_side_integral,
+        lambda f, bits: w_prime(2, f, bits), lambda f, bits: tate_arch_check(f, 0, bits),
+    ], ids=["w_arch", "arch-trace", "trace-side", "w_prime", "tate"])
     def test_rejects_non_band_function(self, check, make):
-        # before any work: w_arch's digamma pass or arch_trace_check's quadratures
+        # before any work: w_arch's digamma pass, the quadratures, or a read of
+        # f's band; tate_arch_check takes an EvenGaussHermite only
         with pytest.raises(TypeError):
             check(make(), 128)
 
@@ -206,7 +210,7 @@ class TestWArch:
         # f(1) = 0: no distributional term, integral over the band only
         f = LogBandFunction(4, {1: 1, -1: -1})  # odd combination: f(1) = 0
         with mp.workprec(200):
-            assert abs(f.value_at_one()) < mpf(10) ** -50
+            assert abs(f.value_at_one(200)) < mpf(10) ** -50
         v = w_arch(f, 160)
         assert mp.isfinite(v)
 
@@ -254,7 +258,7 @@ class TestExplicitFormula:
         f = LogBandFunction(lam2, {0: 1})
         chk = explicit_formula_residual(f, zeros, 64)
         with mp.workprec(64):
-            edge = mp.log(p) / mp.sqrt(p) * f.value_at_one()
+            edge = mp.log(p) / mp.sqrt(p) * f.value_at_one(64)
         assert abs(chk.residual) < edge / 2
 
 
@@ -265,8 +269,10 @@ class TestExplicitFormula:
         lambda zeros: weil_gram_spectrum(1, 3, 128),
         lambda zeros: weil_gram_spectrum(2, -1, 128),
         lambda zeros: weil_gram(1, 3, 128, project_poles=True),
+        *(lambda zeros, x=x: weil_gram_spectrum(x, 3, 128) for x in ("inf", "nan", "1", "abc")),
     ],
-    ids=["lam2-below-1", "lam2-1", "negative-K", "poles-lam2-1"],
+    ids=["lam2-below-1", "lam2-1", "negative-K", "poles-lam2-1", "lam2-str-inf", "lam2-str-nan",
+         "lam2-str-1", "lam2-abc"],
 )
 def test_bad_input_raises_value_error(call, zeros):
     with pytest.raises(ValueError):
@@ -301,7 +307,7 @@ def test_non_integer_arguments_raise_type_error_first(call, zeros, monkeypatch):
     def reached(*args):
         pytest.fail("the work started before the argument check")
 
-    for name in ("_parity_blocks", "_pole_functionals", "_w_arch_band", "_prime_powers"):
+    for name in ("_parity_blocks", "_pole_functionals", "_psi_pass", "_prime_powers"):
         monkeypatch.setattr(weil, name, reached)
     monkeypatch.setattr(scaling, "prolate_vectors", reached)
     with pytest.raises(TypeError):
@@ -433,8 +439,9 @@ class TestWeilGram:
                 )
                 val = h.mellin(mpc(0, 0.5)) + h.mellin(mpc(0, -0.5))
                 val -= w_arch_quadrature(h, prec)
-                for p in dict.fromkeys(p for p, _, _ in _prime_powers(h.lam2)):
-                    val -= w_prime(p, h, prec)
+                # w_prime's sum, formed here: w_prime takes a LogBandFunction only
+                for _, t, w in _prime_powers(h.lam2):
+                    val -= w * (h.evaluate_log(t) + h.evaluate_log(-t))
                 assert abs(val - G[j + K][k + K]) < mpf(10) ** -40
 
     def test_primes_above_band_never_contribute(self):
@@ -493,7 +500,7 @@ class TestWeilGram:
         x = [mpf(1), mpf(1) / 2, -mpf(1) / 3, mpf(1) / 5, mpf(0), mpf(1) / 7]
         y = [mpf(2) / 3, mpf(0), mpf(1) / 4, -mpf(1), mpf(1) / 9]
         with mp.workprec(prec + 48):
-            even, odd = _pole_functionals(K, *band_frame(lam2))
+            even, odd = _pole_functionals(K, *_band_frame(lam2))
             assert (len(even), len(odd)) == (K + 1, K)
             rt2 = mp.sqrt(2)
             # f = x_0 + sum_k (x_k cos_k + y_k sin_k), a real function
@@ -502,8 +509,8 @@ class TestWeilGram:
                 coeffs[k] = mpc(x[k], -y[k - 1]) / rt2
                 coeffs[-k] = mpc(x[k], y[k - 1]) / rt2
             f = LogBandFunction(lam2, coeffs)
-            up = f.mellin(mpc(0, 0.5))
-            down = f.mellin(mpc(0, -0.5))
+            up = f.mellin(mpc(0, 0.5), prec + 48)
+            down = f.mellin(mpc(0, -0.5), prec + 48)
             assert abs(mp.fdot(even, x) - (up + down) / 2) < mpf(2) ** -140
             assert abs(mp.fdot(odd, y) - (up - down) / 2) < mpf(2) ** -140
 
@@ -614,11 +621,11 @@ class TestWeilGram:
             blocks, poles = _parity_blocks(lam2, K, bits)
             low = [HPMatrix(*_project_out(b, c, bits + _GUARD), bits)
                    for b, c in zip(blocks, poles)]
-            S, L = _gram_scale(lam2, K, bits), band_frame(lam2)[0]
+            S, L = _gram_scale(lam2, K, bits), _band_frame(lam2)[0]
             flat = 2**10 * (2 + L) * (K + 1) * S * mpf(2) ** -(bits + _GUARD)
         gaps = []
         with mp.workprec(512):
-            fine = _pole_functionals(K, *band_frame(lam2))
+            fine = _pole_functionals(K, *_band_frame(lam2))
             for a, b, c in zip(low, blocks, fine):
                 b = [[x << (512 - bits - _GUARD) for x in r] for r in b]  # the same block at 2^-512
                 high = HPMatrix(*_project_out(b, [_fixed(x, 512) for x in c], 512), 512)
