@@ -7,7 +7,10 @@ entire closed form, sin(sL) times a rational function of s, which is what
 makes explicit-formula sums over thousands of zeros cheap: the zero sum
 (mellin_pair_sum) costs one sine and K divisions per zero, done on Python
 integers in fixed point, 32 bits above the working precision, with the
-rounding bound stated there.
+rounding bound stated there.  The sine is table-driven (_fixed_sin): a
+reduction by pi/2, three lookups in tables of cos and sin at steps 2^-10,
+2^-20 and 2^-30, built once per precision (_sine_tables), and a short
+Taylor tail, all 32 bits above the pass.
 
 Coefficients may be ints, Fractions, floats or mpmath numbers.  Each method
 that computes takes precision_bits and converts them under
@@ -22,9 +25,11 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache
+from math import factorial
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_mul, mpf_sin, round_nearest, to_fixed, to_rational
+from mpmath.libmp import from_man_exp, to_fixed, to_rational
 
 from zetalab.immutable import Immutable
 
@@ -32,6 +37,12 @@ from zetalab.immutable import Immutable
 # its accumulated rounding is about N K max|g| units of the last guard bit,
 # some 31 bits at N = 10^4 zeros up to |g| = 10^4 with K = 5.
 _PAIR_GUARD = 32
+# Guard bits of the pass's fixed-point sine over its P bits: g L, its
+# reduction by pi/2, the table lookups and the Taylor tail run at
+# W = P + 32 bits, so that sin(g L) lands on P bits within about one unit.
+_SINE_GUARD = 32
+# The sine tables are built this many bits above W, then rounded to W.
+_TABLE_GUARD = 16
 
 
 def _num(v):
@@ -74,10 +85,100 @@ def _pair_terms(e, L, alpha, s):
         e[k] * (_sinc(s - alpha * k, L) + _sinc(s + alpha * k, L)) / 2 for k in range(1, len(e)))
 
 
-def _real_pair_sum(e, L, alpha, ordinates, P):
+@cache
+def _sine_tables(W):
+    """The tables of _fixed_sin at W bits, as integers X = round(x 2^W): pi/2;
+    (cos, sin) of j 2^-10 for j <= 1608 (1608 2^-10 < pi/2 < 1609 2^-10), and
+    of j 2^-20 and j 2^-30 for j < 1024; and the Taylor coefficients
+    ((-1)^k/(2k)!, (-1)^k/(2k+1)!), highest k first, for every k whose
+    t^(2k)/(2k)! can reach half a unit at |t| < 2^-30 (k <= 5 at W = 368).
+
+    Each level is one mp.cos_sin of its step at V = W + 16 bits, truncated
+    to fixed point, and j - 1 fixed-point rotations by it: (c_j, s_j) =
+    (c c_(j-1) - s s_(j-1), s c_(j-1) + c s_(j-1)), each floored.  In the
+    Euclidean norm, (c, s) is within 2 sqrt2 units of 2^-V (mpmath's one
+    unit in the last place and the truncation) and the floors add sqrt2, so
+    a step adds at most 3 sqrt2 units, and the rotation's norm, 1 + 2^-V
+    2 sqrt2, does not compound over 1608 steps: the first level stays under
+    7,000 < 2^13 units of 2^-V, 2^-3 of a unit of 2^-W.  pi at V bits is
+    within one unit in its last place, so pi/2 within two units of 2^-V; a
+    coefficient is exact before its rounding; and the rounding to W adds
+    half a unit: pi/2 is within 1/2 + 2^-15 units of 2^-W and every other
+    entry within 1/2 + 1/8."""
+    V = W + _TABLE_GUARD
+    half = 1 << (_TABLE_GUARD - 1)
+    with mp.workprec(V):
+        pio2 = (to_fixed(mp.pi._mpf_, V - 1) + half) >> _TABLE_GUARD
+        levels = []
+        for step, count in ((10, 1609), (20, 1024), (30, 1024)):
+            c, s = (to_fixed(x._mpf_, V) for x in mp.cos_sin(mpf(2) ** -step))
+            cj, sj, level = 1 << V, 0, []
+            for _ in range(count):
+                level.append(((cj + half) >> _TABLE_GUARD, (sj + half) >> _TABLE_GUARD))
+                cj, sj = (c * cj - s * sj) >> V, (s * cj + c * sj) >> V
+            levels.append(level)
+
+    def coefficient(k, n):  # (-1)^k 2^W/n!, rounded
+        return (-1) ** k * (((1 << (W + 1)) // factorial(n) + 1) >> 1)
+
+    taylor, k = [], 0
+    while 1 << (W + 1) >= factorial(2 * k) << (60 * k):
+        taylor.append((coefficient(k, 2 * k), coefficient(k, 2 * k + 1)))
+        k += 1
+    return pio2, *levels, taylor[::-1]
+
+
+def _fixed_sin(theta, W):
+    """sin(theta 2^-W) 2^W for an integer theta, on Python integers at W
+    bits (Tang's table-driven method, ACM TOMS 15(2), 1989).
+
+    q, r = divmod(theta, pi/2 at W bits), so 0 <= r < pi/2.  The top 30
+    fractional bits of r pick a = j1 2^-10 + j2 2^-20 + j3 2^-30 from the
+    three levels of _sine_tables, and t = r - a, 0 <= t < 2^-30, is left to
+    the Taylor series of cos t and sin t/t in t^2, by Horner's rule.  Two
+    rotations compose (cos a, sin a) from the levels; a third, of which only
+    one coordinate is formed, gives sin r = sin a cos t + cos a sin t for
+    even q and cos r = cos a cos t - sin a sin t for odd q, and q's second
+    bit gives the sign.
+
+    Error, in units of 2^-W, from the table bounds of _sine_tables.  r is
+    off from the exact theta - q pi/2 by at most |q| (1/2 + 2^-15), and so,
+    sin being 1-Lipschitz, is the result.  A Horner step adds half a unit
+    (its coefficient), one (its floor) and one (the floored t^2 times a
+    partial sum of at most 1), while the earlier steps' errors are scaled
+    by t^2 < 2^-60; with the dropped tail, under half a unit, cos t is
+    within 3 and sin t within 1 + 2^-27 (t times a sum within 3, floored):
+    3.2 in Euclidean norm.  A table entry is within 0.89 in norm, and a
+    rotation adds its two factors' errors in norm and sqrt2 for its floors
+    (one for the last, single coordinate): 3.2, 5.5, then 5.5 + 3.2 + 1.
+    Hence
+
+        |_fixed_sin(theta, W) - 2^W sin(theta 2^-W)| <= |q| (1/2 + 2^-15) + 10."""
+    pio2, level1, level2, level3, taylor = _sine_tables(W)
+    q, r = divmod(theta, pio2)
+    c1, s1 = level1[r >> (W - 10)]
+    c2, s2 = level2[(r >> (W - 20)) & 1023]
+    c3, s3 = level3[(r >> (W - 30)) & 1023]
+    t = r & ((1 << (W - 30)) - 1)
+    t2 = t * t >> W
+    ct = st = 0
+    for a, b in taylor:
+        ct = a + (ct * t2 >> W)
+        st = b + (st * t2 >> W)
+    st = st * t >> W
+    c, s = (c1 * c2 - s1 * s2) >> W, (s1 * c2 + c1 * s2) >> W
+    c, s = (c * c3 - s * s3) >> W, (s * c3 + c * s3) >> W
+    v = (c * ct - s * st) >> W if q & 1 else (s * ct + c * st) >> W
+    return -v if q & 2 else v
+
+
+def _real_pair_sum(e, L, alpha, ordinates, P, L_sine):
     """The fixed-point pass of LogBandFunction.mellin_pair_sum for real e:
-    sum over g of (f^(g) + f^(-g))/(4 c0), exact as an mpf; runs at P bits."""
+    sum over g of (f^(g) + f^(-g))/(4 c0), exact as an mpf; runs at P bits,
+    its sine (_fixed_sin) at P + _SINE_GUARD bits, with L_sine = L at those
+    bits.  ValueError for a non-finite ordinate."""
     K = len(e) - 1
+    W = P + _SINE_GUARD
 
     def fixed(x):
         return to_fixed(x._mpf_, P)
@@ -86,17 +187,21 @@ def _real_pair_sum(e, L, alpha, ordinates, P):
     near = fixed(alpha * K + 1) + 1
     E0 = fixed(e[0]) << P
     pairs = [(fixed((-1) ** k * e[k]) << P, fixed((alpha * k) ** 2)) for k in range(1, K + 1) if e[k]]
-    Lm = L._mpf_
+    _, Lman, Lexp, _ = L_sine._mpf_  # L_sine = Lman 2^Lexp exactly
     acc = 0
     for g in ordinates:
         if type(g) is not mpf:
             g = mpf(g)
-        G = to_fixed(g._mpf_, P)
+        GW = to_fixed(g._mpf_, W)
+        G = GW >> _SINE_GUARD  # floor of a floor: to_fixed(g, P)
         if -near <= G <= near:
+            # to_fixed maps inf and nan to 0, so every non-finite g lands here
+            if not mp.isfinite(g):
+                raise ValueError(f"ordinate {g} is not finite")
             acc += fixed(_pair_terms(e, L, alpha, g))
             continue
         G2 = G * G >> P
-        S = to_fixed(mpf_sin(mpf_mul(g._mpf_, Lm, P), P, round_nearest), P)
+        S = _fixed_sin(GW * Lman >> -Lexp, W) >> _SINE_GUARD
         q = 0
         for C, Bk in pairs:
             q += C // (G2 - Bk)
@@ -213,7 +318,8 @@ class LogBandFunction(Immutable):
             return 2 * c0 * mp.fsum(_num(v) * _sinc(alpha * k - s, L) for k, v in self.coeffs.items())
 
     def mellin_pair_sum(self, ordinates, precision_bits: int):
-        """Sum of f^(g) + f^(-g) over the real ordinates g, one sine per g.
+        """Sum of f^(g) + f^(-g) over the real ordinates g, one sine per g;
+        ValueError if an ordinate is not finite.
 
         Since alpha L = pi, sin((alpha k - s) L) = (-1)^(k+1) sin(sL), so
 
@@ -248,14 +354,18 @@ class LogBandFunction(Immutable):
 
             term = (E_0 << P) // G + (G sum_k (C_k << P) // (G2 - B_k) >> P),
 
-        the sine is mpf_sin of g L at P bits, and S term >> P is added to one
-        integer.  A term-by-term ordinate is summed in mpf at P bits and added
-        to the same integer, so the sum over ordinates is exact and is rounded
-        to precision_bits once, at the end.  Complex coefficients run as two real
-        passes, the sum over Re v plus i times the sum over Im v.
+        S = _fixed_sin(Theta, W) >> 32 is sin(g L) at P bits, and S term >> P
+        is added to one integer.  The sine runs on integers at W = P + 32
+        bits: Theta = floor(g L 2^W) is to_fixed(g, W) m >> -x, where
+        L_W = m 2^x is L computed at W bits once per call, and
+        to_fixed(g, W) >> 32 is G.  A term-by-term ordinate is summed in mpf
+        at P bits and added to the same integer, so the sum over ordinates is
+        exact and is rounded to precision_bits once, at the end.  Complex
+        coefficients run as two real passes, the sum over Re v plus i times
+        the sum over Im v.
 
         Rounding.  Write u = 2^-P, V = sum_k |v_k|, and let mpmath's log,
-        sin and pi be within one unit in the last place.  Then
+        sin, cos and pi be within one unit in the last place.  Then
 
             |returned - exact| <= 2^-prec |returned| + 4 c0 u sum_g beta(g),
 
@@ -267,13 +377,19 @@ class LogBandFunction(Immutable):
         |g|^3/(g^2 - alpha^2 k^2)^2 <= alpha K + 1.  Each floored quotient is
         off by at most one unit and G multiplies it: K |g|.  A denominator is
         off by at most 2|g| + 2 + 11 alpha^2 k^2 <= 15 g^2 units, which moves
-        the rational part by at most 15 (alpha K + 1) V units.  g L is off by
-        3 L |g| units (L's own error and the product's rounding), and the
-        rational part, at most V, multiplies the sine's error.  Truncations,
-        the e_k's conversion and the scaling by 4 c0 add a few units and a
-        few V.  A term-by-term ordinate has |S| <= L and |S'| <= L^2/2, and
-        each z = g -+ alpha k is off by at most 7 alpha K + 1 units.  With
-        complex coefficients each part obeys the bound of its own pass.
+        the rational part by at most 15 (alpha K + 1) V units.  The rational
+        part, at most V, multiplies the sine's error, at most 3 L |g| + 2
+        units: in units of 2^-W, Theta is off from g L 2^W by at most
+        2 L |g| (L_W's relative error 2^(1-W)) + L (the truncated g times L)
+        + 1 (the floor), and _fixed_sin adds |q| (1/2 + 2^-15) + 10, where
+        |q| <= |Theta|/(pi/2 at W bits) + 1 <= 0.64 L |g| + 1; the sine at W
+        bits is thus within 2.4 L |g| + L + 12 units of 2^-W, and the final
+        shift floors once, so S is within 1 + 2^-32 (2.4 L |g| + L + 12)
+        units: beta's 3 L |g| V has room to spare.  Truncations, the e_k's
+        conversion and the scaling by 4 c0 add a few units and a few V.  A
+        term-by-term ordinate has |S| <= L and |S'| <= L^2/2, and each
+        z = g -+ alpha k is off by at most 7 alpha K + 1 units.  With complex
+        coefficients each part obeys the bound of its own pass.
         For cosine_power(5, 4, 1) over the 10^4 bundled zeros,
         sum_g beta(g) is about 2^31, which makes the second term 1.5 times
         the first.
@@ -282,12 +398,14 @@ class LogBandFunction(Immutable):
         with mp.workprec(P):
             L, alpha, c0 = _band_frame(self.lam2)
             e = self._even_coefficients()
+            with mp.workprec(P + _SINE_GUARD):
+                L_sine = _band_frame(self.lam2)[0]
             if any(mp.im(x) for x in e):
                 ordinates = list(ordinates)
-                total = mp.mpc(_real_pair_sum([mp.re(x) for x in e], L, alpha, ordinates, P),
-                               _real_pair_sum([mp.im(x) for x in e], L, alpha, ordinates, P))
+                total = mp.mpc(_real_pair_sum([mp.re(x) for x in e], L, alpha, ordinates, P, L_sine),
+                               _real_pair_sum([mp.im(x) for x in e], L, alpha, ordinates, P, L_sine))
             else:
-                total = _real_pair_sum([mp.re(x) for x in e], L, alpha, ordinates, P)
+                total = _real_pair_sum([mp.re(x) for x in e], L, alpha, ordinates, P, L_sine)
             total = 4 * c0 * total
         with mp.workprec(precision_bits):
             return +total

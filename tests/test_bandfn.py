@@ -4,7 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 from convolved_band import star_convolve
-from zetalab.bandfn import LogBandFunction, _band_frame
+from zetalab.bandfn import LogBandFunction, _band_frame, _fixed_sin, _sine_tables
 from zetalab.zerotable import bundled_zero_table
 
 BITS = 240  # the precision asked of the band functions, and the tests' own
@@ -153,6 +153,53 @@ class TestLogBandFunction:
         assert abs(high - low) <= low_bound
         with mp.workprec(128):
             assert +high != high
+
+    @pytest.mark.parametrize("g", [mpf("inf"), mpf("-inf"), mpf("nan"), float("inf")],
+                             ids=["inf", "-inf", "nan", "float-inf"])
+    def test_pair_sum_rejects_non_finite_ordinates(self, g):
+        # each would be read as the ordinate 0 and summed as a finite term
+        f = LogBandFunction.cosine_power(5, 2)
+        with pytest.raises(ValueError):
+            f.mellin_pair_sum([14, g], 64)
+
+
+class TestFixedSine:
+    """_fixed_sin against mp.sin 64 bits higher, within its stated bound
+    |q| (1/2 + 2^-15) + 10 units of 2^-W, q = floor(theta / (pi/2 at W bits))."""
+
+    @staticmethod
+    def assert_within_bound(thetas, W):
+        pio2 = _sine_tables(W)[0]
+        for theta in thetas:
+            with mp.workprec(W + 64):
+                want = mp.ldexp(mp.sin(mp.ldexp(theta, -W)), W)
+            bound = abs(theta // pio2) * (0.5 + 2.0**-15) + 10
+            assert abs(_fixed_sin(theta, W) - want) <= bound, theta
+
+    @pytest.mark.parametrize("W", [BITS + 64, 368, 97])
+    def test_quadrant_and_table_edges(self, W):
+        # theta = 0, a few units either side of k pi/2, and r one unit either
+        # side of each level's index steps, the last entries included
+        pio2 = _sine_tables(W)[0]
+        thetas = [0]
+        for k in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6366):
+            thetas += [k * pio2 + d for d in (-3, -1, 0, 1, 3)]
+        for level, last in ((10, 1608), (20, 1023), (30, 1023)):
+            for j in (1, 2, 512, last):
+                thetas += [(j << (W - level)) + d for d in (-1, 0, 1)]
+        thetas.append(pio2 - 1)  # the largest r
+        assert _fixed_sin(0, W) == 0
+        self.assert_within_bound(thetas, W)
+
+    def test_large_and_negative_ordinates(self):
+        # theta = g L for the bench's band, g negative and |g| up to 10^6
+        W = BITS + 64
+        with mp.workprec(W + 64):
+            L = _band_frame(5)[0]
+            gs = [mpf(g) for g in ("-14.134725141734693790457", "-1e3", "-98765.4321", "-1e6",
+                                   "1e6", "999999.999", "123456.789")]
+            thetas = [int(mp.floor(mp.ldexp(g * L, W))) for g in gs]
+        self.assert_within_bound(thetas, W)
 
 
 @pytest.fixture(scope="module")

@@ -132,6 +132,20 @@ def test_gram_reaches_the_eigensolve_as_integers():
         assert not used & banned, f"{name} uses {sorted(used & banned)}"
 
 
+def test_pair_sum_sine_runs_on_integers():
+    # the zero sum's sine is the package's own, on Python integers: the pass
+    # and its kernel name no mpmath sine or product, and bandfn imports none
+    banned = {"mpf_sin", "mpf_mul", "sin", "cos_sin", "cos_sin_basecase"}
+    for name in ("_real_pair_sum", "_fixed_sin"):
+        _, func = _function("bandfn", name)
+        used = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)}
+        assert not used & banned, f"{name} uses {sorted(used & banned)}"
+    tree = ast.parse((PACKAGE / "bandfn.py").read_text())
+    imported = {a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not imported & banned, f"bandfn imports {sorted(imported & banned)}"
+
+
 def test_ql_rotations_take_no_square_root():
     # the root-free QL: its one isqrt is the Wilkinson shift, once per sweep,
     # and the rotation loop, the innermost, calls none

@@ -78,3 +78,6 @@ def test_arch_trace_matches_closed_form(coeffs, bits):
     w_inf, trace, residual = arch_trace_check(LogBandFunction(4, coeffs), bits)
     assert abs(w_inf) > mpf("0.1")
     assert abs(residual) <= mpf(2) ** -(bits - 8)
+    if all(mp.im(v) == 0 for v in coeffs.values()):
+        # a real band: both sides and the residual are real, not mpc
+        assert [type(x) for x in (w_inf, trace, residual)] == [mpf] * 3
