@@ -5,12 +5,13 @@ psi_k(u) = (2L)^(-1/2) exp(i pi k log(u)/L) on [lambda^-1, lambda], L = log
 lambda, extended by zero.  Its Mellin transform along vertical lines is an
 entire closed form, sin(sL) times a rational function of s, which is what
 makes explicit-formula sums over thousands of zeros cheap: the zero sum
-(mellin_pair_sum) costs one sine and K divisions per zero, done on Python
-integers in fixed point, 32 bits above the working precision, with the
-rounding bound stated there.  The sine is table-driven (_fixed_sin): a
-reduction by pi/2, three lookups in tables of cos and sin at steps 2^-10,
-2^-20 and 2^-30, built once per precision (_sine_tables), and a short
-Taylor tail, all 32 bits above the pass.
+(mellin_pair_sum) costs one sine per zero and K divisions per zero and
+nonzero part (real, imaginary) of the coefficients, on Python integers in
+fixed point, 32 bits above the working precision, with the rounding bound
+stated there.  The sine is table-driven (_fixed_sin): a reduction by pi/2,
+three lookups in tables of cos and sin at steps 2^-10, 2^-20 and 2^-30,
+built once per precision (_sine_tables), and a short Taylor tail, all 32
+bits above the pass.
 
 Coefficients may be ints, Fractions, floats or mpmath numbers.  Each method
 that computes takes precision_bits and converts them under
@@ -32,6 +33,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, to_fixed, to_rational
 
 from zetalab.immutable import Immutable
+from zetalab.precision import _working_bits
 
 # Guard bits of mellin_pair_sum's fixed-point pass over the working precision:
 # its accumulated rounding is about N K max|g| units of the last guard bit,
@@ -172,11 +174,11 @@ def _fixed_sin(theta, W):
     return -v if q & 2 else v
 
 
-def _real_pair_sum(e, L, alpha, ordinates, P, L_sine):
-    """The fixed-point pass of LogBandFunction.mellin_pair_sum for real e:
-    sum over g of (f^(g) + f^(-g))/(4 c0), exact as an mpf; runs at P bits,
-    its sine (_fixed_sin) at P + _SINE_GUARD bits, with L_sine = L at those
-    bits.  ValueError for a non-finite ordinate."""
+def _pair_sum(e, L, alpha, ordinates, P, L_sine):
+    """The fixed-point pass of LogBandFunction.mellin_pair_sum: sum over g of
+    (f^(g) + f^(-g))/(4 c0), exact, an mpf for real e and else an mpc; runs
+    at P bits, its sine (_fixed_sin) at P + _SINE_GUARD bits, once per
+    ordinate, with L_sine = L there.  ValueError for a non-finite ordinate."""
     K = len(e) - 1
     W = P + _SINE_GUARD
 
@@ -185,10 +187,12 @@ def _real_pair_sum(e, L, alpha, ordinates, P, L_sine):
 
     # G floors toward -inf, so |G| <= near catches every |g| <= alpha K + 1
     near = fixed(alpha * K + 1) + 1
-    E0 = fixed(e[0]) << P
-    pairs = [(fixed((-1) ** k * e[k]) << P, fixed((alpha * k) ** 2)) for k in range(1, K + 1) if e[k]]
+    parts = [mp.re(x) for x in e], [mp.im(x) for x in e]
+    live = [(i, fixed(v[0]) << P, [(fixed((-1) ** k * v[k]) << P, fixed((alpha * k) ** 2))
+                                   for k in range(1, K + 1) if v[k]])
+            for i, v in enumerate(parts) if any(v)]
     _, Lman, Lexp, _ = L_sine._mpf_  # L_sine = Lman 2^Lexp exactly
-    acc = 0
+    acc = [0, 0]
     for g in ordinates:
         if type(g) is not mpf:
             g = mpf(g)
@@ -198,15 +202,19 @@ def _real_pair_sum(e, L, alpha, ordinates, P, L_sine):
             # to_fixed maps inf and nan to 0, so every non-finite g lands here
             if not mp.isfinite(g):
                 raise ValueError(f"ordinate {g} is not finite")
-            acc += fixed(_pair_terms(e, L, alpha, g))
+            t = _pair_terms(e, L, alpha, g)
+            acc[0] += fixed(mp.re(t))
+            acc[1] += fixed(mp.im(t))
             continue
         G2 = G * G >> P
         S = _fixed_sin(GW * Lman >> -Lexp, W) >> _SINE_GUARD
-        q = 0
-        for C, Bk in pairs:
-            q += C // (G2 - Bk)
-        acc += S * (E0 // G + (G * q >> P)) >> P
-    return mp.make_mpf(from_man_exp(acc, -P))
+        for i, E0, pairs in live:
+            q = 0
+            for C, Bk in pairs:
+                q += C // (G2 - Bk)
+            acc[i] += S * (E0 // G + (G * q >> P)) >> P
+    re, im = (mp.make_mpf(from_man_exp(a, -P)) for a in acc)
+    return mp.mpc(re, im) if any(parts[1]) else re
 
 
 class LogBandFunction(Immutable):
@@ -273,7 +281,7 @@ class LogBandFunction(Immutable):
 
         e_k = v_k + v_-k, o_k = v_k - v_-k; the sine term is left out where
         o_k = 0, so real symmetric coefficients give an mpf."""
-        with mp.workprec(precision_bits):
+        with mp.workprec(_working_bits(precision_bits)):
             t = _num(t)
             L, alpha, c0 = _band_frame(self.lam2)
             if abs(t) > L:
@@ -288,20 +296,16 @@ class LogBandFunction(Immutable):
                     acc.append(1j * (vp - vm) * sin)
             return c0 * mp.fsum(acc)
 
-    def value_at_one(self, precision_bits: int):
-        with mp.workprec(precision_bits):
-            return _band_frame(self.lam2)[2] * mp.fsum(_num(v) for v in self.coeffs.values())
-
     def evaluate_log_minus_center(self, t, precision_bits: int):
         """f(e^t) - f(1), computed without cancellation for small t.
 
         No package code calls it; it stays while the benchmark's span map
         names it, as deleting it is a benchmark change."""
-        with mp.workprec(precision_bits):
+        with mp.workprec(_working_bits(precision_bits)):
             t = _num(t)
             L, alpha, c0 = _band_frame(self.lam2)
             if abs(t) > L:
-                return -self.value_at_one(precision_bits)
+                return -self.evaluate_log(0, precision_bits)
             acc = []
             for k, v in self.coeffs.items():
                 half = alpha * k * t / 2
@@ -312,7 +316,7 @@ class LogBandFunction(Immutable):
 
     def mellin(self, s, precision_bits: int):
         """f^(s) = integral f(x) x^(-is) d*x; entire in s, closed form."""
-        with mp.workprec(precision_bits):
+        with mp.workprec(_working_bits(precision_bits)):
             s = _num(s)
             L, alpha, c0 = _band_frame(self.lam2)
             return 2 * c0 * mp.fsum(_num(v) * _sinc(alpha * k - s, L) for k, v in self.coeffs.items())
@@ -360,9 +364,9 @@ class LogBandFunction(Immutable):
         L_W = m 2^x is L computed at W bits once per call, and
         to_fixed(g, W) >> 32 is G.  A term-by-term ordinate is summed in mpf
         at P bits and added to the same integer, so the sum over ordinates is
-        exact and is rounded to precision_bits once, at the end.  Complex
-        coefficients run as two real passes, the sum over Re v plus i times
-        the sum over Im v.
+        exact and is rounded to precision_bits once, at the end.  The real
+        and imaginary parts of the e_k each have their own E_0, C_k and
+        integer and read the one S; a part that is all zero is skipped.
 
         Rounding.  Write u = 2^-P, V = sum_k |v_k|, and let mpmath's log,
         sin, cos and pi be within one unit in the last place.  Then
@@ -389,24 +393,18 @@ class LogBandFunction(Immutable):
         conversion and the scaling by 4 c0 add a few units and a few V.  A
         term-by-term ordinate has |S| <= L and |S'| <= L^2/2, and each
         z = g -+ alpha k is off by at most 7 alpha K + 1 units.  With complex
-        coefficients each part obeys the bound of its own pass.
+        coefficients each part obeys beta with its own V, of Re v or of Im v.
         For cosine_power(5, 4, 1) over the 10^4 bundled zeros,
         sum_g beta(g) is about 2^31, which makes the second term 1.5 times
         the first.
         """
-        P = precision_bits + _PAIR_GUARD
+        P = _working_bits(precision_bits, _PAIR_GUARD)
         with mp.workprec(P):
             L, alpha, c0 = _band_frame(self.lam2)
             e = self._even_coefficients()
             with mp.workprec(P + _SINE_GUARD):
                 L_sine = _band_frame(self.lam2)[0]
-            if any(mp.im(x) for x in e):
-                ordinates = list(ordinates)
-                total = mp.mpc(_real_pair_sum([mp.re(x) for x in e], L, alpha, ordinates, P, L_sine),
-                               _real_pair_sum([mp.im(x) for x in e], L, alpha, ordinates, P, L_sine))
-            else:
-                total = _real_pair_sum([mp.re(x) for x in e], L, alpha, ordinates, P, L_sine)
-            total = 4 * c0 * total
+            total = 4 * c0 * _pair_sum(e, L, alpha, ordinates, P, L_sine)
         with mp.workprec(precision_bits):
             return +total
 

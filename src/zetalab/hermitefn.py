@@ -13,7 +13,7 @@ from __future__ import annotations
 from mpmath import mp, mpf
 
 from zetalab.immutable import Immutable
-from zetalab.precision import _GUARD
+from zetalab.precision import _GUARD, _working_bits
 
 
 def _hermite_phi(nmax: int, x):
@@ -28,17 +28,6 @@ def _hermite_phi(nmax: int, x):
     for j in range(nmax):  # at j = 0 the second term is sqrt(0) phi_0 = 0
         out.append(mp.sqrt(mpf(2) / (j + 1)) * t * out[j] - mp.sqrt(mpf(j) / (j + 1)) * out[j - 1])
     return out
-
-
-def _hermite_phi_zero(j: int):
-    """phi_j(0) in closed form: 0 for odd j, alternating ratio for even j."""
-    if j % 2:
-        return mpf(0)
-    m = j // 2
-    # phi_{2m}(0) = (2 pi)^(1/4) pi^(-1/4) (-1)^m sqrt((2m)!)/(2^m m!)
-    val = mp.power(2 * mp.pi, mpf(1) / 4) / mp.power(mp.pi, mpf(1) / 4)
-    val *= (-1) ** m * mp.sqrt(mp.factorial(2 * m)) / (2**m * mp.factorial(m))
-    return val
 
 
 class EvenGaussHermite(Immutable):
@@ -63,7 +52,7 @@ class EvenGaussHermite(Immutable):
 
     def evaluate(self, x, precision_bits: int):
         """f(x), computed _GUARD bits above precision_bits."""
-        with mp.workprec(precision_bits + _GUARD):
+        with mp.workprec(_working_bits(precision_bits, _GUARD)):
             a = mp.mpmathify(self.scale)
             phis = _hermite_phi(2 * self.order, mp.mpmathify(x) / a)
             return mp.fsum(
@@ -73,24 +62,16 @@ class EvenGaussHermite(Immutable):
     def fourier(self, precision_bits: int) -> "EvenGaussHermite":
         """Closed-form transform: coefficients pick up (-1)^m, scale inverts;
         computed _GUARD bits above precision_bits."""
-        with mp.workprec(precision_bits + _GUARD):
+        with mp.workprec(_working_bits(precision_bits, _GUARD)):
             inv = 1 / mp.mpmathify(self.scale)
             coeffs = [(-1) ** m * mp.mpmathify(c) for m, c in enumerate(self.coeffs)]
         return EvenGaussHermite(inv, coeffs)
-
-    def value_at_zero(self, precision_bits: int):
-        """f(0) from the closed-form phi_2m(0), _GUARD bits above precision_bits."""
-        with mp.workprec(precision_bits + _GUARD):
-            a = mp.mpmathify(self.scale)
-            return mp.fsum(
-                mp.mpmathify(c) * _hermite_phi_zero(2 * m) for m, c in enumerate(self.coeffs)
-            ) / mp.sqrt(a)
 
     def decay_radius(self, precision_bits: int):
         """r with |f(x)| below 2^-(precision_bits) outside [-r, r] (Gaussian
         tail, polynomial factors absorbed by the slack term), formed _GUARD
         bits above precision_bits."""
-        with mp.workprec(precision_bits + _GUARD):
+        with mp.workprec(_working_bits(precision_bits, _GUARD)):
             a = mp.mpmathify(self.scale)
             slack = 4 * (self.order + 2)
             return a * mp.sqrt((precision_bits + slack) * mp.log(2) / mp.pi)

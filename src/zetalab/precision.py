@@ -46,9 +46,7 @@ class HPMatrix(Immutable):
     __slots__ = ("dim", "exponent", "precision_bits", "rows")
 
     def __init__(self, rows, exponent: int, precision_bits: int):
-        if index(precision_bits) < 8:
-            raise ValueError("precision_bits too small")
-        n = len(rows)
+        precision_bits, n = _working_bits(precision_bits), len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
         if not all(type(x) is int for r in rows for x in r):
@@ -138,6 +136,14 @@ def _tridiagonalize(N):
 def _top_exponent(rows):
     """The least k >= 0 with 2^k > |x| for every int x in the rows."""
     return max((x.bit_length() for r in rows for x in r), default=0)
+
+
+def _working_bits(precision_bits, guard=0):
+    """precision_bits + guard, the one check of every public precision_bits:
+    TypeError unless it passes operator.index, ValueError below 8."""
+    if index(precision_bits) < 8:
+        raise ValueError(f"precision_bits must be at least 8, got {precision_bits}")
+    return precision_bits + guard
 
 
 # The package's one fixed-point idiom: x as the integer round(x 2^s) (_fixed),

@@ -20,6 +20,7 @@ from mpmath import mp, mpf
 
 from zetalab.bandfn import LogBandFunction, _band_frame, _pair_terms
 from zetalab.hermitefn import EvenGaussHermite
+from zetalab.precision import _working_bits
 from zetalab.weil import _GUARD, w_arch
 
 
@@ -38,7 +39,7 @@ def quad_checked(integrand, interval, precision_bits):
     converged well past it.  The tolerance and the returned value are formed
     at precision_bits + _GUARD.
     """
-    with mp.workprec(precision_bits + 80):
+    with mp.workprec(_working_bits(precision_bits, 80)):
         val, err = mp.quad(integrand, interval, error=True)
     with mp.workprec(precision_bits + _GUARD):
         tol = mpf(2) ** (-precision_bits - 8) * (1 + abs(val))
@@ -50,7 +51,7 @@ def quad_checked(integrand, interval, precision_bits):
 
 def gamma_factor(z, precision_bits: int = 256):
     """gamma_R(z) = pi^(-z/2) Gamma(z/2); poles at z in {0, -2, -4, ...}."""
-    with mp.workprec(precision_bits + _GUARD):
+    with mp.workprec(_working_bits(precision_bits, _GUARD)):
         z = mp.mpmathify(z)
         half = z / 2
         if mp.im(half) == 0 and mp.re(half) <= 0 and half == mp.floor(half):
@@ -77,15 +78,15 @@ def tate_arch_check(f, s, precision_bits: int = 256):
     x^(is) oscillates without end at x = 0, where tanh-sinh's estimate for
     the raw integrand stalls near 2^-(working bits/2).  So g(0) x^(b-1) is
     integrated in closed form, g(0) R^b/b, and quad_checked takes the rest,
-    (g(x) - g(0)) x^(b-1) = O(x^(3/2)): each side is within
-    2^-(precision_bits + 7) (1 + |its integral|) plus the Gaussian tail
-    beyond R, else QuadratureError, and for real s, where |rho(s)| = 1, the
-    residual is within the sum of the two sides' bounds.  f must be an
-    EvenGaussHermite, else TypeError.
+    (g(x) - g(0)) x^(b-1) = O(x^(3/2)), g(0) from the integrand's own
+    g.evaluate.  Each side is within 2^-(precision_bits + 7) (1 + |its
+    integral|) plus the Gaussian tail beyond R, else QuadratureError, and
+    for real s, where |rho(s)| = 1, the residual is within the sum of the
+    two sides' bounds.  f must be an EvenGaussHermite, else TypeError.
     """
     if not isinstance(f, EvenGaussHermite):
         raise TypeError(f"tate_arch_check takes an EvenGaussHermite, not {type(f).__name__}")
-    work = precision_bits + _GUARD  # the working precision, and the one asked of f
+    work = _working_bits(precision_bits, _GUARD)  # the working precision, and the one asked of f
     with mp.workprec(work):
         s = mp.mpmathify(s)
         fhat = f.fourier(work)
@@ -94,7 +95,7 @@ def tate_arch_check(f, s, precision_bits: int = 256):
 
         def mellin_like(g, sign):
             b = 0.5 + sign * 1j * s
-            g0 = g.value_at_zero(work)
+            g0 = g.evaluate(0, work)
             val = quad_checked(lambda x: (g.evaluate(x, work) - g0) * mp.power(x, b - 1),
                                [0, 1, radius], precision_bits)
             return 2 * (val + g0 * mp.power(radius, b) / b)  # even functions: both half-lines
@@ -150,7 +151,7 @@ def trace_side_integral(f, precision_bits: int = 256):
     """
     if not isinstance(f, LogBandFunction):
         raise TypeError(f"trace_side_integral takes a LogBandFunction, not {type(f).__name__}")
-    with mp.workprec(precision_bits + _GUARD):
+    with mp.workprec(_working_bits(precision_bits, _GUARD)):
         L, alpha, c0 = _band_frame(f.lam2)
         e = f._even_coefficients()
         real = not any(mp.im(x) for x in e)
@@ -190,7 +191,7 @@ def arch_trace_check(f: LogBandFunction, precision_bits: int = 256):
     LogBandFunction (else TypeError, raised before any quadrature starts)."""
     if not isinstance(f, LogBandFunction):
         raise TypeError(f"arch_trace_check takes a LogBandFunction, not {type(f).__name__}")
-    with mp.workprec(precision_bits + _GUARD):
+    with mp.workprec(_working_bits(precision_bits, _GUARD)):
         w_inf = w_arch(f, precision_bits)
         trace = trace_side_integral(f, precision_bits)
         return +w_inf, +trace, +(w_inf - trace)

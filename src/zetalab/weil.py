@@ -55,7 +55,7 @@ from mpmath import mp, mpf
 
 from zetalab.bandfn import LogBandFunction, _band_frame, _exact
 from zetalab.precision import (HPMatrix, _div, _fixed, _reflect, _round_up, _to_mpf, _top_exponent,
-                              jacobi_eigensystem)
+                              _working_bits, jacobi_eigensystem)
 from zetalab.zerotable import ZeroTable
 
 # Working bits above precision_bits for every weil (and semilocal) evaluation.
@@ -97,7 +97,7 @@ def w_prime(p: int, f, precision_bits: int = 256):
     TypeError."""
     if not isinstance(f, LogBandFunction):
         raise TypeError(f"w_prime takes a LogBandFunction, not {type(f).__name__}")
-    p, work = operator.index(p), operator.index(precision_bits) + _GUARD
+    p, work = operator.index(p), _working_bits(precision_bits, _GUARD)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     with mp.workprec(work):
@@ -212,7 +212,7 @@ def w_arch(f: LogBandFunction, precision_bits: int = 256):
     """
     if not isinstance(f, LogBandFunction):
         raise TypeError(f"w_arch takes a LogBandFunction, not {type(f).__name__}")
-    p = operator.index(precision_bits) + _GUARD
+    p = _working_bits(precision_bits, _GUARD)
     with mp.workprec(p):
         L, alpha, _ = _band_frame(f.lam2)
         e = f._even_coefficients()
@@ -243,7 +243,7 @@ def explicit_formula_residual(
         raise TypeError(f"the explicit formula takes a LogBandFunction, not {type(f).__name__}")
     if not isinstance(zeros, ZeroTable):
         raise TypeError(f"the explicit formula takes a ZeroTable, not {type(zeros).__name__}")
-    work = operator.index(precision_bits) + _GUARD
+    work = _working_bits(precision_bits, _GUARD)
     with mp.workprec(work):
         # f^(i/2) + f^(-i/2) = 2 Pe(even part), whose cos_k coordinate is e_k/sqrt2
         e = f._even_coefficients()
@@ -315,9 +315,9 @@ def _arch_integrals(K, L, alpha, c2, precision_bits):
 
 def _check_gram_args(lam2, half_width, precision_bits):
     """K and precision_bits must pass operator.index (3.0 is refused), else
-    TypeError; K must be nonnegative and lam2, read exactly, finite and above
-    1, else ValueError: either would fail deep in the assembly."""
-    operator.index(precision_bits)
+    TypeError; K nonnegative, precision_bits at least 8 and lam2, read
+    exactly, finite and above 1, else ValueError, as each fails deep in it."""
+    _working_bits(precision_bits)
     if operator.index(half_width) < 0:
         raise ValueError(f"half_width must be a nonnegative integer, got {half_width!r}")
     if not _exact(lam2) > 1:

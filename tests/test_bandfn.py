@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 from convolved_band import star_convolve
+from zetalab import bandfn
 from zetalab.bandfn import LogBandFunction, _band_frame, _fixed_sin, _sine_tables
 from zetalab.zerotable import bundled_zero_table
 
@@ -66,7 +67,7 @@ class TestLogBandFunction:
     def test_minus_center_matches_difference(self):
         f = band({0: 1, 1: Fraction(1, 2), -2: Fraction(1, 5)})
         for t in (mpf(1) / 3, mpf(-1) / 7, mpf(2) ** -40, Fraction(-2, 9)):
-            direct = f.evaluate_log(t, BITS) - f.value_at_one(BITS)
+            direct = f.evaluate_log(t, BITS) - f.evaluate_log(0, BITS)
             stable = f.evaluate_log_minus_center(t, BITS)
             assert abs(direct - stable) < mpf(2) ** -200
 
@@ -161,6 +162,27 @@ class TestLogBandFunction:
         f = LogBandFunction.cosine_power(5, 2)
         with pytest.raises(ValueError):
             f.mellin_pair_sum([14, g], 64)
+
+    def test_pair_sum_one_sine_per_ordinate(self, monkeypatch):
+        # the precision contract's complex band: the real and imaginary parts
+        # of its coefficients share one pass and one sine per ordinate, and
+        # the sum is, bit for bit, that of the band of the real parts plus i
+        # times that of the band of the imaginary parts
+        f = band({0: mp.mpc(1, 0.5), 1: Fraction(1, 3), -1: mp.mpc(-0.25, 2), 2: 1j, -3: Fraction(2, 7)})
+        edge = _band_frame(f.lam2)[1] * f.half_width_index + 1
+        table = [g for g in bundled_zero_table().ordinates if g > edge][:200]
+        calls = []
+
+        def counting_sin(theta, W):
+            calls.append(theta)
+            return _fixed_sin(theta, W)
+
+        monkeypatch.setattr(bandfn, "_fixed_sin", counting_sin)
+        got = f.mellin_pair_sum(table, BITS)
+        assert len(calls) == 200
+        re, im = (band({k: getattr(v, part) for k, v in f.coeffs.items()}).mellin_pair_sum(table, BITS)
+                  for part in ("real", "imag"))
+        assert got._mpc_ == mp.mpc(re, im)._mpc_
 
 
 class TestFixedSine:

@@ -18,6 +18,24 @@ def test_fourier_closed_form_matches_transform():
             assert abs(num - fhat.evaluate(y, 96)) < mpf(2) ** -80
 
 
+def phi_even_at_zero(m):
+    """phi_2m(0) = 2^(1/4) (-1)^m sqrt((2m)!)/(2^m m!) in closed form, at the
+    caller's working precision."""
+    return mp.root(2, 4) * (-1) ** m * mp.sqrt(mp.factorial(2 * m)) / (2**m * mp.factorial(m))
+
+
+@pytest.mark.parametrize("scale", [mpf("1.3"), mpf(5) / 4])
+@pytest.mark.parametrize("bits", [64, 128])
+def test_value_at_zero_matches_closed_form(scale, bits):
+    # g(0) is read from evaluate (tate_arch_check's subtracted constant):
+    # phi_2m(0)/sqrt(a) for each order m = 0..6, within 2^-bits relative
+    with mp.workprec(bits + 64):
+        for m in range(7):
+            want = phi_even_at_zero(m) / mp.sqrt(scale)
+            got = EvenGaussHermite(scale, [0] * m + [1]).evaluate(0, bits)
+            assert abs(got - want) <= mpf(2) ** -bits * abs(want), m
+
+
 @pytest.mark.parametrize("scale, coeffs", [
     (mpf("inf"), [1]), (mpf("nan"), [1]), (float("inf"), [1]), (0, [1]), (mpf(-1), [1]),
     (1, [mpf("nan")]), (1, [1, mpf("-inf")]), (mpf("1.3"), [1, float("inf")]),

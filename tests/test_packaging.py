@@ -136,7 +136,7 @@ def test_pair_sum_sine_runs_on_integers():
     # the zero sum's sine is the package's own, on Python integers: the pass
     # and its kernel name no mpmath sine or product, and bandfn imports none
     banned = {"mpf_sin", "mpf_mul", "sin", "cos_sin", "cos_sin_basecase"}
-    for name in ("_real_pair_sum", "_fixed_sin"):
+    for name in ("_pair_sum", "_fixed_sin"):
         _, func = _function("bandfn", name)
         used = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
         used |= {n.attr for n in ast.walk(func) if isinstance(n, ast.Attribute)}
@@ -146,19 +146,30 @@ def test_pair_sum_sine_runs_on_integers():
     assert not imported & banned, f"bandfn imports {sorted(imported & banned)}"
 
 
+def _calls(node, name):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == name]
+
+
+def test_one_zero_sum_pass():
+    # every band's zero sum is one pass with one sine per ordinate: bandfn
+    # calls _fixed_sin at one site, and mellin_pair_sum calls the pass once
+    tree = ast.parse((PACKAGE / "bandfn.py").read_text())
+    assert len(_calls(tree, "_fixed_sin")) == 1
+    [method] = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "mellin_pair_sum"]
+    assert len(_calls(method, "_pair_sum")) == 1
+
+
 def test_ql_rotations_take_no_square_root():
     # the root-free QL: its one isqrt is the Wilkinson shift, once per sweep,
     # and the rotation loop, the innermost, calls none
     _, func = _function("precision", "_ql_centres")
 
-    def isqrts(node):
-        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
-                and getattr(n.func, "id", getattr(n.func, "attr", None)) == "isqrt"]
-
     loops = [n for n in ast.walk(func) if isinstance(n, ast.For)]
     innermost = [n for n in loops if not any(isinstance(m, ast.For) for m in ast.walk(n) if m is not n)]
-    assert innermost and not any(isqrts(n) for n in innermost)
-    assert len(isqrts(func)) == 1
+    assert innermost and not any(_calls(n, "isqrt") for n in innermost)
+    assert len(_calls(func, "isqrt")) == 1
 
 
 def test_eigensolve_has_no_knob():

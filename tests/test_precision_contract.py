@@ -24,16 +24,17 @@ MODULES = ("bandfn", "weil", "semilocal", "hermitefn", "precision", "zerotable")
 
 
 def public_names():
-    """module.function and module.Class.method for every public name, by AST."""
-    names = []
+    """module.function and module.Class.method for every public name, by AST,
+    each mapped to its parameter names."""
+    names = {}
     for module in MODULES:
         for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                names.append(f"{module}.{node.name}")
+                names[f"{module}.{node.name}"] = node
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                names += [f"{module}.{node.name}.{m.name}" for m in node.body
-                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
-    return names
+                names.update((f"{module}.{node.name}.{m.name}", m) for m in node.body
+                             if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+    return {name: [a.arg for a in f.args.args + f.args.kwonlyargs] for name, f in names.items()}
 
 
 # The bands and the Gauss-Hermite function are those of the Tier-1 checks:
@@ -48,7 +49,6 @@ CALLS = {
     "bandfn.LogBandFunction.cosine_power": lambda: LogBandFunction.cosine_power(7, 3, 2),
     "bandfn.LogBandFunction.half_width_index": lambda: BAND.half_width_index,
     "bandfn.LogBandFunction.evaluate_log": lambda: [BAND.evaluate_log(t, 64) for t in (Fraction(1, 3), 0, 2)],
-    "bandfn.LogBandFunction.value_at_one": lambda: BAND.value_at_one(64),
     "bandfn.LogBandFunction.evaluate_log_minus_center": lambda: [
         BAND.evaluate_log_minus_center(t, 64) for t in (Fraction(-1, 5), mpf(2) ** -40, 2)],
     "bandfn.LogBandFunction.mellin": lambda: [BAND.mellin(s, 64) for s in (Fraction(3, 2), mpc(2, -0.5))],
@@ -72,7 +72,6 @@ CALLS = {
     "hermitefn.EvenGaussHermite.order": lambda: GAUSS_HERMITE.order,
     "hermitefn.EvenGaussHermite.evaluate": lambda: GAUSS_HERMITE.evaluate(mpf(3) / 8, 64),
     "hermitefn.EvenGaussHermite.fourier": lambda: GAUSS_HERMITE.fourier(64),
-    "hermitefn.EvenGaussHermite.value_at_zero": lambda: GAUSS_HERMITE.value_at_zero(64),
     "hermitefn.EvenGaussHermite.decay_radius": lambda: GAUSS_HERMITE.decay_radius(64),
     "precision.jacobi_eigensystem": lambda: precision.jacobi_eigensystem(
         precision.HPMatrix([[7, 3, -1], [3, 5, 2], [-1, 2, 4]], -3, 64)),
@@ -80,6 +79,31 @@ CALLS = {
     "zerotable.ZeroTable.truncated": lambda: zerotable.parse_zero_table(TEXT).truncated(1),
     "zerotable.parse_zero_table": lambda: zerotable.parse_zero_table(TEXT),
     "zerotable.bundled_zero_table": lambda: zerotable.bundled_zero_table().ordinates[::1000],
+}
+
+
+# Every public name that takes precision_bits, called at b bits: each must
+# refuse a b that is no integer (TypeError) or is below 8 (ValueError)
+AT_BITS = {
+    "bandfn.LogBandFunction.evaluate_log": lambda b: BAND.evaluate_log(0, b),
+    "bandfn.LogBandFunction.evaluate_log_minus_center": lambda b: BAND.evaluate_log_minus_center(0, b),
+    "bandfn.LogBandFunction.mellin": lambda b: BAND.mellin(1, b),
+    "bandfn.LogBandFunction.mellin_pair_sum": lambda b: BAND.mellin_pair_sum(ORDINATES, b),
+    "weil.w_prime": lambda b: weil.w_prime(2, BUMP, b),
+    "weil.w_arch": lambda b: weil.w_arch(BAND, b),
+    "weil.explicit_formula_residual": lambda b: weil.explicit_formula_residual(
+        BUMP, zerotable.bundled_zero_table().truncated(100), b),
+    "weil.weil_gram_complex": lambda b: weil.weil_gram_complex(5, 3, b),
+    "weil.weil_gram": lambda b: weil.weil_gram(5, 4, b),
+    "weil.weil_gram_spectrum": lambda b: weil.weil_gram_spectrum(5, 4, b),
+    "semilocal.quad_checked": lambda b: semilocal.quad_checked(lambda x: mp.exp(-x * x), [0, 1], b),
+    "semilocal.gamma_factor": lambda b: semilocal.gamma_factor(0.5, b),
+    "semilocal.tate_arch_check": lambda b: semilocal.tate_arch_check(GAUSS_HERMITE, mpf(3) / 4, b),
+    "semilocal.trace_side_integral": lambda b: semilocal.trace_side_integral(BAND, b),
+    "semilocal.arch_trace_check": lambda b: semilocal.arch_trace_check(BAND, b),
+    "hermitefn.EvenGaussHermite.evaluate": lambda b: GAUSS_HERMITE.evaluate(mpf(3) / 8, b),
+    "hermitefn.EvenGaussHermite.fourier": lambda b: GAUSS_HERMITE.fourier(b),
+    "hermitefn.EvenGaussHermite.decay_radius": lambda b: GAUSS_HERMITE.decay_radius(b),
 }
 
 
@@ -116,3 +140,19 @@ def test_result_ignores_the_ambient_precision(name):
         with mp.workprec(ambient):
             results.append(bits(CALLS[name]()))
     assert results[0] == results[1]
+
+
+TAKES_BITS = {name for name, params in PUBLIC.items() if "precision_bits" in params}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_BITS | set(AT_BITS)))
+def test_bad_precision_fails_fast(name):
+    # a name that takes precision_bits with no call here, or a call for a
+    # name that does not take it, fails
+    assert name in TAKES_BITS, f"{name} is not a public name that takes precision_bits"
+    assert name in AT_BITS, f"{name} has no call in this test"
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="precision_bits"):
+            AT_BITS[name](bad)
+    with pytest.raises(TypeError):
+        AT_BITS[name](64.5)

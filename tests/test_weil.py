@@ -83,7 +83,7 @@ class TestWPrime:
         # f(2) = f(1/2) = 1 with lambda in (2, 4): only m = 1 contributes
         with mp.workprec(300):
             f0 = LogBandFunction(9, {0: 1})
-            c0 = f0.value_at_one(300)
+            c0 = f0.evaluate_log(0, 300)
             f = LogBandFunction(9, {0: 1 / c0})
             got = w_prime(2, f, 256)
             want = mp.sqrt(2) * mp.log(2)
@@ -210,7 +210,7 @@ class TestWArch:
         # f(1) = 0: no distributional term, integral over the band only
         f = LogBandFunction(4, {1: 1, -1: -1})  # odd combination: f(1) = 0
         with mp.workprec(200):
-            assert abs(f.value_at_one(200)) < mpf(10) ** -50
+            assert abs(f.evaluate_log(0, 200)) < mpf(10) ** -50
         v = w_arch(f, 160)
         assert mp.isfinite(v)
 
@@ -258,7 +258,7 @@ class TestExplicitFormula:
         f = LogBandFunction(lam2, {0: 1})
         chk = explicit_formula_residual(f, zeros, 64)
         with mp.workprec(64):
-            edge = mp.log(p) / mp.sqrt(p) * f.value_at_one(64)
+            edge = mp.log(p) / mp.sqrt(p) * f.evaluate_log(0, 64)
         assert abs(chk.residual) < edge / 2
 
 
