@@ -6,7 +6,7 @@ coefficients) and in the monoid of column-monomial matrices over abstract
 roots of unity, where the universal eigenvalue invariant tau lives.  The
 numeric side evaluates explicit-formula functionals, the truncated Weil
 quadratic form and its minuscule eigenvalues, prolate-projected Dirac spectra
-against zeta-zero ordinates, and quantized-calculus identities, all at
+against zeta-zero ordinates, and the archimedean local identities, all at
 user-selected binary precision.
 """
 

@@ -28,6 +28,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from types import MappingProxyType
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, to_fixed, to_rational
@@ -233,7 +234,8 @@ class LogBandFunction(Immutable):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "lam2", lam2)
         keys = map(operator.index, coeffs)  # every key, so 1.5 raises TypeError
-        object.__setattr__(self, "coeffs", {k: v for k, v in zip(keys, coeffs.values()) if v != 0})
+        coeffs = MappingProxyType({k: v for k, v in zip(keys, coeffs.values()) if v != 0})
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def cosine_power(cls, lam2, q: int, modulation: int = 0) -> "LogBandFunction":

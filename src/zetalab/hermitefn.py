@@ -38,7 +38,7 @@ class EvenGaussHermite(Immutable):
     __slots__ = ("scale", "coeffs")
 
     def __init__(self, scale, coeffs):
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         if not (scale > 0 and mp.isfinite(scale)):
             raise ValueError(f"scale must be finite and positive, not {scale}")
         if not all(mp.isfinite(c) for c in coeffs):

@@ -4,9 +4,10 @@
 class Immutable:
     """Slotted base for immutable values: a subclass fills its __slots__ once,
     in __init__, with object.__setattr__; afterwards assigning or deleting
-    any attribute raises AttributeError.  A private slot may hold a cache of
-    values derived from the others, filled on first use: it changes no value
-    the object shows."""
+    any attribute raises AttributeError.  A slot holds no mutable container:
+    a sequence is a tuple, a mapping a types.MappingProxyType over a dict no
+    one else holds.  A private slot may hold a cache of values derived from
+    the others, filled on first use: it changes no value the object shows."""
 
     __slots__ = ()
 

@@ -6,9 +6,10 @@ gamma_R(z) = pi^(-z/2) Gamma(z/2).  Tate's archimedean functional equation
 and the trace-formula form of the archimedean explicit-formula distribution
 are both checked numerically here at arbitrary precision.
 
-Every numerical integral in the package is one quad_checked: tanh-sinh 80
-bits above the target, refused with QuadratureError when its error estimate
-exceeds 2^-(precision_bits + 8) (1 + |value|).  No integrand is left
+This module computes at one precision, precision_bits + weil's _GUARD, and
+asks that precision of what it integrates.  Every numerical integral in the
+package is one quad_checked, refused with QuadratureError when its error
+estimate exceeds 2^-(precision_bits + 8) (1 + |value|).  No integrand is left
 oscillating without decay: Tate's check takes the x^(is) singularity at x = 0
 out in closed form, and the trace side rotates its oscillatory tail onto
 rays where the Mellin transform decays like e^(-yL).
@@ -33,15 +34,19 @@ def quad_checked(integrand, interval, precision_bits):
     package's one quadrature: QuadratureError unless the error estimate is
     at most 2^-(precision_bits+8) (1 + |value|).
 
-    The rule and the integrand run 80 bits above precision_bits, 32 above
-    weil's _GUARD: tanh-sinh estimates its error from the gap between
-    successive levels, which certifies the tolerance only once the rule has
-    converged well past it.  The tolerance and the returned value are formed
-    at precision_bits + _GUARD.
+    The rule, the integrand, the check and the value run at one precision,
+    precision_bits + weil's _GUARD, so mp.quad stops at its eps/8 there,
+    2^-(precision_bits+50): tanh-sinh's estimate, from the differences of
+    successive levels, certifies the tolerance only once the rule has
+    converged well past it.  The premise is an integrand bounded on the
+    closed interval: the differences cannot see mass beyond the outermost
+    nodes, so at a singular end the check can certify falsely (the raw
+    x^(is - 1/2) of tests/test_semilocal.py passes at 96 to 126 bits).
+    Tate's (g - g(0)) x^(b-1) is O(x^(3/2)), the trace side's head is smooth
+    on [0, a], and its ray decays like e^(-yL).
     """
-    with mp.workprec(_working_bits(precision_bits, 80)):
+    with mp.workprec(_working_bits(precision_bits, _GUARD)):
         val, err = mp.quad(integrand, interval, error=True)
-    with mp.workprec(precision_bits + _GUARD):
         tol = mpf(2) ** (-precision_bits - 8) * (1 + abs(val))
         if err > tol:
             raise QuadratureError(f"quadrature error estimate {mp.nstr(err, 5)} exceeds tolerance "
@@ -49,7 +54,7 @@ def quad_checked(integrand, interval, precision_bits):
         return +val
 
 
-def gamma_factor(z, precision_bits: int = 256):
+def gamma_factor(z, precision_bits: int):
     """gamma_R(z) = pi^(-z/2) Gamma(z/2); poles at z in {0, -2, -4, ...}."""
     with mp.workprec(_working_bits(precision_bits, _GUARD)):
         z = mp.mpmathify(z)
@@ -62,7 +67,7 @@ def gamma_factor(z, precision_bits: int = 256):
 # -- Tate's archimedean functional equation -------------------------------------
 
 
-def tate_arch_check(f, s, precision_bits: int = 256):
+def tate_arch_check(f, s, precision_bits: int):
     """Both sides of the local functional equation at the real place for the
     character x -> |x|^(is):
 
@@ -75,14 +80,13 @@ def tate_arch_check(f, s, precision_bits: int = 256):
 
     Each side is twice (f is even) int_0^R g(x) x^(b-1) dx, b = 1/2 +- is,
     with R the larger decay radius of f and F(f), where |g| < 2^-(bits+32).
-    x^(is) oscillates without end at x = 0, where tanh-sinh's estimate for
-    the raw integrand stalls near 2^-(working bits/2).  So g(0) x^(b-1) is
-    integrated in closed form, g(0) R^b/b, and quad_checked takes the rest,
-    (g(x) - g(0)) x^(b-1) = O(x^(3/2)), g(0) from the integrand's own
-    g.evaluate.  Each side is within 2^-(precision_bits + 7) (1 + |its
-    integral|) plus the Gaussian tail beyond R, else QuadratureError, and
-    for real s, where |rho(s)| = 1, the residual is within the sum of the
-    two sides' bounds.  f must be an EvenGaussHermite, else TypeError.
+    x^(b-1) is unbounded at x = 0, against quad_checked's premise, so
+    g(0) x^(b-1) is integrated in closed form, g(0) R^b/b, and quad_checked
+    takes the rest, (g(x) - g(0)) x^(b-1) = O(x^(3/2)), g(0) from the
+    integrand's own g.evaluate.  Each side is within 2^-(precision_bits + 7)
+    (1 + |its integral|) plus the Gaussian tail beyond R (else QuadratureError);
+    for real s, where |rho(s)| = 1, the residual is within the sum of the two
+    sides' bounds.  f must be an EvenGaussHermite, else TypeError.
     """
     if not isinstance(f, EvenGaussHermite):
         raise TypeError(f"tate_arch_check takes an EvenGaussHermite, not {type(f).__name__}")
@@ -90,8 +94,7 @@ def tate_arch_check(f, s, precision_bits: int = 256):
     with mp.workprec(work):
         s = mp.mpmathify(s)
         fhat = f.fourier(work)
-        radius = max(f.decay_radius(precision_bits + 32),
-                     fhat.decay_radius(precision_bits + 32))
+        radius = max(g.decay_radius(precision_bits + 32) for g in (f, fhat))
 
         def mellin_like(g, sign):
             b = 0.5 + sign * 1j * s
@@ -101,9 +104,7 @@ def tate_arch_check(f, s, precision_bits: int = 256):
             return 2 * (val + g0 * mp.power(radius, b) / b)  # even functions: both half-lines
 
         lhs = mellin_like(fhat, -1)
-        rho = gamma_factor(0.5 - 1j * s, precision_bits) / gamma_factor(
-            0.5 + 1j * s, precision_bits
-        )
+        rho = gamma_factor(0.5 - 1j * s, precision_bits) / gamma_factor(0.5 + 1j * s, precision_bits)
         rhs = rho * mellin_like(f, +1)
         return +lhs, +rhs, +(lhs - rhs)
 
@@ -120,7 +121,7 @@ def _theta_prime(s):
             - mp.log(2 * mp.pi))
 
 
-def trace_side_integral(f, precision_bits: int = 256):
+def trace_side_integral(f, precision_bits: int):
     """-(1/2pi) integral f^(s) theta'(s) ds over the line for a band function
     f, read only through its even coefficients e_k = v_k + v_-k, as W_R
     reads it: real, odd-part and complex coefficients all work.  f must be a
@@ -181,14 +182,15 @@ def trace_side_integral(f, precision_bits: int = 256):
         return +(-total / mp.pi)
 
 
-def arch_trace_check(f: LogBandFunction, precision_bits: int = 256):
+def arch_trace_check(f: LogBandFunction, precision_bits: int):
     """w_inf = W_R(f) in closed form (weil.w_arch) against the trace side
     (trace_side_integral, two checked quadratures); returns the triple
     (w_inf, trace_side, residual).  The residual is within the trace side's
-    quadrature bound, about c0 2^-(precision_bits + 6) (1 + |head| + |ray|)
-    / pi, plus w_arch's 2^-(precision_bits + _GUARD)-level error: far inside
-    2^-(precision_bits - 8) for the bands the tests use.  f must be a
-    LogBandFunction (else TypeError, raised before any quadrature starts)."""
+    quadrature bound, c0 2^-(precision_bits + 8) (3 + 2 |head| + |ray|) / pi
+    <= c0 2^-(precision_bits + 6) (1 + |head| + |ray|) / pi, plus w_arch's
+    error and the roundings, at the 2^-(precision_bits + _GUARD) level.  f
+    must be a LogBandFunction (else TypeError, raised before any quadrature
+    starts)."""
     if not isinstance(f, LogBandFunction):
         raise TypeError(f"arch_trace_check takes a LogBandFunction, not {type(f).__name__}")
     with mp.workprec(_working_bits(precision_bits, _GUARD)):

@@ -90,7 +90,7 @@ def _prime_powers(lam2):
     return out
 
 
-def w_prime(p: int, f, precision_bits: int = 256):
+def w_prime(p: int, f, precision_bits: int):
     """(log p) sum_m p^(-m/2) (f(p^m) + f(p^-m)) over the prime powers of p
     in f's band, read from _prime_powers(f.lam2): an exact finite sum, with
     the edge p^m = lambda at half weight.  f must be a LogBandFunction, else
@@ -188,7 +188,7 @@ def _psi_pass(ys, p, x=None, term_bound=None):
                for pair, e in ((psi, s - p), (dpsi, s - p), (wt[:2], 3 * s - p), (wt[2:], 3 * s - p))]
 
 
-def w_arch(f: LogBandFunction, precision_bits: int = 256):
+def w_arch(f: LogBandFunction, precision_bits: int):
     """W_R(f) = (log 4pi + gamma) f(1) + the archimedean principal-value
     integral, for a LogBandFunction f (any other input raises TypeError), in
     closed form with no quadrature:
@@ -232,9 +232,7 @@ class ExplicitFormulaCheck:
     zeros_used: int
 
 
-def explicit_formula_residual(
-    f, zeros: ZeroTable, precision_bits: int = 256
-) -> ExplicitFormulaCheck:
+def explicit_formula_residual(f, zeros: ZeroTable, precision_bits: int) -> ExplicitFormulaCheck:
     """lhs = f^(i/2) + f^(-i/2) - sum over the ZeroTable's zeros (both signs);
     rhs = W_R(f) + w_prime over the primes of f's band; residual = lhs - rhs.
     f must be a LogBandFunction: its zero sum costs one sine per zero

@@ -25,6 +25,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Mapping
 from functools import reduce
+from types import MappingProxyType
 
 from zetalab.cyclotomy import Divisor, Root, ZERO_ROOT, rho_tilde
 from zetalab.immutable import Immutable
@@ -52,7 +53,7 @@ class MonoidMatrix(Immutable):
                 raise TypeError("entry values must be Root")
             clean[j] = (i, root)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cols", dict(sorted(clean.items())))
+        object.__setattr__(self, "cols", MappingProxyType(dict(sorted(clean.items()))))
 
     def __eq__(self, other) -> bool:
         return (

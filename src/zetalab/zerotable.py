@@ -32,24 +32,20 @@ class ZeroTable(Immutable):
     __slots__ = ("ordinates", "source", "_floats")
 
     def __init__(self, ordinates, source: str = ""):
-        ordinates = list(ordinates)
+        ordinates = tuple(ordinates)
         if not ordinates:
             raise ZeroTableError("empty zero table")
         prev = mpf(0)
         for i, g in enumerate(ordinates):
             if not g > prev:
-                raise ZeroTableError(
-                    f"ordinates must be strictly increasing and positive "
-                    f"(violated at line entry {i + 1})"
-                )
+                raise ZeroTableError(f"ordinates must be strictly increasing and positive "
+                                     f"(violated at line entry {i + 1})")
             prev = g
         if not mp.isfinite(prev):  # strictly increasing: only the last can be inf
             raise ZeroTableError(f"last ordinate {prev} is not finite")
         if not (14 < ordinates[0] < 15):
-            raise ZeroTableError(
-                f"first ordinate {ordinates[0]} outside (14,15); "
-                "not a table of zeta zeros starting at the first zero"
-            )
+            raise ZeroTableError(f"first ordinate {ordinates[0]} outside (14,15); "
+                                 "not a table of zeta zeros starting at the first zero")
         object.__setattr__(self, "ordinates", ordinates)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "_floats", None)

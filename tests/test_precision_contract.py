@@ -7,6 +7,7 @@ mpmath precision of 30 and of 2000.  scaling is float64 throughout, and
 cyclotomy and witt are exact; they are not listed."""
 
 import ast
+from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +26,7 @@ MODULES = ("bandfn", "weil", "semilocal", "hermitefn", "precision", "zerotable")
 
 def public_names():
     """module.function and module.Class.method for every public name, by AST,
-    each mapped to its parameter names."""
+    each mapped to its ast.arguments."""
     names = {}
     for module in MODULES:
         for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
@@ -34,7 +35,13 @@ def public_names():
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 names.update((f"{module}.{node.name}.{m.name}", m) for m in node.body
                              if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
-    return {name: [a.arg for a in f.args.args + f.args.kwonlyargs] for name, f in names.items()}
+    return {name: f.args for name, f in names.items()}
+
+
+def defaulted(args):
+    """The names of the parameters in args that have a default."""
+    return [a.arg for a in args.args[len(args.args) - len(args.defaults):]] + [
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
 
 
 # The bands and the Gauss-Hermite function are those of the Tier-1 checks:
@@ -117,7 +124,7 @@ def bits(x):
         return "array", x.dtype.str, x.tobytes()
     if isinstance(x, (list, tuple)):
         return tuple(map(bits, x))
-    if isinstance(x, dict):
+    if isinstance(x, Mapping):
         return tuple(sorted((k, bits(v)) for k, v in x.items()))
     if is_dataclass(x):
         return type(x).__name__, tuple(bits(getattr(x, f.name)) for f in fields(x))
@@ -142,7 +149,13 @@ def test_result_ignores_the_ambient_precision(name):
     assert results[0] == results[1]
 
 
-TAKES_BITS = {name for name, params in PUBLIC.items() if "precision_bits" in params}
+TAKES_BITS = {name for name, args in PUBLIC.items()
+              if "precision_bits" in [a.arg for a in args.args + args.kwonlyargs]}
+
+
+def test_precision_bits_is_never_defaulted():
+    # every caller states its precision: no public name falls back on one
+    assert sorted(name for name in TAKES_BITS if "precision_bits" in defaulted(PUBLIC[name])) == []
 
 
 @pytest.mark.parametrize("name", sorted(TAKES_BITS | set(AT_BITS)))

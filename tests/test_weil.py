@@ -77,7 +77,7 @@ class TestWPrime:
     def test_support_inside_prime_window_vanishes(self):
         # support in (1/2, 2) strictly: any lam2 < 4 band works for p = 2
         f = LogBandFunction(mpf(3.9), {0: 1, 1: Fraction(1, 3)})
-        assert w_prime(2, f) == 0
+        assert w_prime(2, f, 256) == 0
 
     def test_single_term_value(self):
         # f(2) = f(1/2) = 1 with lambda in (2, 4): only m = 1 contributes
@@ -91,11 +91,11 @@ class TestWPrime:
 
     def test_prime_above_band(self):
         f = LogBandFunction(4, {0: 1, 1: 1})
-        assert w_prime(3, f) == 0
+        assert w_prime(3, f, 256) == 0
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
-            w_prime(6, LogBandFunction(4, {0: 1}))
+            w_prime(6, LogBandFunction(4, {0: 1}), 256)
 
     def test_edge_at_half_weight_at_every_precision(self):
         # 27 = 3^3 sits on the edge of lambda^2 = 729: f = c0 on the band, so
@@ -149,7 +149,7 @@ def test_prime_powers_match_brute_force(lam2):
 
 class TestWArch:
     def test_zero_function(self):
-        assert w_arch(LogBandFunction(4, {})) == 0
+        assert w_arch(LogBandFunction(4, {}), 256) == 0
 
     def test_gaussian_in_log_trace_identity(self):
         # W_R(f) = -(1/2 pi) int_R f^(s) theta'(s) ds, f^(s) = sqrt(pi) e^(-s^2/4)
@@ -217,7 +217,7 @@ class TestWArch:
 
 class TestExplicitFormula:
     def test_zero_function(self, zeros):
-        chk = explicit_formula_residual(LogBandFunction(4, {}), zeros.truncated(10))
+        chk = explicit_formula_residual(LogBandFunction(4, {}), zeros.truncated(10), 256)
         assert chk.lhs == chk.rhs == chk.residual == 0
 
     def test_smooth_bump_small_residual(self, zeros, bump_profile):
@@ -247,7 +247,7 @@ class TestExplicitFormula:
 
         monkeypatch.setattr(weil, "w_arch", lambda *args: pytest.fail("W_R computed"))
         with pytest.raises(TypeError):
-            explicit_formula_residual(LogBandFunction(4, {0: 1}), [14.13, 21.02])
+            explicit_formula_residual(LogBandFunction(4, {0: 1}), [14.13, 21.02], 256)
 
     @pytest.mark.parametrize("lam2, p", [(4, 2), (9, 3)])
     def test_edge_prime_at_half_weight(self, zeros, lam2, p):
@@ -286,7 +286,7 @@ def test_bad_input_raises_value_error(call, zeros):
         lambda zeros: HPMatrix([[1, 0], [0, 2]], -64.0, 64),
         lambda zeros: w_arch(LogBandFunction(4, {0: 1}), 128.0),
         lambda zeros: w_prime(2, LogBandFunction(9, {0: 1}), 128.0),
-        lambda zeros: w_prime(2.0, LogBandFunction(9, {0: 1})),
+        lambda zeros: w_prime(2.0, LogBandFunction(9, {0: 1}), 128),
         lambda zeros: explicit_formula_residual(LogBandFunction(4, {0: 1}), zeros, 128.0),
         lambda zeros: weil_gram_spectrum(5, 4, 128.0),
         lambda zeros: weil_gram_spectrum(5, 3.0, 128),
