@@ -12,7 +12,9 @@ coefficients of a stream of (Root, int) pairs per root and drops the zeros.
 Sums, products and the images under sigma_n, rho_tilde_n and witt's tau and
 monoid actions only hand it their unsummed pairs.
 
-Everything here is immutable and exact (Python integers only).
+Everything here is immutable and exact (Python integers only).  A
+coefficient must be an integer: the constructor reads each one with
+operator.index and raises TypeError for a float, a Fraction or an mpf.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain
 from math import gcd
+from operator import index
 
 from zetalab.immutable import Immutable
 
@@ -45,18 +48,29 @@ class Root(Immutable):
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
+    # The binary operators read other.num and other.den directly, so the
+    # Root-Root path does no type test; an operand without them is not a Root.
     def __lt__(self, other: "Root") -> bool:
         # canonical order: a Divisor keeps its roots sorted by (den, num)
-        return (self.den, self.num) < (other.den, other.num)
+        try:
+            return (self.den, self.num) < (other.den, other.num)
+        except AttributeError:
+            return NotImplemented
 
     def __add__(self, other: "Root") -> "Root":
-        return Root(self.num * other.den + other.num * self.den, self.den * other.den)
+        try:
+            return Root(self.num * other.den + other.num * self.den, self.den * other.den)
+        except AttributeError:
+            return NotImplemented
 
     def __neg__(self) -> "Root":
         return Root(-self.num, self.den)
 
     def __sub__(self, other: "Root") -> "Root":
-        return self + (-other)
+        try:
+            return Root(self.num * other.den - other.num * self.den, self.den * other.den)
+        except AttributeError:
+            return NotImplemented
 
     def scale(self, n: int) -> "Root":
         """The root e(n * num/den)."""
@@ -83,7 +97,8 @@ class Divisor(Immutable):
 
     Built from a Mapping or a stream of (Root, int) pairs: coefficients of
     the same root are summed, zero sums dropped and the roots sorted.  This
-    is the only place where coefficients are added.
+    is the only place where coefficients are added.  Each coefficient is
+    read with operator.index: anything but an integer raises TypeError.
     """
 
     __slots__ = ("_terms",)
@@ -93,6 +108,8 @@ class Divisor(Immutable):
         for root, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             if not isinstance(root, Root):
                 raise TypeError(f"expected Root, got {type(root).__name__}")
+            if type(coeff) is not int:
+                coeff = index(coeff)
             acc[root] = acc.get(root, 0) + coeff
         object.__setattr__(self, "_terms", dict(sorted(rc for rc in acc.items() if rc[1])))
 

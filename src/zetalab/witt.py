@@ -3,16 +3,18 @@
 A MonoidMatrix is an n x n matrix with entries in (Q/Z)_+ (a Root or the
 basepoint), at most one non-basepoint entry per column; these are exactly the
 endomorphisms of the free rank-n module.  tau assigns to such a matrix the
-divisor of its nonzero eigenvalues, all of which are roots of unity: iterate
-the underlying pointed map until its range stabilizes, decompose the residual
-permutation into cycles, and read each length-m cycle with entry sum e(r) as
-the m preimages of e(r).  Frobenius raises a matrix to a power, Verschiebung
-spreads it over cyclically permuted copies; under tau they implement sigma_n
-and rho_tilde_n on divisors.
+divisor of its nonzero eigenvalues, all of which are roots of unity: walk
+the underlying pointed map once from every column, in time linear in n, to
+find the cycles it ends in, and read each length-m cycle with entry sum e(r)
+as the m preimages of e(r).  Frobenius raises a matrix to a power by repeated
+squaring, Verschiebung spreads it over cyclically permuted copies; under tau
+they implement sigma_n and rho_tilde_n on divisors.
 
 DivisorMatrix carries matrices over the full group ring Z[Q/Z], the Fourier
 matrices V, W among them; a MonoidMatrix acts on one from either side by root
-shifts, all that Delta(n) V = V C(n) and C(n) W = W Delta(n) ask for.
+shifts, all that Delta(n) V = V C(n) and C(n) W = W Delta(n) ask for.  A
+shift by the unit e(0) does no work: the output reuses the shifted line's
+Divisor, so C(n) acts by permuting entries alone.
 
 As in cyclotomy, everything here is exact and runs on Python integers alone,
 with no floating point.  The tests' oracle holds the rest: the complex
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Mapping
-from functools import reduce
 from types import MappingProxyType
 
 from zetalab.cyclotomy import Divisor, Root, ZERO_ROOT, rho_tilde
@@ -84,10 +85,18 @@ def compose(a: MonoidMatrix, b: MonoidMatrix) -> MonoidMatrix:
 
 
 def frobenius(n: int, t: MonoidMatrix) -> MonoidMatrix:
-    """n-th matrix power (n >= 1)."""
+    """n-th matrix power (n >= 1), by repeated squaring: O(log n) products."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    return reduce(compose, [t] * n)
+    power, square = None, t
+    while True:
+        if n & 1:  # powers of t commute, so the factors' order does not matter
+            power = square if power is None else compose(power, square)
+        n >>= 1
+        if not n:
+            return power
+        square = compose(square, square)
 
 
 def verschiebung(n: int, t: MonoidMatrix) -> MonoidMatrix:
@@ -126,46 +135,54 @@ def smash(t1: MonoidMatrix, t2: MonoidMatrix) -> MonoidMatrix:
 def tau(t: MonoidMatrix) -> Divisor:
     """The divisor of nonzero eigenvalues of t, as roots of unity.
 
-    The pointed map phi sends column j to its bound row; its iterated range
-    stabilizes within n steps onto a subset where phi is a permutation.  Each
-    cycle of length m with entry roots summing to r contributes the m-th
-    preimages of e(r).  The zero matrix yields the empty divisor.
+    The pointed map phi sends column j to its bound row, and an unbound
+    column to the basepoint.  One pass walks phi from each column not yet
+    visited until it reaches the basepoint or a visited column; only a walk
+    that closes on its own path has found a new cycle, so every column is
+    visited once and the cost is linear in n.  Each cycle of length m with
+    entry roots summing to r contributes the m-th preimages of e(r).  The
+    zero matrix yields the empty divisor.
 
     All cycles' terms go into one Divisor.  Each cycle still calls rho_tilde,
     through this module's name for it, so tau reads as the sum of rho_tilde_m
     images and a profile of tau sees one rho_tilde call per cycle.
     """
-    live = set(range(1, t.n + 1))
-    for _ in range(t.n + 1):
-        nxt = {t.cols[j][0] for j in live if j in t.cols}
-        if nxt == live:
-            break
-        live = nxt
+    walk_of: dict[int, int] = {}  # column -> the start of the walk that visited it
     pairs: list[tuple[Root, int]] = []
-    seen: set[int] = set()
-    for j in sorted(live):
-        cycle_sum, length = ZERO_ROOT, 0
-        while j not in seen:
-            seen.add(j)
-            j, root = t.cols[j]
-            cycle_sum, length = cycle_sum + root, length + 1
-        if length:
+    for start in range(1, t.n + 1):
+        j = start
+        while j not in walk_of and j in t.cols:
+            walk_of[j] = start
+            j = t.cols[j][0]
+        if walk_of.get(j) == start:  # closed on its own path: j lies on a new cycle
+            k, cycle_sum = t.cols[j]
+            length = 1
+            while k != j:
+                k, root = t.cols[k]
+                cycle_sum, length = cycle_sum + root, length + 1
             pairs.extend(rho_tilde(length, Divisor.of(cycle_sum)).items())
     return Divisor(pairs)
 
 
 def _shifted_sum(line: tuple[Divisor, ...], binds: list[tuple[int, Root]]) -> Divisor:
-    """The sum over (j, r) in binds of line[j] with every root shifted by r."""
+    """The sum over (j, r) in binds of line[j] with every root shifted by r.
+
+    A single bind by the unit e(0) returns line[j] itself: a Divisor is an
+    immutable value and the shift would rebuild it unchanged."""
+    if len(binds) == 1 and binds[0][1] == ZERO_ROOT:
+        return line[binds[0][0]]
     return Divisor((s + r, c) for j, r in binds for s, c in line[j].items())
 
 
 class DivisorMatrix(Immutable):
     """n x n matrix over Z[Q/Z], rows a tuple of tuples of Divisors;
     rows/columns are 0-based.  A MonoidMatrix M acts on it from either side
-    by n^2 root shifts.  A @ M: column k is column j of A shifted by r, where
-    M binds k to (j, r), and 0 where k is unbound.  M @ A: row i sums row j of
-    A shifted by r over every column j that M binds to (i, r).  Two
-    DivisorMatrix factors have no product."""
+    by at most n^2 root shifts.  A @ M: column k is column j of A shifted by
+    r, where M binds k to (j, r), and 0 where k is unbound.  M @ A: row i sums
+    row j of A shifted by r over every column j that M binds to (i, r).  An
+    output line that is one line shifted by e(0) reuses that line's Divisors,
+    so a permutation matrix shifts nothing.  Two DivisorMatrix factors have no
+    product."""
 
     __slots__ = ("n", "rows")
 
@@ -183,6 +200,9 @@ class DivisorMatrix(Immutable):
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DivisorMatrix) and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
 
     def _binds(self, m: MonoidMatrix, left: bool) -> list[list[tuple[int, Root]]]:
         """binds[x]: the (j, r) such that output line x sums line j of A shifted

@@ -1,10 +1,15 @@
 """The tests' independent oracles for zetalab.witt: the standard complex
-embedding, for tau, and the dense group-ring product, for the monoid actions.
+embedding and the iterated range, for tau, and the dense group-ring product,
+for the monoid actions.
 
 zetalab.witt is exact: a Root is an abstract root of unity and tau reads the
 eigenvalue divisor off the cycles of a pointed map.  Here a Root becomes
 exp(2 pi i num/den) in mpmath, and eigenvalue_divisor computes the complex
 eigenvalues of the embedded matrix and snaps them back to Roots.
+
+range_tau finds the cycles another way: it iterates the pointed map's range
+until it stabilizes on the permuted part, one pass over the range per step
+of the deepest tail, so it is quadratic in n where witt.tau is linear.
 
 witt applies a MonoidMatrix factor by shifting entries.  dense_product is
 the textbook product instead: it writes a MonoidMatrix out as a
@@ -19,7 +24,7 @@ from math import lcm
 
 from mpmath import mp, mpc
 
-from zetalab.cyclotomy import Divisor, Root, divisor_mul
+from zetalab.cyclotomy import Divisor, Root, ZERO_ROOT, divisor_mul, rho_tilde
 from zetalab.witt import DivisorMatrix, MonoidMatrix
 
 
@@ -40,6 +45,29 @@ def dense_product(a: MonoidMatrix | DivisorMatrix, b: MonoidMatrix | DivisorMatr
     cols = list(zip(*b.rows))
     return DivisorMatrix(a.n, [[sum(map(divisor_mul, row, col), Divisor()) for col in cols]
                                for row in a.rows])
+
+
+def range_tau(t: MonoidMatrix) -> Divisor:
+    """tau by iterated range: the range of the pointed map stabilizes within n
+    steps onto the columns it permutes; each of its cycles, of length m with
+    entry roots summing to r, contributes the m-th preimages of e(r)."""
+    live = set(range(1, t.n + 1))
+    for _ in range(t.n + 1):
+        nxt = {t.cols[j][0] for j in live if j in t.cols}
+        if nxt == live:
+            break
+        live = nxt
+    out = Divisor()
+    seen: set[int] = set()
+    for j in sorted(live):
+        cycle_sum, length = ZERO_ROOT, 0
+        while j not in seen:
+            seen.add(j)
+            j, root = t.cols[j]
+            cycle_sum, length = cycle_sum + root, length + 1
+        if length:
+            out += rho_tilde(length, Divisor.of(cycle_sum))
+    return out
 
 
 def root_to_complex(r: Root) -> mpc:

@@ -1,11 +1,14 @@
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from divisor_text import parse_divisor
 from zetalab.cyclotomy import Divisor, Root, divisor_mul, rho_tilde, sigma
@@ -34,6 +37,7 @@ class TestRoot:
         assert Root(1, 3) + Root(1, 4) == Root(7, 12)
         assert Root(1, 2) + Root(1, 2) == Root(0, 1)
         assert Root(5, 6) + Root(5, 6) == Root(2, 3)
+        assert Root(3, 4) - Root(1, 2) == Root(1, 4)
 
     @given(roots, roots, roots)
     def test_group_laws(self, a, b, c):
@@ -41,6 +45,13 @@ class TestRoot:
         assert (a + b) + c == a + (b + c)
         assert a + Root(0) == a
         assert a + (-a) == Root(0)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.lt])
+    @pytest.mark.parametrize("other", [1, Fraction(1, 2), "1/2"])
+    def test_non_root_operand_raises_type_error(self, op, other):
+        # the operator returns NotImplemented, not an AttributeError on other.den
+        with pytest.raises(TypeError):
+            op(Root(1, 2), other)
 
     def test_preimages(self):
         assert Root(0).preimages(2) == [Root(0), Root(1, 2)]
@@ -154,6 +165,19 @@ class TestAccumulator:
         for bad in ({"1/3": 1}, [(Fraction(1, 3), 1)], [(third, 1), ((1, 3), 1)]):
             with pytest.raises(TypeError):
                 Divisor(bad)
+
+    @pytest.mark.parametrize("coeff", [1.5, Fraction(1, 3), mp.mpf(2)],
+                             ids=["float", "fraction", "mpf"])
+    def test_rejects_non_integer_coefficients(self, coeff):
+        half = Root(1, 2)
+        for terms in ([(half, coeff)], {half: coeff}, [(half, 1), (Root(0), coeff)]):
+            with pytest.raises(TypeError):
+                Divisor(terms)
+
+    def test_reads_integer_like_coefficients_as_int(self):
+        d = Divisor([(Root(1, 2), np.int64(2)), (Root(1, 3), True)])
+        assert list(d.items()) == [(Root(1, 2), 2), (Root(1, 3), 1)]
+        assert all(type(c) is int for _, c in d.items())
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from divisor_text import parse_divisor
-from tau_oracle import dense_product, eigenvalue_divisor, embed_complex
+from tau_oracle import dense_product, eigenvalue_divisor, embed_complex, range_tau
 from zetalab.cyclotomy import Divisor, Root, rho_tilde, sigma
 from zetalab.witt import (
     DivisorMatrix,
@@ -28,6 +29,31 @@ def random_matrix(rng, max_n=6, max_den=6, fill=0.8):
         if rng.random() < fill:
             den = rng.randint(1, max_den)
             cols[j] = (rng.randint(1, n), Root(rng.randrange(den), den))
+    return MonoidMatrix(n, cols)
+
+
+def random_root(rng, max_den=6):
+    den = rng.randint(1, max_den)
+    return Root(rng.randrange(den), den)
+
+
+def tailed_matrix(rng, n):
+    """A pointed map on n shuffled columns: a few cycles, fixed points among
+    them, over about a quarter of the columns; the rest form tails, each
+    column unbound or bound, mostly to the column before it, so the tails
+    run long into the cycles or into unbound columns."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    cols, pos = {}, 0
+    while pos < n // 4:
+        cycle = order[pos:pos + rng.choice((1, 1, 2, 3, 5))]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            cols[a] = (b, random_root(rng))
+        pos += len(cycle)
+    for k in range(pos, n):
+        if k and rng.random() < 0.9:
+            target = order[k - 1] if rng.random() < 0.8 else order[rng.randrange(k)]
+            cols[order[k]] = (target, random_root(rng))
     return MonoidMatrix(n, cols)
 
 
@@ -63,6 +89,24 @@ SHARED_ROW = MonoidMatrix(3, {1: (2, Root(1, 3)), 3: (2, Root(1, 4))})
 
 
 TWO_CYCLE = MonoidMatrix(2, {1: (2, Root(1, 4)), 2: (1, Root(1, 3))})
+
+
+def unit_shift_cases():
+    """(A, M) with M a permutation by e(0): V and W against C(n), and a
+    seeded permutation against signed divisors."""
+    for n in (1, 3, 8):
+        v, w, c, _ = fourier_pair(n)
+        yield v, c
+        yield w, c
+    rng = random.Random(13)
+    perm = list(range(1, 6))
+    rng.shuffle(perm)
+    m = MonoidMatrix(5, {j: (i, Root(0)) for j, i in enumerate(perm, 1)})
+    yield DivisorMatrix(5, [[Divisor([(random_root(rng), rng.randint(-3, 3)) for _ in range(3)])
+                             for _ in range(5)] for _ in range(5)]), m
+
+
+UNIT_SHIFT_CASES = list(unit_shift_cases())
 
 
 def identity(n):
@@ -166,6 +210,19 @@ class TestTau:
                 cols[j] = (i, diag[i - 1] + r - diag[j - 1])
             assert tau(MonoidMatrix(t.n, cols)) == tau(t)
 
+    def test_matches_range_oracle(self):
+        rng = random.Random(10)
+        for n in [1, 2, 3, 5, 8] + [rng.randint(10, 80) for _ in range(60)]:
+            t = tailed_matrix(rng, n)
+            assert tau(t) == range_tau(t)
+
+    def test_long_chain_into_cycle(self):
+        # columns 1..n-3 form one chain into the 3-cycle n-2 -> n-1 -> n -> n-2
+        n = 20_000
+        cols = {j: (j + 1, Root(1, 2)) for j in range(1, n - 2)}
+        cols.update({n - 2: (n - 1, Root(1, 5)), n - 1: (n, Root(1, 7)), n: (n - 2, Root(0))})
+        assert tau(MonoidMatrix(n, cols)) == rho_tilde(3, Divisor.of(Root(12, 35)))
+
     def test_similarity_invariance_permutation(self):
         rng = random.Random(6)
         for _ in range(25):
@@ -187,6 +244,25 @@ class TestFrobeniusVerschiebung:
         assert frobenius(2, TWO_CYCLE) == compose(TWO_CYCLE, TWO_CYCLE)
         assert tau(frobenius(2, TWO_CYCLE)) == sigma(2, tau(TWO_CYCLE))
         assert tau(frobenius(2, TWO_CYCLE)) == parse_divisor("2*e(7/12)")
+
+    def test_frobenius_matches_repeated_compose(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            t = random_matrix(rng)
+            for n in range(1, 9):
+                assert frobenius(n, t) == reduce(compose, [t] * n)
+
+    def test_frobenius_huge_power(self):
+        rng = random.Random(12)
+        cycles = MonoidMatrix(3, {1: (2, Root(1, 4)), 2: (1, Root(1, 3)), 3: (3, Root(2, 7))})
+        for t in [cycles] + [random_matrix(rng, max_n=3) for _ in range(5)]:
+            assert tau(frobenius(10**9, t)) == sigma(10**9, tau(t))
+
+    def test_frobenius_rejects_bad_powers(self):
+        with pytest.raises(TypeError):
+            frobenius(2.0, TWO_CYCLE)
+        with pytest.raises(ValueError):
+            frobenius(0, TWO_CYCLE)
 
     def test_v2_unrolled(self):
         t = MonoidMatrix(1, {1: (1, Root(1, 3))})
@@ -260,6 +336,23 @@ class TestDivisorMatrix:
             em, ea = embed_complex(m), embed_complex(a)
             for exact, num in ((right, ea * em), (left, em * ea)):
                 assert mp.mnorm(embed_complex(exact) - num, 1) < mp.mpf(2) ** -100
+
+    @pytest.mark.parametrize("a, m", UNIT_SHIFT_CASES)
+    def test_unit_shifts_reuse_entries(self, a, m):
+        # m binds every column by e(0): both products permute the entries of
+        # a, the same Divisor objects, without rebuilding them
+        right, left = a @ m, m @ a
+        for j, (i, _root) in m.cols.items():
+            assert all(right[x, j - 1] is a[x, i - 1] for x in range(a.n))
+            assert all(left[i - 1, y] is a[j - 1, y] for y in range(a.n))
+        assert right == dense_product(a, m)
+        assert left == dense_product(m, a)
+
+    def test_hashable(self):
+        v, w, _, _ = fourier_pair(3)
+        again = DivisorMatrix(3, [list(row) for row in v.rows])
+        assert again == v and hash(again) == hash(v)
+        assert len({v, again, w}) == 2
 
     def test_dimension_mismatch(self):
         a = fourier_pair(3)[0]
