@@ -282,9 +282,12 @@ class LogBandFunction(Immutable):
             f(e^t) = c0 [v_0 + sum_{k>=1} (e_k cos(alpha k t) + i o_k sin(alpha k t))],
 
         e_k = v_k + v_-k, o_k = v_k - v_-k; the sine term is left out where
-        o_k = 0, so real symmetric coefficients give an mpf."""
+        o_k = 0, so real symmetric coefficients give an mpf.  t = +-inf lies
+        outside the band; a NaN t raises ValueError."""
         with mp.workprec(_working_bits(precision_bits)):
             t = _num(t)
+            if mp.isnan(t):
+                raise ValueError(f"t = {t} is not a number")
             L, alpha, c0 = _band_frame(self.lam2)
             if abs(t) > L:
                 return mpf(0)
@@ -299,12 +302,15 @@ class LogBandFunction(Immutable):
             return c0 * mp.fsum(acc)
 
     def evaluate_log_minus_center(self, t, precision_bits: int):
-        """f(e^t) - f(1), computed without cancellation for small t.
+        """f(e^t) - f(1), computed without cancellation for small t; a NaN t
+        raises ValueError.
 
         No package code calls it; it stays while the benchmark's span map
         names it, as deleting it is a benchmark change."""
         with mp.workprec(_working_bits(precision_bits)):
             t = _num(t)
+            if mp.isnan(t):
+                raise ValueError(f"t = {t} is not a number")
             L, alpha, c0 = _band_frame(self.lam2)
             if abs(t) > L:
                 return -self.evaluate_log(0, precision_bits)

@@ -176,10 +176,18 @@ def resonant_lambda(m: int, ordinate: float) -> float:
     """Circle parameter with log-circumference m * 2pi / ordinate: the m-th
     zeta-cycle length for a zero at that ordinate (the compressed Dirac then
     locks onto it instead of carrying the generic seam error).  Needs an
-    integer m >= 1 (else TypeError) and a finite positive ordinate, else ValueError."""
+    integer m >= 1 (else TypeError), a finite positive ordinate and a
+    circle parameter that a float holds, else ValueError."""
     if not (operator.index(m) >= 1 and math.isfinite(ordinate) and ordinate > 0):
         raise ValueError(f"need m >= 1 and a finite positive ordinate, not {m}, {ordinate}")
-    return float(np.exp(m * np.pi / ordinate))
+    try:
+        with np.errstate(over="ignore"):
+            lam = float(np.exp(m * np.pi / ordinate))
+    except OverflowError:  # m too large for a float
+        lam = math.inf
+    if lam == math.inf:
+        raise ValueError(f"the circle parameter exp({m} pi/{ordinate}) overflows a float")
+    return lam
 
 
 def _constrained_span(coeffs: np.ndarray, lam: float) -> np.ndarray:
@@ -205,9 +213,15 @@ def prolate_vectors(lam: float, k: int, mode_cut: int) -> np.ndarray:
     floor(pi mode_cut/(2 log lambda)) + 30 terms, stays within 2^21 (else
     ValueError, raised before the head is built); the resonant lambda of the
     bundled table's last zero at m = 1, mode cut 150, needs N = 740,863.
-    Rank loss beyond _RANK_TOL is an error (reported, never silently repaired)."""
+    k and mode_cut must pass operator.index (else TypeError), with k >= 1,
+    mode_cut >= 0 and 2 mode_cut + 1 >= k, as the frame has 2 mode_cut + 1
+    rows (else ValueError).  Rank loss beyond _RANK_TOL is an error
+    (reported, never silently repaired)."""
+    k, mode_cut = operator.index(k), operator.index(mode_cut)
     if k < 1:
         raise ValueError("k must be >= 1")
+    if mode_cut < 0 or 2 * mode_cut + 1 < k:
+        raise ValueError(f"need mode_cut >= 0 and 2 mode_cut + 1 >= k, not {mode_cut}, {k}")
     if not (math.isfinite(lam) and lam > 1):
         raise ValueError(f"circle parameter lambda must be finite and above 1, not {lam}")
     coeffs = pswf_basis(lam, k + _EXTRA)

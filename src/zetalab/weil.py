@@ -38,15 +38,18 @@ constraint per block, projected out by one Householder reflector.
 The Gram runs on integers from lambda^2 to the certificate, in precision's
 fixed-point idiom: _parity_blocks rounds its O(K) scalars and the digamma
 pass (_psi_pass) once to p = precision_bits + _GUARD fractional bits and
-forms every entry by integer products and rounded divisions (_gram_entry_error
-counts their error in units of 2^-p); _project_out and HPMatrix keep them.
+forms every entry by integer products and rounded divisions; _project_out
+and HPMatrix keep them.  The certificate adds the Gram's own error to the
+eigensolver's residual, and each part reads only what it bounds:
+_gram_entry_error counts the entries' error in units of 2^-p, a closed form
+of L, and _projection_error the reflector's, from the exponent and size of
+each projected block.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import count
 from math import ceil, isqrt, lgamma, log, log2, pi, sqrt
@@ -60,9 +63,9 @@ from zetalab.zerotable import ZeroTable
 
 # Working bits above precision_bits for every weil (and semilocal) evaluation.
 # They buy the Weil Gram its certificate: at the benchmark's settings the
-# entry count (_gram_entry_error, 62 to 77 units of 2^-(bits+48)) times the
-# block dimension is 22 to 23 bits, and the reflector's rounding
-# (_projection_error) 11 to 12 bits, below the eigensolver's residual,
+# entry count (_gram_entry_error, 17 to 20 units of 2^-(bits+48)) times the
+# block dimension is 24 to 25 bits, and the reflector's rounding
+# (_projection_error) 22.7 to 23.7 bits, below the eigensolver's residual,
 # 2^-(bits+14.3) to 2^-(bits+16.0), so the certified bits are the solver's.
 _GUARD = 48
 
@@ -110,15 +113,15 @@ _bernfrac = cache(mp.bernfrac)  # exact B_n, the same at every precision
 _MAX_SERIES_TERMS = 2**14  # most terms of a _psi_pass series, 25 times the most a test needs
 
 
-def _psi_pass(ys, p, x=None, term_bound=None):
+def _psi_pass(ys, p, x, term_bound):
     """For each y in ys, w = 1/4 + iy: psi(w), psi'(w) and the series
-    S_i = sum_{n<M} g_n (w+n)^-i, i = 1, 2, g_n = x^-(4n+1) (none if x is
-    None), as integer pairs (real, imaginary) at p fractional bits, from one
-    pass on integers at s = p + G fractional bits and one mp.log: psi and
-    psi' within 2^-p, S_i within 2^-p (1 + sum_n g_n)/2.  The g_n fall by
-    x^-4, so the terms n >= M of any sum_n g_n t_n, |t_n| <= term_bound(a_n)
-    nonincreasing (a_n = 2n + 1/2), sum to at most g_M term_bound(a_M)/(1 -
-    x^-4), and M is the first index where that < 2^-p.
+    S_i = sum_{n<M} g_n (w+n)^-i, i = 1, 2, g_n = x^-(4n+1), as integer
+    pairs (real, imaginary) at p fractional bits, from one pass on integers
+    at s = p + G fractional bits and one mp.log: psi and psi' within 2^-p,
+    S_i within 2^-p (1 + sum_n g_n)/2.  The g_n fall by x^-4, so the terms
+    n >= M of any sum_n g_n t_n, |t_n| <= term_bound(a_n) nonincreasing (a_n
+    = 2n + 1/2), sum to at most g_M term_bound(a_M)/(1 - x^-4), and M is the
+    first index where that < 2^-p.
 
     With z = w + N, psi(w) = psi(z) - sum_{j<N} 1/(w+j), psi'(w) = psi'(z) +
     sum_{j<N} 1/(w+j)^2, psi(z) = log z - 1/(2z) - sum_{0<j<J} B_2j/(2j z^2j)
@@ -152,8 +155,8 @@ def _psi_pass(ys, p, x=None, term_bound=None):
 
     gs = []
     with mp.workprec(2 * s):
-        ratio, g = (x**-4, 1 / x) if x else (0, 0)
-        while g and g * term_bound(2 * len(gs) + mpf(1) / 2) / (1 - ratio) >= mpf(2) ** -p:
+        ratio, g = x**-4, 1 / x
+        while g * term_bound(2 * len(gs) + mpf(1) / 2) / (1 - ratio) >= mpf(2) ** -p:
             if len(gs) == _MAX_SERIES_TERMS:
                 raise ValueError(f"the band is too narrow: its series needs over {len(gs)} terms")
             gs.append(_fixed(g, 2 * s))
@@ -431,15 +434,16 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
 def _project_out(rows, c, p):
     """Compress the symmetric matrix A = rows 2^-p, integer rows, onto the
     orthocomplement of the integer vector c (any common scale) by one
-    Householder reflector, in fixed point: integer rows and their exponent.
+    Householder reflector, in fixed point: integer rows and their exponent e.
 
-    A is rounded to N units of 2^(k-p-8), 2^k > max|A_ij|, and c to the
-    integer vector x = round(c 2^(p+8-kc)), 2^kc > max|c_i|, so |x| >=
-    2^(p+7).  precision._reflect gives H N H, rounded, for an exactly
+    A is rounded to N units of 2^e, e = k - p - 8 with 2^k > max|A_ij|, and
+    c to the integer vector x = round(c 2^(p+8-kc)), 2^kc > max|c_i|, so |x|
+    >= 2^(p+7).  precision._reflect gives H N H, rounded, for an exactly
     orthogonal H with H x = -a e_0 + r; the columns 1..n-1 of H are an
     orthonormal basis of the complement of H e_0, and the compression is
-    H N H without row and column 0, in the same units 2^(k-p-8).
-    _projection_error bounds the rounding.
+    H N H without row and column 0, in the same units 2^e.  So the returned
+    exponent says both how A was rounded and how large it was: every |A_ij|
+    < 2^(e+p+8).  _projection_error bounds the rounding from e alone.
     """
     if not rows:
         return [], -p
@@ -449,49 +453,25 @@ def _project_out(rows, c, p):
     return [r[1:] for r in out[1:]], k - p - 8
 
 
-def _gram_scale(lam2, K, precision_bits):
-    """S, the magnitude that _gram_entry_error's count scales with: each
-    entry's terms add up to at most 2S in absolute value.  S is the sum of:
-      - pole: 32 c2 sinh(L/2)^2.  |Pe_0| = 4 c0 sinh(L/2), and |Pe_k| <=
-        4 sqrt2 c0 sinh(L/2) and |Po_k| <= 2 sqrt2 c0 sinh(L/2) since
-        alpha^2 k^2 + 1/4 >= max(1/4, alpha k); so 2 |P_j P_k| <= 2 (32 c2
-        sinh(L/2)^2);
-      - prime: 2W, with W the sum of the weights of _prime_powers over h's
-        band, the edge's half weight included; T's prime sum is at most
-        2 c2 (2L) W = 2W, and so is D's;
-      - arch: log 4pi + gamma, psi(1/2) and Im psi(w) are each below 4 in
-        absolute value (|Im psi(1/4 + iy)| <= 2 + pi/2); log tanh L enters
-        twice, in T and as J's 2 artanh(lambda^-2); |Re psi(w)| is at most
-        max(-psi(1/4), |Re psi(w_K)|), as Re psi(1/4 + iy) increases with y;
-        (c2/2)|psi'(w)| <= (c2/2) psi'(1/4) < 9 c2; and the two series of
-        _arch_integrals sum to less than (2 + 32 c2)/(lambda - lambda^-3).
-    T enters an entry with weight at most 1, and D with weight below 1/2:
-    r = c2/alpha = 1/(2 pi), and r (|a| + |b|) <= (1 + 1/3) r (|D(j)| +
-    |D(k)|) for j != k >= 1, sqrt2 r |D(k)|/k and r |D(k)|/k are smaller.  So
-    the terms of T and D add up to at most S - 32 c2 sinh(L/2)^2 + W, and
-    with the pole terms an entry's add up to at most 2S.
-    """
-    p = precision_bits + _GUARD
-    with mp.workprec(p):
-        L = _band_frame(lam2)[0]
-        lam, c2 = mp.exp(L), 1 / (2 * L)
-        weights = mp.fsum(w for _, _, w in _prime_powers(_exact(lam2) ** 2))
-        psi_top = _to_mpf(abs(next(_psi_pass([mp.pi * K / (2 * L)], p))[0][0]) + 1, -p)  # and its unit
-        psi_quarter = -mp.euler - mp.pi / 2 - 3 * mp.log(2)
-        return (32 * c2 * mp.sinh(L / 2) ** 2 + 2 * weights + 12 - 2 * mp.log(mp.tanh(L))
-                + max(-psi_quarter, psi_top) + 9 * c2 + (2 + 32 * c2) / (lam - lam**-3))
+def _gram_entry_error(lam2, precision_bits):
+    """Bound on |stored - exact| for every entry of either parity block: the
+    integer count
 
+        ceil(4 P_max + 19/2 + 3 c2/4 + c2 G/4 + G/12)
 
-def _gram_entry_error(S, precision_bits):
-    """Bound on |stored - exact| for every entry of either parity block,
-    given S = _gram_scale(lam2, K, precision_bits): 14 + ceil(5S/4) units of
-    2^-p, p = precision_bits + _GUARD, an exact integer count.
+    of units of 2^-p, p = precision_bits + _GUARD, with c2 = 1/(2L), G =
+    1/(lambda - lambda^-3) >= sum_n lambda^-(4n+1) and P_max = sqrt(32 c2)
+    sinh(L/2), a closed form of L alone.  |Pe_0| = 4 c0 sinh(L/2), and
+    |Pe_k| <= 4 sqrt2 c0 sinh(L/2) and |Po_k| <= 2 sqrt2 c0 sinh(L/2) as
+    alpha^2 k^2 + 1/4 >= max(1/4, alpha k), so every pole functional has
+    |P| <= P_max.
 
     In units of 2^-p: each scalar rounded from a 2p-bit mpf is within 1 (half
-    for the rounding, less than half for the mpf while S, K alpha and (K +
-    1)^2 (#prime powers + 1) are below 2^(p-20)).  _psi_pass gives psi and
-    psi' within 1 and S_1, S_2 within (1 + G)/2, G = 1/(lambda - lambda^-3)
-    >= sum_n lambda^-(4n+1), and each series tail is below 1.  So:
+    for the rounding, less than half for the mpf while the rounded scalars'
+    own magnitudes, at most P_max for a pole functional, c2/2 and 4 + |log
+    tanh L| for the constants of T and J, are below 2^(p-20), as are K alpha
+    and (K + 1)^2 (#prime powers + 1)).  _psi_pass gives psi and psi' within
+    1 and S_1, S_2 within (1 + G)/2, and each series tail is below 1.  So:
       - I = Im psi + Im S_1 is within 5/2 + G/2;
       - a prime sum within 1/2 + 1/64: (c_m, s_m) is within 3m/2 + 1 units
         of 2^-q (1/sqrt2 from (c_1, s_1) and 1/sqrt2 of rounding per step,
@@ -501,21 +481,30 @@ def _gram_entry_error(S, precision_bits):
       - T within 6 + 3 c2/4 + c2 G/4: the constants 1 + 1, Re psi 1, the
         product (c2/2)(psi' - S_2) within (c2/2)(3/2 + G/2) + 1, the tail 1
         and the prime sum 1;
-      - a pole product round(2 P_j P_k) within 4 sqrt(S) + 1, as every pole
-        functional has P^2 <= 32 c2 sinh(L/2)^2 <= S.
+      - a pole product round(2 P_j P_k) within 4 P_max + 1.
     An off-diagonal entry adds one division, within 1/2, of numerators whose
     errors |j^2 - k^2| >= j + k damps to 2 (2 + G/12); even[0][k] adds sqrt2
-    (2 + G/12) + 1; a diagonal one, the largest, comes to 4 sqrt(S) + 19/2 +
-    3 c2/4 + c2 G/4 + G/12.  S >= 9 c2, S >= (2 + 32 c2) G and 4 sqrt(S) <= S
-    + 4 put every entry below 13.5 + 1.14 S."""
-    return _to_mpf(14 + ceil(Fraction(5, 4) * _exact(S)), -(precision_bits + _GUARD))
+    (2 + G/12) + 1; a diagonal one comes to the count's sum.  The diagonal is
+    the largest: where c2 < 1/3, lambda > e^(3/2) and G < 1/4.  The sum is
+    formed at p bits, far inside the slack of its terms, and rounded up.
+    """
+    p = precision_bits + _GUARD
+    with mp.workprec(p):
+        L = _band_frame(lam2)[0]
+        c2, lam = 1 / (2 * L), mp.exp(L)
+        G, P_max = 1 / (lam - lam**-3), mp.sqrt(32 * c2) * mp.sinh(L / 2)
+        units = 4 * P_max + mpf(19) / 2 + 3 * c2 / 4 + c2 * G / 4 + G / 12
+        return _to_mpf(int(mp.ceil(units)), -p)
 
 
-def _projection_error(lam2, K, precision_bits, S):
-    """Bound on how far the eigenvalues of _project_out(A, c, p), p =
-    precision_bits + _GUARD (eps = 2^-p), lie from those of the exact
-    compression of the stored block A onto the complement of the exact pole
-    functional; 2-norms, with n = K + 1 at least the block's dimension.
+def _projection_error(lam2, K, precision_bits, blocks):
+    """Bound on how far the eigenvalues of each projected block N 2^e =
+    _project_out(A, c, p), p = precision_bits + _GUARD (eps = 2^-p), as
+    weil_gram returns it, lie from those of the exact compression of the
+    stored block A onto the complement of the exact pole functional c;
+    2-norms, with n the dimension of A, one more than the projected block's.
+    Returned is the larger of the two blocks' bounds: the merged, sorted
+    spectrum moves by no more than its blocks' do.
 
     The stored c: each entry of _pole_functionals, formed at 2p bits within
     2^7 (1 + L) 2^-2p of exact, relatively (fewer than 2^4 roundings, each
@@ -531,23 +520,21 @@ def _projection_error(lam2, K, precision_bits, S):
     below sqrt(n) 2^-8 eps, and H e_0 = (H r - x)/a with |a| >= 2^(p+7) and
     ||r|| <= 1/sqrt2 lies within an angle 2^-(p+7) = eps/128 of x; both
     add to theta.  The compression by H's orthonormal columns 1..n-1 is
-    then exact up to its two roundings: A to N, within n/2 units of
-    2^(k-p-8), and H N H, entries within 9/16 units, 9n/16 in 2-norm.  With
-    2^(k-1) <= max|A_ij| <= 2S a unit is at most S eps/64, so the two come
-    to at most (17/16) n S eps/64 < n S eps/32.
+    then exact up to its two roundings: A to N, within n/2 units of 2^e, and
+    H N H, entries within 9/16 units, 9n/16 in 2-norm; (17/16) n units.
 
-    Together, with ||A|| <= ||A||_F <= 2 n S (every entry of A is at most 2S,
-    S = _gram_scale(lam2, K, precision_bits)), the bound is 4 n S theta +
-    n S eps/32 <= n S eps ((2.12/|c| + 1/64) sqrt(n) + 1/16), formed with 3/m
-    for m the smaller |c| of the two blocks.  Returned is the larger of that
-    and 2^10 (2 + L) n S eps, the latter except on narrow bands, where |Po|
-    is near L^(3/2)/pi: lambda^2 below 1.07 at n = 2, below 1.14 at n = 25.
+    _project_out keeps every |A_ij| < 2^(e+p+8), so ||A|| <= ||A||_F < n
+    2^(e+p+8), and with theta <= eps (0.53 sqrt(n)/|c| + sqrt(n)/256 +
+    1/128) a block's bound is 2 theta ||A|| + (17/16) n 2^e <= n 2^e
+    ((272/|c| + 2) sqrt(n) + 81/16).  An empty projected block has no
+    eigenvalue to move.
     """
     with mp.workprec(precision_bits + _GUARD):
         L, alpha, c0 = _band_frame(lam2)
-        m = min(mp.norm(c) for c in _pole_functionals(K, L, alpha, c0) if c)
-        rounded = (3 / m + mpf(1) / 64) * mp.sqrt(K + 1) + mpf(1) / 16
-        return mpf(2) ** -(precision_bits + _GUARD) * max(2**10 * (2 + L), rounded) * (K + 1) * S
+        norms = [mp.norm(c) for c in _pole_functionals(K, L, alpha, c0)]
+        bounds = [_to_mpf(n, b.exponent) * ((272 / m + 2) * mp.sqrt(n) + mpf(81) / 16)
+                  for b, m in zip(blocks, norms) if (n := b.dim + 1) > 1]
+        return max(bounds, default=mpf(0))
 
 
 def weil_gram(
@@ -584,24 +571,24 @@ def weil_gram_spectrum(
     eigensolver residuals (each an exact mpf that bounds its block's
     eigenvalues in sorted order, and the larger one bounds the merged, sorted
     spectrum the same way) plus the Gram's own error.  Each stored entry is
-    within e = _gram_entry_error of its exact value; by Weyl's inequality
-    the sorted eigenvalues then move by at most ||E||_2 <= n e, with n = K + 1
-    the larger block's dimension.  Projection compresses E to a principal
-    submatrix of H E H (_project_out's reflector H, exactly orthogonal),
-    whose 2-norm is no larger, and adds its own rounding, _projection_error.
-    Both bounds scale with the same _gram_scale, formed once here.  The
-    three terms are added exactly and the sum rounded up once; at the
-    benchmark's settings the second is 22 bits below the first, the third 11.
+    within e = _gram_entry_error of its exact value, a closed form of L; by
+    Weyl's inequality the sorted eigenvalues then move by at most ||E||_2 <=
+    n e, with n = K + 1 the larger block's dimension.  Projection compresses
+    E to a principal submatrix of H E H (_project_out's reflector H, exactly
+    orthogonal), whose 2-norm is no larger, and adds its own rounding,
+    _projection_error, read from each projected block's exponent.  The three
+    terms are added exactly and the sum rounded up once; at the benchmark's
+    settings the second is 24 to 25 bits below the first, the third 22 to 24.
     """
+    blocks = weil_gram(lam2, half_width, precision_bits, project_poles)
     eigenvalues, residual = [], mpf(0)
-    for block in weil_gram(lam2, half_width, precision_bits, project_poles):
+    for block in blocks:
         res = jacobi_eigensystem(block)
         eigenvalues.extend(res.eigenvalues)
         residual = max(residual, res.residual)
-    S = _gram_scale(lam2, half_width, precision_bits)
-    parts = [(1, residual), (half_width + 1, _gram_entry_error(S, precision_bits))]
+    parts = [(1, residual), (half_width + 1, _gram_entry_error(lam2, precision_bits))]
     if project_poles:
-        parts.append((1, _projection_error(lam2, half_width, precision_bits, S)))
+        parts.append((1, _projection_error(lam2, half_width, precision_bits, blocks)))
     residual = _round_up(sum(m * _exact(x) for m, x in parts), precision_bits + _GUARD)
     eigenvalues.sort()
     smallest_pos = next((lam for lam in eigenvalues if lam > residual), None)

@@ -187,7 +187,7 @@ class DivisorMatrix(Immutable):
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Iterable[Iterable[Divisor]]):
-        rows = tuple(map(tuple, rows))
+        n, rows = operator.index(n), tuple(map(tuple, rows))
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("shape mismatch")
         if not all(isinstance(x, Divisor) for r in rows for x in r):

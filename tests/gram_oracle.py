@@ -4,7 +4,7 @@ weil._parity_blocks, which assembles them on integers.
 It forms the same entries in mpf arithmetic at the ambient precision: a
 cos_sin table over every order and prime power, the prime sums by fsum, and
 an mpf entry loop.  I(m) and J(k) come from weil._arch_integrals, read as
-mpfs.
+mpfs.  oracle_scale is the magnitude its own error count scales with.
 """
 
 from mpmath import mp, mpf
@@ -57,3 +57,32 @@ def mpf_parity_blocks(lam2, K, precision_bits):
             even[j][k] = even[k][j] = 2 * Pe[j] * Pe[k] - s * (a - b)
             odd[j - 1][k - 1] = odd[k - 1][j - 1] = -2 * Po[j - 1] * Po[k - 1] - s * (a + b)
     return even, odd
+
+
+def oracle_scale(lam2, K, precision_bits):
+    """S, a magnitude with every entry's terms adding up to at most 2S in
+    absolute value, for the hand count of mpf_parity_blocks' own error.  S
+    is the sum of:
+      - pole: 32 c2 sinh(L/2)^2, as every pole functional has P^2 <= 32 c2
+        sinh(L/2)^2 (weil._gram_entry_error), so 2 |P_j P_k| <= 2 (32 c2
+        sinh(L/2)^2);
+      - prime: 2W, with W the sum of the weights of the prime powers of h's
+        band, the edge's half weight included; T's prime sum is at most
+        2 c2 (2L) W = 2W, and so is D's;
+      - arch: log 4pi + gamma, psi(1/2) and Im psi(w) are each below 4 in
+        absolute value; log tanh L enters twice, in T and as J's
+        2 artanh(lambda^-2); |Re psi(w)| is at most max(-psi(1/4), |Re
+        psi(w_K)|), as Re psi(1/4 + iy) increases with y; (c2/2)|psi'(w)| <=
+        (c2/2) psi'(1/4) < 9 c2; and the two series of _arch_integrals sum to
+        less than (2 + 32 c2)/(lambda - lambda^-3).
+    T enters an entry with weight at most 1 and D with weight below 1/2, so
+    the terms of T and D add up to at most S - 32 c2 sinh(L/2)^2 + W.
+    """
+    with mp.workprec(precision_bits + _GUARD):
+        L = _band_frame(lam2)[0]
+        lam, c2 = mp.exp(L), 1 / (2 * L)
+        weights = mp.fsum(w for _, _, w in _prime_powers(_exact(lam2) ** 2))
+        psi_top = abs(mp.digamma(mp.mpc(mpf(1) / 4, mp.pi * K / (2 * L))).real)
+        psi_quarter = -mp.euler - mp.pi / 2 - 3 * mp.log(2)
+        return (32 * c2 * mp.sinh(L / 2) ** 2 + 2 * weights + 12 - 2 * mp.log(mp.tanh(L))
+                + max(-psi_quarter, psi_top) + 9 * c2 + (2 + 32 * c2) / (lam - lam**-3))

@@ -49,6 +49,21 @@ class TestLogBandFunction:
         with pytest.raises(ValueError):
             LogBandFunction(lam2, coeffs)
 
+    @pytest.mark.parametrize("method", ["evaluate_log", "evaluate_log_minus_center"])
+    @pytest.mark.parametrize("coeffs", [{0: 1}, {-2: 1, 0: 3, 2: 1}], ids=["K0", "K2"])
+    def test_rejects_nan_log_point(self, method, coeffs):
+        # abs(nan) > L is False, so a NaN t was read as a point of the band
+        f = band(coeffs)
+        for t in (float("nan"), mp.nan, "nan"):
+            with pytest.raises(ValueError):
+                getattr(f, method)(t, 64)
+
+    def test_infinite_log_point_lies_outside_the_band(self):
+        f = LogBandFunction.cosine_power(4, 2)
+        for t in (float("inf"), -mp.inf):
+            assert f.evaluate_log(t, 64) == 0
+            assert f.evaluate_log_minus_center(t, 64) == -f.evaluate_log(0, 64)
+
     def test_rejects_non_integer_keys(self):
         # truncated, both keys would be 1 and one coefficient lost
         with pytest.raises(TypeError):

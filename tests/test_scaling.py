@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,36 @@ def test_bad_circle_length_raises_value_error(zeros, m, ordinate, lam):
             resonant_lambda(m, ordinate)
         else:
             dirac_spectrum(lam, K, BASIS, zeros)
+
+
+@pytest.mark.parametrize(
+    "m, ordinate", [(10**6, 14.1), (10**400, 14.1), (1, 1e-300)], ids=["m-1e6", "m-1e400", "tiny"]
+)
+def test_overflowing_circle_length_raises_value_error(m, ordinate):
+    # exp(m pi/ordinate) past the largest float: no inf, no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            resonant_lambda(m, ordinate)
+
+
+@pytest.mark.parametrize(
+    "k, mode_cut, error",
+    [(2, 0, ValueError), (4, 1, ValueError), (2, -1, ValueError), (0, 3, ValueError),
+     (2, 10.0, TypeError), (2.0, 3, TypeError)],
+    ids=["k2-cut0", "k4-cut1", "negative-cut", "k0", "float-cut", "float-k"],
+)
+def test_prolate_vectors_rejects_bad_shapes(k, mode_cut, error):
+    # the frame has 2 mode_cut + 1 rows, too few for k orthonormal columns
+    # at cut 0 (it came out 1 x 1), and a cut of -1 or 10.0 failed in numpy
+    with pytest.raises(error):
+        prolate_vectors(2.0, k, mode_cut)
+
+
+def test_prolate_vectors_square_frame():
+    # 2 mode_cut + 1 = k is allowed, with integer-like arguments
+    q = prolate_vectors(2.0, np.int64(3), np.int64(1))
+    assert q.shape == (3, 3) and np.allclose(q.T @ q, np.eye(3))
 
 
 def test_dirac_spectrum_takes_a_zero_table(zeros):

@@ -6,7 +6,7 @@ from mpmath.libmp import to_rational
 
 from arch_quadrature import w_arch_quadrature
 from convolved_band import star_convolve
-from gram_oracle import WEIL_GRID, mpf_parity_blocks
+from gram_oracle import WEIL_GRID, mpf_parity_blocks, oracle_scale
 from zetalab.bandfn import LogBandFunction, _band_frame, _exact
 from zetalab.precision import HPMatrix
 from zetalab.scaling import dirac_spectrum, resonant_lambda
@@ -357,7 +357,8 @@ def _psi_arguments(lam2, K, p):
 
 def test_psi_pass_matches_mpmath():
     # psi(w) and psi'(w), w = 1/4 + iy, within the 2^-p that _gram_entry_error
-    # assumes of them, against mpmath's digamma and trigamma 64 bits higher
+    # assumes of them, against mpmath's digamma and trigamma 64 bits higher;
+    # the pass runs with _arch_integrals' series, x = lambda
     from zetalab.weil import _GUARD, _psi_pass
 
     widest = {}  # (5, 16) and (11, 20) run on prefixes of (5, 24) and (11, 24)
@@ -365,9 +366,11 @@ def test_psi_pass_matches_mpmath():
         widest[lam2, bits] = max(K, widest.get((lam2, bits), 0))
     for (lam2, bits), K in widest.items():
         p = bits + _GUARD
-        _, ys = _psi_arguments(lam2, K, p)
+        L, ys = _psi_arguments(lam2, K, p)
+        with mp.workprec(p):
+            lam = mp.exp(L)
         with mp.workprec(p + 64):
-            for y, (psi, dpsi, _, _) in zip(ys, _psi_pass(ys, p)):
+            for y, (psi, dpsi, _, _) in zip(ys, _psi_pass(ys, p, lam, lambda a: 2 / a)):
                 w = mpc(mpf(1) / 4, y)
                 assert abs(unfixed(psi, p) - mp.digamma(w)) < mpf(2) ** -p, (lam2, K, bits, y)
                 assert abs(unfixed(dpsi, p) - mp.psi(1, w)) < mpf(2) ** -p, (lam2, K, bits, y)
@@ -548,17 +551,16 @@ class TestWeilGram:
         # the returned residual is at least the exact sum of the larger
         # solver residual, K + 1 entry errors and the projection's error
         from zetalab.precision import jacobi_eigensystem
-        from zetalab.weil import _gram_entry_error, _gram_scale, _projection_error
+        from zetalab.weil import _gram_entry_error, _projection_error
 
         def exact(x):
             return Fraction(*to_rational(x._mpf_))
 
-        S = _gram_scale(5, 8, bits)
-        parts = max(exact(jacobi_eigensystem(b).residual)
-                    for b in weil_gram(5, 8, bits, project))
-        parts += 9 * exact(_gram_entry_error(S, bits))
+        blocks = weil_gram(5, 8, bits, project)
+        parts = max(exact(jacobi_eigensystem(b).residual) for b in blocks)
+        parts += 9 * exact(_gram_entry_error(5, bits))
         if project:
-            parts += exact(_projection_error(5, 8, bits, S))
+            parts += exact(_projection_error(5, 8, bits, blocks))
         spectrum = weil_gram_spectrum(5, 8, bits, project) if project else spectrum_5_8_192
         assert exact(spectrum.residuals[0]) >= parts
 
@@ -612,17 +614,14 @@ class TestWeilGram:
     def projection_gaps(lam2, K, bits=128):
         """The compression at bits + _GUARD against the same stored blocks
         compressed at 512 bits onto the pole functionals formed at 512 bits:
-        the two Frobenius gaps, _projection_error and 2^10 (2 + L) n S eps."""
+        the two Frobenius gaps and _projection_error."""
         from zetalab.precision import _fixed
-        from zetalab.weil import (_GUARD, _gram_scale, _parity_blocks, _project_out,
-                                  _projection_error)
+        from zetalab.weil import _GUARD, _parity_blocks, _project_out, _projection_error
 
         with mp.workprec(bits + _GUARD):
             blocks, poles = _parity_blocks(lam2, K, bits)
             low = [HPMatrix(*_project_out(b, c, bits + _GUARD), bits)
                    for b, c in zip(blocks, poles)]
-            S, L = _gram_scale(lam2, K, bits), _band_frame(lam2)[0]
-            flat = 2**10 * (2 + L) * (K + 1) * S * mpf(2) ** -(bits + _GUARD)
         gaps = []
         with mp.workprec(512):
             fine = _pole_functionals(K, *_band_frame(lam2))
@@ -631,37 +630,39 @@ class TestWeilGram:
                 high = HPMatrix(*_project_out(b, [_fixed(x, 512) for x in c], 512), 512)
                 gaps.append(mp.sqrt(mp.fsum((a[i, j] - high[i, j]) ** 2
                                             for i in range(a.dim) for j in range(a.dim))))
-        return gaps, _projection_error(lam2, K, bits, S), flat
+        return gaps, _projection_error(lam2, K, bits, low)
 
     def test_projection_error_covers_reflector(self):
-        gaps, bound, flat = self.projection_gaps(5, 16)
-        assert max(gaps) <= bound == flat
+        # both projected settings of the benchmark's grid
+        for lam2, K, bits in ((5, 16, 128), (11, 20, 192)):
+            gaps, bound = self.projection_gaps(lam2, K, bits)
+            assert max(gaps) <= bound, (lam2, K, bits)
 
     def test_projection_error_covers_narrow_band(self):
         # at lambda^2 = 1.12 the odd pole functional is small, |Po| near
-        # L^(3/2)/pi, and its absolute rounding sets a bound above 2^10 (2 +
-        # L) n S eps
-        gaps, bound, flat = self.projection_gaps("1.12", 24)
-        assert max(gaps) <= bound and bound > flat
+        # L^(3/2)/pi, and its absolute rounding sets the odd block's bound
+        gaps, bound = self.projection_gaps("1.12", 24)
+        assert max(gaps) <= bound
 
-    def test_gram_scale_formed_once(self, monkeypatch):
-        # both error bounds of a projected spectrum scale with one S
+    def test_one_psi_pass_per_spectrum(self, monkeypatch):
+        # the digamma pass runs once per spectrum, for _arch_integrals: the
+        # certificate reads closed forms of L and the stored blocks
         from zetalab import weil
 
         calls = []
-        scale = weil._gram_scale
-        monkeypatch.setattr(weil, "_gram_scale", lambda *args: calls.append(args) or scale(*args))
+        psi_pass = weil._psi_pass
+        monkeypatch.setattr(weil, "_psi_pass", lambda *args: calls.append(args) or psi_pass(*args))
         weil_gram_spectrum(5, 16, 128, project_poles=True)
-        assert calls == [(5, 16, 128)]
+        assert len(calls) == 1
 
     def test_entry_error_covers_gram(self):
         # every parity-block entry at 128 bits is within both entry-error
         # bounds of the same entry at 192 bits
-        from zetalab.weil import _gram_entry_error, _gram_scale
+        from zetalab.weil import _gram_entry_error
 
         lam2, K = 5, 8
         low, high = weil_gram(lam2, K, 128), weil_gram(lam2, K, 192)
-        allowance = sum(_gram_entry_error(_gram_scale(lam2, K, bits), bits) for bits in (128, 192))
+        allowance = sum(_gram_entry_error(lam2, bits) for bits in (128, 192))
         with mp.workprec(256):
             for a, b in zip(low, high):
                 gap = max(abs(a[i, j] - b[i, j]) for i in range(a.dim) for j in range(a.dim))
@@ -676,15 +677,15 @@ class TestWeilGram:
         # every entry of the integer assembly against the mpf assembly 64
         # bits higher (tests/gram_oracle.py): within the exact entry count,
         # plus the oracle's own error there, the mpf assembly's hand count
-        # 2^-(p+64) (2 + 2^10 S)
-        from zetalab.weil import _GUARD, _gram_entry_error, _gram_scale, _parity_blocks
+        # 2^-(p+64) (2 + 2^10 S) with S = oracle_scale
+        from zetalab.weil import _GUARD, _gram_entry_error, _parity_blocks
 
         p = bits + _GUARD
         blocks, _ = _parity_blocks(lam2, K, bits)
-        S = _gram_scale(lam2, K, bits)
+        S = oracle_scale(lam2, K, bits)
         with mp.workprec(p + 64):
             oracle = mpf_parity_blocks(lam2, K, bits + 64)
-            allowance = _gram_entry_error(S, bits) + mpf(2) ** -(p + 64) * (2 + 2**10 * S)
+            allowance = _gram_entry_error(lam2, bits) + mpf(2) ** -(p + 64) * (2 + 2**10 * S)
             for block, want in zip(blocks, oracle, strict=True):
                 for row, ref in zip(block, want, strict=True):
                     for x, y in zip(row, ref, strict=True):

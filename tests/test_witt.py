@@ -1,6 +1,7 @@
 import random
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -370,6 +371,15 @@ class TestDivisorMatrix:
     def test_rejects_non_divisor_entries(self):
         with pytest.raises(TypeError):
             DivisorMatrix(2, [[1, 0], [0, 1]])
+
+    def test_reads_n_as_an_index(self):
+        # a float n is refused at construction, not at the first product
+        rows = fourier_pair(2)[0].rows
+        with pytest.raises(TypeError):
+            DivisorMatrix(2.0, rows)
+        m = MonoidMatrix(2, {1: (2, Root(1, 2))})
+        a = DivisorMatrix(np.int64(2), rows)
+        assert type(a.n) is int and a @ m == DivisorMatrix(2, rows) @ m
 
 
 class TestOracle:
