@@ -323,9 +323,12 @@ class LogBandFunction(Immutable):
     # -- Mellin transform -------------------------------------------------------
 
     def mellin(self, s, precision_bits: int):
-        """f^(s) = integral f(x) x^(-is) d*x; entire in s, closed form."""
+        """f^(s) = integral f(x) x^(-is) d*x; entire in s, closed form; a
+        non-finite s raises ValueError."""
         with mp.workprec(_working_bits(precision_bits)):
             s = _num(s)
+            if not mp.isfinite(s):
+                raise ValueError(f"s = {s} is not finite")
             L, alpha, c0 = _band_frame(self.lam2)
             return 2 * c0 * mp.fsum(_num(v) * _sinc(alpha * k - s, L) for k, v in self.coeffs.items())
 

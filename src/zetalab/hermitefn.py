@@ -13,7 +13,12 @@ from __future__ import annotations
 from mpmath import mp, mpf
 
 from zetalab.immutable import Immutable
-from zetalab.precision import _GUARD, _working_bits
+from zetalab.precision import _working_bits
+
+# Working bits above precision_bits for every method: a value must come within
+# 2^-precision_bits of exact, relatively, and the recurrence and the sum lose
+# far fewer than 16 bits.  Kept apart from precision._GUARD, the Weil solver's.
+_GUARD = 16
 
 
 def _hermite_phi(nmax: int, x):
@@ -51,10 +56,15 @@ class EvenGaussHermite(Immutable):
         return len(self.coeffs) - 1
 
     def evaluate(self, x, precision_bits: int):
-        """f(x), computed _GUARD bits above precision_bits."""
+        """f(x), computed _GUARD bits above precision_bits; f(+-inf) = 0 and
+        a NaN x raises ValueError."""
         with mp.workprec(_working_bits(precision_bits, _GUARD)):
-            a = mp.mpmathify(self.scale)
-            phis = _hermite_phi(2 * self.order, mp.mpmathify(x) / a)
+            a, x = mp.mpmathify(self.scale), mp.mpmathify(x)
+            if mp.isnan(x):
+                raise ValueError(f"x = {x} is not a number")
+            if mp.isinf(x):  # the Gaussian's limit; the recurrence would give inf * 0
+                return mpf(0)
+            phis = _hermite_phi(2 * self.order, x / a)
             return mp.fsum(
                 mp.mpmathify(c) * phis[2 * m] for m, c in enumerate(self.coeffs)
             ) / mp.sqrt(a)

@@ -29,13 +29,12 @@ from mpmath.libmp import from_man_exp
 
 from zetalab.immutable import Immutable
 
-# Working bits above precision_bits for the eigensolve and hermitefn's
-# evaluations.  They set the certificate's level: with 16 the eigensolve works
-# at P = bits + 24, and on the Weil blocks of the benchmark (dimension 12 to
-# 25) the reduction's a-priori count (48 to 196 units of 2^(k-P), 2^k just
-# above the largest entry), the input rounding (6 to 13 units) and the
-# bisection's 2 units come to 56 to 211 units, between 2^-(bits+14.3) and
-# 2^-(bits+16.2).
+# Working bits above precision_bits for the eigensolve.  They set the
+# certificate's level: with 16 the eigensolve works at P = bits + 24, and on
+# the Weil blocks of the benchmark (dimension 12 to 25) the reduction's
+# a-priori count (48 to 196 units of 2^(k-P), 2^k just above the largest
+# entry), the input rounding (6 to 13 units) and the bisection's 2 units come
+# to 56 to 211 units, between 2^-(bits+14.3) and 2^-(bits+16.2).
 _GUARD = 16
 
 
@@ -147,7 +146,7 @@ def _working_bits(precision_bits, guard=0):
 
 
 # The package's one fixed-point idiom: x as the integer round(x 2^s) (_fixed),
-# integer division to nearest (_div), exact mpfs back (_to_mpf), bounds up.
+# integer division to nearest (_div) and exact mpfs back (_to_mpf).
 
 def _fixed(x, s):
     """round(x 2^s), to nearest, for an int or an mpf x."""
@@ -164,13 +163,6 @@ def _div(a, b):
 def _to_mpf(x, e):
     """The mpf x 2^e, exactly, for an integer x."""
     return mp.make_mpf(from_man_exp(x, e))
-
-
-def _round_up(x, bits):
-    """An mpf of about `bits` bits at least the Fraction x >= 0."""
-    s = bits + x.denominator.bit_length() - x.numerator.bit_length()
-    num, den = x.numerator << max(s, 0), x.denominator << max(-s, 0)
-    return _to_mpf(-(-num // den), -s)
 
 
 def _ql_centres(d, e, P):

@@ -7,12 +7,14 @@ and the trace-formula form of the archimedean explicit-formula distribution
 are both checked numerically here at arbitrary precision.
 
 This module computes at one precision, precision_bits + weil's _GUARD, and
-asks that precision of what it integrates.  Every numerical integral in the
-package is one quad_checked, refused with QuadratureError when its error
-estimate exceeds 2^-(precision_bits + 8) (1 + |value|).  No integrand is left
-oscillating without decay: Tate's check takes the x^(is) singularity at x = 0
-out in closed form, and the trace side rotates its oscillatory tail onto
-rays where the Mellin transform decays like e^(-yL).
+asks that precision of what it integrates; hermitefn adds its own guard on
+top, so Tate's Hermite sums run at precision_bits + 64.  Every numerical
+integral in the package is one quad_checked, refused with QuadratureError
+unless its value and error estimate are finite and the estimate is at most
+2^-(precision_bits + 8) (1 + |value|).  No integrand is left oscillating
+without decay: Tate's check takes the x^(is) singularity at x = 0 out in
+closed form, and the trace side rotates its oscillatory tail onto rays where
+the Mellin transform decays like e^(-yL).
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ class QuadratureError(ArithmeticError):
 
 def quad_checked(integrand, interval, precision_bits):
     """mp.quad of integrand over interval (a list of breakpoints), the
-    package's one quadrature: QuadratureError unless the error estimate is
-    at most 2^-(precision_bits+8) (1 + |value|).
+    package's one quadrature: QuadratureError unless the value and the error
+    estimate are finite and the estimate is at most 2^-(precision_bits+8)
+    (1 + |value|).
 
     The rule, the integrand, the check and the value run at one precision,
     precision_bits + weil's _GUARD, so mp.quad stops at its eps/8 there,
@@ -48,16 +51,19 @@ def quad_checked(integrand, interval, precision_bits):
     with mp.workprec(_working_bits(precision_bits, _GUARD)):
         val, err = mp.quad(integrand, interval, error=True)
         tol = mpf(2) ** (-precision_bits - 8) * (1 + abs(val))
-        if err > tol:
-            raise QuadratureError(f"quadrature error estimate {mp.nstr(err, 5)} exceeds tolerance "
-                                  f"{mp.nstr(tol, 5)} at {precision_bits} bits")
+        if not (mp.isfinite(val) and mp.isfinite(err) and err <= tol):
+            raise QuadratureError(f"quadrature value {mp.nstr(val, 5)}, error estimate {mp.nstr(err, 5)}: "
+                                  f"not within tolerance {mp.nstr(tol, 5)} at {precision_bits} bits")
         return +val
 
 
 def gamma_factor(z, precision_bits: int):
-    """gamma_R(z) = pi^(-z/2) Gamma(z/2); poles at z in {0, -2, -4, ...}."""
+    """gamma_R(z) = pi^(-z/2) Gamma(z/2); poles at z in {0, -2, -4, ...}
+    (ZeroDivisionError), and ValueError for a z that is not finite."""
     with mp.workprec(_working_bits(precision_bits, _GUARD)):
         z = mp.mpmathify(z)
+        if not mp.isfinite(z):
+            raise ValueError(f"z = {z} is not finite")
         half = z / 2
         if mp.im(half) == 0 and mp.re(half) <= 0 and half == mp.floor(half):
             raise ZeroDivisionError(f"gamma factor pole at z = {z}")
@@ -86,13 +92,16 @@ def tate_arch_check(f, s, precision_bits: int):
     integrand's own g.evaluate.  Each side is within 2^-(precision_bits + 7)
     (1 + |its integral|) plus the Gaussian tail beyond R (else QuadratureError);
     for real s, where |rho(s)| = 1, the residual is within the sum of the two
-    sides' bounds.  f must be an EvenGaussHermite, else TypeError.
+    sides' bounds.  f must be an EvenGaussHermite, else TypeError, and s
+    finite, else ValueError, both before any quadrature starts.
     """
     if not isinstance(f, EvenGaussHermite):
         raise TypeError(f"tate_arch_check takes an EvenGaussHermite, not {type(f).__name__}")
     work = _working_bits(precision_bits, _GUARD)  # the working precision, and the one asked of f
     with mp.workprec(work):
         s = mp.mpmathify(s)
+        if not mp.isfinite(s):
+            raise ValueError(f"s = {s} is not finite")
         fhat = f.fourier(work)
         radius = max(g.decay_radius(precision_bits + 32) for g in (f, fhat))
 

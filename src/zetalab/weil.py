@@ -37,13 +37,14 @@ constraint per block, projected out by one Householder reflector.
 
 The Gram runs on integers from lambda^2 to the certificate, in precision's
 fixed-point idiom: _parity_blocks rounds its O(K) scalars and the digamma
-pass (_psi_pass) once to p = precision_bits + _GUARD fractional bits and
-forms every entry by integer products and rounded divisions; _project_out
-and HPMatrix keep them.  The certificate adds the Gram's own error to the
-eigensolver's residual, and each part reads only what it bounds:
-_gram_entry_error counts the entries' error in units of 2^-p, a closed form
-of L, and _projection_error the reflector's, from the exponent and size of
-each projected block.
+pass (_psi_pass) once to p = precision_bits + _GUARD fractional bits, the
+pole functionals also to 2p bits for the reflector, and forms every entry by
+integer products and rounded divisions; _project_out and HPMatrix keep them.
+The certificate adds the Gram's own error to the eigensolver's residual,
+exactly, and each part reads only what it bounds: _gram_entry_error counts
+the entries' error in units of 2^-p, a closed form of L, and
+_projection_error the reflector's in units of each projected block's 2^e,
+from its dimension alone.
 """
 
 from __future__ import annotations
@@ -57,16 +58,17 @@ from math import ceil, isqrt, lgamma, log, log2, pi, sqrt
 from mpmath import mp, mpf
 
 from zetalab.bandfn import LogBandFunction, _band_frame, _exact
-from zetalab.precision import (HPMatrix, _div, _fixed, _reflect, _round_up, _to_mpf, _top_exponent,
-                              _working_bits, jacobi_eigensystem)
+from zetalab.precision import (HPMatrix, _div, _fixed, _reflect, _to_mpf, _top_exponent, _working_bits,
+                              jacobi_eigensystem)
 from zetalab.zerotable import ZeroTable
 
 # Working bits above precision_bits for every weil (and semilocal) evaluation.
 # They buy the Weil Gram its certificate: at the benchmark's settings the
 # entry count (_gram_entry_error, 17 to 20 units of 2^-(bits+48)) times the
-# block dimension is 24 to 25 bits, and the reflector's rounding
-# (_projection_error) 22.7 to 23.7 bits, below the eigensolver's residual,
-# 2^-(bits+14.3) to 2^-(bits+16.0), so the certified bits are the solver's.
+# block dimension is 24.2 to 24.9 bits, and the reflector's count
+# (_projection_error, with the pole functionals at 2 (bits+48) bits) 30.5 to
+# 30.8 bits, below the eigensolver's residual, 2^-(bits+14.3) to
+# 2^-(bits+16.0), so the certified bits are the solver's.
 _GUARD = 48
 
 
@@ -327,8 +329,9 @@ def _check_gram_args(lam2, half_width, precision_bits):
 
 def _parity_blocks(lam2, K, precision_bits):
     """The even block over [const, cos_1..cos_K] and the odd block over
-    [sin_1..sin_K] of QW's Gram, as lists of rows, and the pole functionals
-    (Pe, Po), all integers at p = precision_bits + _GUARD fractional bits.
+    [sin_1..sin_K] of QW's Gram, as lists of rows of integers at p =
+    precision_bits + _GUARD fractional bits, and the pole functionals (Pe,
+    Po) as integers at 2p fractional bits, for _project_out's reflector.
 
     Entry (j, k) of the Gram over psi_-K..psi_K is QW(psi_j, psi_k) = h^(i/2)
     + h^(-i/2) - W_R(h) - sum_p W_p(h) with h = psi_k * psi_j~.  With r =
@@ -369,7 +372,8 @@ def _parity_blocks(lam2, K, precision_bits):
     with mp.workprec(2 * p):
         L, alpha, c0 = _band_frame(lam2)
         c2 = c0 * c0
-        Pe, Po = ([_fixed(x, p) for x in v] for v in _pole_functionals(K, L, alpha, c0))
+        mpf_poles = _pole_functionals(K, L, alpha, c0)
+        (Pe, Po), poles = ([[_fixed(x, s) for x in v] for v in mpf_poles] for s in (p, 2 * p))
         I, J = _arch_integrals(K, L, alpha, c2, precision_bits)
         pp = _prime_powers(_exact(lam2) ** 2)  # h = psi_k * psi_j~ lives on [lambda^-2, lambda^2]
         q = p + ((K + 1) * (len(pp) + 1)).bit_length() + 8
@@ -400,7 +404,7 @@ def _parity_blocks(lam2, K, precision_bits):
             ab = _div(2 * sigma * (k * D[j] - j * D[k]), n)
             even[j][k] = even[k][j] = (2 * Pe[j] * Pe[k] + half >> p) - a_b
             odd[j - 1][k - 1] = odd[k - 1][j - 1] = -(2 * Po[j - 1] * Po[k - 1] + half >> p) - ab
-    return (even, odd), (Pe, Po)
+    return (even, odd), poles
 
 
 def weil_gram_complex(lam2, half_width: int, precision_bits: int):
@@ -433,20 +437,24 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
 
 def _project_out(rows, c, p):
     """Compress the symmetric matrix A = rows 2^-p, integer rows, onto the
-    orthocomplement of the integer vector c (any common scale) by one
-    Householder reflector, in fixed point: integer rows and their exponent e.
+    orthocomplement of c = C 2^-2p, the integer vector C, by one Householder
+    reflector, in fixed point: integer rows and their exponent e.
 
     A is rounded to N units of 2^e, e = k - p - 8 with 2^k > max|A_ij|, and
-    c to the integer vector x = round(c 2^(p+8-kc)), 2^kc > max|c_i|, so |x|
+    C to the integer vector x = round(C 2^(p+8-kc)), 2^kc > max|C_i|, so |x|
     >= 2^(p+7).  precision._reflect gives H N H, rounded, for an exactly
     orthogonal H with H x = -a e_0 + r; the columns 1..n-1 of H are an
     orthonormal basis of the complement of H e_0, and the compression is
     H N H without row and column 0, in the same units 2^e.  So the returned
     exponent says both how A was rounded and how large it was: every |A_ij|
-    < 2^(e+p+8).  _projection_error bounds the rounding from e alone.
+    < 2^(e+p+8).  _projection_error bounds the rounding from e and n alone,
+    on the premise |c| >= 2^(12-p), checked here on C before the reflection
+    (ArithmeticError when it fails).
     """
     if not rows:
         return [], -p
+    if sum(x * x for x in c) < 1 << 2 * p + 24:
+        raise ArithmeticError(f"the pole functional's norm is below 2^{12 - p}, the bound's premise")
     k, kc = _top_exponent(rows) - p, _top_exponent([c])
     out, _ = _reflect([[_fixed(x, 8 - k) for x in r] for r in rows],
                       [_fixed(x, p + 8 - kc) for x in c])
@@ -497,44 +505,41 @@ def _gram_entry_error(lam2, precision_bits):
         return _to_mpf(int(mp.ceil(units)), -p)
 
 
-def _projection_error(lam2, K, precision_bits, blocks):
+def _projection_error(blocks):
     """Bound on how far the eigenvalues of each projected block N 2^e =
-    _project_out(A, c, p), p = precision_bits + _GUARD (eps = 2^-p), as
-    weil_gram returns it, lie from those of the exact compression of the
-    stored block A onto the complement of the exact pole functional c;
-    2-norms, with n the dimension of A, one more than the projected block's.
-    Returned is the larger of the two blocks' bounds: the merged, sorted
-    spectrum moves by no more than its blocks' do.
+    _project_out(A, c, p), as weil_gram returns it, lie from those of the
+    exact compression of the stored block A onto the complement of the exact
+    pole functional c*: the integer count ceil(n (36 ceil(sqrt n) + 69)/16)
+    of units 2^e, with n the dimension of A, one more than the projected
+    block's; 2-norms throughout.  Returned is the larger of the two blocks'
+    bounds, an exact mpf: the merged, sorted spectrum moves by no more than
+    its blocks' do.  An empty projected block has no eigenvalue to move.
 
-    The stored c: each entry of _pole_functionals, formed at 2p bits within
-    2^7 (1 + L) 2^-2p of exact, relatively (fewer than 2^4 roundings, each
-    within 4 2^-2p, and L's error with factor at most 1 + L/2), is rounded to
-    an integer at 2^-p, within (1/2 + 2^-6) eps while 2^13 (1 + L) |c_i| <
-    2^p, so the angle theta between c and its exact value is below 0.53
-    sqrt(n) eps/|c|.  A rotation U in their plane, ||U - I|| = 2 sin(theta/2)
-    <= theta, maps one complement onto the other, so the two compressions
-    have eigenvalues within ||U^T A U - A|| <= 2 theta ||A||.
-
-    The reflector, for the stored c (precision._reflect's lemma): rounding c
-    to x, each entry within 2^-(p+8) of max|c_i| <= |c|, turns it by an angle
-    below sqrt(n) 2^-8 eps, and H e_0 = (H r - x)/a with |a| >= 2^(p+7) and
-    ||r|| <= 1/sqrt2 lies within an angle 2^-(p+7) = eps/128 of x; both
-    add to theta.  The compression by H's orthonormal columns 1..n-1 is
-    then exact up to its two roundings: A to N, within n/2 units of 2^e, and
-    H N H, entries within 9/16 units, 9n/16 in 2-norm; (17/16) n units.
-
-    _project_out keeps every |A_ij| < 2^(e+p+8), so ||A|| <= ||A||_F < n
-    2^(e+p+8), and with theta <= eps (0.53 sqrt(n)/|c| + sqrt(n)/256 +
-    1/128) a block's bound is 2 theta ||A|| + (17/16) n 2^e <= n 2^e
-    ((272/|c| + 2) sqrt(n) + 81/16).  An empty projected block has no
-    eigenvalue to move.
+    The angle theta between H e_0 and c*, in units of eta = 2^-(p+8), adds
+    three angles, each at most 1.05 times its sine as every sine is below
+    1/2:
+      - c* to c: c is rounded to 2p fractional bits (_parity_blocks) from an
+        mpf within 2^7 (1 + L) 2^-2p of c*, relatively (fewer than 2^4
+        roundings at 2p bits, each within 4 2^-2p, and L's error with factor
+        at most 1 + L/2), so |c - c*| <= sqrt(n) 2^(-2p-1) + 2^7 (1 + L)
+        2^-2p |c*|; with the premise |c| >= 2^(12-p) (_project_out checks
+        it) and 1 + L < 2^(p-21), the sine is below (sqrt(n) + 1)/32;
+      - c to x: each entry of x is within 1/2 of C's multiple and |x| >=
+        2^(p+7), so the sine is below sqrt(n);
+      - x to H e_0: a H e_0 = H r - x with ||r|| <= 1/sqrt2
+        (precision._reflect), so the sine is below sqrt2.
+    So theta <= (9 sqrt(n) + 13)/8.  A rotation U in the plane of H e_0 and
+    c*, ||U - I|| = 2 sin(theta/2) <= theta, maps one complement onto the
+    other, so the compression by H's columns 1..n-1 and the exact one have
+    eigenvalues within ||U^T A U - A|| <= 2 theta ||A||, and ||A|| <=
+    ||A||_F < n 2^(e+p+8) as every |A_ij| < 2^(e+p+8): (9 sqrt(n) + 13)/4 n
+    units.  The compression is exact up to its two roundings: A to N, within
+    n/2 units, and H N H, entries within 9/16 units, 9n/16 in 2-norm.  The
+    sum is n (36 sqrt(n) + 69)/16 units.
     """
-    with mp.workprec(precision_bits + _GUARD):
-        L, alpha, c0 = _band_frame(lam2)
-        norms = [mp.norm(c) for c in _pole_functionals(K, L, alpha, c0)]
-        bounds = [_to_mpf(n, b.exponent) * ((272 / m + 2) * mp.sqrt(n) + mpf(81) / 16)
-                  for b, m in zip(blocks, norms) if (n := b.dim + 1) > 1]
-        return max(bounds, default=mpf(0))
+    bounds = [_to_mpf(-(-n * (36 * (isqrt(n - 1) + 1) + 69) // 16), b.exponent)
+              for b in blocks if (n := b.dim + 1) > 1]
+    return max(bounds, default=_to_mpf(0, 0))
 
 
 def weil_gram(
@@ -576,9 +581,10 @@ def weil_gram_spectrum(
     n e, with n = K + 1 the larger block's dimension.  Projection compresses
     E to a principal submatrix of H E H (_project_out's reflector H, exactly
     orthogonal), whose 2-norm is no larger, and adds its own rounding,
-    _projection_error, read from each projected block's exponent.  The three
-    terms are added exactly and the sum rounded up once; at the benchmark's
-    settings the second is 24 to 25 bits below the first, the third 22 to 24.
+    _projection_error, read from each projected block's dimension and
+    exponent.  Each term is an integer times a power of two, and their sum
+    is formed exactly; at the benchmark's settings the second is 24 to 25
+    bits below the first, the third 30.5 to 30.8.
     """
     blocks = weil_gram(lam2, half_width, precision_bits, project_poles)
     eigenvalues, residual = [], mpf(0)
@@ -586,10 +592,10 @@ def weil_gram_spectrum(
         res = jacobi_eigensystem(block)
         eigenvalues.extend(res.eigenvalues)
         residual = max(residual, res.residual)
-    parts = [(1, residual), (half_width + 1, _gram_entry_error(lam2, precision_bits))]
+    entries = mp.fmul(half_width + 1, _gram_entry_error(lam2, precision_bits), exact=True)
+    residual = mp.fadd(residual, entries, exact=True)
     if project_poles:
-        parts.append((1, _projection_error(lam2, half_width, precision_bits, blocks)))
-    residual = _round_up(sum(m * _exact(x) for m, x in parts), precision_bits + _GUARD)
+        residual = mp.fadd(residual, _projection_error(blocks), exact=True)
     eigenvalues.sort()
     smallest_pos = next((lam for lam in eigenvalues if lam > residual), None)
     return GramSpectrum(eigenvalues, [residual] * len(eigenvalues), smallest_pos)

@@ -117,6 +117,12 @@ class TestLogBandFunction:
         near = f.mellin(3 * alpha + mpf(10) ** -30, BITS)
         assert abs(on_grid - near) < mpf(10) ** -25
 
+    @pytest.mark.parametrize("s", [mp.nan, mp.inf, mp.ninf, float("inf"), mp.mpc(1, mp.inf)],
+                             ids=["nan", "inf", "minus-inf", "float-inf", "complex-inf"])
+    def test_mellin_rejects_non_finite_points(self, s):
+        with pytest.raises(ValueError):
+            band({0: 1, 2: 1}).mellin(s, BITS)
+
     @pytest.mark.parametrize("lam2", [3, 11])
     def test_pair_sum_matches_mellin(self, lam2):
         # complex coefficients with an odd part (v_k != v_-k), which the pair

@@ -44,3 +44,12 @@ def test_value_at_zero_matches_closed_form(scale, bits):
 def test_rejects_non_finite_or_non_positive_input(scale, coeffs):
     with pytest.raises(ValueError):
         EvenGaussHermite(scale, coeffs)
+
+
+def test_evaluate_at_non_finite_points():
+    # a NaN x is refused; at +-inf the value is the Gaussian's limit, 0, where
+    # the recurrence would give inf * 0 from order 1 on
+    with pytest.raises(ValueError):
+        F.evaluate(mp.nan, 64)
+    for x in (mp.inf, mp.ninf, float("inf")):
+        assert F.evaluate(x, 64) == 0

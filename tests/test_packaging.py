@@ -132,6 +132,16 @@ def test_gram_reaches_the_eigensolve_as_integers():
         assert not used & banned, f"{name} uses {sorted(used & banned)}"
 
 
+def test_projection_bound_reads_only_its_blocks():
+    # the reflector's count reads each projected block's dimension and
+    # exponent: no working precision, band frame, pole functional or norm
+    banned = {"mp", "mpf", "_band_frame", "_pole_functionals"}
+    _, func = _function("weil", "_projection_error")
+    used = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+    assert not used & banned, f"_projection_error uses {sorted(used & banned)}"
+    assert [a.arg for a in func.args.args] == ["blocks"]
+
+
 def test_pair_sum_sine_runs_on_integers():
     # the zero sum's sine is the package's own, on Python integers: the pass
     # and its kernel name no mpmath sine or product, and bandfn imports none

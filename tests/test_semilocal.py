@@ -68,6 +68,32 @@ def test_quadrature_refuses_an_unconverged_estimate():
 
 
 @pytest.mark.parametrize(
+    "integrand",
+    [lambda x: mp.nan, lambda x: mp.nan if x == mpf(1) / 2 else 1, lambda x: mp.inf, lambda x: mp.ninf],
+    ids=["nan", "nan-at-one-node", "inf", "minus-inf"],
+)
+def test_quadrature_refuses_non_finite_values(integrand):
+    # a NaN or infinite value or estimate makes the tolerance NaN or
+    # infinite, which no comparison with the estimate catches; the midpoint
+    # is a tanh-sinh node
+    with pytest.raises(QuadratureError):
+        quad_checked(integrand, [0, 1], 64)
+
+
+@pytest.mark.parametrize("point", [mp.nan, mp.inf, mp.ninf, float("inf")],
+                         ids=["nan", "inf", "minus-inf", "float-inf"])
+def test_non_finite_point_fails_fast(point, monkeypatch):
+    # refused with ValueError before any quadrature starts
+    from zetalab import semilocal
+
+    monkeypatch.setattr(semilocal, "quad_checked", lambda *args: pytest.fail("a quadrature ran"))
+    with pytest.raises(ValueError):
+        tate_arch_check(GAUSS_HERMITE, point, 64)
+    with pytest.raises(ValueError):
+        gamma_factor(point, 64)
+
+
+@pytest.mark.parametrize(
     "coeffs, bits",
     [
         (LogBandFunction.cosine_power(4, 3, 2).coeffs, 128),

@@ -548,8 +548,9 @@ class TestWeilGram:
 
     @pytest.mark.parametrize("project, bits", [(False, 192), (True, 128)])
     def test_residual_covers_its_parts_exactly(self, project, bits, spectrum_5_8_192):
-        # the returned residual is at least the exact sum of the larger
-        # solver residual, K + 1 entry errors and the projection's error
+        # the returned residual is the exact sum of the larger solver
+        # residual, K + 1 entry errors and the projection's error: each part
+        # is an integer times a power of two, and nothing is rounded
         from zetalab.precision import jacobi_eigensystem
         from zetalab.weil import _gram_entry_error, _projection_error
 
@@ -560,9 +561,9 @@ class TestWeilGram:
         parts = max(exact(jacobi_eigensystem(b).residual) for b in blocks)
         parts += 9 * exact(_gram_entry_error(5, bits))
         if project:
-            parts += exact(_projection_error(5, 8, bits, blocks))
+            parts += exact(_projection_error(blocks))
         spectrum = weil_gram_spectrum(5, 8, bits, project) if project else spectrum_5_8_192
-        assert exact(spectrum.residuals[0]) >= parts
+        assert exact(spectrum.residuals[0]) == parts
 
     @pytest.mark.parametrize(
         "lam2, K, bits",
@@ -613,36 +614,60 @@ class TestWeilGram:
     @staticmethod
     def projection_gaps(lam2, K, bits=128):
         """The compression at bits + _GUARD against the same stored blocks
-        compressed at 512 bits onto the pole functionals formed at 512 bits:
+        compressed at 512 bits onto the pole functionals formed at 1024 bits:
         the two Frobenius gaps and _projection_error."""
         from zetalab.precision import _fixed
         from zetalab.weil import _GUARD, _parity_blocks, _project_out, _projection_error
 
-        with mp.workprec(bits + _GUARD):
-            blocks, poles = _parity_blocks(lam2, K, bits)
-            low = [HPMatrix(*_project_out(b, c, bits + _GUARD), bits)
-                   for b, c in zip(blocks, poles)]
+        blocks, poles = _parity_blocks(lam2, K, bits)
+        low = [HPMatrix(*_project_out(b, c, bits + _GUARD), bits) for b, c in zip(blocks, poles)]
         gaps = []
-        with mp.workprec(512):
+        with mp.workprec(1024):
             fine = _pole_functionals(K, *_band_frame(lam2))
             for a, b, c in zip(low, blocks, fine):
                 b = [[x << (512 - bits - _GUARD) for x in r] for r in b]  # the same block at 2^-512
-                high = HPMatrix(*_project_out(b, [_fixed(x, 512) for x in c], 512), 512)
+                high = HPMatrix(*_project_out(b, [_fixed(x, 1024) for x in c], 512), 512)
                 gaps.append(mp.sqrt(mp.fsum((a[i, j] - high[i, j]) ** 2
                                             for i in range(a.dim) for j in range(a.dim))))
-        return gaps, _projection_error(lam2, K, bits, low)
+        return gaps, _projection_error(low)
 
     def test_projection_error_covers_reflector(self):
-        # both projected settings of the benchmark's grid
-        for lam2, K, bits in ((5, 16, 128), (11, 20, 192)):
+        # both projected settings of the benchmark's grid, and a small block
+        for lam2, K, bits in ((5, 16, 128), (11, 20, 192), (5, 8, 128)):
             gaps, bound = self.projection_gaps(lam2, K, bits)
             assert max(gaps) <= bound, (lam2, K, bits)
 
     def test_projection_error_covers_narrow_band(self):
         # at lambda^2 = 1.12 the odd pole functional is small, |Po| near
-        # L^(3/2)/pi, and its absolute rounding sets the odd block's bound
-        gaps, bound = self.projection_gaps("1.12", 24)
-        assert max(gaps) <= bound
+        # L^(3/2)/pi, and the bound rests on it being far above 2^(12-p);
+        # lambda^2 = 1.2 at 64 bits is the precision contract's projection
+        for lam2, K, bits in (("1.12", 24, 128), ("1.2", 4, 64)):
+            gaps, bound = self.projection_gaps(lam2, K, bits)
+            assert max(gaps) <= bound, (lam2, K, bits)
+
+    def test_projection_refuses_a_pole_vector_below_its_premise(self, monkeypatch):
+        # _projection_error's count holds for |c| >= 2^(12-p): a smaller
+        # pole vector is refused before the reflector runs
+        from zetalab import weil
+
+        p, rows = 176, [[1 << 176, 0], [0, 1 << 176]]
+        # at the premise, |c| = 2^(12-p), the identity compresses to 1 = 2^(p+7) 2^-(p+7)
+        assert weil._project_out(rows, [1 << (p + 12), 0], p) == ([[1 << (p + 7)]], -p - 7)
+        monkeypatch.setattr(weil, "_reflect", lambda *args: pytest.fail("the reflector ran"))
+        for c in ([1 << (p + 11), 0], [1 << (p + 11), 1 << (p + 11)]):
+            with pytest.raises(ArithmeticError, match="premise"):
+                weil._project_out(rows, c, p)
+
+    def test_one_pole_functional_pass_per_spectrum(self, monkeypatch):
+        # the pole functionals are formed once per spectrum, by
+        # _parity_blocks, for both the entries and the reflector
+        from zetalab import weil
+
+        calls = []
+        poles = weil._pole_functionals
+        monkeypatch.setattr(weil, "_pole_functionals", lambda *args: calls.append(args) or poles(*args))
+        weil_gram_spectrum(5, 16, 128, project_poles=True)
+        assert len(calls) == 1
 
     def test_one_psi_pass_per_spectrum(self, monkeypatch):
         # the digamma pass runs once per spectrum, for _arch_integrals: the
