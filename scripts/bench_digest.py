@@ -10,7 +10,12 @@ zeros_used of the explicit formula; eigenvalues, residuals and
 smallest_positive of the Weil spectrum; the Dirac spectrum's eigenvalues and
 zero_errors as float64 bytes; the left and right sides of each tau identity.
 
+With --table it digests the bundled zero table that every workload's set-up
+parses instead: its exact mpf tuples, its float_ordinates() bytes and its
+entry count.
+
     python3 scripts/bench_digest.py --workload weil_spectrum [--seeds 1 2] [--rounds 10]
+    python3 scripts/bench_digest.py --table
 """
 
 import argparse
@@ -48,13 +53,27 @@ def canonical(value) -> bytes:
     return repr(getattr(value, "rows", value)).encode()
 
 
+def print_table_digests(table) -> None:
+    """The bundled table's exact (sign, mantissa, exponent, bitcount) tuples,
+    its float64 view and its length."""
+    exact = hashlib.sha256(b"".join(canonical(g) + b"\n" for g in table))
+    print(f"{exact.hexdigest()}  ordinates")
+    print(f"{hashlib.sha256(canonical(table.float_ordinates())).hexdigest()}  float_ordinates")
+    print(f"entries={len(table)}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("--workload", choices=sorted(workloads.WORKLOADS))
+    target.add_argument("--table", action="store_true", help="digest the bundled zero table")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--rounds", type=int, default=10)
     args = parser.parse_args()
     zl = workloads.Modules()
+    if args.table:
+        print_table_digests(zl.zerotable.bundled_zero_table())
+        return
     ctx = workloads.Context(zl, zl.zerotable.bundled_zero_table(), workloads.load_references())
     workload = workloads.WORKLOADS[args.workload]
     digests, ops, failed = defaultdict(hashlib.sha256), 0, 0

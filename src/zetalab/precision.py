@@ -138,11 +138,13 @@ def _top_exponent(rows):
 
 
 def _working_bits(precision_bits, guard=0):
-    """precision_bits + guard, the one check of every public precision_bits:
-    TypeError unless it passes operator.index, ValueError below 8."""
-    if index(precision_bits) < 8:
+    """precision_bits + guard as an int, the one check of every public
+    precision_bits: TypeError unless it passes operator.index, ValueError
+    below 8."""
+    bits = index(precision_bits)
+    if bits < 8:
         raise ValueError(f"precision_bits must be at least 8, got {precision_bits}")
-    return precision_bits + guard
+    return bits + guard
 
 
 # The package's one fixed-point idiom: x as the integer round(x 2^s) (_fixed),

@@ -110,7 +110,15 @@ def w_prime(p: int, f, precision_bits: int):
                         for q, t, w in _prime_powers(f.lam2) if q == p)
 
 
-_bernfrac = cache(mp.bernfrac)  # exact B_n, the same at every precision
+@cache
+def _stirling(s, j):
+    """round(2^s B_2j/(2j)) and round(2^s B_2j), the j-th Stirling coefficients
+    of psi and psi' at s fractional bits: they depend on (s, j) alone, so each
+    is formed once."""
+    n, d = mp.bernfrac(2 * j)
+    return _div(n << s, 2 * j * d), _div(n << s, d)
+
+
 # The count grows like p/(4 log2 x) as the band narrows: 36,346 at lambda^2 = 1.001, 64 bits.
 _MAX_SERIES_TERMS = 2**14  # most terms of a _psi_pass series, 25 times the most a test needs
 
@@ -181,9 +189,9 @@ def _psi_pass(ys, p, x, term_bound):
         J = next(k for k in count(1) if lgamma(2 * k + 1) / log(2) - 2 * k * (lz + log2(2 * pi))
                  - lm - min(log2(2 * k), lz) <= -p - 4)
         a = c = (0, 0)
-        for j in range(J - 1, 0, -1):  # coefficients round(2^s B_2j/(2j)) and round(2^s B_2j)
-            n, d = _bernfrac(2 * j)
-            a, c = mul((a[0] + _div(n << s, 2 * j * d), a[1]), u), mul((c[0] + _div(n << s, d), c[1]), u)
+        for j in range(J - 1, 0, -1):
+            sa, sc = _stirling(s, j)
+            a, c = mul((a[0] + sa, a[1]), u), mul((c[0] + sc, c[1]), u)
         c = mul(rz, c)
         with mp.workprec(s + 8):
             lg = mp.log(mp.mpc(N + 0.25, y))
@@ -317,14 +325,16 @@ def _arch_integrals(K, L, alpha, c2, precision_bits):
 
 
 def _check_gram_args(lam2, half_width, precision_bits):
-    """K and precision_bits must pass operator.index (3.0 is refused), else
-    TypeError; K nonnegative, precision_bits at least 8 and lam2, read
+    """(K, precision_bits), each read once by operator.index and returned as
+    an int for the caller to pass on.  Both must pass it (3.0 is refused),
+    else TypeError; K nonnegative, precision_bits at least 8 and lam2, read
     exactly, finite and above 1, else ValueError, as each fails deep in it."""
-    _working_bits(precision_bits)
-    if operator.index(half_width) < 0:
+    bits, K = _working_bits(precision_bits), operator.index(half_width)
+    if K < 0:
         raise ValueError(f"half_width must be a nonnegative integer, got {half_width!r}")
     if not _exact(lam2) > 1:
         raise ValueError(f"lam2 must be a finite number above 1, got {lam2}")
+    return K, bits
 
 
 def _parity_blocks(lam2, K, precision_bits):
@@ -421,8 +431,9 @@ def weil_gram_complex(lam2, half_width: int, precision_bits: int):
     Only tests read it; it stays while the benchmark's span map names it, as
     deleting it is a benchmark change.
     """
-    K, (even, odd) = half_width, weil_gram(lam2, half_width, precision_bits)
-    with mp.workprec(precision_bits + _GUARD):
+    K, bits = _check_gram_args(lam2, half_width, precision_bits)
+    even, odd = weil_gram(lam2, K, bits)
+    with mp.workprec(bits + _GUARD):
         rt2 = mp.sqrt(2)
 
         def entry(j, k):
@@ -550,12 +561,12 @@ def weil_gram(
     odd over [sin_1..sin_K].  With project_poles=True each block is first
     compressed onto the kernel of its pole functional, which together cut out
     the codimension-2 subspace f^(+-i/2) = 0."""
-    _check_gram_args(lam2, half_width, precision_bits)
-    p = precision_bits + _GUARD
-    blocks, poles = _parity_blocks(lam2, half_width, precision_bits)
+    K, bits = _check_gram_args(lam2, half_width, precision_bits)
+    p = bits + _GUARD
+    blocks, poles = _parity_blocks(lam2, K, bits)
     if project_poles:
-        return tuple(HPMatrix(*_project_out(b, c, p), precision_bits) for b, c in zip(blocks, poles))
-    return tuple(HPMatrix(b, -p, precision_bits) for b in blocks)
+        return tuple(HPMatrix(*_project_out(b, c, p), bits) for b, c in zip(blocks, poles))
+    return tuple(HPMatrix(b, -p, bits) for b in blocks)
 
 
 @dataclass
@@ -585,14 +596,23 @@ def weil_gram_spectrum(
     exponent.  Each term is an integer times a power of two, and their sum
     is formed exactly; at the benchmark's settings the second is 24 to 25
     bits below the first, the third 30.5 to 30.8.
+
+    The spectrum is the truncation's, not the band's.  Unprojected, the
+    blocks at K are the leading principal submatrices of those at K + 1, bit
+    for bit, so the spectra interlace (Cauchy) within the two residuals:
+    lambda_i(K + 1) <= lambda_i(K) <= lambda_(i+1)(K + 1).  Projected or not,
+    the form at K is the one at K + 1 on a subspace, so lambda_min does not
+    increase with K, and each value bounds every larger truncation's
+    lambda_min from above.
     """
-    blocks = weil_gram(lam2, half_width, precision_bits, project_poles)
+    K, bits = _check_gram_args(lam2, half_width, precision_bits)
+    blocks = weil_gram(lam2, K, bits, project_poles)
     eigenvalues, residual = [], mpf(0)
     for block in blocks:
         res = jacobi_eigensystem(block)
         eigenvalues.extend(res.eigenvalues)
         residual = max(residual, res.residual)
-    entries = mp.fmul(half_width + 1, _gram_entry_error(lam2, precision_bits), exact=True)
+    entries = mp.fmul(K + 1, _gram_entry_error(lam2, bits), exact=True)
     residual = mp.fadd(residual, entries, exact=True)
     if project_poles:
         residual = mp.fadd(residual, _projection_error(blocks), exact=True)

@@ -6,6 +6,17 @@ zero, so the leading entry is required to lie in (14, 15); that anchor
 rejects files that are offset, truncated from the front, or not zeta zeros
 at all.
 
+Each entry is read as the mpf that mpf(line) gives at _PARSE_DPS, bit for
+bit.  A plain ASCII decimal (digits, then at most one point and more digits,
+in at most 400 characters) is read on integers: n/10^k, with n the digits as
+one integer and k the count after the point, rounded once to nearest, ties
+to even, which is how mpf(str) rounds it.  Any other line (a sign, an
+exponent, `_` separators, non-ASCII digits, no digit before the point, inf,
+nan or garbage) goes to mpf(line) itself, so it is accepted or refused
+exactly as mpf decides: mpf reads ".5" but refuses ".0".  The order check
+compares two mpfs by their raw (sign, mantissa, exponent, bitcount) tuples,
+exactly, and any other pair of ordinates by the operator.
+
 A table bundled with the package carries the first 10^4 ordinates (leading
 500 at 40 significant digits); see scripts/generate_zeros.py for provenance.
 """
@@ -16,10 +27,17 @@ from importlib import resources
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, mpf_lt, round_nearest
 
 from zetalab.immutable import Immutable
 
-_PARSE_DPS = 60  # enough for 40-digit entries with headroom
+# Enough for 40-digit entries with headroom; it fixes the 203 bits that both
+# the integer route and mpf(line) round each entry to.
+_PARSE_DPS = 60
+# mpf(str) rounds n/10^k once for k up to 400 digits after the point, and in
+# two steps past that; the integer route takes lines of at most 400
+# characters, which also keeps int() below its 4300-digit limit.
+_MAX_PLAIN_LENGTH = 400
 
 
 class ZeroTableError(ValueError):
@@ -37,7 +55,7 @@ class ZeroTable(Immutable):
             raise ZeroTableError("empty zero table")
         prev = mpf(0)
         for i, g in enumerate(ordinates):
-            if not g > prev:
+            if not _above(g, prev):
                 raise ZeroTableError(f"ordinates must be strictly increasing and positive "
                                      f"(violated at line entry {i + 1})")
             prev = g
@@ -78,15 +96,53 @@ class ZeroTable(Immutable):
         return f"ZeroTable({len(self)} ordinates, source={self.source!r})"
 
 
+def _above(g, prev):
+    """g > prev, exactly.  Two positive finite mpfs m 2^e, m of b bits, are
+    ordered by their top bit e + b, then by mantissas aligned to the smaller
+    exponent; any other pair of mpfs by libmp's mpf_lt, and anything else by
+    the operator."""
+    if not (isinstance(g, mpf) and isinstance(prev, mpf)):
+        return g > prev
+    (s, m, e, b), (ps, pm, pe, pb) = g._mpf_, prev._mpf_
+    if s or ps or not m or not pm:
+        return mpf_lt(prev._mpf_, g._mpf_)
+    if e + b != pe + pb:
+        return e + b > pe + pb
+    return m << (e - pe) > pm if e >= pe else m > pm << (pe - e)
+
+
+def _round_decimal(n, d, prec):
+    """n/d for ints n >= 0 and d > 0, rounded once to prec bits, to nearest
+    with ties to even, as a raw mpf.  q = floor(n 2^shift/d) has at least
+    prec + 2 bits, so the remainder r can only break a tie, and the sticky
+    bit r > 0 below q carries it: from_man_exp rounds where mpf_div would."""
+    shift = max(prec + 2 + d.bit_length() - n.bit_length(), 0)
+    q, r = divmod(n << shift, d)
+    return from_man_exp(2 * q + (r > 0), -shift - 1, prec, round_nearest)
+
+
 def parse_zero_table(text: str, source: str = "") -> ZeroTable:
+    """The ZeroTable of text's entries, each the mpf that mpf(line) gives at
+    _PARSE_DPS.  A plain ASCII decimal of at most _MAX_PLAIN_LENGTH
+    characters, [0-9]+ or [0-9]+.[0-9]*, is read as n/10^k (n the int of its
+    digits, k of them after the point, 10^k formed once per k) and rounded
+    once (_round_decimal).  Every other line goes to mpf(line), and a line
+    that mpf refuses raises ZeroTableError with its line number.  ZeroTable
+    then checks the order exactly (_above)."""
     with mp.workdps(_PARSE_DPS):
-        ordinates = []
+        prec, ordinates, powers = mp.prec, [], {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            whole, _, fraction = line.partition(".")
+            digits, k = whole + fraction, len(fraction)
             try:
-                ordinates.append(mpf(line))
+                if whole and digits.isascii() and digits.isdigit() and len(line) <= _MAX_PLAIN_LENGTH:
+                    d = powers.get(k) or powers.setdefault(k, 10**k)
+                    ordinates.append(mp.make_mpf(_round_decimal(int(digits), d, prec)))
+                else:
+                    ordinates.append(mpf(line))
             except (ValueError, TypeError):
                 raise ZeroTableError(f"line {lineno}: cannot parse {line!r}") from None
         return ZeroTable(ordinates, source)

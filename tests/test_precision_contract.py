@@ -169,3 +169,10 @@ def test_bad_precision_fails_fast(name):
             AT_BITS[name](bad)
     with pytest.raises(TypeError):
         AT_BITS[name](64.5)
+
+
+@pytest.mark.parametrize("name", sorted(AT_BITS))
+def test_numpy_precision_bits_is_read_as_its_int(name):
+    # an index is read once and passed on as an int: a numpy integer gives the
+    # int's bits, and bits() refuses any numpy scalar that leaks into a result
+    assert bits(AT_BITS[name](np.int64(24))) == bits(AT_BITS[name](24))

@@ -493,6 +493,20 @@ class TestWeilGram:
             want = mpf("0.5495570442393672361675858169873364299816")
             assert abs(spec.eigenvalues[0] - want) < mpf(10) ** -40
 
+    @pytest.mark.parametrize("project", [False, True])
+    def test_numpy_half_width_gives_the_int_spectrum(self, project):
+        # K and precision_bits are read once by operator.index and passed on
+        # as ints, so numpy integers give the int arguments' bits
+        import numpy as np
+
+        want = weil_gram_spectrum(5, 4, 64, project)
+        got = weil_gram_spectrum(5, np.int64(4), np.int64(64), project)
+        assert [x._mpf_ for x in got.eigenvalues + got.residuals] == [
+            x._mpf_ for x in want.eigenvalues + want.residuals]
+        blocks = weil_gram(5, np.int64(4), 64, project)
+        assert [(b.rows, b.exponent, type(b.precision_bits)) for b in blocks] == [
+            (b.rows, b.exponent, int) for b in weil_gram(5, 4, 64, project)]
+
     def test_eigenvalue_counts_at_half_width_zero(self):
         assert len(weil_gram_spectrum(2, 0, 128).eigenvalues) == 1
         assert weil_gram_spectrum(2, 0, 128, project_poles=True).eigenvalues == []
@@ -668,6 +682,24 @@ class TestWeilGram:
         monkeypatch.setattr(weil, "_pole_functionals", lambda *args: calls.append(args) or poles(*args))
         weil_gram_spectrum(5, 16, 128, project_poles=True)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("lam2, bits", [(3, 128), (5, 128), (11, 192)])
+    def test_spectra_interlace_across_half_width(self, lam2, bits):
+        # the stored blocks at K are the leading principal submatrices of
+        # those at K + 1, bit for bit, so by Cauchy interlacing each sorted
+        # eigenvalue obeys lambda_i(K+1) <= lambda_i(K) <= lambda_(i+1)(K+1),
+        # within the two solvers' residuals alone
+        from zetalab.precision import jacobi_eigensystem
+
+        for K in (8, 16):
+            for small, large in zip(weil_gram(lam2, K, bits), weil_gram(lam2, K + 1, bits)):
+                assert small.exponent == large.exponent
+                assert small.rows == tuple(r[:small.dim] for r in large.rows[:small.dim])
+                lo, hi = jacobi_eigensystem(small), jacobi_eigensystem(large)
+                r = mp.fadd(lo.residual, hi.residual, exact=True)
+                for i, x in enumerate(lo.eigenvalues):
+                    assert hi.eigenvalues[i] <= mp.fadd(x, r, exact=True), (K, i)
+                    assert x <= mp.fadd(hi.eigenvalues[i + 1], r, exact=True), (K, i)
 
     def test_one_psi_pass_per_spectrum(self, monkeypatch):
         # the digamma pass runs once per spectrum, for _arch_integrals: the

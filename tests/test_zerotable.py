@@ -1,8 +1,16 @@
+from importlib import resources
+
 import pytest
-from mpmath import mpf
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from zetalab.zerotable import (
+    _PARSE_DPS,
+    ZeroTable,
     ZeroTableError,
+    _above,
     bundled_zero_table,
     parse_zero_table,
 )
@@ -54,6 +62,94 @@ class TestParse:
         assert t.float_ordinates() is floats
 
 
+def parsed(line):
+    """The raw mpf that parse_zero_table reads from one line after 14.1."""
+    return parse_zero_table(f"14.1\n{line}\n")[1]._mpf_
+
+
+def mpf_of(line):
+    with mp.workdps(_PARSE_DPS):
+        return mpf(line)._mpf_
+
+
+class TestIntegerRoute:
+    # a plain decimal is read as n/10^k on integers; each line must give the
+    # mpf that mpf(line) gives at _PARSE_DPS, bit for bit, or be refused
+    # where mpf refuses it
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("0123456789", min_size=1, max_size=80), st.integers(0, 81))
+    def test_plain_decimals_match_mpf(self, digits, point):
+        # leading zeros, over 60 significant digits, and a point anywhere or nowhere
+        line = digits if point > len(digits) else f"{digits[:point]}.{digits[point:]}"
+        try:
+            want = mpf_of(line)
+        except ValueError:  # mpf refuses ".0"
+            with pytest.raises(ZeroTableError, match="line 2"):
+                parsed(line)
+            return
+        if mp.make_mpf(want) > mpf("14.1"):
+            assert parsed(line) == want
+        else:
+            with pytest.raises(ZeroTableError, match="increasing"):
+                parsed(line)
+
+    @pytest.mark.parametrize("line", [
+        "15", "15.", "0015.25", "15.0000", "15." + "0" * 70 + "1", "99" + "7" * 78,
+        "15." + "3" * 397, "15." + "3" * 398, "15." + "9" * 450, "15" + "0" * 4298 + "." + "0" * 10,
+        "+14.5", "14.5", "1.45e1", "1_4.5", "\u0661\u0664.\u0665", "29/2", "14.5l",
+    ])
+    def test_edge_lines_match_mpf(self, line):
+        # past 400 characters mpf may round in two steps, and int() stops at
+        # 4300 digits: the parse hands such lines, and any that is not a
+        # plain decimal, to mpf itself
+        assert parsed(line) == mpf_of(line)
+
+    @pytest.mark.parametrize("line", ["14.", ".5", "-14.5", "nan"])
+    def test_lines_at_or_below_the_first_are_refused(self, line):
+        with pytest.raises(ZeroTableError, match="increasing"):
+            parsed(line)
+
+    @pytest.mark.parametrize("line", ["14.5\u00b2", ".0", ".", "15.5.5", "1e", "--15", "15,5", "0x10"])
+    def test_what_mpf_refuses_is_refused_by_line(self, line):
+        with pytest.raises(ValueError):
+            mpf_of(line)
+        with pytest.raises(ZeroTableError, match="line 2"):
+            parsed(line)
+
+    def test_inf_is_refused_as_not_finite(self):
+        with pytest.raises(ZeroTableError, match="finite"):
+            parsed("inf")
+
+    def test_distinct_decimals_rounding_together_are_refused(self):
+        # both round to the same 203-bit mpf, so the table is not strictly increasing
+        twin = "14.5" + "0" * 69 + "1"
+        assert mpf_of(twin) == mpf_of("14.5")
+        with pytest.raises(ZeroTableError, match="increasing"):
+            parse_zero_table(f"14.5\n{twin}\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(*[st.integers(-2**70, 2**70), st.integers(-80, 80)] * 2)
+    def test_raw_order_matches_the_operator(self, m, e, pm, pe):
+        # the second pair shares its top bit, so the aligned mantissas decide
+        tied = e + abs(m).bit_length() - abs(pm).bit_length()
+        for a, b in (((m, e), (pm, pe)), ((m, e), (pm, tied)), ((m, e), (m + 1, e))):
+            g, prev = (mp.make_mpf(from_man_exp(*x)) for x in (a, b))
+            assert _above(g, prev) == (g > prev)
+            assert _above(prev, g) == (prev > g)
+        for special in (mpf("inf"), mpf("-inf"), mpf("nan"), mpf(0)):
+            assert _above(g, special) == (g > special)
+            assert _above(special, g) == (special > g)
+
+    def test_order_check_takes_any_ordinates(self):
+        # the raw-tuple comparison serves pairs of mpfs; ints, floats and a
+        # mix still compare by the operator
+        assert len(ZeroTable([14.5, 15, mpf(16), mpf("16.5"), 17.25])) == 5
+        for bad in ([14.5, 14.5], [14.5, mpf(14)], [mpf("14.5"), 14], [14.5, mpf(-1)], [14.5, mpf("nan")]):
+            with pytest.raises(ZeroTableError, match="increasing"):
+                ZeroTable(bad)
+
+
 class TestLoad:
     def test_roundtrip(self, tmp_path):
         p = tmp_path / "zeros.txt"
@@ -68,6 +164,13 @@ class TestBundled:
         assert len(t) == 10000
         assert abs(t[0] - mpf("14.13472514173469379")) < 1e-15
         assert abs(t[-1] - mpf("9877.7826540055")) < 1e-9
+
+    def test_every_entry_is_mpf_of_its_line(self):
+        text = resources.files("zetalab").joinpath("data/zeros10k.txt").read_text()
+        lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
+        with mp.workdps(_PARSE_DPS):
+            want = [mpf(line)._mpf_ for line in lines]
+        assert [g._mpf_ for g in bundled_zero_table()] == want
 
     def test_known_high_precision_prefix(self):
         # first entries carry 40 significant digits
