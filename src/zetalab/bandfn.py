@@ -31,10 +31,10 @@ from math import factorial
 from types import MappingProxyType
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, to_fixed, to_rational
+from mpmath.libmp import to_fixed, to_rational
 
 from zetalab.immutable import Immutable
-from zetalab.precision import _working_bits
+from zetalab.precision import _to_mpf, _working_bits
 
 # Guard bits of mellin_pair_sum's fixed-point pass over the working precision:
 # its accumulated rounding is about N K max|g| units of the last guard bit,
@@ -214,7 +214,7 @@ def _pair_sum(e, L, alpha, ordinates, P, L_sine):
             for C, Bk in pairs:
                 q += C // (G2 - Bk)
             acc[i] += S * (E0 // G + (G * q >> P)) >> P
-    re, im = (mp.make_mpf(from_man_exp(a, -P)) for a in acc)
+    re, im = (_to_mpf(a, -P) for a in acc)
     return mp.mpc(re, im) if any(parts[1]) else re
 
 

@@ -78,6 +78,7 @@ class Root(Immutable):
 
     def preimages(self, n: int) -> list["Root"]:
         """The n solutions r' of n*r' = self in Q/Z."""
+        n = index(n)
         if n < 1:
             raise ValueError("n must be a positive integer")
         return [Root(self.num + j * self.den, n * self.den) for j in range(n)]
@@ -176,6 +177,7 @@ def divisor_mul(x: Divisor, y: Divisor) -> Divisor:
 
 def sigma(n: int, x: Divisor) -> Divisor:
     """Linear extension of e(r) -> e(n*r); images that coincide are summed."""
+    n = index(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
     return Divisor([(r.scale(n), c) for r, c in x.items()])
@@ -183,6 +185,7 @@ def sigma(n: int, x: Divisor) -> Divisor:
 
 def rho_tilde(n: int, x: Divisor) -> Divisor:
     """Linear extension of e(r) -> sum of e(r') over the n solutions of n*r' = r."""
+    n = index(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
     return Divisor((rp, c) for r, c in x.items() for rp in r.preimages(n))

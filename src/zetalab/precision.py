@@ -7,15 +7,15 @@ to tridiagonal form by Householder reflectors on Python integers (_reflect,
 each exactly orthogonal, with its rounding bounded a priori), and certifies
 every eigenvalue by bisection on integer Sturm counts (_sturm_count).  A
 root-free QL on the same integers (_ql_centres) seeds each bracket, and a
-seed is used only when two counts confirm it, so a wrong or missing seed
-costs counts, never certified bits.  The certificate itself has no
-eigenvectors, no floating-point rounding and no iteration that may fail to
-converge; only the seeding iterates, and it gives up after a fixed number of
-sweeps.  The input rounding, the reduction's a-priori bound and the final
-bracket add up to one integer count of units.  It returns one residual that
-bounds every eigenvalue's error, in sorted order, for the eigenproblem of the
-stored matrix; the error of the entries is the caller's.  The fixed-point
-helpers below are also the Weil Gram's (weil).
+seed is used only when two counts confirm it, so a wrong seed costs counts,
+never certified bits.  The certificate itself has no eigenvectors, no
+floating-point rounding and no iteration that may fail to converge; only the
+seeding iterates, within LAPACK dsterf's budget of 30 sweeps per eigenvalue,
+pooled over the matrix.  The input rounding, the reduction's a-priori bound
+and the final bracket add up to one integer count of units.  It returns one
+residual that bounds every eigenvalue's error, in sorted order, for the
+eigenproblem of the stored matrix; the error of the entries is the caller's.
+The fixed-point helpers below are also the Weil Gram's (weil).
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def _to_mpf(x, e):
 
 
 def _ql_centres(d, e, P):
-    """Sorted guesses, in units, for the eigenvalues of T = tridiag(e, d, e),
-    or None: the Pal-Walker-Kahan root-free QL with a Wilkinson shift
+    """n sorted guesses, in units, for the eigenvalues of T = tridiag(e, d, e):
+    the Pal-Walker-Kahan root-free QL with a Wilkinson shift
     (Parlett, The Symmetric Eigenvalue Problem, ch. 8; LAPACK's dsterf) on
     integers.  Nothing certified rests on a guess (_centres checks each one).
 
@@ -182,20 +182,24 @@ def _ql_centres(d, e, P):
     formed from gamma_old^2 = p_old c_old as c delta^2 - 2 s delta gamma_old
     + s^2 c_old (p_old + E2_i), delta = d_i - shift, with no division and
     exact in dsterf's limit c = 0.  At 2^(P/2) per unit the seeds of graded
-    and clustered blocks come out far off.  An eigenvalue that needs more
-    than 30 sweeps returns None.
+    and clustered blocks come out far off.  The sweeps share dsterf's one
+    budget of 30 n for all of T, so a stall costs at most 30 n sweeps; D as
+    it then stands is the guess, and _centres bisects from [-b, b) only the
+    eigenvalues whose guess its counts do not confirm.
     """
     n, one = len(d), 1 << P
     C = max(map(abs, d + e)).bit_length() + P + 8
     unit, one2 = 1 << C, one * one
     D, E2 = [x << P for x in d], [x * x << 2 * P for x in e] + [0]
+    budget = 30 * n  # dsterf's NMAXIT: MAXIT = 30 sweeps per eigenvalue, pooled
     for l in range(n):
-        for _ in range(31):
+        while budget:
             m = l
             while m < n - 1 and E2[m] >= one2:
                 m += 1
             if m == l:
                 break
+            budget -= 1
             # Wilkinson shift from the leading 2 x 2
             d2, e2 = D[l + 1] - D[l], E2[l]
             r = isqrt(d2 * d2 + 4 * e2)
@@ -215,8 +219,6 @@ def _ql_centres(d, e, P):
                 p = max(0, (delta * (t - sg) >> C) + (((s * s >> C) * oldc >> C) * r >> C))
             E2[l] = s * p >> C
             D[l] = shift + g
-        else:
-            return None
     return sorted((x + (one >> 1)) >> P for x in D)
 
 
@@ -226,16 +228,14 @@ _WINDOW = 8
 
 def _centres(d, e, seeds):
     """The bisection's centre c_i, in units, of every eigenvalue of T =
-    tridiag(e, d, e), i ascending (jacobi_eigensystem).  Seed g_i's bracket
-    [g_i - 8, g_i + 8) is used when two counts confirm it; with no seeds, or
-    when they do not, the bracket is [-b, b)."""
+    tridiag(e, d, e), i ascending (jacobi_eigensystem), from n sorted seeds.
+    Seed g_i's bracket [g_i - 8, g_i + 8) is used when two counts confirm
+    it, and [-b, b) when they do not."""
     e2, b, c = [0] + [x * x for x in e], 3 * max(map(abs, d + e)) + 1, []
-    for i in range(len(d)):
-        lo, hi = -b, b
-        if seeds:
-            g = seeds[i]
-            if _sturm_count(d, e2, g - _WINDOW) <= i < _sturm_count(d, e2, g + _WINDOW):
-                lo, hi = g - _WINDOW, g + _WINDOW
+    for i, g in enumerate(seeds):
+        lo, hi = g - _WINDOW, g + _WINDOW
+        if not _sturm_count(d, e2, lo) <= i < _sturm_count(d, e2, hi):
+            lo, hi = -b, b
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if _sturm_count(d, e2, mid) > i else (mid, hi)
@@ -266,14 +266,14 @@ def jacobi_eigensystem(m: HPMatrix) -> EigenResult:
 
     Bisection.  For each i a bracket [lo, hi) with count(lo) <= i <
     count(hi) halves at (lo + hi) // 2, keeping that, until hi = lo + 1.  It
-    starts at [g_i - 8, g_i + 8) when _ql_centres gives a seed g_i and two
-    counts confirm it, so 6 counts in all; when the QL gives up or a check
-    fails, at [-b, b), ceil(log2 2b) counts.  Either way lambda_i(T'_lo) >=
-    lo and lambda_i(T'_hi) < hi, so lambda_i(T) lies in [lo - 1, hi + 1),
-    within 2 units of the returned centre c_i = hi: a seed sets how many
-    counts run, not the bound.  Each count is exact only for its own T', so
-    counts need not be monotone in sigma; brackets shared between
-    eigenvalues could lose or double one, so each keeps its own.
+    starts at [g_i - 8, g_i + 8), g_i the i-th guess of _ql_centres, when
+    two counts confirm it, so 6 counts in all; when they do not, at [-b, b),
+    2 + ceil(log2 2b) counts.  Either way lambda_i(T'_lo) >= lo and
+    lambda_i(T'_hi) < hi, so lambda_i(T) lies in [lo - 1, hi + 1), within 2
+    units of the returned centre c_i = hi: a seed sets how many counts run,
+    not the bound.  Each count is exact only for its own T', so counts need
+    not be monotone in sigma; brackets shared between eigenvalues could lose
+    or double one, so each keeps its own.
 
     The residual, 2 + ceil(n/2) + sum_{m=2}^{n-1} ceil((9m + 12)/16) units,
     is an integer times 2^(k-P), formed exactly.  It bounds every sorted

@@ -102,6 +102,7 @@ def frobenius(n: int, t: MonoidMatrix) -> MonoidMatrix:
 def verschiebung(n: int, t: MonoidMatrix) -> MonoidMatrix:
     """Cyclic spread over n copies: copy k maps to copy k+1 by the identity,
     the last copy maps back to the first through t."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
     d = t.n
@@ -240,6 +241,7 @@ def fourier_pair(n: int) -> tuple[DivisorMatrix, DivisorMatrix, MonoidMatrix, Mo
     not collapse the root-of-unity sums on the diagonal); the tests check it
     with their dense reference product.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
     roots = [Divisor.of(Root(k, n)) for k in range(n)]  # immutable, so shared

@@ -329,16 +329,12 @@ def test_bisection_within_the_residual(rows, bits):
 
 
 def shifted_seeds(k):
-    def guess(d, e, P):
-        seeds = _ql_centres(d, e, P)
-        return seeds and [g + k for g in seeds]
-    return guess
+    return lambda d, e, P: [g + k for g in _ql_centres(d, e, P)]
 
 
-# Guessers that are wrong in every way _centres must survive: none at all,
-# every seed a unit past the window either side, and every seed at zero.
+# Guessers that are wrong in every way _centres must survive: every seed a
+# unit past the window either side, and every seed at zero.
 WRONG_SEEDS = {
-    "none": lambda d, e, P: None,
     "plus-9": shifted_seeds(_WINDOW + 1),
     "minus-9": shifted_seeds(-_WINDOW - 1),
     "zero": lambda d, e, P: [0] * len(d),
@@ -384,19 +380,23 @@ FAST_PATH = {
     "clustered": lambda: from_numbers(clustered_blocks()[0], 128),
     "graded": lambda: from_numbers(graded()[0], 128),
     "tridiagonal": lambda: from_numbers(tridiagonal_ones()[0], 128),
-    # both parity blocks of every setting of the benchmark's Weil grid
+    # both parity blocks of every setting of the benchmark's Weil grid, and
+    # of one past it where a 30-sweep cap per eigenvalue lost the even block
     **{"-".join(["weil", *map(str, setting[:3])] + ["projected"] * setting[3] + [name]):
        weil_block(setting, parity)
-       for setting in WEIL_GRID for parity, name in enumerate(("even", "odd"))},
+       for setting in [*WEIL_GRID, (40, 40, 256, True)]
+       for parity, name in enumerate(("even", "odd"))},
 }
 
 
 @pytest.mark.parametrize("case", sorted(FAST_PATH))
 def test_seeds_take_the_fast_path(case, monkeypatch):
-    # the integer QL converges, each seed is within the window of the full
-    # bracket's centre, and so each eigenvalue costs exactly 6 counts: the
-    # two that confirm its seed and log2(2 _WINDOW) = 4 halvings.  A guesser
-    # that breaks would only fall back and lose speed; this catches it.
+    # the integer QL gives one seed per eigenvalue, each within the window of
+    # the full bracket's centre, and so each eigenvalue costs exactly 6
+    # counts: the two that confirm its seed and log2(2 _WINDOW) = 4 halvings.
+    # A guesser that breaks would only fall back and lose speed; this
+    # catches it.  Seeds at b + _WINDOW, past every count's confirmation,
+    # give the full bracket's centres.
     m, seen, counts = FAST_PATH[case](), [], []
 
     def spy(d, e, P):
@@ -412,8 +412,9 @@ def test_seeds_take_the_fast_path(case, monkeypatch):
     jacobi_eigensystem(m)
     monkeypatch.undo()
     [(d, e, seeds)] = seen
-    assert seeds is not None
-    assert max(abs(g - c) for g, c in zip(seeds, _centres(d, e, None), strict=True)) <= _WINDOW
+    assert len(seeds) == m.dim
+    unseeded = _centres(d, e, [3 * max(map(abs, d + e)) + 1 + _WINDOW] * m.dim)
+    assert max(abs(g - c) for g, c in zip(seeds, unseeded, strict=True)) <= _WINDOW
     assert len(counts) == 6 * m.dim
 
 

@@ -701,6 +701,27 @@ class TestWeilGram:
                     assert hi.eigenvalues[i] <= mp.fadd(x, r, exact=True), (K, i)
                     assert x <= mp.fadd(hi.eigenvalues[i + 1], r, exact=True), (K, i)
 
+    @pytest.mark.parametrize("lam2, bits", [(3, 128), (5, 128), (11, 192)])
+    def test_spectra_interlace_across_projection(self, lam2, bits):
+        # each projected block is within _projection_error of the exact
+        # compression of its stored block A onto a hyperplane, whose sorted
+        # eigenvalues interlace A's (Cauchy): lambda_i(A) <= mu_i <=
+        # lambda_(i+1)(A), within the two solvers' residuals and that bound.
+        # Both spectra come from the same stored block, so no entry bound
+        # enters.
+        from zetalab.precision import jacobi_eigensystem
+        from zetalab.weil import _projection_error
+
+        for K in (8, 12, 16, 24):
+            for a, pap in zip(weil_gram(lam2, K, bits), weil_gram(lam2, K, bits, True)):
+                assert pap.dim == a.dim - 1
+                full, projected = jacobi_eigensystem(a), jacobi_eigensystem(pap)
+                r = mp.fadd(full.residual, projected.residual, exact=True)
+                r = mp.fadd(r, _projection_error([pap]), exact=True)
+                for i, mu in enumerate(projected.eigenvalues):
+                    assert full.eigenvalues[i] <= mp.fadd(mu, r, exact=True), (K, i)
+                    assert mu <= mp.fadd(full.eigenvalues[i + 1], r, exact=True), (K, i)
+
     def test_one_psi_pass_per_spectrum(self, monkeypatch):
         # the digamma pass runs once per spectrum, for _arch_integrals: the
         # certificate reads closed forms of L and the stored blocks

@@ -382,6 +382,27 @@ class TestDivisorMatrix:
         assert type(a.n) is int and a @ m == DivisorMatrix(2, rows) @ m
 
 
+# Every map of an integer n reads n with operator.index.  Each entry holds
+# the map, an empty input and an input whose image the test compares.
+MAPS_OF_N = {
+    "sigma": (sigma, Divisor(), Divisor.of(Root(1, 3), 2)),
+    "rho_tilde": (rho_tilde, Divisor(), Divisor.of(Root(1, 3), 2)),
+    "verschiebung": (verschiebung, MonoidMatrix(0), TWO_CYCLE),
+    "preimages": (lambda n, r: r.preimages(n), Root(0), Root(1, 3)),
+    "fourier_pair": (lambda n, _: fourier_pair(n), None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAPS_OF_N))
+def test_maps_read_n_as_an_index(name):
+    # 2.5 is refused even where the input gives no term to scale, as
+    # frobenius refuses it, and numpy.int64(2) acts as the int 2
+    f, empty, full = MAPS_OF_N[name]
+    with pytest.raises(TypeError):
+        f(2.5, empty)
+    assert f(np.int64(2), full) == f(2, full)
+
+
 class TestOracle:
     def test_two_cycle(self):
         assert eigenvalue_divisor(TWO_CYCLE) == tau(TWO_CYCLE)
