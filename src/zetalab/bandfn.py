@@ -15,8 +15,9 @@ bits above the pass.
 
 Coefficients may be ints, Fractions, floats or mpmath numbers.  Each method
 that computes takes precision_bits and converts them under
-mp.workprec(precision_bits), so its value depends on its arguments alone;
-lambda^2 is read exactly (_exact).  The exact convolution f * g~ of two band
+mp.workprec(precision_bits), a Fraction rounded once, to nearest
+(precision._num), so its value depends on its arguments alone; lambda^2 is
+read exactly (_exact).  The exact convolution f * g~ of two band
 functions is not kept here: nothing in the package evaluates it, and the
 tests build it as their own oracle for the closed forms.
 """
@@ -27,14 +28,14 @@ import operator
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from types import MappingProxyType
 
 from mpmath import mp, mpf
 from mpmath.libmp import to_fixed, to_rational
 
 from zetalab.immutable import Immutable
-from zetalab.precision import _to_mpf, _working_bits
+from zetalab.precision import _num, _to_mpf, _working_bits
 
 # Guard bits of mellin_pair_sum's fixed-point pass over the working precision:
 # its accumulated rounding is about N K max|g| units of the last guard bit,
@@ -46,12 +47,6 @@ _PAIR_GUARD = 32
 _SINE_GUARD = 32
 # The sine tables are built this many bits above W, then rounded to W.
 _TABLE_GUARD = 16
-
-
-def _num(v):
-    if isinstance(v, Fraction):
-        return mpf(v.numerator) / v.denominator
-    return mp.mpmathify(v)
 
 
 def _exact(x) -> Fraction:
@@ -243,24 +238,18 @@ class LogBandFunction(Immutable):
 
         Exact Fraction coefficients; vanishes to order 2q at the endpoints,
         so the Mellin transform decays like s^-(2q+1): the workhorse family
-        of smooth real even test functions.
+        of smooth real even test functions.  As 1 + cos x = (e^(ix/2) +
+        e^(-ix/2))^2/2, the coefficient at k is C(2q, q + k)/2^q, and the
+        modulation m averages it over the shifts k -+ m.
         """
         if q < 1:
             raise ValueError("q must be >= 1")
 
-        def times(a, b):  # the product of two log-Fourier series, exactly
-            out: dict[int, Fraction] = {}
-            for ka, va in a.items():
-                for kb, vb in b.items():
-                    out[ka + kb] = out.get(ka + kb, Fraction(0)) + va * vb
-            return out
+        def a(k):
+            return Fraction(comb(2 * q, q + k) if abs(k) <= q else 0, 2**q)
 
-        half, acc = Fraction(1, 2), {0: Fraction(1)}
-        for _ in range(q):
-            acc = times(acc, {-1: half, 0: Fraction(1), 1: half})
-        if modulation:
-            acc = times(acc, {-modulation: half, modulation: half})
-        return cls(lam2, acc)
+        K = q + abs(modulation)
+        return cls(lam2, {k: (a(k - modulation) + a(k + modulation)) / 2 for k in range(-K, K + 1)})
 
     @property
     def half_width_index(self) -> int:
@@ -269,7 +258,8 @@ class LogBandFunction(Immutable):
     def _even_coefficients(self) -> list:
         """e_0 = v_0 and e_k = v_k + v_-k for k = 1..K: the coefficients of
         f(e^t) + f(e^-t) = 2 c0 sum_k e_k cos(alpha k t), all that the zero
-        sum f^(g) + f^(-g) and the archimedean term W_R(f) see of f."""
+        sum f^(g) + f^(-g), the archimedean term W_R(f) and the finite
+        places sum_p W_p(f) see of f."""
         v = {k: _num(x) for k, x in self.coeffs.items()}
         K = self.half_width_index
         return [v.get(0, mpf(0))] + [v.get(k, 0) + v.get(-k, 0) for k in range(1, K + 1)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from mpmath import mp, mpf
 
 from zetalab.immutable import Immutable
-from zetalab.precision import _working_bits
+from zetalab.precision import _num, _working_bits
 
 # Working bits above precision_bits for every method: a value must come within
 # 2^-precision_bits of exact, relatively, and the recurrence and the sum lose
@@ -59,22 +59,22 @@ class EvenGaussHermite(Immutable):
         """f(x), computed _GUARD bits above precision_bits; f(+-inf) = 0 and
         a NaN x raises ValueError."""
         with mp.workprec(_working_bits(precision_bits, _GUARD)):
-            a, x = mp.mpmathify(self.scale), mp.mpmathify(x)
+            a, x = _num(self.scale), _num(x)
             if mp.isnan(x):
                 raise ValueError(f"x = {x} is not a number")
             if mp.isinf(x):  # the Gaussian's limit; the recurrence would give inf * 0
                 return mpf(0)
             phis = _hermite_phi(2 * self.order, x / a)
             return mp.fsum(
-                mp.mpmathify(c) * phis[2 * m] for m, c in enumerate(self.coeffs)
+                _num(c) * phis[2 * m] for m, c in enumerate(self.coeffs)
             ) / mp.sqrt(a)
 
     def fourier(self, precision_bits: int) -> "EvenGaussHermite":
         """Closed-form transform: coefficients pick up (-1)^m, scale inverts;
         computed _GUARD bits above precision_bits."""
         with mp.workprec(_working_bits(precision_bits, _GUARD)):
-            inv = 1 / mp.mpmathify(self.scale)
-            coeffs = [(-1) ** m * mp.mpmathify(c) for m, c in enumerate(self.coeffs)]
+            inv = 1 / _num(self.scale)
+            coeffs = [(-1) ** m * _num(c) for m, c in enumerate(self.coeffs)]
         return EvenGaussHermite(inv, coeffs)
 
     def decay_radius(self, precision_bits: int):
@@ -82,7 +82,7 @@ class EvenGaussHermite(Immutable):
         tail, polynomial factors absorbed by the slack term), formed _GUARD
         bits above precision_bits."""
         with mp.workprec(_working_bits(precision_bits, _GUARD)):
-            a = mp.mpmathify(self.scale)
+            a = _num(self.scale)
             slack = 4 * (self.order + 2)
             return a * mp.sqrt((precision_bits + slack) * mp.log(2) / mp.pi)
 

@@ -21,11 +21,12 @@ The fixed-point helpers below are also the Weil Gram's (weil).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
 from operator import index, mul
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from zetalab.immutable import Immutable
 
@@ -145,6 +146,14 @@ def _working_bits(precision_bits, guard=0):
     if bits < 8:
         raise ValueError(f"precision_bits must be at least 8, got {precision_bits}")
     return bits + guard
+
+
+def _num(v):
+    """v at the ambient precision, rounded once, to nearest: a Fraction by
+    from_rational, anything else by mp.mpmathify (exact for ints and floats)."""
+    if isinstance(v, Fraction):
+        return mp.make_mpf(from_rational(v.numerator, v.denominator, mp.prec, round_nearest))
+    return mp.mpmathify(v)
 
 
 # The package's one fixed-point idiom: x as the integer round(x 2^s) (_fixed),

@@ -181,13 +181,10 @@ def resonant_lambda(m: int, ordinate: float) -> float:
     if not (operator.index(m) >= 1 and math.isfinite(ordinate) and ordinate > 0):
         raise ValueError(f"need m >= 1 and a finite positive ordinate, not {m}, {ordinate}")
     try:
-        with np.errstate(over="ignore"):
-            lam = float(np.exp(m * np.pi / ordinate))
-    except OverflowError:  # m too large for a float
-        lam = math.inf
-    if lam == math.inf:
-        raise ValueError(f"the circle parameter exp({m} pi/{ordinate}) overflows a float")
-    return lam
+        with np.errstate(over="raise"):  # in float64 throughout, so every overflow raises
+            return float(np.exp(np.float64(m) * np.pi / ordinate))
+    except (OverflowError, FloatingPointError):
+        raise ValueError(f"the circle parameter exp({m} pi/{ordinate}) overflows a float") from None
 
 
 def _constrained_span(coeffs: np.ndarray, lam: float) -> np.ndarray:

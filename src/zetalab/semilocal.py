@@ -6,8 +6,8 @@ gamma_R(z) = pi^(-z/2) Gamma(z/2).  Tate's archimedean functional equation
 and the trace-formula form of the archimedean explicit-formula distribution
 are both checked numerically here at arbitrary precision.
 
-This module computes at one precision, precision_bits + weil's _GUARD, and
-asks that precision of what it integrates; hermitefn adds its own guard on
+This module computes at one precision, precision_bits + _GUARD, and asks
+that precision of what it integrates; hermitefn adds its own guard on
 top, so Tate's Hermite sums run at precision_bits + 64.  Every numerical
 integral in the package is one quad_checked, refused with QuadratureError
 unless its value and error estimate are finite and the estimate is at most
@@ -23,8 +23,12 @@ from mpmath import mp, mpf
 
 from zetalab.bandfn import LogBandFunction, _band_frame, _pair_terms
 from zetalab.hermitefn import EvenGaussHermite
-from zetalab.precision import _working_bits
-from zetalab.weil import _GUARD, w_arch
+from zetalab.precision import _num, _working_bits
+from zetalab.weil import w_arch
+
+# Working bits above precision_bits for all of this module.  At 128 bits, +32
+# and +40 accept test_semilocal.py's raw x^(is - 1/2) integrand; +48 refuses it.
+_GUARD = 48
 
 
 class QuadratureError(ArithmeticError):
@@ -38,7 +42,7 @@ def quad_checked(integrand, interval, precision_bits):
     (1 + |value|).
 
     The rule, the integrand, the check and the value run at one precision,
-    precision_bits + weil's _GUARD, so mp.quad stops at its eps/8 there,
+    precision_bits + _GUARD, so mp.quad stops at its eps/8 there,
     2^-(precision_bits+50): tanh-sinh's estimate, from the differences of
     successive levels, certifies the tolerance only once the rule has
     converged well past it.  The premise is an integrand bounded on the
@@ -61,7 +65,7 @@ def gamma_factor(z, precision_bits: int):
     """gamma_R(z) = pi^(-z/2) Gamma(z/2); poles at z in {0, -2, -4, ...}
     (ZeroDivisionError), and ValueError for a z that is not finite."""
     with mp.workprec(_working_bits(precision_bits, _GUARD)):
-        z = mp.mpmathify(z)
+        z = _num(z)
         if not mp.isfinite(z):
             raise ValueError(f"z = {z} is not finite")
         half = z / 2
@@ -99,7 +103,7 @@ def tate_arch_check(f, s, precision_bits: int):
         raise TypeError(f"tate_arch_check takes an EvenGaussHermite, not {type(f).__name__}")
     work = _working_bits(precision_bits, _GUARD)  # the working precision, and the one asked of f
     with mp.workprec(work):
-        s = mp.mpmathify(s)
+        s = _num(s)
         if not mp.isfinite(s):
             raise ValueError(f"s = {s} is not finite")
         fhat = f.fourier(work)

@@ -8,11 +8,12 @@ with the prime/archimedean side W_R(f) + sum_p W_p(f).  For a band function
 f (bandfn.LogBandFunction, supported in [lambda^-1, lambda]) every term is a
 closed form: the zero sum costs one sine per zero
 (LogBandFunction.mellin_pair_sum), W_R(f) is one integer pass for K+1 digamma
-values and a geometric series (_psi_pass), and the prime side is a finite
+values and a geometric series (_psi_pass), and the prime side is one finite
 sum over the prime powers in the band, the edge p^m = lambda at half weight
-(_prime_powers), so the explicit formula runs no quadrature.  w_arch and
-the explicit formula take a LogBandFunction only; nothing in this module
-integrates numerically.  The same finiteness makes the quadratic form
+(_prime_powers), so the explicit formula runs no quadrature.  Each term
+reads f only through its band and _even_coefficients; w_arch, w_prime and
+the explicit formula take a LogBandFunction only, and nothing in this
+module integrates numerically.  The same finiteness makes the quadratic form
 
     QW(f, g) = sum_{zeros} conj(f^) g^
 
@@ -62,7 +63,7 @@ from zetalab.precision import (HPMatrix, _div, _fixed, _reflect, _to_mpf, _top_e
                               jacobi_eigensystem)
 from zetalab.zerotable import ZeroTable
 
-# Working bits above precision_bits for every weil (and semilocal) evaluation.
+# Working bits above precision_bits for every weil evaluation.
 # They buy the Weil Gram its certificate: at the benchmark's settings the
 # entry count (_gram_entry_error, 17 to 20 units of 2^-(bits+48)) times the
 # block dimension is 24.2 to 24.9 bits, and the reflector's count
@@ -81,8 +82,7 @@ def _prime_powers(lam2):
     lambda^2 = lam2: t = log p^m and w = log p p^(-m/2) for p^(2m) < lam2,
     and w/2 for p^(2m) = lam2, where f is cut off and counts at the mean of
     its one-sided values, as psi_0 does in von Mangoldt's formula.  The
-    comparison is exact (_exact), and the edge's t is _band_frame's L, the
-    L of evaluate_log, so evaluate_log keeps the term.
+    comparison is exact (_exact), and the edge's t is _band_frame's L.
     """
     q = _exact(lam2)
     out = []
@@ -95,19 +95,19 @@ def _prime_powers(lam2):
     return out
 
 
-def w_prime(p: int, f, precision_bits: int):
-    """(log p) sum_m p^(-m/2) (f(p^m) + f(p^-m)) over the prime powers of p
-    in f's band, read from _prime_powers(f.lam2): an exact finite sum, with
-    the edge p^m = lambda at half weight.  f must be a LogBandFunction, else
-    TypeError."""
+def w_prime(f, precision_bits: int):
+    """sum_p W_p(f), the sum of (log p) p^(-m/2) (f(p^m) + f(p^-m)) over the
+    prime powers of f's band, from one _prime_powers(f.lam2), the edge p^m =
+    lambda at half weight.  f(e^t) + f(e^-t) = 2 c0 sum_k e_k cos(alpha k t),
+    e = f._even_coefficients(), so a real f gives an mpf.  f must be a
+    LogBandFunction, else TypeError."""
     if not isinstance(f, LogBandFunction):
         raise TypeError(f"w_prime takes a LogBandFunction, not {type(f).__name__}")
-    p, work = operator.index(p), _working_bits(precision_bits, _GUARD)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    with mp.workprec(work):
-        return +mp.fsum(w * (f.evaluate_log(t, work) + f.evaluate_log(-t, work))
-                        for q, t, w in _prime_powers(f.lam2) if q == p)
+    with mp.workprec(_working_bits(precision_bits, _GUARD)):
+        _, alpha, c0 = _band_frame(f.lam2)
+        e = f._even_coefficients()
+        return mp.fsum(w * (2 * c0 * mp.fsum(x * mp.cos(alpha * k * t) for k, x in enumerate(e)))
+                       for _, t, w in _prime_powers(f.lam2))
 
 
 @cache
@@ -247,9 +247,10 @@ class ExplicitFormulaCheck:
 
 def explicit_formula_residual(f, zeros: ZeroTable, precision_bits: int) -> ExplicitFormulaCheck:
     """lhs = f^(i/2) + f^(-i/2) - sum over the ZeroTable's zeros (both signs);
-    rhs = W_R(f) + w_prime over the primes of f's band; residual = lhs - rhs.
+    rhs = W_R(f) + sum_p W_p(f) (w_arch, w_prime); residual = lhs - rhs.
     f must be a LogBandFunction: its zero sum costs one sine per zero
-    (LogBandFunction.mellin_pair_sum) and its W_R is a closed form."""
+    (LogBandFunction.mellin_pair_sum), and every term reads it only through
+    its band and _even_coefficients, so a real f gives three mpf."""
     if not isinstance(f, LogBandFunction):
         raise TypeError(f"the explicit formula takes a LogBandFunction, not {type(f).__name__}")
     if not isinstance(zeros, ZeroTable):
@@ -260,9 +261,7 @@ def explicit_formula_residual(f, zeros: ZeroTable, precision_bits: int) -> Expli
         e = f._even_coefficients()
         Pe, _ = _pole_functionals(len(e) - 1, *_band_frame(f.lam2))
         pole = 2 * (Pe[0] * e[0] + mp.fdot(Pe[1:], e[1:]) / mp.sqrt(2))
-        rhs = w_arch(f, precision_bits)
-        for p in dict.fromkeys(p for p, _, _ in _prime_powers(f.lam2)):
-            rhs += w_prime(p, f, precision_bits)
+        rhs = w_arch(f, precision_bits) + w_prime(f, precision_bits)
         lhs = pole - f.mellin_pair_sum(zeros.ordinates, work)
         return ExplicitFormulaCheck(+lhs, +rhs, +(lhs - rhs), len(zeros))
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
-from zetalab.bandfn import LogBandFunction, _band_frame, _num
+from zetalab.bandfn import LogBandFunction, _band_frame
 from zetalab.immutable import Immutable
+from zetalab.precision import _num
 
 
 class ConvolvedBandFunction(Immutable):

@@ -96,6 +96,26 @@ class TestLogBandFunction:
         # vanishing to high order: value at L-h is O(h^6)
         assert abs(f.evaluate_log(L - h, BITS)) < mpf(10) ** -30
 
+    @pytest.mark.parametrize("q", range(1, 10))
+    def test_cosine_power_is_the_product(self, q):
+        # the closed form against the q-fold product of 1 + cos x = e^(-ix)/2
+        # + 1 + e^(ix)/2, times cos(mx) = (e^(-imx) + e^(imx))/2 for m != 0
+        def times(a, b):
+            out = {}
+            for ka, va in a.items():
+                for kb, vb in b.items():
+                    out[ka + kb] = out.get(ka + kb, 0) + va * vb
+            return out
+
+        half, power = Fraction(1, 2), {0: Fraction(1)}
+        for _ in range(q):
+            power = times(power, {-1: half, 0: Fraction(1), 1: half})
+        for m in range(-4, 12):
+            want = times(power, {-m: half, m: half}) if m else power
+            got = LogBandFunction.cosine_power(4, q, m).coeffs
+            assert dict(got) == {k: v for k, v in want.items() if v}, m
+            assert all(type(v) is Fraction for v in got.values())
+
     def test_mellin_vs_quadrature(self):
         f = band({2: 1, -1: Fraction(1, 3)})
         L = _band_frame(f.lam2)[0]

@@ -268,11 +268,22 @@ def test_every_public_name_has_a_caller():
 
 def test_one_prime_helper():
     # one function decides which prime powers lie in a band: in weil.py only
-    # _prime_powers, and w_prime's check of its input, reach is_prime
+    # _prime_powers reaches is_prime
     tree = ast.parse((PACKAGE / "weil.py").read_text())
     users = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
              and any(isinstance(n, ast.Name) and n.id == "is_prime" for n in ast.walk(node))}
-    assert users == {"_prime_powers", "w_prime"}, f"is_prime reached from {sorted(users)}"
+    assert users == {"_prime_powers"}, f"is_prime reached from {sorted(users)}"
+
+
+def test_oracle_grid_is_the_benchmarks():
+    # tests/gram_oracle.py copies perfbench's WEIL_GRID; the copy is checked
+    # against the file's literal, which is read, not imported
+    from gram_oracle import WEIL_GRID
+
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    [grid] = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "WEIL_GRID" for t in node.targets)]
+    assert grid == WEIL_GRID
 
 
 def test_weil_computes_its_own_digamma():

@@ -12,8 +12,12 @@ from mpmath import mp, mpf
 from zetalab import precision
 from zetalab.precision import (_GUARD, _WINDOW, HPMatrix, _centres, _ql_centres, _reflect,
                                _sturm_count, _tridiagonalize, jacobi_eigensystem)
+from convolved_band import star_convolve
 from dyadic import from_numbers
 from gram_oracle import WEIL_GRID
+from zetalab.bandfn import LogBandFunction
+from zetalab.hermitefn import EvenGaussHermite
+from zetalab.semilocal import gamma_factor
 from zetalab.weil import weil_gram
 
 
@@ -444,3 +448,41 @@ def test_sturm_count_within_one_unit(case):
     d, e, sigma = case
     got = _sturm_count(d, [0] + [x * x for x in e], sigma)
     assert exact_count(d, e, sigma - 1) <= got <= exact_count(d, e, sigma + 1)
+
+
+def _nearest(x, bits):
+    """The Fraction x rounded to nearest at bits bits: formed at 4 * bits,
+    then rounded to bits, one rounding in effect for the x below, whose short
+    periodic binary expansions stay far from every midpoint."""
+    with mp.workprec(4 * bits):
+        y = mpf(x.numerator) / x.denominator
+    with mp.workprec(bits):
+        return +y
+
+
+BIG, THIRD = Fraction(2**66 + 3, 7), Fraction(1, 3)
+
+
+def _convolved_at_64(a):
+    with mp.workprec(64):
+        f = LogBandFunction(5, {0: a, 1: 1})
+        return star_convolve(f, f).evaluate_log(mpf(1) / 4)
+
+
+# each reader of precision._num, called on a Fraction x and on x's nearest
+# mpf at the precision the reader works at: mellin at 64 bits, evaluate at
+# 16 + 16, gamma_factor at 16 + 48, the convolution oracle at the ambient 64
+ROUNDED_ONCE = {
+    "bandfn": (lambda a: LogBandFunction(5, {0: a}).mellin(0, 64), BIG, 64),
+    "hermitefn": (lambda a: EvenGaussHermite(a, [a, 1]).evaluate(a, 16), THIRD, 32),
+    "semilocal": (lambda a: gamma_factor(a, 16), THIRD, 64),
+    "convolved_band": (_convolved_at_64, BIG, 64),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(ROUNDED_ONCE))
+def test_a_fraction_is_rounded_once_to_nearest(reader):
+    # a Fraction gives the bits of its nearest mpf: no rounding toward zero
+    # (mpmathify) and no second rounding of a numerator wider than the precision
+    call, x, bits = ROUNDED_ONCE[reader]
+    assert call(x) == call(_nearest(x, bits))

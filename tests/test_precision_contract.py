@@ -62,7 +62,7 @@ CALLS = {
     "bandfn.LogBandFunction.mellin_pair_sum": lambda: [
         f.mellin_pair_sum(ORDINATES, 64) for f in (BAND, BUMP)],
     "weil.is_prime": lambda: [weil.is_prime(n) for n in (1, 2, 91, 97)],
-    "weil.w_prime": lambda: [weil.w_prime(p, BUMP, 64) for p in (2, 3, 5)],
+    "weil.w_prime": lambda: [weil.w_prime(f, 64) for f in (BAND, BUMP)],
     "weil.w_arch": lambda: [weil.w_arch(BAND, 64), weil.w_arch(BUMP, 64)],
     "weil.explicit_formula_residual": lambda: weil.explicit_formula_residual(
         BUMP, zerotable.bundled_zero_table().truncated(100), 64),
@@ -96,7 +96,7 @@ AT_BITS = {
     "bandfn.LogBandFunction.evaluate_log_minus_center": lambda b: BAND.evaluate_log_minus_center(0, b),
     "bandfn.LogBandFunction.mellin": lambda b: BAND.mellin(1, b),
     "bandfn.LogBandFunction.mellin_pair_sum": lambda b: BAND.mellin_pair_sum(ORDINATES, b),
-    "weil.w_prime": lambda b: weil.w_prime(2, BUMP, b),
+    "weil.w_prime": lambda b: weil.w_prime(BUMP, b),
     "weil.w_arch": lambda b: weil.w_arch(BAND, b),
     "weil.explicit_formula_residual": lambda b: weil.explicit_formula_residual(
         BUMP, zerotable.bundled_zero_table().truncated(100), b),

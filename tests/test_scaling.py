@@ -92,10 +92,13 @@ def test_bad_circle_length_raises_value_error(zeros, m, ordinate, lam):
 
 
 @pytest.mark.parametrize(
-    "m, ordinate", [(10**6, 14.1), (10**400, 14.1), (1, 1e-300)], ids=["m-1e6", "m-1e400", "tiny"]
+    "m, ordinate", [(10**6, 14.1), (10**400, 14.1), (1, 1e-300), (2**1023, 1.0), (1, 5e-324)],
+    ids=["m-1e6", "m-1e400", "tiny", "product-inf", "quotient-inf"],
 )
 def test_overflowing_circle_length_raises_value_error(m, ordinate):
-    # exp(m pi/ordinate) past the largest float: no inf, no numpy warning
+    # exp(m pi/ordinate) past the largest float: no inf, no numpy warning,
+    # also where m pi or m pi/ordinate overflows before exp, whose exp(inf)
+    # raises nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows"):
