@@ -42,10 +42,13 @@ def fields(out) -> dict:
 
 def canonical(value) -> bytes:
     """Exact bytes of a value: an mpf's (sign, mantissa, exponent, bitcount),
-    an array's float64 buffer, a DivisorMatrix's rows (its repr shows only n),
+    an mpc's pair of them (its repr shows only the ambient precision), an
+    array's float64 buffer, a DivisorMatrix's rows (its repr shows only n),
     a list item by item, anything else its repr."""
     if hasattr(value, "_mpf_"):
         return repr(value._mpf_).encode()
+    if hasattr(value, "_mpc_"):
+        return repr(value._mpc_).encode()
     if hasattr(value, "tobytes"):
         return value.tobytes()
     if isinstance(value, list):

@@ -223,6 +223,8 @@ class LogBandFunction(Immutable):
     __slots__ = ("lam2", "coeffs")
 
     def __init__(self, lam2, coeffs: Mapping[int, object]):
+        if not isinstance(coeffs, Mapping):
+            raise TypeError(f"coeffs must map k to its coefficient, not {type(coeffs).__name__}")
         if not _exact(lam2) > 1:
             raise ValueError(f"lambda^2 must be finite and exceed 1, got {lam2}")
         if not all(mp.isfinite(_num(v)) for v in coeffs.values()):
@@ -264,32 +266,9 @@ class LogBandFunction(Immutable):
         K = self.half_width_index
         return [v.get(0, mpf(0))] + [v.get(k, 0) + v.get(-k, 0) for k in range(1, K + 1)]
 
-    # -- values, each under mp.workprec(precision_bits) --------------------------
-
-    def evaluate_log(self, t, precision_bits: int):
-        """Value at u = e^t; zero outside the support band.  Pairing k with -k,
-
-            f(e^t) = c0 [v_0 + sum_{k>=1} (e_k cos(alpha k t) + i o_k sin(alpha k t))],
-
-        e_k = v_k + v_-k, o_k = v_k - v_-k; the sine term is left out where
-        o_k = 0, so real symmetric coefficients give an mpf.  t = +-inf lies
-        outside the band; a NaN t raises ValueError."""
-        with mp.workprec(_working_bits(precision_bits)):
-            t = _num(t)
-            if mp.isnan(t):
-                raise ValueError(f"t = {t} is not a number")
-            L, alpha, c0 = _band_frame(self.lam2)
-            if abs(t) > L:
-                return mpf(0)
-            v = {k: _num(x) for k, x in self.coeffs.items()}
-            acc = [v.get(0, mpf(0))]
-            for k in range(1, self.half_width_index + 1):
-                cos, sin = mp.cos_sin(alpha * k * t)
-                vp, vm = v.get(k, 0), v.get(-k, 0)
-                acc.append((vp + vm) * cos)
-                if vp != vm:
-                    acc.append(1j * (vp - vm) * sin)
-            return c0 * mp.fsum(acc)
+    # -- f(e^t) - f(1) ---------------------------------------------------------
+    # The package reads f only through its band and its coefficients and keeps
+    # no point evaluator; the tests' one is tests/band_value.py.
 
     def evaluate_log_minus_center(self, t, precision_bits: int):
         """f(e^t) - f(1), computed without cancellation for small t; a NaN t
@@ -302,8 +281,8 @@ class LogBandFunction(Immutable):
             if mp.isnan(t):
                 raise ValueError(f"t = {t} is not a number")
             L, alpha, c0 = _band_frame(self.lam2)
-            if abs(t) > L:
-                return -self.evaluate_log(0, precision_bits)
+            if abs(t) > L:  # f(1) = c0 sum_k v_k
+                return -c0 * mp.fsum(_num(v) for v in self.coeffs.values())
             acc = []
             for k, v in self.coeffs.items():
                 half = alpha * k * t / 2

@@ -156,8 +156,10 @@ def _num(v):
     return mp.mpmathify(v)
 
 
-# The package's one fixed-point idiom: x as the integer round(x 2^s) (_fixed),
-# integer division to nearest (_div) and exact mpfs back (_to_mpf).
+# The fixed-point idiom of weil and the eigensolve: x as the integer
+# round(x 2^s) (_fixed), integer division to nearest (_div) and exact mpfs
+# back (_to_mpf).  bandfn's zero-sum pass and sine tables floor through
+# libmp's to_fixed instead, as their error bounds are counted in floors.
 
 def _fixed(x, s):
     """round(x 2^s), to nearest, for an int or an mpf x."""

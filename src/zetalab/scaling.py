@@ -87,11 +87,15 @@ def pswf_basis(lam: float, count: int) -> np.ndarray:
     at bandwidth c = 2 pi lambda^2, as L^2([-1,1])-normalized columns of
     normalized-even-Legendre coefficients, positive at x = 1.
 
-    Raises ValueError when the trailing coefficients show that the expansion
-    does not resolve the requested modes.
+    count must pass operator.index (else TypeError) and be >= 1, and lambda
+    must be finite and positive, else ValueError, both before any numpy
+    work.  Raises ValueError when the trailing coefficients show that the
+    expansion does not resolve the requested modes.
     """
-    if count < 1:
+    if operator.index(count) < 1:
         raise ValueError("count must be >= 1")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and positive, not {lam}")
     c = 2 * np.pi * float(lam) ** 2
     n_pairs = max(int(0.75 * c) + 2 * count + 40, 60)
     _, vecs = np.linalg.eigh(_legendre_matrix_even(c, n_pairs))
@@ -177,14 +181,17 @@ def resonant_lambda(m: int, ordinate: float) -> float:
     zeta-cycle length for a zero at that ordinate (the compressed Dirac then
     locks onto it instead of carrying the generic seam error).  Needs an
     integer m >= 1 (else TypeError), a finite positive ordinate and a
-    circle parameter that a float holds, else ValueError."""
-    if not (operator.index(m) >= 1 and math.isfinite(ordinate) and ordinate > 0):
-        raise ValueError(f"need m >= 1 and a finite positive ordinate, not {m}, {ordinate}")
+    circle parameter that a float holds, else ValueError.  The ordinate is
+    read once as a float, so an mpf table entry gives its float's lambda."""
     try:
+        g = float(ordinate)  # an mpf would carry the quotient out of float64
+        if not (operator.index(m) >= 1 and math.isfinite(g) and g > 0):
+            raise ValueError(f"need m >= 1 and a finite positive ordinate, not {m}, {ordinate}")
         with np.errstate(over="raise"):  # in float64 throughout, so every overflow raises
-            return float(np.exp(np.float64(m) * np.pi / ordinate))
+            return float(np.exp(np.float64(m) * np.pi / g))
     except (OverflowError, FloatingPointError):
-        raise ValueError(f"the circle parameter exp({m} pi/{ordinate}) overflows a float") from None
+        raise ValueError(f"the circle parameter exp({m} pi/{ordinate}) or its ordinate "
+                         f"overflows a float") from None
 
 
 def _constrained_span(coeffs: np.ndarray, lam: float) -> np.ndarray:
@@ -255,7 +262,10 @@ def dirac_matrix(lam: float, frame: np.ndarray) -> np.ndarray:
     Expanded, S = S0 - W Q^T + Q W^T with W = S0 Q - Q C/2 and C = Q^T S0 Q:
     a rank-2k update of O(n^2 k) in place of two dense n^3 products, exactly
     skew (S = -S^T bit for bit), and within a few eps max|d| of the dense
-    product entrywise."""
+    product entrywise.  lambda must be finite and above 1 (else ValueError),
+    as in prolate_vectors."""
+    if not (math.isfinite(lam) and lam > 1):
+        raise ValueError(f"circle parameter lambda must be finite and above 1, not {lam}")
     M = frame.shape[0] // 2
     d = np.pi * np.arange(1, M + 1) / np.log(float(lam))
     c, s = np.arange(1, M + 1), np.arange(M + 1, 2 * M + 1)

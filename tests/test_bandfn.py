@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from band_value import evaluate_log
 from convolved_band import star_convolve
 from zetalab import bandfn
 from zetalab.bandfn import LogBandFunction, _band_frame, _fixed_sin, _sine_tables
@@ -24,11 +25,11 @@ def band(coeffs, lam2=4):
 class TestLogBandFunction:
     def test_support(self):
         f = band({0: 1, 2: 1})
-        assert f.evaluate_log(mp.log(3), BITS) == 0
-        assert f.evaluate_log(mp.log(0.2), BITS) == 0
-        assert f.evaluate_log(0, BITS) != 0
+        assert evaluate_log(f, mp.log(3), BITS) == 0
+        assert evaluate_log(f, mp.log(0.2), BITS) == 0
+        assert evaluate_log(f, 0, BITS) != 0
         # a Fraction t is read at the precision asked for
-        assert f.evaluate_log(Fraction(1, 3), BITS) == f.evaluate_log(mpf(1) / 3, BITS) != 0
+        assert evaluate_log(f, Fraction(1, 3), BITS) == evaluate_log(f, mpf(1) / 3, BITS) != 0
 
     def test_rejects_bad_lambda(self):
         # lambda^2 is read exactly, so a decimal string is 6/5, not a float
@@ -49,7 +50,7 @@ class TestLogBandFunction:
         with pytest.raises(ValueError):
             LogBandFunction(lam2, coeffs)
 
-    @pytest.mark.parametrize("method", ["evaluate_log", "evaluate_log_minus_center"])
+    @pytest.mark.parametrize("method", ["evaluate_log_minus_center"])
     @pytest.mark.parametrize("coeffs", [{0: 1}, {-2: 1, 0: 3, 2: 1}], ids=["K0", "K2"])
     def test_rejects_nan_log_point(self, method, coeffs):
         # abs(nan) > L is False, so a NaN t was read as a point of the band
@@ -61,28 +62,34 @@ class TestLogBandFunction:
     def test_infinite_log_point_lies_outside_the_band(self):
         f = LogBandFunction.cosine_power(4, 2)
         for t in (float("inf"), -mp.inf):
-            assert f.evaluate_log(t, 64) == 0
-            assert f.evaluate_log_minus_center(t, 64) == -f.evaluate_log(0, 64)
+            assert evaluate_log(f, t, 64) == 0
+            assert f.evaluate_log_minus_center(t, 64) == -evaluate_log(f, 0, 64)
 
     def test_rejects_non_integer_keys(self):
         # truncated, both keys would be 1 and one coefficient lost
         with pytest.raises(TypeError):
             LogBandFunction(5, {1.5: 1, 1.2: 2})
 
+    @pytest.mark.parametrize("coeffs", [[(0, 1)], (1, 2), None], ids=["pairs", "tuple", "none"])
+    def test_rejects_non_mapping_coefficients(self, coeffs):
+        # a list of (k, v) pairs failed with AttributeError on .values()
+        with pytest.raises(TypeError, match="coeffs"):
+            LogBandFunction(4, coeffs)
+
     def test_orthonormality_via_quadrature(self):
         f = band({3: 1})
         g = band({3: 1})
         L = _band_frame(f.lam2)[0]
-        ip = mp.quad(lambda t: f.evaluate_log(t, BITS) * mp.conj(g.evaluate_log(t, BITS)), [-L, L])
+        ip = mp.quad(lambda t: evaluate_log(f, t, BITS) * mp.conj(evaluate_log(g, t, BITS)), [-L, L])
         assert abs(ip - 1) < mpf(10) ** -40
         h = band({2: 1})
-        ip2 = mp.quad(lambda t: f.evaluate_log(t, BITS) * mp.conj(h.evaluate_log(t, BITS)), [-L, L])
+        ip2 = mp.quad(lambda t: evaluate_log(f, t, BITS) * mp.conj(evaluate_log(h, t, BITS)), [-L, L])
         assert abs(ip2) < mpf(10) ** -40
 
     def test_minus_center_matches_difference(self):
         f = band({0: 1, 1: Fraction(1, 2), -2: Fraction(1, 5)})
         for t in (mpf(1) / 3, mpf(-1) / 7, mpf(2) ** -40, Fraction(-2, 9)):
-            direct = f.evaluate_log(t, BITS) - f.evaluate_log(0, BITS)
+            direct = evaluate_log(f, t, BITS) - evaluate_log(f, 0, BITS)
             stable = f.evaluate_log_minus_center(t, BITS)
             assert abs(direct - stable) < mpf(2) ** -200
 
@@ -91,10 +98,10 @@ class TestLogBandFunction:
         L = _band_frame(f.lam2)[0]
         # real and even: v_-k = v_k, exact Fractions
         assert all(type(v) is Fraction and f.coeffs[-k] == v for k, v in f.coeffs.items())
-        assert abs(f.evaluate_log(L, BITS)) < mpf(10) ** -60
+        assert abs(evaluate_log(f, L, BITS)) < mpf(10) ** -60
         h = mpf(10) ** -6
         # vanishing to high order: value at L-h is O(h^6)
-        assert abs(f.evaluate_log(L - h, BITS)) < mpf(10) ** -30
+        assert abs(evaluate_log(f, L - h, BITS)) < mpf(10) ** -30
 
     @pytest.mark.parametrize("q", range(1, 10))
     def test_cosine_power_is_the_product(self, q):
@@ -121,7 +128,7 @@ class TestLogBandFunction:
         L = _band_frame(f.lam2)[0]
         for s in (mpf(0), mpf(3) / 2, mp.mpc(0, 0.5), mp.mpc(2, -0.5)):
             closed = f.mellin(s, BITS)
-            quad = mp.quad(lambda t: f.evaluate_log(t, BITS) * mp.expj(-s * t), [-L, L])
+            quad = mp.quad(lambda t: evaluate_log(f, t, BITS) * mp.expj(-s * t), [-L, L])
             assert abs(closed - quad) < mpf(10) ** -40
 
     def test_mellin_real_for_real_even(self):
@@ -322,7 +329,7 @@ class TestStarConvolve:
             # split at the indicator kinks so the oracle quadrature converges
             pts = sorted({max(-L, t - L), min(L, t + L), max(-L, min(L, t - L)), 0})
             direct = mp.quad(
-                lambda tau: f.evaluate_log(t - tau, BITS) * mp.conj(g.evaluate_log(-tau, BITS)),
+                lambda tau: evaluate_log(f, t - tau, BITS) * mp.conj(evaluate_log(g, -tau, BITS)),
                 [-L] + pts + [L],
             )
             assert abs(h.evaluate_log(t) - direct) < mpf(10) ** -40

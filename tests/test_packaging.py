@@ -1,5 +1,5 @@
 import ast
-import importlib
+import importlib.util
 import inspect
 import os
 import re
@@ -323,3 +323,20 @@ def test_scaling_runs_no_complex_eigensolve():
                     and call.func.attr in ("eig", "eigh", "eigvals", "eigvalsh")):
                 calls.append((getattr(node, "name", None), call.func.attr))
     assert calls == [("pswf_basis", "eigh")], f"eigensolves in scaling.py: {calls}"
+
+
+def test_bench_digest_reads_an_mpc_exactly(monkeypatch):
+    # scripts/bench_digest.py compares two trees bit for bit; an mpc's repr
+    # prints the ambient 53 bits, so two values 2^-200 apart digested alike
+    from mpmath import mp, mpc, mpf
+
+    monkeypatch.chdir(ROOT)  # the script puts src/ and perfbench/ on sys.path from the cwd
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_digest", ROOT / "scripts" / "bench_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    with mp.workprec(256):
+        a = mpc(1, mpf(1) / 3)
+        b = a + mpc(0, mpf(2) ** -200)
+    assert digest.canonical(a) == repr(a._mpc_).encode() != digest.canonical(b)
+    assert digest.canonical(a.real) == repr(a.real._mpf_).encode()

@@ -55,7 +55,6 @@ TEXT = "# two ordinates\n14.134725141734693790457251983562470270784\n21.02203963
 CALLS = {
     "bandfn.LogBandFunction.cosine_power": lambda: LogBandFunction.cosine_power(7, 3, 2),
     "bandfn.LogBandFunction.half_width_index": lambda: BAND.half_width_index,
-    "bandfn.LogBandFunction.evaluate_log": lambda: [BAND.evaluate_log(t, 64) for t in (Fraction(1, 3), 0, 2)],
     "bandfn.LogBandFunction.evaluate_log_minus_center": lambda: [
         BAND.evaluate_log_minus_center(t, 64) for t in (Fraction(-1, 5), mpf(2) ** -40, 2)],
     "bandfn.LogBandFunction.mellin": lambda: [BAND.mellin(s, 64) for s in (Fraction(3, 2), mpc(2, -0.5))],
@@ -92,7 +91,6 @@ CALLS = {
 # Every public name that takes precision_bits, called at b bits: each must
 # refuse a b that is no integer (TypeError) or is below 8 (ValueError)
 AT_BITS = {
-    "bandfn.LogBandFunction.evaluate_log": lambda b: BAND.evaluate_log(0, b),
     "bandfn.LogBandFunction.evaluate_log_minus_center": lambda b: BAND.evaluate_log_minus_center(0, b),
     "bandfn.LogBandFunction.mellin": lambda b: BAND.mellin(1, b),
     "bandfn.LogBandFunction.mellin_pair_sum": lambda b: BAND.mellin_pair_sum(ORDINATES, b),

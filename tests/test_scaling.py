@@ -81,7 +81,9 @@ def test_prolate_vectors_near_one_fails_fast():
 @pytest.mark.parametrize(
     "m, ordinate, lam",
     [(4, 0.0, None), (0, 14.1, None), (4, -14.1, None), (4, math.nan, None), (4, math.inf, None)]
-    + [(None, None, lam) for lam in (1.0, 0.8, math.nan, -2.0, math.inf)],
+    + [(None, None, lam) for lam in (1.0, 0.8, math.nan, -2.0, math.inf)]
+    # an int past the largest float raised OverflowError from math.isfinite
+    + [pytest.param(1, 10**400, None, id="ordinate-1e400")],
 )
 def test_bad_circle_length_raises_value_error(zeros, m, ordinate, lam):
     with pytest.raises(ValueError):
@@ -103,6 +105,38 @@ def test_overflowing_circle_length_raises_value_error(m, ordinate):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows"):
             resonant_lambda(m, ordinate)
+
+
+def test_resonant_lambda_reads_the_ordinate_as_a_float(zeros):
+    # an mpf table entry made the float64 quotient an mpf, which numpy's exp
+    # refused with TypeError
+    assert resonant_lambda(M_CYCLE, zeros[0]) == resonant_lambda(M_CYCLE, float(zeros[0]))
+
+
+@pytest.mark.parametrize(
+    "lam, count, error",
+    [(2.0, 1.5, TypeError), (2.0, 0, ValueError), (math.inf, 2, ValueError),
+     (math.nan, 2, ValueError), (0.0, 2, ValueError), (-2.0, 2, ValueError)],
+    ids=["float-count", "count0", "inf", "nan", "zero", "negative"],
+)
+def test_pswf_basis_checks_before_the_eigensolve(monkeypatch, lam, count, error):
+    # a float count failed on a slice after the eigensolve, and an infinite
+    # lambda raised OverflowError building the matrix
+    from zetalab import scaling
+
+    monkeypatch.setattr(scaling, "_legendre_matrix_even", lambda *args: pytest.fail("matrix built"))
+    with pytest.raises(error):
+        pswf_basis(lam, count)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, math.inf, math.nan])
+def test_dirac_matrix_rejects_a_bad_circle(lam):
+    # at lambda = 1 the log is 0: inf and NaN entries and divide-by-zero warnings
+    frame = prolate_vectors(2.0, K, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lambda"):
+            dirac_matrix(lam, frame)
 
 
 @pytest.mark.parametrize(

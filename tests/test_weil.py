@@ -7,6 +7,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import to_rational
 
 from arch_quadrature import w_arch_quadrature
+from band_value import evaluate_log
 from convolved_band import star_convolve
 from gram_oracle import WEIL_GRID, mpf_parity_blocks, oracle_scale
 from zetalab.bandfn import LogBandFunction, _band_frame, _exact
@@ -66,7 +67,7 @@ class TestMellinHat:
         with mp.workprec(256):
             L = _band_frame(f.lam2)[0]
             for s in (mpf(2), mpf(-11) / 3):
-                quad = mp.quad(lambda t: f.evaluate_log(t, 256) * mp.expj(-s * t), [-L, L])
+                quad = mp.quad(lambda t: evaluate_log(f, t, 256) * mp.expj(-s * t), [-L, L])
                 assert abs(f.mellin(s, 256) - quad) < mpf(10) ** -30
 
     def test_real_for_symmetric(self):
@@ -164,7 +165,7 @@ class TestWArch:
         band_val = w_arch(f, 192)
         with mp.workprec(240):
             def generic(x):  # f at the precision the quadrature runs at
-                return f.evaluate_log(mp.log(x), mp.prec)
+                return evaluate_log(f, mp.log(x), mp.prec)
 
             # the support edge is a kink in log coordinates
             gen_val = w_arch_quadrature(generic, 160, breakpoints=[mp.log(2)])
@@ -186,7 +187,7 @@ class TestWArch:
         f = LogBandFunction(mpf(lam2), coeffs)
         closed = w_arch(f, bits)
         with mp.workprec(bits + 48):
-            generic = w_arch_quadrature(lambda x: f.evaluate_log(mp.log(x), mp.prec), bits,
+            generic = w_arch_quadrature(lambda x: evaluate_log(f, mp.log(x), mp.prec), bits,
                                         breakpoints=[_band_frame(f.lam2)[0]])
         assert abs(closed - generic) < mpf(2) ** -(bits - 8)
 
@@ -205,7 +206,7 @@ class TestWArch:
         # f(1) = 0: no distributional term, integral over the band only
         f = LogBandFunction(4, {1: 1, -1: -1})  # odd combination: f(1) = 0
         with mp.workprec(200):
-            assert abs(f.evaluate_log(0, 200)) < mpf(10) ** -50
+            assert abs(evaluate_log(f, 0, 200)) < mpf(10) ** -50
         v = w_arch(f, 160)
         assert mp.isfinite(v)
 
@@ -253,20 +254,21 @@ class TestExplicitFormula:
         f = LogBandFunction(lam2, {0: 1})
         chk = explicit_formula_residual(f, zeros, 64)
         with mp.workprec(64):
-            edge = mp.log(p) / mp.sqrt(p) * f.evaluate_log(0, 64)
+            edge = mp.log(p) / mp.sqrt(p) * evaluate_log(f, 0, 64)
         assert abs(chk.residual) < edge / 2
 
     def test_reads_f_only_through_its_even_coefficients(self, zeros, monkeypatch):
         # a real band with an odd part gives three mpf, bit for bit those of
         # the even band with the same e_k, from one pass over the band's
-        # prime powers and no point value of f
+        # prime powers, with no call of mellin and no point value of f
         from zetalab import weil
 
         odd = LogBandFunction(9, {3: 1, -1: Fraction(1, 7)})
         even = LogBandFunction(9, {k: Fraction(1, 14 if abs(k) == 1 else 2) for k in (-3, -1, 1, 3)})
         passes, prime_powers = [], weil._prime_powers
         monkeypatch.setattr(weil, "_prime_powers", lambda lam2: passes.append(lam2) or prime_powers(lam2))
-        monkeypatch.setattr(LogBandFunction, "evaluate_log", lambda *args: pytest.fail("evaluate_log called"))
+        for name in ("mellin", "evaluate_log_minus_center"):  # the band's other readers
+            monkeypatch.setattr(LogBandFunction, name, lambda *args, name=name: pytest.fail(f"{name} called"))
         got, want = (explicit_formula_residual(f, zeros.truncated(100), 256) for f in (odd, even))
         assert passes == [9, 9]
         for x, y in zip((got.lhs, got.rhs, got.residual), (want.lhs, want.rhs, want.residual)):
