@@ -55,6 +55,9 @@ from zetalab.zerotable import ZeroTable
 _EXTRA = 2  # prolates beyond k: the constraints f(0) = f^(0) = 0 use up two
 _RANK_TOL = 1e-8  # least singular-value ratio of the constrained E-images
 _MAX_ZETA_HEAD = 2**21  # most Euler-Maclaurin head terms _zeta_critical builds
+# Most Legendre pairs pswf_basis builds: its dense n x n eigh takes 32 MiB at
+# n = 2^11 and time like n^3, 0.8 s at n = 1,929 (lambda = 20) on 2 vCPUs.
+_MAX_PSWF_PAIRS = 2**11
 # B_2j/(2j)!, j = 1..16: the Euler-Maclaurin corrections of _zeta_critical
 _EM_COEFFS = [float(Fraction(*mp.bernfrac(2 * j)) / math.factorial(2 * j)) for j in range(1, 17)]
 
@@ -64,6 +67,17 @@ class ProlateRankError(RuntimeError):
 
 
 # -- even prolate spheroidal wave functions ------------------------------------
+
+
+def _read_lambda(lam, least) -> float:
+    """lambda read once as a float (inf past the largest), ValueError unless finite and above least."""
+    try:
+        x = float(lam)
+    except OverflowError:
+        x = math.inf
+    if not (math.isfinite(x) and x > least):
+        raise ValueError(f"lambda read as a float must be finite and above {least}, not {x}")
+    return x
 
 
 def _legendre_matrix_even(c, n_pairs: int) -> np.ndarray:
@@ -87,17 +101,21 @@ def pswf_basis(lam: float, count: int) -> np.ndarray:
     at bandwidth c = 2 pi lambda^2, as L^2([-1,1])-normalized columns of
     normalized-even-Legendre coefficients, positive at x = 1.
 
-    count must pass operator.index (else TypeError) and be >= 1, and lambda
-    must be finite and positive, else ValueError, both before any numpy
-    work.  Raises ValueError when the trailing coefficients show that the
-    expansion does not resolve the requested modes.
+    count must pass operator.index (else TypeError) and be >= 1, lambda
+    must be finite and positive, and the n = floor(0.75 c) + 2 count + 40
+    Legendre pairs at most _MAX_PSWF_PAIRS, else ValueError, all before any
+    numpy work.  Raises ValueError when the trailing coefficients show that
+    the expansion does not resolve the requested modes.
     """
     if operator.index(count) < 1:
         raise ValueError("count must be >= 1")
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lambda must be finite and positive, not {lam}")
-    c = 2 * np.pi * float(lam) ** 2
-    n_pairs = max(int(0.75 * c) + 2 * count + 40, 60)
+    try:
+        c = 2 * np.pi * _read_lambda(lam, 0) ** 2
+        n_pairs = max(int(0.75 * c) + 2 * count + 40, 60)
+    except OverflowError:  # lambda^2 past the largest float
+        n_pairs = math.inf
+    if n_pairs > _MAX_PSWF_PAIRS:
+        raise ValueError(f"lambda {lam}, count {count}: {n_pairs} Legendre pairs, over {_MAX_PSWF_PAIRS}")
     _, vecs = np.linalg.eigh(_legendre_matrix_even(c, n_pairs))
     coeffs = vecs[:, :count].copy()
     tail = np.abs(coeffs[-5:, :]).max()
@@ -226,8 +244,7 @@ def prolate_vectors(lam: float, k: int, mode_cut: int) -> np.ndarray:
         raise ValueError("k must be >= 1")
     if mode_cut < 0 or 2 * mode_cut + 1 < k:
         raise ValueError(f"need mode_cut >= 0 and 2 mode_cut + 1 >= k, not {mode_cut}, {k}")
-    if not (math.isfinite(lam) and lam > 1):
-        raise ValueError(f"circle parameter lambda must be finite and above 1, not {lam}")
+    lam = _read_lambda(lam, 1)
     coeffs = pswf_basis(lam, k + _EXTRA)
     E = _prolate_E_coefficients(coeffs, lam, mode_cut)
     q, sv, _ = np.linalg.svd(E @ _constrained_span(coeffs, lam), full_matrices=False)
@@ -264,10 +281,9 @@ def dirac_matrix(lam: float, frame: np.ndarray) -> np.ndarray:
     skew (S = -S^T bit for bit), and within a few eps max|d| of the dense
     product entrywise.  lambda must be finite and above 1 (else ValueError),
     as in prolate_vectors."""
-    if not (math.isfinite(lam) and lam > 1):
-        raise ValueError(f"circle parameter lambda must be finite and above 1, not {lam}")
+    lam = _read_lambda(lam, 1)
     M = frame.shape[0] // 2
-    d = np.pi * np.arange(1, M + 1) / np.log(float(lam))
+    d = np.pi * np.arange(1, M + 1) / np.log(lam)
     c, s = np.arange(1, M + 1), np.arange(M + 1, 2 * M + 1)
     sq = np.zeros_like(frame)  # S0 Q
     sq[c] = -d[:, None] * frame[s]

@@ -155,10 +155,10 @@ def trace_side_integral(f, precision_bits: int):
             (-1)^(K+1) c0 int_0^inf e^(-yL) [g(a+iy) + g(a-iy)] dy,  g = R theta',
 
         which decays instead of oscillating.  theta'(a - iy) = conj
-        theta'(a + iy), so a node costs one digamma (_theta_prime).  When
-        every e_k is real, R(a - iy) = conj R(a + iy) as well, so the
-        bracket is 2 Re(R theta')(a + iy), one R per node, and the result
-        is an mpf.
+        theta'(a + iy), so a node costs one digamma (_theta_prime) and two
+        R.  One bracket serves every band: when every e_k is real, R(a - iy)
+        = conj R(a + iy) in mpc arithmetic too, so the bracket is exactly
+        2 Re(R theta')(a + iy), and the result is returned as an mpf.
     The head and the ray (split at 4^j/L, j = 0..5) are one quad_checked
     each, within 2^-(precision_bits + 8) (1 + |piece|) else QuadratureError;
     the result is within c0/pi times twice the head's bound plus the ray's.
@@ -168,9 +168,6 @@ def trace_side_integral(f, precision_bits: int):
     with mp.workprec(_working_bits(precision_bits, _GUARD)):
         L, alpha, c0 = _band_frame(f.lam2)
         e = f._even_coefficients()
-        real = not any(mp.im(x) for x in e)
-        if real:
-            e = [mp.re(x) for x in e]
         K = len(e) - 1
         a = alpha * (K + 1)
 
@@ -185,14 +182,12 @@ def trace_side_integral(f, precision_bits: int):
         def tail(y):
             s = mp.mpc(a, y)
             theta = _theta_prime(s)
-            if real:
-                return 2 * mp.exp(-y * L) * mp.re(R(s) * theta)
             return mp.exp(-y * L) * (R(s) * theta + R(mp.conj(s)) * mp.conj(theta))
 
         rays = [0] + [mpf(4) ** j / L for j in range(6)] + [mp.inf]
-        total = 2 * c0 * quad_checked(head, [0, a], precision_bits) + (
-            (-1) ** (K + 1) * c0 * quad_checked(tail, rays, precision_bits))
-        return +(-total / mp.pi)
+        total = -(2 * c0 * quad_checked(head, [0, a], precision_bits) + (
+            (-1) ** (K + 1) * c0 * quad_checked(tail, rays, precision_bits))) / mp.pi
+        return total if any(mp.im(x) for x in e) else mp.re(total)  # a real band's is an mpf
 
 
 def arch_trace_check(f: LogBandFunction, precision_bits: int):

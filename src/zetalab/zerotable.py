@@ -1,21 +1,17 @@
 """Tables of nontrivial zeta-zero ordinates: parsing and validation.
 
-File format: plain text, one positive decimal ordinate per line, strictly
-increasing, `#` starts a comment.  A genuine table must start with the first
-zero, so the leading entry is required to lie in (14, 15); that anchor
-rejects files that are offset, truncated from the front, or not zeta zeros
-at all.
+File format: plain text, `#` starts a comment, and every other line is
+blank or one positive plain ASCII decimal, [0-9]+ or [0-9]+.[0-9]*, in
+strictly increasing order; any other line is refused with its number.  A
+genuine table must start with the first zero, so the leading entry is
+required to lie in (14, 15); that anchor rejects files that are offset,
+truncated from the front, or not zeta zeros at all.
 
-Each entry is read as the mpf that mpf(line) gives at _PARSE_DPS, bit for
-bit.  A plain ASCII decimal (digits, then at most one point and more digits,
-in at most 400 characters) is read on integers: n/10^k, with n the digits as
-one integer and k the count after the point, rounded once to nearest, ties
-to even, which is how mpf(str) rounds it.  Any other line (a sign, an
-exponent, `_` separators, non-ASCII digits, no digit before the point, inf,
-nan or garbage) goes to mpf(line) itself, so it is accepted or refused
-exactly as mpf decides: mpf reads ".5" but refuses ".0".  The order check
-compares two mpfs by their raw (sign, mantissa, exponent, bitcount) tuples,
-exactly, and any other pair of ordinates by the operator.
+Each entry, n/10^k with n its digits as one integer and k of them after
+the point, is rounded once on integers to 203 bits, to nearest with ties to
+even, as mpf(str) rounds it at 60 digits up to 400 digits after the point.
+The order check compares two mpfs by their raw (sign, mantissa, exponent,
+bitcount) tuples, exactly, and any other pair of ordinates by the operator.
 
 A table bundled with the package carries the first 10^4 ordinates (leading
 500 at 40 significant digits); see scripts/generate_zeros.py for provenance.
@@ -31,13 +27,8 @@ from mpmath.libmp import from_man_exp, mpf_lt, round_nearest
 
 from zetalab.immutable import Immutable
 
-# Enough for 40-digit entries with headroom; it fixes the 203 bits that both
-# the integer route and mpf(line) round each entry to.
-_PARSE_DPS = 60
-# mpf(str) rounds n/10^k once for k up to 400 digits after the point, and in
-# two steps past that; the integer route takes lines of at most 400
-# characters, which also keeps int() below its 4300-digit limit.
-_MAX_PLAIN_LENGTH = 400
+# The bits each entry is rounded to: 60 digits, room above the 40-digit entries.
+_PARSE_BITS = 203
 
 
 class ZeroTableError(ValueError):
@@ -122,30 +113,27 @@ def _round_decimal(n, d, prec):
 
 
 def parse_zero_table(text: str, source: str = "") -> ZeroTable:
-    """The ZeroTable of text's entries, each the mpf that mpf(line) gives at
-    _PARSE_DPS.  A plain ASCII decimal of at most _MAX_PLAIN_LENGTH
-    characters, [0-9]+ or [0-9]+.[0-9]*, is read as n/10^k (n the int of its
-    digits, k of them after the point, 10^k formed once per k) and rounded
-    once (_round_decimal).  Every other line goes to mpf(line), and a line
-    that mpf refuses raises ZeroTableError with its line number.  ZeroTable
-    then checks the order exactly (_above)."""
-    with mp.workdps(_PARSE_DPS):
-        prec, ordinates, powers = mp.prec, [], {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            whole, _, fraction = line.partition(".")
-            digits, k = whole + fraction, len(fraction)
-            try:
-                if whole and digits.isascii() and digits.isdigit() and len(line) <= _MAX_PLAIN_LENGTH:
-                    d = powers.get(k) or powers.setdefault(k, 10**k)
-                    ordinates.append(mp.make_mpf(_round_decimal(int(digits), d, prec)))
-                else:
-                    ordinates.append(mpf(line))
-            except (ValueError, TypeError):
-                raise ZeroTableError(f"line {lineno}: cannot parse {line!r}") from None
-        return ZeroTable(ordinates, source)
+    """The ZeroTable of text's entries: each line, stripped of its `#`
+    comment and blanks, is empty or one plain ASCII decimal, [0-9]+ or
+    [0-9]+.[0-9]*, read as n/10^k (n its digits, k of them after the point)
+    rounded once to _PARSE_BITS (_round_decimal).  Any other line, or one
+    past int()'s digit limit, raises ZeroTableError with its line number;
+    ZeroTable then checks the order exactly (_above)."""
+    ordinates, powers = [], {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        whole, _, fraction = line.partition(".")
+        digits, k = whole + fraction, len(fraction)
+        try:
+            if not (whole and digits.isascii() and digits.isdigit()):
+                raise ValueError("not a plain decimal")
+            d = powers.get(k) or powers.setdefault(k, 10**k)
+            ordinates.append(mp.make_mpf(_round_decimal(int(digits), d, _PARSE_BITS)))
+        except ValueError:
+            raise ZeroTableError(f"line {lineno}: cannot parse {line!r}") from None
+    return ZeroTable(ordinates, source)
 
 
 def bundled_zero_table() -> ZeroTable:

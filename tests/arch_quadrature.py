@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
-from zetalab.semilocal import quad_checked
-from zetalab.weil import _GUARD
+from zetalab.semilocal import _GUARD, quad_checked
 
 
 def w_arch_quadrature(f, precision_bits: int = 256, breakpoints=()):

@@ -7,21 +7,19 @@ an mpf entry loop.  I(m) and J(k) come from weil._arch_integrals, read as
 mpfs.  oracle_scale is the magnitude its own error count scales with.
 """
 
+import ast
+from pathlib import Path
+
 from mpmath import mp, mpf
 
 from zetalab.bandfn import _band_frame, _exact
 from zetalab.weil import _GUARD, _arch_integrals, _pole_functionals, _prime_powers
 
-# The benchmark's Weil grid (perfbench/workloads.py), copied:
-# (lam2, K, bits, project_poles).
-WEIL_GRID = (
-    (5, 24, 128, False),
-    (7, 20, 160, False),
-    (11, 24, 192, False),
-    (5, 16, 128, True),
-    (11, 20, 192, True),
-    (3, 12, 192, False),
-)
+# The benchmark's Weil grid, (lam2, K, bits, project_poles): the literal in
+# perfbench/workloads.py, read without importing the bench.
+_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+[WEIL_GRID] = [ast.literal_eval(node.value) for node in ast.parse(_WORKLOADS.read_text()).body
+               if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "WEIL_GRID" for t in node.targets)]
 
 
 def mpf_parity_blocks(lam2, K, precision_bits):

@@ -275,15 +275,16 @@ def test_one_prime_helper():
     assert users == {"_prime_powers"}, f"is_prime reached from {sorted(users)}"
 
 
-def test_oracle_grid_is_the_benchmarks():
-    # tests/gram_oracle.py copies perfbench's WEIL_GRID; the copy is checked
-    # against the file's literal, which is read, not imported
-    from gram_oracle import WEIL_GRID
-
-    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
-    [grid] = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "WEIL_GRID" for t in node.targets)]
-    assert grid == WEIL_GRID
+def test_zero_table_parse_has_one_route():
+    # parse_zero_table reads every line on integers by the file's grammar:
+    # zerotable.py hands no line to mpf (mpf(0) is its one call) and sets no
+    # ambient precision
+    calls = [node for node in ast.walk(ast.parse((PACKAGE / "zerotable.py").read_text()))
+             if isinstance(node, ast.Call)]
+    names = [getattr(c.func, "id", None) or getattr(c.func, "attr", None) for c in calls]
+    by_mpf = [ast.unparse(c) for c, name in zip(calls, names) if name == "mpf"
+              and not all(isinstance(a, ast.Constant) for a in c.args)]
+    assert by_mpf == [] and "workdps" not in names
 
 
 def test_weil_computes_its_own_digamma():

@@ -83,7 +83,7 @@ def test_prolate_vectors_near_one_fails_fast():
     [(4, 0.0, None), (0, 14.1, None), (4, -14.1, None), (4, math.nan, None), (4, math.inf, None)]
     + [(None, None, lam) for lam in (1.0, 0.8, math.nan, -2.0, math.inf)]
     # an int past the largest float raised OverflowError from math.isfinite
-    + [pytest.param(1, 10**400, None, id="ordinate-1e400")],
+    + [pytest.param(1, 10**400, None, id="ordinate-1e400"), pytest.param(None, None, 10**400, id="lam-1e400")],
 )
 def test_bad_circle_length_raises_value_error(zeros, m, ordinate, lam):
     with pytest.raises(ValueError):
@@ -116,12 +116,14 @@ def test_resonant_lambda_reads_the_ordinate_as_a_float(zeros):
 @pytest.mark.parametrize(
     "lam, count, error",
     [(2.0, 1.5, TypeError), (2.0, 0, ValueError), (math.inf, 2, ValueError),
-     (math.nan, 2, ValueError), (0.0, 2, ValueError), (-2.0, 2, ValueError)],
-    ids=["float-count", "count0", "inf", "nan", "zero", "negative"],
+     (math.nan, 2, ValueError), (0.0, 2, ValueError), (-2.0, 2, ValueError),
+     (10**400, 2, ValueError), (40.0, 2, ValueError), (1e200, 2, ValueError), (2.0, 10**6, ValueError)],
+    ids=["float-count", "count0", "inf", "nan", "zero", "negative", "int-1e400", "lam40", "lam1e200", "count1e6"],
 )
 def test_pswf_basis_checks_before_the_eigensolve(monkeypatch, lam, count, error):
-    # a float count failed on a slice after the eigensolve, and an infinite
-    # lambda raised OverflowError building the matrix
+    # a float count failed on a slice after the eigensolve, an infinite
+    # lambda or an int past the largest float raised OverflowError, and a
+    # lambda of 40 or a count of 10^6 built a matrix of over 7,000 pairs
     from zetalab import scaling
 
     monkeypatch.setattr(scaling, "_legendre_matrix_even", lambda *args: pytest.fail("matrix built"))
@@ -129,7 +131,7 @@ def test_pswf_basis_checks_before_the_eigensolve(monkeypatch, lam, count, error)
         pswf_basis(lam, count)
 
 
-@pytest.mark.parametrize("lam", [1.0, 0.5, math.inf, math.nan])
+@pytest.mark.parametrize("lam", [1.0, 0.5, math.inf, math.nan, pytest.param(10**400, id="int-1e400")])
 def test_dirac_matrix_rejects_a_bad_circle(lam):
     # at lambda = 1 the log is 0: inf and NaN entries and divide-by-zero warnings
     frame = prolate_vectors(2.0, K, 8)

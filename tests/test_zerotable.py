@@ -1,13 +1,15 @@
+import re
+import sys
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from zetalab.zerotable import (
-    _PARSE_DPS,
+    _PARSE_BITS,
     ZeroTable,
     ZeroTableError,
     _above,
@@ -41,7 +43,7 @@ class TestParse:
             parse_zero_table("21.022040\n25.010858\n")
 
     def test_trailing_inf_rejected(self):
-        with pytest.raises(ZeroTableError, match="finite"):
+        with pytest.raises(ZeroTableError, match="line 2"):
             parse_zero_table("14.134725\ninf\n")
 
     def test_garbage_line(self):
@@ -68,26 +70,35 @@ def parsed(line):
 
 
 def mpf_of(line):
-    with mp.workdps(_PARSE_DPS):
+    with mp.workprec(_PARSE_BITS):
         return mpf(line)._mpf_
 
 
+# the file's grammar, stated apart from the parse
+PLAIN = re.compile(r"[0-9]+(\.[0-9]*)?")
+
+
+def rounded_once(line):
+    """n/10^k for a line of the grammar, exact, rounded once to nearest."""
+    whole, _, fraction = line.partition(".")
+    return from_rational(int(whole + fraction), 10 ** len(fraction), _PARSE_BITS, round_nearest)
+
+
 class TestIntegerRoute:
-    # a plain decimal is read as n/10^k on integers; each line must give the
-    # mpf that mpf(line) gives at _PARSE_DPS, bit for bit, or be refused
-    # where mpf refuses it
+    # a line of the grammar is read as n/10^k on integers and rounded once,
+    # which is the mpf that mpf(line) gives at _PARSE_BITS up to 400 digits
+    # after the point; every other line is refused by its line number
 
     @settings(max_examples=300, deadline=None)
     @given(st.text("0123456789", min_size=1, max_size=80), st.integers(0, 81))
     def test_plain_decimals_match_mpf(self, digits, point):
         # leading zeros, over 60 significant digits, and a point anywhere or nowhere
         line = digits if point > len(digits) else f"{digits[:point]}.{digits[point:]}"
-        try:
-            want = mpf_of(line)
-        except ValueError:  # mpf refuses ".0"
+        if line.startswith("."):  # no digit before the point: outside the grammar
             with pytest.raises(ZeroTableError, match="line 2"):
                 parsed(line)
             return
+        want = mpf_of(line)
         if mp.make_mpf(want) > mpf("14.1"):
             assert parsed(line) == want
         else:
@@ -100,14 +111,26 @@ class TestIntegerRoute:
         "+14.5", "14.5", "1.45e1", "1_4.5", "\u0661\u0664.\u0665", "29/2", "14.5l",
     ])
     def test_edge_lines_match_mpf(self, line):
-        # past 400 characters mpf may round in two steps, and int() stops at
-        # 4300 digits: the parse hands such lines, and any that is not a
-        # plain decimal, to mpf itself
-        assert parsed(line) == mpf_of(line)
+        # a line of the grammar gives the exact n/10^k rounded once, which is
+        # mpf(line) up to 400 digits after the point (past that mpf rounds in
+        # two steps); the 4310-digit line, past int()'s limit, and every line
+        # outside the grammar are refused by their number, though mpf reads each
+        whole, _, fraction = line.partition(".")
+        if PLAIN.fullmatch(line) and len(whole + fraction) <= sys.get_int_max_str_digits():
+            want = rounded_once(line)
+            if len(fraction) <= 400:
+                assert mpf_of(line) == want
+            assert parsed(line) == want
+        else:
+            assert mp.isfinite(mp.make_mpf(mpf_of(line)))
+            with pytest.raises(ZeroTableError, match="line 2"):
+                parsed(line)
 
     @pytest.mark.parametrize("line", ["14.", ".5", "-14.5", "nan"])
     def test_lines_at_or_below_the_first_are_refused(self, line):
-        with pytest.raises(ZeroTableError, match="increasing"):
+        # "14." is a plain decimal, refused by the order check; the others
+        # are outside the grammar, refused by their line number
+        with pytest.raises(ZeroTableError, match="increasing" if PLAIN.fullmatch(line) else "line 2"):
             parsed(line)
 
     @pytest.mark.parametrize("line", ["14.5\u00b2", ".0", ".", "15.5.5", "1e", "--15", "15,5", "0x10"])
@@ -118,8 +141,12 @@ class TestIntegerRoute:
             parsed(line)
 
     def test_inf_is_refused_as_not_finite(self):
-        with pytest.raises(ZeroTableError, match="finite"):
+        # the parse refuses "inf" as outside the grammar; ZeroTable, which
+        # takes ordinates from any caller, refuses an infinite one
+        with pytest.raises(ZeroTableError, match="line 2"):
             parsed("inf")
+        with pytest.raises(ZeroTableError, match="finite"):
+            ZeroTable([mpf("14.5"), mpf("inf")])
 
     def test_distinct_decimals_rounding_together_are_refused(self):
         # both round to the same 203-bit mpf, so the table is not strictly increasing
@@ -168,8 +195,7 @@ class TestBundled:
     def test_every_entry_is_mpf_of_its_line(self):
         text = resources.files("zetalab").joinpath("data/zeros10k.txt").read_text()
         lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
-        with mp.workdps(_PARSE_DPS):
-            want = [mpf(line)._mpf_ for line in lines]
+        want = [mpf_of(line) for line in lines]
         assert [g._mpf_ for g in bundled_zero_table()] == want
 
     def test_known_high_precision_prefix(self):
